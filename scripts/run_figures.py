@@ -18,14 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mhlogsim.config import default_config, parse_config
-from mhlogsim.experiments import (
-    FIGURE_IDS,
-    check_trends,
-    emit_csv,
-    figure_spec,
-    provenance_lines,
-    run_figure,
-)
+from mhlogsim.experiments import FIGURE_IDS, write_figure
 
 
 def main() -> int:
@@ -39,18 +32,14 @@ def main() -> int:
     args = parser.parse_args()
 
     config = parse_config(args.config) if args.config else default_config()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     any_violations = False
     for figure_id in args.figures.split(","):
         figure_id = figure_id.strip()
         t0 = time.time()
-        spec = figure_spec(figure_id, config, reps=args.reps, master_seed=args.seed)
-        rows = run_figure(spec, config)
-        path = emit_csv(rows, out_dir / f"{figure_id}.csv",
-                        provenance=provenance_lines(spec, config))
-        violations = check_trends(figure_id, rows)
+        path, rows, violations = write_figure(
+            figure_id, config, args.out, reps=args.reps, master_seed=args.seed
+        )
         status = "ok" if not violations else f"{len(violations)} trend violation(s)"
         print(f"{figure_id}: {len(rows)} rows -> {path}  [{time.time() - t0:.1f}s, {status}]")
         for v in violations:

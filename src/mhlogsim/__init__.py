@@ -6,61 +6,4 @@ recovery probability, and the recoverability-per-cost ratio, by seeded
 discrete-event simulation and by closed-form evaluation.
 """
 
-from .model import (
-    Checkpoint,
-    CostParams,
-    DerivedQuantities,
-    LogEntry,
-    SimParams,
-    ValidatedConfig,
-    ValidationError,
-    default_recovery_deadline,
-    derive_quantities,
-    validate_params,
-)
-from .topology import (
-    MoveKind,
-    NetworkTree,
-    bs_site,
-    bsc_of,
-    bsc_site,
-    build_topology,
-    classify_move,
-    hop_distance,
-    sample_next_cell,
-)
-from .strategies import (
-    CostDelta,
-    Fragment,
-    HostState,
-    LogStrategy,
-    RecoveryOutcome,
-    StrategyKind,
-    StrategyStore,
-    make_strategy,
-)
-from .engine import (
-    Event,
-    EventKind,
-    EventQueue,
-    RunStats,
-    SimConfig,
-    estimate_transition_probs,
-    measure_mean_pending_log,
-    replicate,
-    run_simulation,
-    sample_exponential,
-    split_seed,
-)
-from .config import Config, ConfigError, default_config, parse_config
-from .experiments import (
-    ExperimentSpec,
-    MetricRow,
-    check_trends,
-    crosscheck_analytic,
-    emit_csv,
-    figure_spec,
-    run_figure,
-)
-
 __version__ = "0.1.0"

@@ -15,20 +15,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import analytic
 from .config import Config, ConfigError, default_config, parse_config
 from .engine import SimConfig, replicate
-from .experiments import (
-    FIGURE_IDS,
-    check_trends,
-    emit_csv,
-    figure_spec,
-    provenance_lines,
-    run_figure,
-    crosscheck_analytic,
-)
+from .experiments import FIGURE_IDS, crosscheck_analytic, write_figure
 from .model import ValidationError
 from .strategies import StrategyKind
 
@@ -80,15 +71,11 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    spec = figure_spec(args.figure, config, reps=args.reps, master_seed=args.seed)
-    rows = run_figure(spec, config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"{args.figure}.csv"
-    emit_csv(rows, out_path, provenance=provenance_lines(spec, config))
+    out_path, rows, violations = write_figure(
+        args.figure, config, args.out, reps=args.reps, master_seed=args.seed
+    )
     print(f"wrote {out_path} ({len(rows)} rows)")
     if args.assert_trends:
-        violations = check_trends(args.figure, rows)
         if violations:
             for v in violations:
                 print(f"trend violation: {v}", file=sys.stderr)

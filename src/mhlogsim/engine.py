@@ -13,8 +13,8 @@ Draw order, fixed for reproducibility:
   failure      restart region, restart cell, then the next failure gap
   write/ckpt   the next gap only (checkpoints are a deterministic timer)
 
-Simultaneous events dispatch by kind priority Checkpoint < Handoff < Write
-< Failure, then by insertion order.
+One event of each kind is pending at a time. Simultaneous events dispatch
+by kind priority: checkpoint, handoff, write, failure.
 
 Replication i of a master seed uses stream seed
 ``master ^ ((0x9E3779B97F4A7C15 * (i + 1)) mod 2^64)``.
@@ -22,7 +22,6 @@ Replication i of a master seed uses stream seed
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
@@ -55,28 +54,7 @@ class EventKind(IntEnum):
     FAILURE = 3
 
 
-@dataclass(frozen=True)
-class Event:
-    at: float
-    kind: EventKind
-
-
-class EventQueue:
-    """Min-heap on (time, kind priority, insertion order)."""
-
-    def __init__(self):
-        self._heap: list[tuple[float, int, int, Event]] = []
-        self._counter = 0
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.at, int(event.kind), self._counter, event))
-        self._counter += 1
-
-    def pop(self) -> Event:
-        return heapq.heappop(self._heap)[3]
-
-    def __len__(self) -> int:
-        return len(self._heap)
+_KINDS = tuple(EventKind)
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -167,12 +145,11 @@ def run_simulation(
     host = strategy.initial_host()
     store = strategy.initial_store(host)
 
-    queue = EventQueue()
-    if sp.lambda_w > 0:
-        queue.push(Event(sample_exponential(sp.lambda_w, rng), EventKind.WRITE))
-    queue.push(Event(sample_exponential(sp.mu, rng), EventKind.HANDOFF))
-    queue.push(Event(sample_exponential(sp.lambda_f, rng), EventKind.FAILURE))
-    queue.push(Event(sp.t_c, EventKind.CHECKPOINT))
+    # Next firing time of each event kind, indexed by EventKind value; the
+    # write clock of a host that never writes reads inf and never fires.
+    write_at = sample_exponential(sp.lambda_w, rng) if sp.lambda_w > 0 else math.inf
+    handoff_at = sample_exponential(sp.mu, rng)
+    clocks = [sp.t_c, handoff_at, write_at, sample_exponential(sp.lambda_f, rng)]
 
     handoffs = intra = inter = writes = checkpoints = 0
     failures = successes = 0
@@ -203,18 +180,19 @@ def run_simulation(
             if n > bsc_peaks.get(region, 0):
                 bsc_peaks[region] = n
 
-    while queue:
-        event = queue.pop()
-        t = event.at
+    while True:
+        t = min(clocks)
         if t > sp.sim_horizon:
             break
+        # index() finds the first minimum, so the lower kind wins a tie.
+        ev = _KINDS[clocks.index(t)]
 
-        if event.kind is EventKind.CHECKPOINT:
+        if ev is EventKind.CHECKPOINT:
             delta = strategy.on_checkpoint(host, store, t)
             checkpoints += 1
             cost_checkpoint += delta.total
-            queue.push(Event(t + sp.t_c, EventKind.CHECKPOINT))
-        elif event.kind is EventKind.HANDOFF:
+            clocks[ev] = t + sp.t_c
+        elif ev is EventKind.HANDOFF:
             from_cell = host.current_cell
             to_cell = sample_next_cell(tree, from_cell, rng)
             if classify_move(tree, from_cell, to_cell) is MoveKind.INTRA_BSC:
@@ -224,12 +202,12 @@ def run_simulation(
             delta = strategy.on_handoff(host, store, from_cell, to_cell, t)
             handoffs += 1
             cost_handoff += delta.total
-            queue.push(Event(t + sample_exponential(sp.mu, rng), EventKind.HANDOFF))
-        elif event.kind is EventKind.WRITE:
+            clocks[ev] = t + sample_exponential(sp.mu, rng)
+        elif ev is EventKind.WRITE:
             delta = strategy.on_write(host, store, t)
             writes += 1
             cost_logging += delta.total
-            queue.push(Event(t + sample_exponential(sp.lambda_w, rng), EventKind.WRITE))
+            clocks[ev] = t + sample_exponential(sp.lambda_w, rng)
         else:  # FAILURE
             cell = _sample_recovery_cell(tree, host.current_bsc, cfg.p_same_region, rng)
             outcome = strategy.recover(host, store, cell, t)
@@ -242,10 +220,10 @@ def run_simulation(
             if outcome.recovered_in_home_region:
                 cost_home += delta.total
                 home_recoveries += 1
-            queue.push(Event(t + sample_exponential(sp.lambda_f, rng), EventKind.FAILURE))
+            clocks[ev] = t + sample_exponential(sp.lambda_f, rng)
 
         if trace is not None:
-            trace.append((t, event.kind.name, delta))
+            trace.append((t, ev.name, delta))
         note_placement()
 
     total_cost = cost_handoff + cost_recovery + cost_logging + cost_checkpoint

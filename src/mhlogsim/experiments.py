@@ -337,6 +337,26 @@ def provenance_lines(spec: ExperimentSpec, config: Config) -> tuple[str, ...]:
     return tuple(lines)
 
 
+def write_figure(
+    figure_id: str,
+    config: Config,
+    out_dir: str | Path,
+    reps: int | None = None,
+    master_seed: int | None = None,
+) -> tuple[Path, list[MetricRow], list[str]]:
+    """Run one figure, write ``<out_dir>/<figure_id>.csv`` with its
+    provenance header, and check its trends.
+
+    Returns the CSV path, the rows and the trend violations.
+    """
+    spec = figure_spec(figure_id, config, reps=reps, master_seed=master_seed)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = run_figure(spec, config)
+    path = emit_csv(rows, out_dir / f"{figure_id}.csv", provenance=provenance_lines(spec, config))
+    return path, rows, check_trends(figure_id, rows)
+
+
 # -- trend checks -------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ immutable and can be shared freely between simulation runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -62,25 +63,6 @@ class CostParams:
 
 
 @dataclass(frozen=True)
-class LogEntry:
-    """One logged write event."""
-
-    seq: int
-    origin_checkpoint: int
-    timestamp: float
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """A durable snapshot; ``covered_writes`` is the realized write count
-    folded into it since the previous checkpoint."""
-
-    ckpt_seq: int
-    covered_writes: int
-    timestamp: float
-
-
-@dataclass(frozen=True)
 class DerivedQuantities:
     """Expectations derived from the rate parameters."""
 
@@ -90,25 +72,25 @@ class DerivedQuantities:
     n_l: float  # expected messages logged in the horizon
 
 
-@dataclass(frozen=True)
-class ValidatedConfig:
-    """A parameter bundle that passed validation, plus any warnings."""
-
-    sim: SimParams
-    cost: CostParams
-    warnings: tuple[str, ...] = ()
-
-
-def validate_params(sp: SimParams, cp: CostParams) -> ValidatedConfig:
+def validate_params(sp: SimParams, cp: CostParams) -> list[str]:
     """Check every model invariant; raise ValidationError naming each one.
 
-    lambda_w may be zero (a host that never writes is meaningful); the
-    failure and handoff rates must be strictly positive because they drive
-    exponential clocks. A warning, not an error, is recorded when
-    lambda_f >= mu since the single-failure-per-interval reading of the
-    model is stressed in that regime.
+    Every float must be finite: an infinite horizon or rate never ends a
+    run, and NaN makes every comparison false, so the ``< 0`` checks below
+    would let it through. lambda_w may be zero (a host that never writes is
+    meaningful); the failure and handoff rates must be strictly positive
+    because they drive exponential clocks. Returns the warnings: lambda_f
+    >= mu is allowed but stresses the single-failure-per-interval reading
+    of the model.
     """
-    violations: list[str] = []
+    violations = [
+        f"{name} must be finite, got {value}"
+        for name, value in {**vars(cp), **vars(sp)}.items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
+    if violations:
+        raise ValidationError(violations)
+
     if not sp.lambda_f > 0:
         violations.append("lambda_f must be > 0")
     if sp.lambda_w < 0:
@@ -141,7 +123,7 @@ def validate_params(sp: SimParams, cp: CostParams) -> ValidatedConfig:
             "single-failure assumption stressed: "
             f"lambda_f={sp.lambda_f} >= mu={sp.mu}"
         )
-    return ValidatedConfig(sim=sp, cost=cp, warnings=tuple(warnings))
+    return warnings
 
 
 def derive_quantities(sp: SimParams, horizon: float | None = None) -> DerivedQuantities:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .model import Checkpoint, CostParams, LogEntry, SimParams
+from .model import CostParams, SimParams
 from .topology import (
     BscId,
     CellId,
@@ -88,7 +88,7 @@ class Fragment:
     """A contiguous run of log entries held at one site."""
 
     site: Site
-    entries: list[LogEntry] = field(default_factory=list)
+    entries: list[int] = field(default_factory=list)  # write sequence numbers
 
 
 @dataclass
@@ -99,10 +99,8 @@ class HostState:
     current_cell: CellId
     current_bsc: BscId
     home_bsc: BscId  # BSC holding the consolidated log (proposed only)
-    cache: list[LogEntry] = field(default_factory=list)
-    last_checkpoint: Checkpoint = field(default_factory=lambda: Checkpoint(0, 0, 0.0))
+    cache: list[int] = field(default_factory=list)  # write sequence numbers
     next_seq: int = 1
-    writes_since_ckpt: int = 0
 
 
 @dataclass
@@ -141,10 +139,9 @@ class LogStrategy:
     # -- events --------------------------------------------------------
 
     def on_write(self, host: HostState, store: StrategyStore, t: float) -> CostDelta:
-        entry = LogEntry(host.next_seq, host.last_checkpoint.ckpt_seq, t)
+        seq = host.next_seq
         host.next_seq += 1
-        host.writes_since_ckpt += 1
-        return self._log_entry(host, store, entry)
+        return self._log_entry(host, store, seq)
 
     def on_checkpoint(self, host: HostState, store: StrategyStore, t: float) -> CostDelta:
         """Ship a fresh checkpoint to its durable site and purge the log.
@@ -154,12 +151,6 @@ class LogStrategy:
         older than the new checkpoint, and lazy's pointer chain resets with
         them since the pointers only locate purged fragments.
         """
-        host.last_checkpoint = Checkpoint(
-            ckpt_seq=host.last_checkpoint.ckpt_seq + 1,
-            covered_writes=host.writes_since_ckpt,
-            timestamp=t,
-        )
-        host.writes_since_ckpt = 0
         site = self._checkpoint_site(host)
         hops = hop_distance(self.tree, bs_site(host.current_cell), site)
         delta = CostDelta(
@@ -233,10 +224,9 @@ class LogStrategy:
         retrieval_time += cp.t_load_log * fragments_fetched + delta.elapsed_transfer_time
 
         # Unflushed cache entries die with the host; only durable state
-        # replays. The surviving write count shrinks accordingly.
+        # replays.
         lost = len(host.cache)
         host.cache.clear()
-        host.writes_since_ckpt -= lost
 
         host.current_cell = recovery_cell
         host.current_bsc = recovery_bsc
@@ -260,8 +250,8 @@ class LogStrategy:
 
     def replay_sequence(self, host: HostState, store: StrategyStore) -> list[int]:
         """Entry seqs recoverable in order: durable fragments then cache."""
-        seqs = [e.seq for f in store.fragments for e in f.entries]
-        seqs.extend(e.seq for e in host.cache)
+        seqs = [seq for f in store.fragments for seq in f.entries]
+        seqs.extend(host.cache)
         return seqs
 
     # -- policy hooks ---------------------------------------------------
@@ -272,7 +262,7 @@ class LogStrategy:
     def _reset_fragments(self, host: HostState, store: StrategyStore) -> None:
         store.fragments.clear()
 
-    def _log_entry(self, host: HostState, store: StrategyStore, entry: LogEntry) -> CostDelta:
+    def _log_entry(self, host: HostState, store: StrategyStore, seq: int) -> CostDelta:
         raise NotImplementedError
 
     def _handoff(
@@ -309,12 +299,12 @@ class LazyStrategy(LogStrategy):
 
     kind = StrategyKind.LAZY
 
-    def _log_entry(self, host: HostState, store: StrategyStore, entry: LogEntry) -> CostDelta:
+    def _log_entry(self, host: HostState, store: StrategyStore, seq: int) -> CostDelta:
         site = bs_site(host.current_cell)
         if store.fragments and store.fragments[-1].site == site:
-            store.fragments[-1].entries.append(entry)
+            store.fragments[-1].entries.append(seq)
         else:
-            store.fragments.append(Fragment(site, [entry]))
+            store.fragments.append(Fragment(site, [seq]))
         return self._bs_write_delta()
 
     def _handoff(self, host, store, from_cell, to_cell, move) -> CostDelta:
@@ -343,8 +333,8 @@ class PessimisticStrategy(LogStrategy):
     def _reset_fragments(self, host: HostState, store: StrategyStore) -> None:
         store.fragments[:] = [Fragment(bs_site(host.current_cell))]
 
-    def _log_entry(self, host, store, entry) -> CostDelta:
-        store.fragments[0].entries.append(entry)
+    def _log_entry(self, host, store, seq) -> CostDelta:
+        store.fragments[0].entries.append(seq)
         return self._bs_write_delta()
 
     def _handoff(self, host, store, from_cell, to_cell, move) -> CostDelta:
@@ -378,8 +368,8 @@ class ProposedStrategy(LogStrategy):
     def _checkpoint_site(self, host: HostState) -> Site:
         return bsc_site(host.home_bsc)
 
-    def _log_entry(self, host, store, entry) -> CostDelta:
-        host.cache.append(entry)
+    def _log_entry(self, host, store, seq) -> CostDelta:
+        host.cache.append(seq)
         if len(host.cache) >= self.sp.cache_capacity:
             return self._flush_cache(host, store)
         return CostDelta()
@@ -427,7 +417,7 @@ class ProposedStrategy(LogStrategy):
         delta.data_items_moved += n_home + 1
         delta.elapsed_transfer_time += (n_home + 1) * cp.r * hops
 
-        merged = [e for f in store.fragments for e in f.entries]
+        merged = [seq for f in store.fragments for seq in f.entries]
         store.fragments[:] = [Fragment(bsc_site(new_bsc), merged)] if merged else []
         store.checkpoint_site = bsc_site(new_bsc)
         host.home_bsc = new_bsc
@@ -447,7 +437,7 @@ class ProposedStrategy(LogStrategy):
         # region; its BSC adopts them and becomes the home BSC, restoring
         # the consolidation invariant.
         new_home = bsc_of(self.tree, recovery_cell)
-        merged = [e for f in store.fragments for e in f.entries]
+        merged = [seq for f in store.fragments for seq in f.entries]
         store.fragments[:] = [Fragment(bsc_site(new_home), merged)] if merged else []
         store.checkpoint_site = bsc_site(new_home)
         host.home_bsc = new_home

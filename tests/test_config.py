@@ -1,5 +1,6 @@
 import pytest
 
+from mhlogsim import cli
 from mhlogsim.config import ConfigError, default_config, parse_config
 from mhlogsim.model import ValidationError, default_recovery_deadline
 from mhlogsim.strategies import StrategyKind
@@ -32,6 +33,19 @@ class TestParseConfig:
     def test_negative_rate_is_validation_error(self, tmp_path):
         with pytest.raises(ValidationError, match="mu must be > 0"):
             parse_config(write(tmp_path, "sim.mu = -1\n"))
+
+    @pytest.mark.parametrize("key, text, field", [
+        ("sim.horizon", "inf", "sim_horizon"),
+        ("sim.mu", "inf", "mu"),
+        ("sim.lambda_w", "nan", "lambda_w"),
+        ("cost.C_m", "inf", "c_m"),
+        ("cost.C_1", "nan", "c_1"),
+    ])
+    def test_non_finite_value_is_named(self, tmp_path, key, text, field):
+        path = write(tmp_path, f"{key} = {text}\n")
+        with pytest.raises(ValidationError, match=rf"\b{field} must be finite"):
+            parse_config(path)
+        assert cli.main(["simulate", "--config", str(path)]) == 1
 
     def test_unknown_key_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match=r":2: unknown key"):

@@ -1,14 +1,10 @@
 import math
-import random
 
 import numpy as np
 import pytest
 
 from mhlogsim.config import default_config
 from mhlogsim.engine import (
-    Event,
-    EventKind,
-    EventQueue,
     SimConfig,
     estimate_transition_probs,
     fraction_multi_failure_intervals,
@@ -20,7 +16,7 @@ from mhlogsim.engine import (
     split_seed,
 )
 from mhlogsim.model import CostParams, SimParams
-from mhlogsim import analytic
+from mhlogsim import analytic, engine
 
 
 class FakeRng:
@@ -57,43 +53,50 @@ class TestSampleExponential:
         assert abs(mean - 100.0) / 100.0 < 0.02
 
 
-class TestEventQueue:
-    def test_priority_order_for_simultaneous_events(self):
-        expected = [
-            EventKind.CHECKPOINT,
-            EventKind.HANDOFF,
-            EventKind.WRITE,
-            EventKind.FAILURE,
-        ]
-        kinds = list(expected)
-        rng = random.Random(4)
-        for _ in range(20):
-            rng.shuffle(kinds)
-            q = EventQueue()
-            for k in kinds:
-                q.push(Event(5.0, k))
-            assert [q.pop().kind for _ in range(4)] == expected
-
-    def test_insertion_order_breaks_ties_within_kind(self):
-        q = EventQueue()
-        a, b = Event(1.0, EventKind.WRITE), Event(1.0, EventKind.WRITE)
-        q.push(a)
-        q.push(b)
-        assert q.pop() is a
-        assert q.pop() is b
-
-    def test_time_order_dominates(self):
-        q = EventQueue()
-        q.push(Event(2.0, EventKind.CHECKPOINT))
-        q.push(Event(1.0, EventKind.FAILURE))
-        assert q.pop().kind is EventKind.FAILURE
-
-
 def test_split_seed_documented_formula():
     master = 0xDEADBEEF
     mult = 0x9E3779B97F4A7C15
     assert split_seed(master, 0) == (master ^ (mult & 0xFFFFFFFFFFFFFFFF))
     assert split_seed(master, 2) == (master ^ ((mult * 3) & 0xFFFFFFFFFFFFFFFF))
+
+
+class TestEventQueue:
+    """run_simulation's four next-time clocks, one per EventKind, are its
+    event queue: the earliest clock fires, the lower kind first on a tie."""
+
+    def test_priority_order_for_simultaneous_events(self, monkeypatch):
+        # Every gap equal to T_c makes all four kinds fire together.
+        t_c = SimParams().t_c
+        monkeypatch.setattr(engine, "sample_exponential", lambda rate, rng: t_c)
+        trace = []
+        run_simulation(sim_config(**{"sim.horizon": 2.5 * t_c}), "lazy", 3, trace=trace)
+        order = ["CHECKPOINT", "HANDOFF", "WRITE", "FAILURE"]
+        assert [(t, kind) for t, kind, _ in trace] == (
+            [(t_c, kind) for kind in order] + [(2 * t_c, kind) for kind in order]
+        )
+
+    def test_time_order_dominates(self, monkeypatch):
+        trace = []
+        run_simulation(sim_config(**{"sim.horizon": 1000.0}), "lazy", 3, trace=trace)
+        times = [t for t, _, _ in trace]
+        assert times == sorted(times)
+
+        # A failure due at T_c / 2 goes before the checkpoint due at T_c,
+        # although FAILURE is the lowest-priority kind.
+        params = SimParams()
+        t_c = params.t_c
+        monkeypatch.setattr(
+            engine,
+            "sample_exponential",
+            lambda rate, rng: t_c / 2 if rate == params.lambda_f else 2 * t_c,
+        )
+        trace = []
+        run_simulation(sim_config(**{"sim.horizon": 1.2 * t_c}), "lazy", 3, trace=trace)
+        assert [(t, kind) for t, kind, _ in trace] == [
+            (t_c / 2, "FAILURE"),
+            (t_c, "CHECKPOINT"),
+            (t_c, "FAILURE"),
+        ]
 
 
 class TestRunSimulation:

@@ -14,7 +14,7 @@ from mhlogsim.experiments import (
     run_figure,
 )
 from mhlogsim.strategies import StrategyKind
-from mhlogsim import cli
+from mhlogsim import cli, experiments
 
 
 def row(value=0.01, mean=1.0, strategy="lazy", metric="handoff_cost_per_handoff",
@@ -222,7 +222,7 @@ class TestCli:
         assert code == 2
 
     def test_trend_violation_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "check_trends", lambda fid, rows: ["synthetic"])
+        monkeypatch.setattr(experiments, "check_trends", lambda fid, rows: ["synthetic"])
         cfg_file = tmp_path / "small.cfg"
         cfg_file.write_text("sim.horizon = 1500\n", encoding="utf-8")
         code = cli.main([

@@ -14,17 +14,15 @@ from mhlogsim.model import (
 
 class TestValidateParams:
     def test_defaults_validate_without_warnings(self):
-        vc = validate_params(SimParams(), CostParams())
-        assert vc.warnings == ()
-        assert vc.sim == SimParams()
+        assert validate_params(SimParams(), CostParams()) == []
 
     def test_zero_mu_is_named(self):
         with pytest.raises(ValidationError, match="mu must be > 0"):
             validate_params(SimParams(mu=0.0), CostParams())
 
     def test_warns_when_failure_rate_reaches_handoff_rate(self):
-        vc = validate_params(SimParams(lambda_f=0.02, mu=0.01), CostParams())
-        assert any("single-failure assumption stressed" in w for w in vc.warnings)
+        warnings = validate_params(SimParams(lambda_f=0.02, mu=0.01), CostParams())
+        assert any("single-failure assumption stressed" in w for w in warnings)
 
     def test_negative_cost_is_named(self):
         with pytest.raises(ValidationError, match="c_1 must be >= 0"):
@@ -49,11 +47,11 @@ class TestValidateParams:
         sp = SimParams(lambda_f=lambda_f, mu=mu, t_c=t_c)
         cp = CostParams(r=r)
         try:
-            vc = validate_params(sp, cp)
+            validate_params(sp, cp)
         except ValidationError as exc:
             assert exc.violations
         else:
-            assert vc.sim.mu > 0 and vc.sim.lambda_f > 0
+            assert mu > 0 and lambda_f > 0
 
 
 class TestDeriveQuantities:

@@ -77,15 +77,6 @@ class TestOnCheckpoint:
         strat.on_checkpoint(host, store, 100.0)
         assert [(f.site, len(f.entries)) for f in store.fragments] == [(bs_site(0), 0)]
 
-    def test_checkpoint_covers_writes_and_resets_counter(self):
-        strat, host, store, _ = setup("lazy")
-        for _ in range(3):
-            strat.on_write(host, store, 1.0)
-        strat.on_checkpoint(host, store, 100.0)
-        assert host.last_checkpoint.ckpt_seq == 1
-        assert host.last_checkpoint.covered_writes == 3
-        assert host.writes_since_ckpt == 0
-
     def test_proposed_checkpoint_clears_cache(self):
         strat, host, store, _ = setup("proposed")
         strat.on_write(host, store, 1.0)
