@@ -37,6 +37,8 @@ def _load_config(path: str | None) -> Config:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
+    for warning in config.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     strategy = StrategyKind(args.strategy) if args.strategy else config.strategy
     seed = args.seed if args.seed is not None else config.sim.seed
     sim_cfg = SimConfig(

@@ -94,6 +94,7 @@ class Config:
     frcr_erratum_bound: bool
     deadline_is_auto: bool
     raw: tuple[tuple[str, str], ...]  # every effective key=value, sorted
+    warnings: tuple[str, ...]  # model-regime warnings from validate_params
 
     def build_tree(self) -> NetworkTree:
         t = self.topology
@@ -161,7 +162,7 @@ def _build_config(values: dict[str, object]) -> Config:
     else:
         sim = replace(sim, recovery_deadline=float(deadline))
 
-    validate_params(sim, cost)
+    warnings = tuple(validate_params(sim, cost))
 
     strategy_text = str(merged["strategy"])
     try:
@@ -203,6 +204,7 @@ def _build_config(values: dict[str, object]) -> Config:
         frcr_erratum_bound=bool(merged["frcr.erratum_bound"]),
         deadline_is_auto=deadline_is_auto,
         raw=raw,
+        warnings=warnings,
     )
 
 

@@ -16,6 +16,10 @@ Draw order, fixed for reproducibility:
 One event of each kind is pending at a time. Simultaneous events dispatch
 by kind priority: checkpoint, handoff, write, failure.
 
+The placement peaks ``peak_fragments`` and ``bsc_peak_entries`` are post-event
+maxima, read after each event from running tallies kept on the strategy's
+store: O(1) work per event, however many fragments lazy logging leaves.
+
 Replication i of a master seed uses stream seed
 ``master ^ ((0x9E3779B97F4A7C15 * (i + 1)) mod 2^64)``.
 """
@@ -31,15 +35,7 @@ from scipy import stats as sstats
 
 from .model import CostParams, SimParams, derive_quantities, validate_params
 from .strategies import CostDelta, StrategyKind, make_strategy
-from .topology import (
-    BS,
-    MoveKind,
-    NetworkTree,
-    bsc_of,
-    cells_of_bsc,
-    classify_move,
-    sample_next_cell,
-)
+from .topology import MoveKind, NetworkTree, cells_of_bsc, classify_move, sample_next_cell
 
 SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # fixed odd multiplier for stream splits
@@ -161,25 +157,6 @@ def run_simulation(
     home_recoveries = 0
     bsc_peaks: dict[int, int] = {}
 
-    def note_placement() -> None:
-        nonlocal peak_fragments
-        pieces = 0
-        per_bsc: dict[int, int] = {}
-        for frag in store.fragments:
-            n = len(frag.entries)
-            if n == 0:
-                continue
-            pieces += 1
-            kind_, idx = frag.site
-            region = bsc_of(tree, idx) if kind_ == BS else idx
-            per_bsc[region] = per_bsc.get(region, 0) + n
-        if host.cache:
-            pieces += 1
-        peak_fragments = max(peak_fragments, pieces)
-        for region, n in per_bsc.items():
-            if n > bsc_peaks.get(region, 0):
-                bsc_peaks[region] = n
-
     while True:
         t = min(clocks)
         if t > sp.sim_horizon:
@@ -224,7 +201,13 @@ def run_simulation(
 
         if trace is not None:
             trace.append((t, ev.name, delta))
-        note_placement()
+        # Post-event only: mid-flush, entries sit in both cache and store.
+        pieces = store.pieces + bool(host.cache)
+        if pieces > peak_fragments:
+            peak_fragments = pieces
+        for region, n in store.region_entries.items():
+            if n > bsc_peaks.get(region, 0):
+                bsc_peaks[region] = n
 
     total_cost = cost_handoff + cost_recovery + cost_logging + cost_checkpoint
     return RunStats(
@@ -252,8 +235,11 @@ def run_simulation(
 
 
 def summarize(values: list[float], confidence: float = 0.95) -> tuple[float, float, float]:
-    """Mean with a Student-t confidence interval; width 0 for one value."""
+    """Mean with a Student-t confidence interval; width 0 for one value, and
+    ``(nan, nan, nan)`` with no warning for an empty sample."""
     arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return math.nan, math.nan, math.nan
     mean = float(arr.mean())
     if arr.size < 2:
         return mean, mean, mean

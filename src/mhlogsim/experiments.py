@@ -19,6 +19,7 @@ are paired.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -345,11 +346,19 @@ def write_figure(
     master_seed: int | None = None,
 ) -> tuple[Path, list[MetricRow], list[str]]:
     """Run one figure, write ``<out_dir>/<figure_id>.csv`` with its
-    provenance header, and check its trends.
+    provenance header, and check its trends. Each distinct model-regime
+    warning goes to stderr once, with the sweep points it holds at.
 
     Returns the CSV path, the rows and the trend violations.
     """
     spec = figure_spec(figure_id, config, reps=reps, master_seed=master_seed)
+    base = config.with_overrides(spec.overrides)
+    points: dict[str, list[str]] = {}
+    for value in spec.sweep_values:
+        for warning in base.with_overrides({spec.swept_param: value}).warnings:
+            points.setdefault(warning, []).append(_fmt(value))
+    for warning, at in points.items():
+        print(f"warning: {figure_id} at {spec.swept_param}={','.join(at)}: {warning}", file=sys.stderr)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = run_figure(spec, config)

@@ -28,6 +28,7 @@ from enum import Enum
 
 from .model import CostParams, SimParams
 from .topology import (
+    BS,
     BscId,
     CellId,
     MoveKind,
@@ -110,6 +111,8 @@ class StrategyStore:
     checkpoint_site: Site | None
     fragments: list[Fragment] = field(default_factory=list)
     pointer_chain_length: int = 0  # lazy only
+    pieces: int = 0  # running tally of non-empty fragments
+    region_entries: dict[BscId, int] = field(default_factory=dict)  # entries per BSC region
 
 
 class LogStrategy:
@@ -260,7 +263,7 @@ class LogStrategy:
         return bs_site(host.current_cell)
 
     def _reset_fragments(self, host: HostState, store: StrategyStore) -> None:
-        store.fragments.clear()
+        self._place(store, [])
 
     def _log_entry(self, host: HostState, store: StrategyStore, seq: int) -> CostDelta:
         raise NotImplementedError
@@ -283,6 +286,33 @@ class LogStrategy:
 
     # -- shared pieces ---------------------------------------------------
 
+    def _append(self, store: StrategyStore, site: Site, seqs: list[int]) -> None:
+        """Extend the last fragment if it sits at ``site``, else open a new
+        one there, and update the store's tallies; ``seqs`` is non-empty."""
+        if not (store.fragments and store.fragments[-1].site == site):
+            store.fragments.append(Fragment(site))
+        frag = store.fragments[-1]
+        if not frag.entries:
+            store.pieces += 1
+        frag.entries.extend(seqs)
+        region = self._region(site)
+        store.region_entries[region] = store.region_entries.get(region, 0) + len(seqs)
+
+    def _place(self, store: StrategyStore, fragments: list[Fragment]) -> None:
+        """Rewrite the whole store, which then holds at most one fragment,
+        and recount its tallies."""
+        store.fragments[:] = fragments
+        store.pieces = 0
+        store.region_entries.clear()
+        for frag in fragments:
+            if frag.entries:
+                store.pieces += 1
+                store.region_entries[self._region(frag.site)] = len(frag.entries)
+
+    def _region(self, site: Site) -> BscId:
+        kind, idx = site
+        return bsc_of(self.tree, idx) if kind == BS else idx
+
     def _bs_write_delta(self) -> CostDelta:
         # One wireless data item plus the BSC's acknowledgement message.
         return CostDelta(
@@ -300,11 +330,7 @@ class LazyStrategy(LogStrategy):
     kind = StrategyKind.LAZY
 
     def _log_entry(self, host: HostState, store: StrategyStore, seq: int) -> CostDelta:
-        site = bs_site(host.current_cell)
-        if store.fragments and store.fragments[-1].site == site:
-            store.fragments[-1].entries.append(seq)
-        else:
-            store.fragments.append(Fragment(site, [seq]))
+        self._append(store, bs_site(host.current_cell), [seq])
         return self._bs_write_delta()
 
     def _handoff(self, host, store, from_cell, to_cell, move) -> CostDelta:
@@ -331,10 +357,10 @@ class PessimisticStrategy(LogStrategy):
     kind = StrategyKind.PESSIMISTIC
 
     def _reset_fragments(self, host: HostState, store: StrategyStore) -> None:
-        store.fragments[:] = [Fragment(bs_site(host.current_cell))]
+        self._place(store, [Fragment(bs_site(host.current_cell))])
 
     def _log_entry(self, host, store, seq) -> CostDelta:
-        store.fragments[0].entries.append(seq)
+        self._append(store, bs_site(host.current_cell), [seq])
         return self._bs_write_delta()
 
     def _handoff(self, host, store, from_cell, to_cell, move) -> CostDelta:
@@ -342,7 +368,7 @@ class PessimisticStrategy(LogStrategy):
         n = len(frag.entries)
         hops = hop_distance(self.tree, bs_site(from_cell), bs_site(to_cell))
         cp = self.cp
-        frag.site = bs_site(to_cell)
+        self._place(store, [Fragment(bs_site(to_cell), frag.entries)])
         store.checkpoint_site = bs_site(to_cell)
         return CostDelta(
             wired_cost=(n * cp.c_1 + cp.c_c) * cp.rho * hops + cp.c_m,
@@ -355,7 +381,7 @@ class PessimisticStrategy(LogStrategy):
         # The retrieval already delivered log and checkpoint to the restart
         # BS; they become the durable copy there.
         if store.fragments:
-            store.fragments[0].site = bs_site(recovery_cell)
+            self._place(store, [Fragment(bs_site(recovery_cell), store.fragments[0].entries)])
         if store.checkpoint_site is not None:
             store.checkpoint_site = bs_site(recovery_cell)
 
@@ -389,10 +415,7 @@ class ProposedStrategy(LogStrategy):
             data_items_moved=n,
             elapsed_transfer_time=n * (1.0 + cp.r * hops),
         )
-        if store.fragments and store.fragments[-1].site == target:
-            store.fragments[-1].entries.extend(host.cache)
-        else:
-            store.fragments.append(Fragment(target, list(host.cache)))
+        self._append(store, target, host.cache)
         host.cache.clear()
         return delta
 
@@ -416,11 +439,7 @@ class ProposedStrategy(LogStrategy):
         delta.wired_cost += (n_home * cp.c_1 + cp.c_c) * cp.rho * hops
         delta.data_items_moved += n_home + 1
         delta.elapsed_transfer_time += (n_home + 1) * cp.r * hops
-
-        merged = [seq for f in store.fragments for seq in f.entries]
-        store.fragments[:] = [Fragment(bsc_site(new_bsc), merged)] if merged else []
-        store.checkpoint_site = bsc_site(new_bsc)
-        host.home_bsc = new_bsc
+        self._rehome(host, store, new_bsc)
 
         delta.add(self._flush_cache(host, store))
         return delta
@@ -436,11 +455,14 @@ class ProposedStrategy(LogStrategy):
         # Retrieval delivered the full log and checkpoint to the recovery
         # region; its BSC adopts them and becomes the home BSC, restoring
         # the consolidation invariant.
-        new_home = bsc_of(self.tree, recovery_cell)
+        self._rehome(host, store, bsc_of(self.tree, recovery_cell))
+
+    def _rehome(self, host: HostState, store: StrategyStore, bsc: BscId) -> None:
+        """Merge the log and the checkpoint at ``bsc``, the new home BSC."""
         merged = [seq for f in store.fragments for seq in f.entries]
-        store.fragments[:] = [Fragment(bsc_site(new_home), merged)] if merged else []
-        store.checkpoint_site = bsc_site(new_home)
-        host.home_bsc = new_home
+        self._place(store, [Fragment(bsc_site(bsc), merged)] if merged else [])
+        store.checkpoint_site = bsc_site(bsc)
+        host.home_bsc = bsc
 
 
 _STRATEGIES = {

@@ -53,12 +53,13 @@ class MoveKind(Enum):
 
 @dataclass(frozen=True)
 class NetworkTree:
-    """Immutable topology with precomputed cell adjacency."""
+    """Immutable topology with precomputed cell adjacency and cell -> BSC table."""
 
     msc_count: int
     bscs_per_msc: int
     bss_per_bsc: int
     adjacency: tuple[tuple[CellId, ...], ...]
+    cell_bsc: tuple[BscId, ...]
     adjacency_kind: str = "ring"
     inter_msc_bsc_hops: int = 4
 
@@ -126,6 +127,7 @@ def build_topology(
         bscs_per_msc=bscs_per_msc,
         bss_per_bsc=bss_per_bsc,
         adjacency=adj,
+        cell_bsc=tuple(c // bss_per_bsc for c in range(n)),
         adjacency_kind=adjacency_kind,
         inter_msc_bsc_hops=inter_msc_bsc_hops,
     )
@@ -133,9 +135,9 @@ def build_topology(
 
 def bsc_of(tree: NetworkTree, cell: CellId) -> BscId:
     """The unique BSC owning ``cell``."""
-    if not 0 <= cell < tree.n_cells:
+    if not 0 <= cell < len(tree.cell_bsc):
         raise ValueError(f"unknown cell {cell}")
-    return cell // tree.bss_per_bsc
+    return tree.cell_bsc[cell]
 
 
 def msc_of_bsc(tree: NetworkTree, bsc: BscId) -> MscId:

@@ -1,7 +1,12 @@
 import math
+import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhlogsim.config import default_config
 from mhlogsim.engine import (
@@ -16,7 +21,8 @@ from mhlogsim.engine import (
     split_seed,
 )
 from mhlogsim.model import CostParams, SimParams
-from mhlogsim import analytic, engine
+from mhlogsim.topology import BS
+from mhlogsim import analytic, engine, experiments, topology
 
 
 class FakeRng:
@@ -175,6 +181,127 @@ class TestRunSimulation:
         stats = run_simulation(cfg, "proposed", 17)
         assert stats.bsc_peak_entries
         assert all(v > 0 for v in stats.bsc_peak_entries.values())
+
+
+def rescan_placement(tree, host, store) -> tuple[int, dict[int, int]]:
+    """Brute-force placement of a store: non-empty pieces (the cache counts
+    as one) and entries per BSC region, from the fragments themselves."""
+    pieces = int(bool(host.cache))
+    per_bsc: dict[int, int] = {}
+    for frag in store.fragments:
+        if frag.entries:
+            pieces += 1
+            kind, idx = frag.site
+            region = idx // tree.bss_per_bsc if kind == BS else idx
+            per_bsc[region] = per_bsc.get(region, 0) + len(frag.entries)
+    return pieces, per_bsc
+
+
+class TestPlacementPeaks:
+    """The placement peaks come from running tallies; a rescan of the store
+    after every event must give the same maxima."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["lazy", "pessimistic", "proposed"]),
+        t_c=st.sampled_from([20.0, 150.0, 1000.0, 5000.0]),
+        mu=st.sampled_from([0.005, 0.05, 0.3]),
+        lambda_w=st.sampled_from([0.0, 0.1, 0.6]),
+        lambda_f=st.sampled_from([0.001, 0.02]),
+        cache=st.integers(1, 6),
+        shape=st.sampled_from([(1, 1, 2), (1, 3, 3), (2, 2, 2), (1, 2, 4)]),
+        adjacency=st.sampled_from(["ring", "grid"]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_peaks_equal_rescan_after_every_event(
+        self, kind, t_c, mu, lambda_w, lambda_f, cache, shape, adjacency, seed
+    ):
+        cfg = sim_config(**{
+            "sim.T_c": t_c, "sim.mu": mu, "sim.lambda_w": lambda_w,
+            "sim.lambda_f": lambda_f, "sim.cache_capacity": cache,
+            "sim.horizon": 1500.0, "topology.msc": shape[0],
+            "topology.bsc_per_msc": shape[1], "topology.bs_per_bsc": shape[2],
+            "topology.adjacency": adjacency,
+        })
+        peak = [0]
+        bsc_peaks: dict[int, int] = {}
+        engine_make_strategy = engine.make_strategy
+
+        def rescanning(kind, tree, sp, cp):
+            strategy = engine_make_strategy(kind, tree, sp, cp)
+            for hook in ("on_write", "on_handoff", "on_checkpoint", "recover"):
+                setattr(strategy, hook, after_each(getattr(strategy, hook), tree))
+            return strategy
+
+        def after_each(hook, tree):
+            def wrapped(host, store, *args):
+                out = hook(host, store, *args)
+                pieces, per_bsc = rescan_placement(tree, host, store)
+                peak[0] = max(peak[0], pieces)
+                for region, n in per_bsc.items():
+                    bsc_peaks[region] = max(bsc_peaks.get(region, 0), n)
+                return out
+            return wrapped
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "make_strategy", rescanning)
+            stats = run_simulation(cfg, kind, seed)
+        assert stats.peak_fragments == peak[0]
+        assert stats.bsc_peak_entries == bsc_peaks
+
+
+def count_bsc_of(monkeypatch) -> list[int]:
+    """Route every mhlogsim binding of ``topology.bsc_of`` through a counter."""
+    calls = [0]
+    original = topology.bsc_of
+
+    def counting(tree, cell):
+        calls[0] += 1
+        return original(tree, cell)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mhlogsim") and getattr(module, "bsc_of", None) is original:
+            monkeypatch.setattr(module, "bsc_of", counting)
+    return calls
+
+
+def test_bsc_of_calls_per_event_do_not_grow_with_the_log(monkeypatch):
+    # Lazy keeps ~mu * T_c fragments between purges: about 3 at T_c=50 and
+    # well over 100 at T_c=4000. Placement work per event must not follow.
+    calls = count_bsc_of(monkeypatch)
+    per_event = {}
+    for t_c in (50.0, 4000.0):
+        cfg = sim_config(**{
+            "sim.T_c": t_c, "sim.mu": 0.1, "sim.lambda_w": 0.1, "sim.horizon": 20000.0,
+        })
+        calls[0] = 0
+        stats = run_simulation(cfg, "lazy", 12345)
+        events = (stats.write_count + stats.handoff_count
+                  + stats.checkpoint_count + stats.failure_count)
+        per_event[t_c] = calls[0] / events
+    assert stats.peak_fragments > 100
+    assert per_event[4000.0] <= 1.5 * per_event[50.0], per_event
+
+
+class TestEmptySamples:
+    def test_summarize_empty_is_nan_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(math.isnan(x) for x in engine.summarize([]))
+
+    def test_fig4_without_home_recoveries_writes_nan_rows(self):
+        cfg = default_config().with_overrides({"recovery.p_same_region": 0.0})
+        spec = experiments.figure_spec("fig4", cfg, reps=2, master_seed=3)
+        spec = replace(spec, sweep_values=(0.02, 0.1),
+                       overrides={**spec.overrides, "sim.horizon": 2000.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = experiments.run_figure(spec, cfg)
+        home = [r for r in rows if r.metric_name == "recovery_cost_per_failure_home"]
+        assert len(home) == 6
+        assert all(math.isnan(v) for r in home for v in (r.mean, r.ci95_low, r.ci95_high))
+        others = [r for r in rows if r not in home]
+        assert others and all(math.isfinite(r.mean) for r in others)
 
 
 class TestEstimateTransitionProbs:

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from mhlogsim.config import default_config
@@ -230,3 +234,68 @@ class TestCli:
             "--out", str(tmp_path / "out"), "--reps", "1", "--assert-trends",
         ])
         assert code == 3
+
+
+class TestRegimeWarning:
+    """lambda_f >= mu is accepted but stresses the model; each entry point
+    says so once on stderr, and the CSV bytes do not change."""
+
+    STRESSED = "sim.lambda_f = 0.02\nsim.mu = 0.01\nsim.horizon = 500\nsim.replications = 2\n"
+    MESSAGE = "single-failure assumption stressed: lambda_f=0.02 >= mu=0.01"
+
+    def config_file(self, tmp_path):
+        path = tmp_path / "stressed.cfg"
+        path.write_text(self.STRESSED, encoding="utf-8")
+        return str(path)
+
+    def test_simulate_prints_the_warning_once(self, capsys, tmp_path):
+        assert cli.main(["simulate", "--config", self.config_file(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err == f"warning: {self.MESSAGE}\n"
+
+    def test_figure_names_each_sweep_point(self, capsys, tmp_path):
+        args = ["figure", "fig3", "--config", self.config_file(tmp_path),
+                "--out", str(tmp_path), "--reps", "1"]
+        assert cli.main(args) == 0
+        err = capsys.readouterr().err.splitlines()
+        # fig3 sweeps mu over 0.005 ... 0.1; lambda_f=0.02 reaches it at three points.
+        assert err == [
+            "warning: fig3 at sim.mu=0.005: single-failure assumption stressed: "
+            "lambda_f=0.02 >= mu=0.005",
+            f"warning: fig3 at sim.mu=0.01: {self.MESSAGE}",
+            "warning: fig3 at sim.mu=0.02: single-failure assumption stressed: "
+            "lambda_f=0.02 >= mu=0.02",
+        ]
+        assert "warning" not in (tmp_path / "fig3.csv").read_text(encoding="utf-8")
+
+    def test_figure_groups_points_that_share_a_warning(self, capsys, tmp_path):
+        args = ["figure", "fig7", "--config", self.config_file(tmp_path),
+                "--out", str(tmp_path), "--reps", "1"]
+        assert cli.main(args) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"warning: fig7 at sim.T_c=50,200,500,1000,2000,4000: {self.MESSAGE}"
+        ]
+
+    def test_run_figures_script_prints_the_warning(self, capsys, tmp_path, monkeypatch):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_figures.py"
+        spec = importlib.util.spec_from_file_location("run_figures", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(sys, "argv", [
+            "run_figures.py", "--config", self.config_file(tmp_path),
+            "--out", str(tmp_path), "--reps", "1", "--figures", "fig5",
+        ])
+        module.main()
+        err = capsys.readouterr().err.splitlines()
+        # fig5 overrides lambda_f to 0.05, which reaches mu at four of its points.
+        assert [line.split(":")[1] for line in err] == [
+            " fig5 at sim.mu=0.005", " fig5 at sim.mu=0.01",
+            " fig5 at sim.mu=0.02", " fig5 at sim.mu=0.05",
+        ]
+
+    def test_defaults_print_no_warning(self, capsys, tmp_path):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("sim.horizon = 500\nsim.replications = 1\n", encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""

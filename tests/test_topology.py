@@ -63,6 +63,9 @@ class TestBscOf:
     def test_unknown_cell(self):
         with pytest.raises(ValueError, match="unknown cell"):
             bsc_of(build_topology(1, 2, 2), 9)
+        # A negative cell must not wrap around the cell -> BSC table.
+        with pytest.raises(ValueError, match="unknown cell -1"):
+            bsc_of(build_topology(1, 2, 2), -1)
 
 
 class TestHopDistance:
