@@ -30,12 +30,16 @@ def main() -> int:
     parser.add_argument("--figures", default=",".join(FIGURE_IDS),
                         help="comma-separated subset of figure ids")
     args = parser.parse_args()
+    figure_ids = [f.strip() for f in args.figures.split(",")]
+    unknown = [f for f in figure_ids if f not in FIGURE_IDS]
+    if unknown:
+        parser.error(f"unknown figure id(s) {', '.join(unknown)}; "
+                     f"choose from {', '.join(FIGURE_IDS)}")
 
     config = parse_config(args.config) if args.config else default_config()
 
     any_violations = False
-    for figure_id in args.figures.split(","):
-        figure_id = figure_id.strip()
+    for figure_id in figure_ids:
         t0 = time.time()
         path, rows, violations = write_figure(
             figure_id, config, args.out, reps=args.reps, master_seed=args.seed

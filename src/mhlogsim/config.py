@@ -74,21 +74,12 @@ CONFIG_KEYS: dict[str, tuple] = {
 
 
 @dataclass(frozen=True)
-class TopologySpec:
-    msc: int
-    bsc_per_msc: int
-    bs_per_bsc: int
-    adjacency: str
-    inter_msc_hops: int
-
-
-@dataclass(frozen=True)
 class Config:
     """Fully resolved configuration for the harness."""
 
     sim: SimParams
     cost: CostParams
-    topology: TopologySpec
+    tree: NetworkTree
     strategy: StrategyKind
     p_same_region: float
     frcr_erratum_bound: bool
@@ -97,10 +88,7 @@ class Config:
     warnings: tuple[str, ...]  # model-regime warnings from validate_params
 
     def build_tree(self) -> NetworkTree:
-        t = self.topology
-        return build_topology(
-            t.msc, t.bsc_per_msc, t.bs_per_bsc, t.adjacency, t.inter_msc_hops
-        )
+        return self.tree
 
     def with_overrides(self, overrides: dict[str, object]) -> "Config":
         """New Config with the given keys replaced and everything
@@ -172,25 +160,20 @@ def _build_config(values: dict[str, object]) -> Config:
             [f"strategy must be one of lazy|pessimistic|proposed, got {strategy_text!r}"]
         ) from None
 
-    adjacency = str(merged["topology.adjacency"])
-    if adjacency not in ("ring", "grid"):
-        raise ValidationError([f"topology.adjacency must be ring or grid, got {adjacency!r}"])
-
     p_same = float(merged["recovery.p_same_region"])
     if not 0.0 <= p_same <= 1.0:
         raise ValidationError(["recovery.p_same_region must be in [0, 1]"])
 
-    topo = TopologySpec(
-        msc=int(merged["topology.msc"]),
-        bsc_per_msc=int(merged["topology.bsc_per_msc"]),
-        bs_per_bsc=int(merged["topology.bs_per_bsc"]),
-        adjacency=adjacency,
-        inter_msc_hops=int(merged["topology.inter_msc_hops"]),
-    )
-    if topo.msc < 1 or topo.bsc_per_msc < 1 or topo.bs_per_bsc < 1:
-        raise ValidationError(["topology counts must all be >= 1"])
-    if topo.msc * topo.bsc_per_msc * topo.bs_per_bsc < 2:
-        raise ValidationError(["topology must contain at least 2 cells"])
+    try:
+        tree = build_topology(
+            int(merged["topology.msc"]),
+            int(merged["topology.bsc_per_msc"]),
+            int(merged["topology.bs_per_bsc"]),
+            str(merged["topology.adjacency"]),
+            int(merged["topology.inter_msc_hops"]),
+        )
+    except ValueError as exc:
+        raise ValidationError([f"topology: {exc}"]) from None
 
     raw = tuple(
         sorted((key, _format_value(merged[key])) for key in CONFIG_KEYS)
@@ -198,7 +181,7 @@ def _build_config(values: dict[str, object]) -> Config:
     return Config(
         sim=sim,
         cost=cost,
-        topology=topo,
+        tree=tree,
         strategy=strategy,
         p_same_region=p_same,
         frcr_erratum_bound=bool(merged["frcr.erratum_bound"]),

@@ -285,16 +285,6 @@ def estimate_transition_probs(
     return 1.0 - p02, p02
 
 
-def fraction_multi_failure_intervals(
-    lambda_f: float, mu: float, seed: int, n_intervals: int
-) -> float:
-    """Fraction of handoff intervals containing two or more failures."""
-    rng = np.random.Generator(np.random.PCG64(seed & SEED_MASK))
-    durations = -np.log(1.0 - rng.random(n_intervals)) / mu
-    counts = rng.poisson(lambda_f * durations)
-    return float(np.mean(counts >= 2))
-
-
 def measure_mean_pending_log(
     lambda_w: float, t_c: float, n_intervals: int, seed: int
 ) -> float:

@@ -9,21 +9,25 @@ Each experiment sweeps one parameter and reports one metric per strategy:
   fig7  recovery probability                 vs checkpoint interval T_c
   fig8  recoverability-per-cost ratio (FRCR) vs checkpoint interval T_c
 
-Fixed per-experiment overrides put each comparison in a regime where its
-trend is measurable at desk scale; they are part of the experiment
-definition, echoed into the CSV provenance header, and listed in the README.
-Replication i of the master seed uses the engine's documented stream split,
-and the same streams drive every strategy at a sweep point, so comparisons
-are paired.
+A figure is one ``FIGURES`` entry: its sweep, its fixed overrides, its
+strategies, one extractor per reported metric and its trend check. The
+overrides put each comparison in a regime where its trend is measurable at
+desk scale; they are part of the experiment definition, echoed into the CSV
+provenance header, and listed in the README. Replication i of the master
+seed uses the engine's documented stream split, and the same streams drive
+every strategy at a sweep point, so comparisons are paired.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
+from scipy import stats as sstats
 
 from . import analytic
 from .config import Config
@@ -32,7 +36,6 @@ from .engine import estimate_transition_probs
 from .strategies import StrategyKind
 
 ALL_STRATEGIES = (StrategyKind.LAZY, StrategyKind.PESSIMISTIC, StrategyKind.PROPOSED)
-FIGURE_IDS = ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
 
 MU_SWEEP = (0.005, 0.01, 0.02, 0.05, 0.1)
 LAMBDA_W_SWEEP = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -70,6 +73,235 @@ class MetricRow:
     seed: int
 
 
+# -- trend checks -------------------------------------------------------
+#
+# Each returns the violations of one figure's documented qualitative
+# behavior. Statistical comparisons use the rows' own confidence intervals,
+# so a flat curve measured with noise is not flagged against an exactly
+# flat reference.
+
+
+def _series(rows: list[MetricRow], strategy: str, metric: str) -> list[MetricRow]:
+    out = [r for r in rows if r.strategy == strategy and r.metric_name == metric]
+    return sorted(out, key=lambda r: r.param_value)
+
+
+def _three(rows: list[MetricRow], metric: str) -> list[list[MetricRow]]:
+    """The lazy, pessimistic and proposed series of one metric."""
+    return [_series(rows, s.value, metric) for s in ALL_STRATEGIES]
+
+
+def _fitted_slope(series: list[MetricRow]) -> tuple[float, float]:
+    """Least-squares slope of mean vs swept value, with a half-CI estimate
+    propagated from the per-point CIs."""
+    x = np.array([r.param_value for r in series])
+    y = np.array([r.mean for r in series])
+    x_c = x - x.mean()
+    denom = float((x_c**2).sum())
+    slope = float((x_c * y).sum() / denom)
+    half_ci = np.array([(r.ci95_high - r.ci95_low) / 2 for r in series])
+    slope_ci = float(np.sqrt(((x_c * half_ci) ** 2).sum()) / denom)
+    return slope, slope_ci
+
+
+def _check_fig3(rows: list[MetricRow]) -> list[str]:
+    violations: list[str] = []
+    lazy, pess, prop = _three(rows, "handoff_cost_per_handoff")
+    # Lazy is flat: every mean inside every other point's CI envelope.
+    lo = max(r.ci95_low for r in lazy)
+    hi = min(r.ci95_high for r in lazy)
+    if lo > hi + 1e-12:
+        violations.append("fig3: lazy per-handoff cost is not flat (CIs disjoint)")
+    for lz, pe, pr in zip(lazy, pess, prop):
+        if not (pe.mean >= pr.mean >= lz.mean):
+            violations.append(
+                f"fig3: ordering pessimistic >= proposed >= lazy broken at "
+                f"mu={lz.param_value:g}"
+            )
+    s_pess, ci_pess = _fitted_slope(pess)
+    s_prop, ci_prop = _fitted_slope(prop)
+    s_lazy, ci_lazy = _fitted_slope(lazy)
+    # Largest slope, allowing statistical ties: pessimistic must not sit
+    # measurably below either other slope.
+    tol = ci_pess + ci_lazy
+    if s_pess < s_lazy - tol:
+        violations.append("fig3: pessimistic slope measurably below lazy slope")
+    if s_pess < s_prop - (ci_pess + ci_prop):
+        violations.append("fig3: pessimistic slope measurably below proposed slope")
+    return violations
+
+
+def _check_fig4(rows: list[MetricRow]) -> list[str]:
+    violations: list[str] = []
+    lazy, pess, prop = _three(rows, "recovery_cost_per_failure")
+    for a, b in zip(lazy, lazy[1:]):
+        if not b.mean > a.mean:
+            violations.append(
+                f"fig4: lazy recovery cost not strictly increasing at "
+                f"mu={b.param_value:g}"
+            )
+    for lz, pe, pr in zip(lazy, pess, prop):
+        if pe.mean > pr.mean or pe.mean > lz.mean:
+            violations.append(
+                f"fig4: pessimistic not lowest at mu={lz.param_value:g} "
+                f"(pess={pe.mean:.3g} prop={pr.mean:.3g} lazy={lz.mean:.3g})"
+            )
+    pess_home = _series(rows, "pessimistic", "recovery_cost_per_failure_home")
+    prop_home = _series(rows, "proposed", "recovery_cost_per_failure_home")
+    for pe, pr in zip(pess_home, prop_home):
+        if abs(pr.mean - pe.mean) > 0.25 * pe.mean:
+            violations.append(
+                f"fig4: proposed not within 25% of pessimistic for home-region "
+                f"recoveries at mu={pe.param_value:g} "
+                f"(pess={pe.mean:.3g} prop={pr.mean:.3g})"
+            )
+    return violations
+
+
+def _check_fig5(rows: list[MetricRow]) -> list[str]:
+    violations: list[str] = []
+    lazy, pess, prop = _three(rows, "total_cost_per_handoff_interval")
+    for lz, pe, pr in zip(lazy, pess, prop):
+        if pr.mean > pe.mean or pr.mean > lz.mean:
+            violations.append(
+                f"fig5: proposed not the minimum at mu={lz.param_value:g} "
+                f"(prop={pr.mean:.3g} pess={pe.mean:.3g} lazy={lz.mean:.3g})"
+            )
+    return violations
+
+
+def _check_fig6(rows: list[MetricRow]) -> list[str]:
+    violations: list[str] = []
+    series = _three(rows, "recovery_probability")
+    for strategy, ser in zip(ALL_STRATEGIES, series):
+        x = [r.param_value for r in ser]
+        y = [r.mean for r in ser]
+        rho = float(sstats.spearmanr(x, y).statistic)
+        if not rho <= -0.9:
+            violations.append(
+                f"fig6: {strategy.value} recovery probability not monotone decreasing "
+                f"(spearman {rho:.3f})"
+            )
+    for lz, pe, pr in zip(*series):
+        if pr.mean + 1e-12 < pe.mean or pr.mean + 1e-12 < lz.mean:
+            violations.append(
+                f"fig6: proposed not >= baselines at lambda_w={lz.param_value:g}"
+            )
+    return violations
+
+
+def _check_fig8(rows: list[MetricRow]) -> list[str]:
+    violations: list[str] = []
+    ser = _series(rows, "proposed-vs-lazy", "frcr")
+    means = [r.mean for r in ser]
+    half = [(r.ci95_high - r.ci95_low) / 2 for r in ser]
+    peak = int(np.argmax(means))
+    if peak in (0, len(means) - 1):
+        violations.append(
+            f"fig8: FRCR maximum at endpoint index {peak}, not interior"
+        )
+    else:
+        if means[0] >= means[peak] - half[peak] - half[0]:
+            violations.append("fig8: FRCR does not rise measurably to its peak")
+        if means[-1] >= means[peak] - half[peak] - half[-1]:
+            violations.append("fig8: FRCR does not decline measurably after its peak")
+    # Smallest interval: |FRCR| indistinguishable from the low-range floor.
+    low = means[: max(2, len(means) // 2)]
+    low_floor = min(abs(m) for m in low)
+    if abs(means[0]) > low_floor + 2 * half[0] + 1e-12:
+        violations.append(
+            "fig8: |FRCR| at the smallest interval exceeds the low-range floor"
+        )
+    return violations
+
+
+# -- the figure table ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure experiment. Each metric extractor maps one run to its
+    value, or to None when the run has nothing to report for that metric."""
+
+    swept_param: str
+    sweep_values: tuple[float, ...]
+    metrics: dict[str, Callable[[RunStats], float | None]]
+    check: Callable[[list[MetricRow]], list[str]]
+    overrides: dict[str, object] = field(default_factory=dict)
+    strategies: tuple[StrategyKind, ...] = ALL_STRATEGIES
+
+
+RECOVERY_PROBABILITY = {"recovery_probability": attrgetter("recovery_probability")}
+
+FIGURES: dict[str, Figure] = {
+    "fig3": Figure(
+        "sim.mu", MU_SWEEP,
+        {"handoff_cost_per_handoff": lambda r: r.total_handoff_cost / max(1, r.handoff_count)},
+        _check_fig3,
+    ),
+    # Recovery-cost comparison: a long horizon and a high failure rate
+    # tighten the per-failure means, a longer checkpoint interval lets
+    # fragments actually spread between purges, and a small cache makes
+    # the comparison about placement rather than unflushed volume.
+    "fig4": Figure(
+        "sim.mu", MU_SWEEP,
+        {
+            "recovery_cost_per_failure": lambda r: r.total_recovery_cost / max(1, r.failure_count),
+            "recovery_cost_per_failure_home": lambda r: (
+                r.recovery_cost_home_total / r.home_recovery_count
+                if r.home_recovery_count > 0 else None
+            ),
+        },
+        _check_fig4,
+        overrides={
+            "sim.lambda_f": 0.02,
+            "sim.cache_capacity": 4,
+            "sim.horizon": 50000.0,
+            "sim.T_c": 200.0,
+        },
+    ),
+    # Total-cost comparison runs in a failure-weighted regime: recovery
+    # has to carry real weight per interval for the placement strategies
+    # to differentiate on total cost.
+    "fig5": Figure(
+        "sim.mu", MU_SWEEP,
+        {"total_cost_per_handoff_interval": attrgetter("mean_cost_per_handoff_interval")},
+        _check_fig5,
+        overrides={"sim.lambda_f": 0.05},
+    ),
+    "fig6": Figure(
+        "sim.lambda_w", LAMBDA_W_SWEEP, RECOVERY_PROBABILITY, _check_fig6,
+        overrides={"sim.T_c": 400.0, "sim.lambda_f": 0.005},
+    ),
+    # Descriptive experiment, no asserted trend.
+    "fig7": Figure(
+        "sim.T_c", T_C_SWEEP, RECOVERY_PROBABILITY, lambda rows: [],
+        overrides={"sim.lambda_w": 0.1, "sim.horizon": 50000.0},
+    ),
+    # The literal log-transfer bound makes the investment-cost
+    # difference change sign inside this sweep, which turns the ratio
+    # into noise around a pole; the alternate bound keeps one sign past
+    # the smallest interval and yields the documented shape. run_figure
+    # adds the FRCR row from the paired recovery probabilities.
+    "fig8": Figure(
+        "sim.T_c", T_C_SWEEP, RECOVERY_PROBABILITY, _check_fig8,
+        overrides={
+            "sim.lambda_w": 0.1,
+            "sim.horizon": 50000.0,
+            "frcr.erratum_bound": True,
+        },
+        strategies=(StrategyKind.PROPOSED, StrategyKind.LAZY),
+    ),
+}
+FIGURE_IDS = tuple(FIGURES)
+
+
+def _figure(figure_id: str) -> Figure:
+    if figure_id not in FIGURES:
+        raise ValueError(f"unknown figure id: {figure_id!r}")
+    return FIGURES[figure_id]
+
+
 def figure_spec(
     figure_id: str,
     config: Config,
@@ -77,103 +309,23 @@ def figure_spec(
     master_seed: int | None = None,
 ) -> ExperimentSpec:
     """The canonical experiment definition for one figure id."""
-    reps = config.sim.replications if reps is None else reps
-    master_seed = config.sim.seed if master_seed is None else master_seed
-    common = dict(
-        reps=reps,
-        master_seed=master_seed,
-        strategies=ALL_STRATEGIES,
+    fig = _figure(figure_id)
+    return ExperimentSpec(
+        figure_id, fig.swept_param, fig.sweep_values, fig.strategies,
+        reps=config.sim.replications if reps is None else reps,
+        master_seed=config.sim.seed if master_seed is None else master_seed,
+        overrides=dict(fig.overrides),
     )
-    if figure_id == "fig3":
-        return ExperimentSpec(
-            "fig3", "sim.mu", MU_SWEEP, overrides={}, **common
-        )
-    if figure_id == "fig4":
-        # Recovery-cost comparison: a long horizon and a high failure rate
-        # tighten the per-failure means, a longer checkpoint interval lets
-        # fragments actually spread between purges, and a small cache makes
-        # the comparison about placement rather than unflushed volume.
-        return ExperimentSpec(
-            "fig4", "sim.mu", MU_SWEEP,
-            overrides={
-                "sim.lambda_f": 0.02,
-                "sim.cache_capacity": 4,
-                "sim.horizon": 50000.0,
-                "sim.T_c": 200.0,
-            },
-            **common,
-        )
-    if figure_id == "fig5":
-        # Total-cost comparison runs in a failure-weighted regime: recovery
-        # has to carry real weight per interval for the placement strategies
-        # to differentiate on total cost.
-        return ExperimentSpec(
-            "fig5", "sim.mu", MU_SWEEP, overrides={"sim.lambda_f": 0.05}, **common
-        )
-    if figure_id == "fig6":
-        return ExperimentSpec(
-            "fig6", "sim.lambda_w", LAMBDA_W_SWEEP,
-            overrides={"sim.T_c": 400.0, "sim.lambda_f": 0.005},
-            **common,
-        )
-    if figure_id == "fig7":
-        return ExperimentSpec(
-            "fig7", "sim.T_c", T_C_SWEEP,
-            overrides={"sim.lambda_w": 0.1, "sim.horizon": 50000.0},
-            **common,
-        )
-    if figure_id == "fig8":
-        # The literal log-transfer bound makes the investment-cost
-        # difference change sign inside this sweep, which turns the ratio
-        # into noise around a pole; the alternate bound keeps one sign past
-        # the smallest interval and yields the documented shape.
-        return ExperimentSpec(
-            "fig8", "sim.T_c", T_C_SWEEP,
-            overrides={
-                "sim.lambda_w": 0.1,
-                "sim.horizon": 50000.0,
-                "frcr.erratum_bound": True,
-            },
-            reps=reps,
-            master_seed=master_seed,
-            strategies=(StrategyKind.PROPOSED, StrategyKind.LAZY),
-        )
-    raise ValueError(f"unknown figure id: {figure_id!r}")
 
 
-def _metric_values(figure_id: str, runs: list[RunStats]) -> dict[str, list[float]]:
-    """Per-run metric values for one (figure, strategy, sweep point)."""
-    if figure_id == "fig3":
-        return {
-            "handoff_cost_per_handoff": [
-                r.total_handoff_cost / max(1, r.handoff_count) for r in runs
-            ]
-        }
-    if figure_id == "fig4":
-        out = {
-            "recovery_cost_per_failure": [
-                r.total_recovery_cost / max(1, r.failure_count) for r in runs
-            ],
-            "recovery_cost_per_failure_home": [
-                r.recovery_cost_home_total / r.home_recovery_count
-                for r in runs
-                if r.home_recovery_count > 0
-            ],
-        }
-        return out
-    if figure_id == "fig5":
-        return {
-            "total_cost_per_handoff_interval": [
-                r.mean_cost_per_handoff_interval for r in runs
-            ]
-        }
-    if figure_id in ("fig6", "fig7", "fig8"):
-        return {"recovery_probability": [r.recovery_probability for r in runs]}
-    raise ValueError(f"unknown figure id: {figure_id!r}")
+def check_trends(figure_id: str, rows: list[MetricRow]) -> list[str]:
+    """Violations of the documented qualitative behavior of one figure."""
+    return _figure(figure_id).check(rows)
 
 
 def run_figure(spec: ExperimentSpec, config: Config) -> list[MetricRow]:
     """Execute one sweep and return CSV-ready rows in sweep order."""
+    metrics = _figure(spec.figure_id).metrics
     base = config.with_overrides(spec.overrides)
     rows: list[MetricRow] = []
     for value in spec.sweep_values:
@@ -187,22 +339,9 @@ def run_figure(spec: ExperimentSpec, config: Config) -> list[MetricRow]:
         per_strategy_probs: dict[StrategyKind, list[float]] = {}
         for strategy in spec.strategies:
             runs, _ = replicate(sim_cfg, strategy, spec.master_seed, spec.reps)
-            for metric, values in _metric_values(spec.figure_id, runs).items():
-                mean, lo, hi = summarize(values)
-                rows.append(
-                    MetricRow(
-                        figure_id=spec.figure_id,
-                        strategy=strategy.value,
-                        param_name=spec.swept_param,
-                        param_value=float(value),
-                        metric_name=metric,
-                        mean=mean,
-                        ci95_low=lo,
-                        ci95_high=hi,
-                        reps=spec.reps,
-                        seed=spec.master_seed,
-                    )
-                )
+            for metric, extract in metrics.items():
+                values = [v for v in map(extract, runs) if v is not None]
+                rows.append(_row(spec, strategy.value, value, metric, summarize(values)))
             per_strategy_probs[strategy] = [r.recovery_probability for r in runs]
 
         if spec.figure_id == "fig8":
@@ -225,25 +364,23 @@ def _frcr_row(
     )
     cost_lazy = analytic.c_lazy(point.sim.t_c, point.sim.lambda_f, point.cost)
     denom = cost_prop - cost_lazy
-    if denom == 0:
-        mean = lo = hi = float("nan")
-    else:
-        paired = [
-            (pp - pl) / denom
-            for pp, pl in zip(probs[StrategyKind.PROPOSED], probs[StrategyKind.LAZY])
-        ]
-        mean, lo, hi = summarize(paired)
+    # Equal investment costs leave the ratio undefined: an empty sample,
+    # which summarizes to NaN.
+    paired = [] if denom == 0 else [
+        (pp - pl) / denom
+        for pp, pl in zip(probs[StrategyKind.PROPOSED], probs[StrategyKind.LAZY])
+    ]
+    return _row(spec, "proposed-vs-lazy", value, "frcr", summarize(paired))
+
+
+def _row(
+    spec: ExperimentSpec, strategy: str, value: float, metric: str,
+    stats: tuple[float, float, float],
+) -> MetricRow:
+    """One CSV row from a (mean, ci95_low, ci95_high) summary."""
     return MetricRow(
-        figure_id=spec.figure_id,
-        strategy="proposed-vs-lazy",
-        param_name=spec.swept_param,
-        param_value=float(value),
-        metric_name="frcr",
-        mean=mean,
-        ci95_low=lo,
-        ci95_high=hi,
-        reps=spec.reps,
-        seed=spec.master_seed,
+        spec.figure_id, strategy, spec.swept_param, float(value), metric, *stats,
+        spec.reps, spec.master_seed,
     )
 
 
@@ -364,156 +501,6 @@ def write_figure(
     rows = run_figure(spec, config)
     path = emit_csv(rows, out_dir / f"{figure_id}.csv", provenance=provenance_lines(spec, config))
     return path, rows, check_trends(figure_id, rows)
-
-
-# -- trend checks -------------------------------------------------------
-
-
-def _series(rows: list[MetricRow], strategy: str, metric: str) -> list[MetricRow]:
-    out = [r for r in rows if r.strategy == strategy and r.metric_name == metric]
-    return sorted(out, key=lambda r: r.param_value)
-
-
-def _fitted_slope(series: list[MetricRow]) -> tuple[float, float]:
-    """Least-squares slope of mean vs swept value, with a half-CI estimate
-    propagated from the per-point CIs."""
-    x = np.array([r.param_value for r in series])
-    y = np.array([r.mean for r in series])
-    x_c = x - x.mean()
-    denom = float((x_c**2).sum())
-    slope = float((x_c * y).sum() / denom)
-    half_ci = np.array([(r.ci95_high - r.ci95_low) / 2 for r in series])
-    slope_ci = float(np.sqrt(((x_c * half_ci) ** 2).sum()) / denom)
-    return slope, slope_ci
-
-
-def spearman_rho(x: list[float], y: list[float]) -> float:
-    from scipy import stats as sstats
-
-    return float(sstats.spearmanr(x, y).statistic)
-
-
-def check_trends(figure_id: str, rows: list[MetricRow]) -> list[str]:
-    """Violations of the documented qualitative behavior of one figure.
-
-    Statistical comparisons use the rows' own confidence intervals, so a
-    flat curve measured with noise is not flagged against an exactly flat
-    reference.
-    """
-    violations: list[str] = []
-
-    if figure_id == "fig3":
-        metric = "handoff_cost_per_handoff"
-        lazy = _series(rows, "lazy", metric)
-        pess = _series(rows, "pessimistic", metric)
-        prop = _series(rows, "proposed", metric)
-        # Lazy is flat: every mean inside every other point's CI envelope.
-        lo = max(r.ci95_low for r in lazy)
-        hi = min(r.ci95_high for r in lazy)
-        if lo > hi + 1e-12:
-            violations.append("fig3: lazy per-handoff cost is not flat (CIs disjoint)")
-        for lz, pe, pr in zip(lazy, pess, prop):
-            if not (pe.mean >= pr.mean >= lz.mean):
-                violations.append(
-                    f"fig3: ordering pessimistic >= proposed >= lazy broken at "
-                    f"mu={lz.param_value:g}"
-                )
-        s_pess, ci_pess = _fitted_slope(pess)
-        s_prop, ci_prop = _fitted_slope(prop)
-        s_lazy, ci_lazy = _fitted_slope(lazy)
-        # Largest slope, allowing statistical ties: pessimistic must not sit
-        # measurably below either other slope.
-        tol = ci_pess + ci_lazy
-        if s_pess < s_lazy - tol:
-            violations.append("fig3: pessimistic slope measurably below lazy slope")
-        if s_pess < s_prop - (ci_pess + ci_prop):
-            violations.append("fig3: pessimistic slope measurably below proposed slope")
-
-    elif figure_id == "fig4":
-        metric = "recovery_cost_per_failure"
-        lazy = _series(rows, "lazy", metric)
-        pess = _series(rows, "pessimistic", metric)
-        prop = _series(rows, "proposed", metric)
-        for a, b in zip(lazy, lazy[1:]):
-            if not b.mean > a.mean:
-                violations.append(
-                    f"fig4: lazy recovery cost not strictly increasing at "
-                    f"mu={b.param_value:g}"
-                )
-        for lz, pe, pr in zip(lazy, pess, prop):
-            if pe.mean > pr.mean or pe.mean > lz.mean:
-                violations.append(
-                    f"fig4: pessimistic not lowest at mu={lz.param_value:g} "
-                    f"(pess={pe.mean:.3g} prop={pr.mean:.3g} lazy={lz.mean:.3g})"
-                )
-        pess_home = _series(rows, "pessimistic", "recovery_cost_per_failure_home")
-        prop_home = _series(rows, "proposed", "recovery_cost_per_failure_home")
-        for pe, pr in zip(pess_home, prop_home):
-            if abs(pr.mean - pe.mean) > 0.25 * pe.mean:
-                violations.append(
-                    f"fig4: proposed not within 25% of pessimistic for home-region "
-                    f"recoveries at mu={pe.param_value:g} "
-                    f"(pess={pe.mean:.3g} prop={pr.mean:.3g})"
-                )
-
-    elif figure_id == "fig5":
-        metric = "total_cost_per_handoff_interval"
-        lazy = _series(rows, "lazy", metric)
-        pess = _series(rows, "pessimistic", metric)
-        prop = _series(rows, "proposed", metric)
-        for lz, pe, pr in zip(lazy, pess, prop):
-            if pr.mean > pe.mean or pr.mean > lz.mean:
-                violations.append(
-                    f"fig5: proposed not the minimum at mu={lz.param_value:g} "
-                    f"(prop={pr.mean:.3g} pess={pe.mean:.3g} lazy={lz.mean:.3g})"
-                )
-
-    elif figure_id == "fig6":
-        metric = "recovery_probability"
-        series = {s: _series(rows, s, metric) for s in ("lazy", "pessimistic", "proposed")}
-        for name, ser in series.items():
-            x = [r.param_value for r in ser]
-            y = [r.mean for r in ser]
-            rho = spearman_rho(x, y)
-            if not rho <= -0.9:
-                violations.append(
-                    f"fig6: {name} recovery probability not monotone decreasing "
-                    f"(spearman {rho:.3f})"
-                )
-        for lz, pe, pr in zip(series["lazy"], series["pessimistic"], series["proposed"]):
-            if pr.mean + 1e-12 < pe.mean or pr.mean + 1e-12 < lz.mean:
-                violations.append(
-                    f"fig6: proposed not >= baselines at lambda_w={lz.param_value:g}"
-                )
-
-    elif figure_id == "fig7":
-        pass  # descriptive experiment, no asserted trend
-
-    elif figure_id == "fig8":
-        ser = _series(rows, "proposed-vs-lazy", "frcr")
-        means = [r.mean for r in ser]
-        half = [(r.ci95_high - r.ci95_low) / 2 for r in ser]
-        peak = int(np.argmax(means))
-        if peak in (0, len(means) - 1):
-            violations.append(
-                f"fig8: FRCR maximum at endpoint index {peak}, not interior"
-            )
-        else:
-            if means[0] >= means[peak] - half[peak] - half[0]:
-                violations.append("fig8: FRCR does not rise measurably to its peak")
-            if means[-1] >= means[peak] - half[peak] - half[-1]:
-                violations.append("fig8: FRCR does not decline measurably after its peak")
-        # Smallest interval: |FRCR| indistinguishable from the low-range floor.
-        low = means[: max(2, len(means) // 2)]
-        low_floor = min(abs(m) for m in low)
-        if abs(means[0]) > low_floor + 2 * half[0] + 1e-12:
-            violations.append(
-                "fig8: |FRCR| at the smallest interval exceeds the low-range floor"
-            )
-    else:
-        raise ValueError(f"unknown figure id: {figure_id!r}")
-
-    return violations
 
 
 # -- analytic vs simulation crosscheck -----------------------------------

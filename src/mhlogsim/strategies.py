@@ -28,7 +28,6 @@ from enum import Enum
 
 from .model import CostParams, SimParams
 from .topology import (
-    BS,
     BscId,
     CellId,
     MoveKind,
@@ -40,6 +39,7 @@ from .topology import (
     classify_move,
     hop_distance,
     mh_site,
+    region_of,
 )
 
 
@@ -295,7 +295,7 @@ class LogStrategy:
         if not frag.entries:
             store.pieces += 1
         frag.entries.extend(seqs)
-        region = self._region(site)
+        region = region_of(self.tree, site)
         store.region_entries[region] = store.region_entries.get(region, 0) + len(seqs)
 
     def _place(self, store: StrategyStore, fragments: list[Fragment]) -> None:
@@ -307,11 +307,7 @@ class LogStrategy:
         for frag in fragments:
             if frag.entries:
                 store.pieces += 1
-                store.region_entries[self._region(frag.site)] = len(frag.entries)
-
-    def _region(self, site: Site) -> BscId:
-        kind, idx = site
-        return bsc_of(self.tree, idx) if kind == BS else idx
+                store.region_entries[region_of(self.tree, frag.site)] = len(frag.entries)
 
     def _bs_write_delta(self) -> CostDelta:
         # One wireless data item plus the BSC's acknowledgement message.

@@ -115,7 +115,7 @@ def build_topology(
     if n < 2:
         raise ValueError("topology must contain at least 2 cells for mobility")
     if inter_msc_bsc_hops < 2:
-        raise ValueError("inter_msc_bsc_hops must be >= 2")
+        raise ValueError(f"inter_msc_bsc_hops must be >= 2, got {inter_msc_bsc_hops}")
     if adjacency_kind == "ring":
         adj = _ring_adjacency(n)
     elif adjacency_kind == "grid":
@@ -159,21 +159,22 @@ def _bsc_gap(tree: NetworkTree, a: BscId, b: BscId) -> int:
     return tree.inter_msc_bsc_hops
 
 
+def region_of(tree: NetworkTree, site: Site) -> BscId:
+    """The BSC region a BS or BSC site belongs to."""
+    kind, idx = site
+    if kind == BS:
+        return bsc_of(tree, idx)
+    if kind == BSC:
+        return idx
+    raise ValueError(f"not a BS or BSC site: {site}")
+
+
 def hop_distance(tree: NetworkTree, a: Site, b: Site) -> int:
-    """Wired tree-path length between two BS or BSC sites."""
+    """Wired tree-path length between two BS or BSC sites: one hop from each
+    BS up to its BSC, plus the gap between the two BSCs."""
     if a == b:
         return 0
-    kind_a, ia = a
-    kind_b, ib = b
-    if kind_a == BS and kind_b == BS:
-        return 1 + _bsc_gap(tree, bsc_of(tree, ia), bsc_of(tree, ib)) + 1
-    if kind_a == BS and kind_b == BSC:
-        return 1 + _bsc_gap(tree, bsc_of(tree, ia), ib)
-    if kind_a == BSC and kind_b == BS:
-        return 1 + _bsc_gap(tree, bsc_of(tree, ib), ia)
-    if kind_a == BSC and kind_b == BSC:
-        return _bsc_gap(tree, ia, ib)
-    raise ValueError(f"hop_distance needs BS or BSC sites, got {a} and {b}")
+    return (a[0] == BS) + (b[0] == BS) + _bsc_gap(tree, region_of(tree, a), region_of(tree, b))
 
 
 def sample_next_cell(tree: NetworkTree, current: CellId, rng: np.random.Generator) -> CellId:

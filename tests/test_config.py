@@ -67,6 +67,18 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, "frcr.erratum_bound = true\n"))
         assert cfg.frcr_erratum_bound
 
+    @pytest.mark.parametrize("text", [
+        "topology.inter_msc_hops = 1\n",
+        "topology.adjacency = hex\n",
+        "topology.msc = 0\n",
+        "topology.bsc_per_msc = 1\ntopology.bs_per_bsc = 1\n",
+    ], ids=["inter_msc_hops=1", "adjacency=hex", "msc=0", "one_cell"])
+    def test_bad_topology_rejected_at_parse_time(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with pytest.raises(ValidationError, match="^topology: "):
+            parse_config(path)
+        assert cli.main(["analytic", "--config", str(path)]) == 1
+
 
 class TestDeadlineCalibration:
     def test_auto_deadline_tracks_rates(self, tmp_path):

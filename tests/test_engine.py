@@ -12,7 +12,6 @@ from mhlogsim.config import default_config
 from mhlogsim.engine import (
     SimConfig,
     estimate_transition_probs,
-    fraction_multi_failure_intervals,
     measure_mean_pending_log,
     replicate,
     run_simulation,
@@ -320,11 +319,6 @@ class TestEstimateTransitionProbs:
         sp = SimParams(lambda_f=1e-7, mu=0.01)
         p01, _ = estimate_transition_probs(sp, 3, 100_000)
         assert p01 > 0.999
-
-
-def test_multi_failure_intervals_rare_in_model_regime():
-    frac = fraction_multi_failure_intervals(0.001, 0.01, 5, 100_000)
-    assert frac < 0.01
 
 
 def test_mean_pending_log_matches_half_k_minus_one():

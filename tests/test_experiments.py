@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from mhlogsim.config import default_config
 from mhlogsim.experiments import (
     CSV_HEADER,
+    FIGURE_IDS,
     ExperimentSpec,
     MetricRow,
     check_trends,
@@ -19,6 +21,14 @@ from mhlogsim.experiments import (
 )
 from mhlogsim.strategies import StrategyKind
 from mhlogsim import cli, experiments
+
+
+def load_run_figures():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_figures.py"
+    spec = importlib.util.spec_from_file_location("run_figures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def row(value=0.01, mean=1.0, strategy="lazy", metric="handoff_cost_per_handoff",
@@ -85,6 +95,32 @@ class TestExperimentSpec:
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
             figure_spec("fig9", default_config())
+
+
+THREE = ("lazy", "pessimistic", "proposed")
+FIGURE_METRICS = {
+    "fig3": {(s, "handoff_cost_per_handoff") for s in THREE},
+    "fig4": {(s, m) for s in THREE
+             for m in ("recovery_cost_per_failure", "recovery_cost_per_failure_home")},
+    "fig5": {(s, "total_cost_per_handoff_interval") for s in THREE},
+    "fig6": {(s, "recovery_probability") for s in THREE},
+    "fig7": {(s, "recovery_probability") for s in THREE},
+    "fig8": {("proposed", "recovery_probability"), ("lazy", "recovery_probability"),
+             ("proposed-vs-lazy", "frcr")},
+}
+
+
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_each_figure_reports_its_metrics(figure_id):
+    """Every figure, cut to two sweep points and one short replication,
+    reports exactly its documented (strategy, metric) pairs at each point."""
+    cfg = default_config()
+    spec = figure_spec(figure_id, cfg, reps=1, master_seed=5)
+    spec = replace(spec, sweep_values=spec.sweep_values[:2],
+                   overrides={**spec.overrides, "sim.horizon": 500.0})
+    rows = run_figure(spec, cfg)
+    assert {(r.strategy, r.metric_name) for r in rows} == FIGURE_METRICS[figure_id]
+    assert len(rows) == 2 * len(FIGURE_METRICS[figure_id])
 
 
 class TestRunFigure:
@@ -278,10 +314,7 @@ class TestRegimeWarning:
         ]
 
     def test_run_figures_script_prints_the_warning(self, capsys, tmp_path, monkeypatch):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_figures.py"
-        spec = importlib.util.spec_from_file_location("run_figures", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = load_run_figures()
         monkeypatch.setattr(sys, "argv", [
             "run_figures.py", "--config", self.config_file(tmp_path),
             "--out", str(tmp_path), "--reps", "1", "--figures", "fig5",
@@ -299,3 +332,17 @@ class TestRegimeWarning:
         cfg.write_text("sim.horizon = 500\nsim.replications = 1\n", encoding="utf-8")
         assert cli.main(["simulate", "--config", str(cfg)]) == 0
         assert capsys.readouterr().err == ""
+
+
+def test_run_figures_script_rejects_unknown_ids_before_running(capsys, tmp_path, monkeypatch):
+    module = load_run_figures()
+    monkeypatch.setattr(sys, "argv", [
+        "run_figures.py", "--out", str(tmp_path), "--reps", "1", "--figures", "fig3,fig9",
+    ])
+    with pytest.raises(SystemExit) as exc:
+        module.main()
+    assert exc.value.code == 2
+    assert "unknown figure id(s) fig9; choose from fig3, fig4, fig5, fig6, fig7, fig8" in (
+        capsys.readouterr().err
+    )
+    assert list(tmp_path.iterdir()) == []

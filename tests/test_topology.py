@@ -11,6 +11,8 @@ from mhlogsim.topology import (
     build_topology,
     classify_move,
     hop_distance,
+    mh_site,
+    region_of,
     sample_next_cell,
 )
 
@@ -90,6 +92,14 @@ class TestHopDistance:
     def test_cells_across_regions(self):
         assert hop_distance(self.tree, bs_site(0), bs_site(2)) == 4
         assert hop_distance(self.tree, bs_site(0), bs_site(7)) == 6
+
+    def test_region_of_decodes_bs_and_bsc_sites_only(self):
+        assert region_of(self.tree, bs_site(5)) == 2
+        assert region_of(self.tree, bsc_site(3)) == 3
+        with pytest.raises(ValueError, match="not a BS or BSC site"):
+            region_of(self.tree, mh_site(0))
+        with pytest.raises(ValueError, match="not a BS or BSC site"):
+            hop_distance(self.tree, bs_site(0), mh_site(0))
 
     @given(st.data())
     @settings(max_examples=200)
