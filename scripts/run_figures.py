@@ -7,7 +7,9 @@ Usage:
 
 Each CSV carries a provenance header with the effective configuration, the
 experiment overrides, and the recovery deadline at every sweep point, so a
-re-run with the same arguments is byte-identical.
+re-run with the same arguments is byte-identical. A config file that does
+not parse or validate ends the script with one ``error:`` line and exit
+code 1, as ``mhlogsim`` reports it; an unreadable one with exit code 2.
 """
 
 import argparse
@@ -17,8 +19,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mhlogsim.config import default_config, parse_config
+from mhlogsim.config import ConfigError, default_config, parse_config
 from mhlogsim.experiments import FIGURE_IDS, write_figure
+from mhlogsim.model import ValidationError
 
 
 def main() -> int:
@@ -36,7 +39,14 @@ def main() -> int:
         parser.error(f"unknown figure id(s) {', '.join(unknown)}; "
                      f"choose from {', '.join(FIGURE_IDS)}")
 
-    config = parse_config(args.config) if args.config else default_config()
+    try:
+        config = parse_config(args.config) if args.config else default_config()
+    except (ConfigError, ValidationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
 
     any_violations = False
     for figure_id in figure_ids:

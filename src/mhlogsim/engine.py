@@ -2,9 +2,19 @@
 
 Every stochastic choice in a run comes from one PCG64 stream seeded with a
 64-bit integer, so identical (config, strategy, seed) triples reproduce
-identical RunStats bit for bit. Strategies themselves never touch the
-stream, which also makes runs with different strategies on the same seed
-see the same event timeline, a big variance saver for paired comparisons.
+identical RunStats bit for bit. Strategies never touch the stream, and the
+host's cell follows the same handoffs and restarts under each of them, so
+the event sequence depends on the config and the seed alone.
+
+The kernel is therefore two steps. ``generate_timeline`` runs the event
+clocks once and records the non-write events (time, kind, cell) and the
+number of writes before each. A fold then applies one strategy to that
+record, handing it each run of writes between two other events at once
+(``LogStrategy.on_writes``). ``run_simulation`` keeps the last timeline,
+keyed by (config, seed), so the strategies of one replication share one
+timeline object: the pairing of common random numbers holds by
+construction, and the clocks run once per replication, not once per
+strategy.
 
 Draw order, fixed for reproducibility:
 
@@ -17,8 +27,10 @@ One event of each kind is pending at a time. Simultaneous events dispatch
 by kind priority: checkpoint, handoff, write, failure.
 
 The placement peaks ``peak_fragments`` and ``bsc_peak_entries`` are post-event
-maxima, read after each event from running tallies kept on the strategy's
-store: O(1) work per event, however many fragments lazy logging leaves.
+maxima, read from running tallies kept on the strategy's store after each
+non-write event and after each run of writes, whose ``WriteRun`` reports
+the peak inside the run: O(1) placement work per event, however many
+fragments lazy logging leaves.
 
 Replication i of a master seed uses stream seed
 ``master ^ ((0x9E3779B97F4A7C15 * (i + 1)) mod 2^64)``.
@@ -29,13 +41,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
+from itertools import chain
 
 import numpy as np
 from scipy import stats as sstats
 
 from .model import CostParams, SimParams, derive_quantities, validate_params
-from .strategies import CostDelta, StrategyKind, make_strategy
-from .topology import MoveKind, NetworkTree, cells_of_bsc, classify_move, sample_next_cell
+from .strategies import CostDelta, LogStrategy, StrategyKind, make_strategy
+from .topology import (
+    MoveKind,
+    NetworkTree,
+    bsc_of,
+    cells_of_bsc,
+    classify_move,
+    sample_next_cell,
+)
 
 SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # fixed odd multiplier for stream splits
@@ -48,9 +68,6 @@ class EventKind(IntEnum):
     HANDOFF = 1
     WRITE = 2
     FAILURE = 3
-
-
-_KINDS = tuple(EventKind)
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -123,6 +140,98 @@ def _sample_recovery_cell(
     return cells[int(rng.integers(len(cells)))]
 
 
+@dataclass(frozen=True)
+class Timeline:
+    """The event sequence of one ``(config, seed)`` run, which does not
+    depend on the strategy.
+
+    ``events`` lists the non-write events in dispatch order as (time, kind,
+    cell): a handoff's destination cell, a failure's restart cell, the
+    host's cell for a checkpoint. ``writes[i]`` counts the writes dispatched
+    just before ``events[i]``, and its one extra last entry the writes after
+    the last event. ``write_times``, kept only when asked for, holds every
+    write's time in order.
+    """
+
+    events: list[tuple[float, EventKind, int]]
+    writes: list[int]
+    intra_bsc: int
+    inter_bsc: int
+    write_times: list[float] | None = None
+
+
+def generate_timeline(cfg: SimConfig, seed: int, keep_write_times: bool = False) -> Timeline:
+    """Run the four event clocks of one run and record what they fire.
+
+    The host is born in cell 0, where ``LogStrategy.initial_host`` puts it,
+    and moves to each handoff's destination and each failure's restart cell.
+    """
+    sp, tree = cfg.sim, cfg.tree
+    rng = np.random.Generator(np.random.PCG64(seed & SEED_MASK))
+    draw, horizon, lambda_w = sample_exponential, sp.sim_horizon, sp.lambda_w
+
+    # The write clock of a host that never writes reads inf and never fires.
+    write_at = draw(lambda_w, rng) if lambda_w > 0 else math.inf
+    handoff_at = draw(sp.mu, rng)
+    failure_at = draw(sp.lambda_f, rng)
+    checkpoint_at = sp.t_c
+
+    events: list[tuple[float, EventKind, int]] = []
+    writes: list[int] = []
+    write_times = [] if keep_write_times else None
+    cell = 0
+    k = intra = inter = 0
+    while True:
+        # Writes fire until a checkpoint or handoff is due at or before the
+        # next one, or a failure strictly before it.
+        ahead = min(checkpoint_at, handoff_at)
+        last = min(failure_at, horizon)
+        while write_at < ahead and write_at <= last:
+            k += 1
+            if write_times is not None:
+                write_times.append(write_at)
+            write_at += draw(lambda_w, rng)
+
+        t = min(ahead, failure_at)
+        if t > horizon:
+            break
+        writes.append(k)
+        k = 0
+        if checkpoint_at == t:
+            events.append((t, EventKind.CHECKPOINT, cell))
+            checkpoint_at = t + sp.t_c
+        elif handoff_at == t:
+            to_cell = sample_next_cell(tree, cell, rng)
+            if classify_move(tree, cell, to_cell) is MoveKind.INTRA_BSC:
+                intra += 1
+            else:
+                inter += 1
+            cell = to_cell
+            events.append((t, EventKind.HANDOFF, cell))
+            handoff_at = t + draw(sp.mu, rng)
+        else:
+            cell = _sample_recovery_cell(tree, bsc_of(tree, cell), cfg.p_same_region, rng)
+            events.append((t, EventKind.FAILURE, cell))
+            failure_at = t + draw(sp.lambda_f, rng)
+    writes.append(k)
+    return Timeline(events, writes, intra, inter, write_times)
+
+
+# The last timeline made, keyed by (config, seed): a figure sweep runs every
+# strategy of a (point, rep) back to back, so one entry is enough.
+_timelines: dict[tuple[SimConfig, int], Timeline] = {}
+
+
+def _timeline(cfg: SimConfig, seed: int, keep_write_times: bool) -> Timeline:
+    key = (cfg, seed)
+    timeline = _timelines.get(key)
+    if timeline is None or (keep_write_times and timeline.write_times is None):
+        timeline = generate_timeline(cfg, seed, keep_write_times)
+        _timelines.clear()
+        _timelines[key] = timeline
+    return timeline
+
+
 def run_simulation(
     cfg: SimConfig,
     kind: StrategyKind | str,
@@ -131,24 +240,30 @@ def run_simulation(
 ) -> RunStats:
     """Simulate one host for ``cfg.sim.sim_horizon`` time units.
 
-    ``trace``, when given, receives (time, event kind, cost delta) for every
-    processed event; tests use it to check cost conservation.
+    The timeline is the cached one when the last run had the same config
+    and seed, and a new one otherwise. ``trace``, when given, receives
+    (time, event kind, cost delta) for every processed event, one entry per
+    write included; tests use it to check cost conservation.
     """
     validate_params(cfg.sim, cfg.cost)
-    sp, tree = cfg.sim, cfg.tree
-    rng = np.random.Generator(np.random.PCG64(seed & SEED_MASK))
-    strategy = make_strategy(kind, tree, sp, cfg.cost)
+    timeline = _timeline(cfg, seed, trace is not None)
+    return _fold(make_strategy(kind, cfg.tree, cfg.sim, cfg.cost), timeline, trace)
+
+
+_NO_COST = CostDelta()
+
+
+def _fold(
+    strategy: LogStrategy,
+    timeline: Timeline,
+    trace: list[tuple[float, str, CostDelta]] | None,
+) -> RunStats:
+    """Apply one strategy to a timeline, a run of writes at a time."""
     host = strategy.initial_host()
     store = strategy.initial_store(host)
+    write_times = iter(timeline.write_times or ())
 
-    # Next firing time of each event kind, indexed by EventKind value; the
-    # write clock of a host that never writes reads inf and never fires.
-    write_at = sample_exponential(sp.lambda_w, rng) if sp.lambda_w > 0 else math.inf
-    handoff_at = sample_exponential(sp.mu, rng)
-    clocks = [sp.t_c, handoff_at, write_at, sample_exponential(sp.lambda_f, rng)]
-
-    handoffs = intra = inter = writes = checkpoints = 0
-    failures = successes = 0
+    handoffs = checkpoints = failures = successes = 0
     cost_handoff = cost_recovery = cost_logging = cost_checkpoint = 0.0
     retrieval_sum = 0.0
     lost_total = 0
@@ -157,36 +272,41 @@ def run_simulation(
     home_recoveries = 0
     bsc_peaks: dict[int, int] = {}
 
-    while True:
-        t = min(clocks)
-        if t > sp.sim_horizon:
-            break
-        # index() finds the first minimum, so the lower kind wins a tie.
-        ev = _KINDS[clocks.index(t)]
+    def observe(pieces: int) -> None:
+        # Post-event only: mid-flush, entries sit in both cache and store.
+        nonlocal peak_fragments
+        if pieces > peak_fragments:
+            peak_fragments = pieces
+        for region, n in store.region_entries.items():
+            if n > bsc_peaks.get(region, 0):
+                bsc_peaks[region] = n
 
+    for k, event in zip(timeline.writes, chain(timeline.events, (None,))):
+        if k:
+            run = strategy.on_writes(host, store, k)
+            # One addition per charged write, in order, as a per-write loop
+            # sums them; an uncharged write adds 0.0, which changes nothing.
+            cost = run.delta.total
+            for _ in run.charged:
+                cost_logging += cost
+            if trace is not None:
+                for i in range(k):
+                    delta = run.delta if i in run.charged else _NO_COST
+                    trace.append((next(write_times), "WRITE", delta))
+            # A run's entries only accumulate, so its tallies peak at its end.
+            observe(run.peak_pieces)
+        if event is None:
+            break
+        t, ev, cell = event
         if ev is EventKind.CHECKPOINT:
             delta = strategy.on_checkpoint(host, store, t)
             checkpoints += 1
             cost_checkpoint += delta.total
-            clocks[ev] = t + sp.t_c
         elif ev is EventKind.HANDOFF:
-            from_cell = host.current_cell
-            to_cell = sample_next_cell(tree, from_cell, rng)
-            if classify_move(tree, from_cell, to_cell) is MoveKind.INTRA_BSC:
-                intra += 1
-            else:
-                inter += 1
-            delta = strategy.on_handoff(host, store, from_cell, to_cell, t)
+            delta = strategy.on_handoff(host, store, host.current_cell, cell, t)
             handoffs += 1
             cost_handoff += delta.total
-            clocks[ev] = t + sample_exponential(sp.mu, rng)
-        elif ev is EventKind.WRITE:
-            delta = strategy.on_write(host, store, t)
-            writes += 1
-            cost_logging += delta.total
-            clocks[ev] = t + sample_exponential(sp.lambda_w, rng)
         else:  # FAILURE
-            cell = _sample_recovery_cell(tree, host.current_bsc, cfg.p_same_region, rng)
             outcome = strategy.recover(host, store, cell, t)
             delta = outcome.cost
             failures += 1
@@ -197,24 +317,16 @@ def run_simulation(
             if outcome.recovered_in_home_region:
                 cost_home += delta.total
                 home_recoveries += 1
-            clocks[ev] = t + sample_exponential(sp.lambda_f, rng)
-
         if trace is not None:
             trace.append((t, ev.name, delta))
-        # Post-event only: mid-flush, entries sit in both cache and store.
-        pieces = store.pieces + bool(host.cache)
-        if pieces > peak_fragments:
-            peak_fragments = pieces
-        for region, n in store.region_entries.items():
-            if n > bsc_peaks.get(region, 0):
-                bsc_peaks[region] = n
+        observe(store.pieces + bool(host.cache))
 
     total_cost = cost_handoff + cost_recovery + cost_logging + cost_checkpoint
     return RunStats(
         handoff_count=handoffs,
-        intra_bsc_count=intra,
-        inter_bsc_count=inter,
-        write_count=writes,
+        intra_bsc_count=timeline.intra_bsc,
+        inter_bsc_count=timeline.inter_bsc,
+        write_count=sum(timeline.writes),
         checkpoint_count=checkpoints,
         failure_count=failures,
         recovery_success_count=successes,

@@ -29,9 +29,9 @@ from typing import Callable
 import numpy as np
 from scipy import stats as sstats
 
-from . import analytic
+from . import analytic, engine
 from .config import Config
-from .engine import RunStats, SimConfig, replicate, simulate_interval_costs, summarize
+from .engine import RunStats, SimConfig, simulate_interval_costs, split_seed, summarize
 from .engine import estimate_transition_probs
 from .strategies import StrategyKind
 
@@ -57,6 +57,8 @@ class ExperimentSpec:
             raise ValueError("sweep_values must be non-empty")
         if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
             raise ValueError("sweep_values must be strictly increasing")
+        if self.reps < 1:
+            raise ValueError("reps must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -324,7 +326,11 @@ def check_trends(figure_id: str, rows: list[MetricRow]) -> list[str]:
 
 
 def run_figure(spec: ExperimentSpec, config: Config) -> list[MetricRow]:
-    """Execute one sweep and return CSV-ready rows in sweep order."""
+    """Execute one sweep and return CSV-ready rows in sweep order.
+
+    Every strategy runs on a replication's stream before the next
+    replication starts, so they all fold the one timeline the engine keeps.
+    """
     metrics = _figure(spec.figure_id).metrics
     base = config.with_overrides(spec.overrides)
     rows: list[MetricRow] = []
@@ -336,18 +342,18 @@ def run_figure(spec: ExperimentSpec, config: Config) -> list[MetricRow]:
             tree=point.build_tree(),
             p_same_region=point.p_same_region,
         )
-        per_strategy_probs: dict[StrategyKind, list[float]] = {}
+        runs: dict[StrategyKind, list[RunStats]] = {s: [] for s in spec.strategies}
+        for i in range(spec.reps):
+            seed = split_seed(spec.master_seed, i)
+            for strategy in spec.strategies:
+                runs[strategy].append(engine.run_simulation(sim_cfg, strategy, seed))
         for strategy in spec.strategies:
-            runs, _ = replicate(sim_cfg, strategy, spec.master_seed, spec.reps)
             for metric, extract in metrics.items():
-                values = [v for v in map(extract, runs) if v is not None]
+                values = [v for v in map(extract, runs[strategy]) if v is not None]
                 rows.append(_row(spec, strategy.value, value, metric, summarize(values)))
-            per_strategy_probs[strategy] = [r.recovery_probability for r in runs]
 
         if spec.figure_id == "fig8":
-            rows.append(
-                _frcr_row(spec, point, value, per_strategy_probs)
-            )
+            rows.append(_frcr_row(spec, point, value, runs))
     return rows
 
 
@@ -355,7 +361,7 @@ def _frcr_row(
     spec: ExperimentSpec,
     point: Config,
     value: float,
-    probs: dict[StrategyKind, list[float]],
+    runs: dict[StrategyKind, list[RunStats]],
 ) -> MetricRow:
     """FRCR at one sweep point, with a CI from the paired replications."""
     cost_prop = analytic.c_prop(
@@ -367,8 +373,8 @@ def _frcr_row(
     # Equal investment costs leave the ratio undefined: an empty sample,
     # which summarizes to NaN.
     paired = [] if denom == 0 else [
-        (pp - pl) / denom
-        for pp, pl in zip(probs[StrategyKind.PROPOSED], probs[StrategyKind.LAZY])
+        (pp.recovery_probability - pl.recovery_probability) / denom
+        for pp, pl in zip(runs[StrategyKind.PROPOSED], runs[StrategyKind.LAZY])
     ]
     return _row(spec, "proposed-vs-lazy", value, "frcr", summarize(paired))
 

@@ -11,6 +11,13 @@ import math
 from dataclasses import dataclass
 
 
+# Cap on a run's expected event count, horizon * (lambda_w + mu + lambda_f
+# + 1/T_c). The kernel keeps every non-write event of a run in memory, about
+# 0.1 KiB each, so a run may not expect more than this many events. The
+# largest figure run, fig4 at mu=0.1, expects about 31 thousand.
+MAX_EXPECTED_EVENTS = 1_000_000
+
+
 class ValidationError(ValueError):
     """Raised when a parameter bundle violates a model invariant.
 
@@ -79,7 +86,8 @@ def validate_params(sp: SimParams, cp: CostParams) -> list[str]:
     run, and NaN makes every comparison false, so the ``< 0`` checks below
     would let it through. lambda_w may be zero (a host that never writes is
     meaningful); the failure and handoff rates must be strictly positive
-    because they drive exponential clocks. Returns the warnings: lambda_f
+    because they drive exponential clocks. The expected event count must
+    stay within ``MAX_EXPECTED_EVENTS``. Returns the warnings: lambda_f
     >= mu is allowed but stresses the single-failure-per-interval reading
     of the model.
     """
@@ -113,6 +121,14 @@ def validate_params(sp: SimParams, cp: CostParams) -> list[str]:
     for name in ("c_c", "c_1", "c_m", "alpha", "rho", "t_load_ckpt", "t_load_log", "c_p"):
         if getattr(cp, name) < 0:
             violations.append(f"{name} must be >= 0")
+
+    if not violations:
+        expected = sp.sim_horizon * (sp.lambda_w + sp.mu + sp.lambda_f + 1.0 / sp.t_c)
+        if expected > MAX_EXPECTED_EVENTS:
+            violations.append(
+                f"sim.horizon: {sp.sim_horizon:g} time units expect {expected:.4g} events, "
+                f"over the budget of {MAX_EXPECTED_EVENTS}; shorten the horizon"
+            )
 
     if violations:
         raise ValidationError(violations)

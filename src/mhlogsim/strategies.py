@@ -23,6 +23,7 @@ Cost accounting conventions, applied uniformly:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -38,8 +39,8 @@ from .topology import (
     bsc_site,
     classify_move,
     hop_distance,
+    hops_between,
     mh_site,
-    region_of,
 )
 
 
@@ -89,7 +90,21 @@ class Fragment:
     """A contiguous run of log entries held at one site."""
 
     site: Site
+    region: BscId  # the BSC region of ``site``
     entries: list[int] = field(default_factory=list)  # write sequence numbers
+
+
+@dataclass(frozen=True)
+class WriteRun:
+    """What a run of writes cost, all issued from one cell with no other
+    event between them: ``delta`` on each write whose index within the run
+    is in ``charged``, nothing on the others. ``peak_pieces`` is the largest
+    non-empty fragment count, the cache counting as one, after any write of
+    the run."""
+
+    delta: CostDelta
+    charged: range
+    peak_pieces: int
 
 
 @dataclass
@@ -142,9 +157,24 @@ class LogStrategy:
     # -- events --------------------------------------------------------
 
     def on_write(self, host: HostState, store: StrategyStore, t: float) -> CostDelta:
-        seq = host.next_seq
-        host.next_seq += 1
-        return self._log_entry(host, store, seq)
+        return self.on_writes(host, store, 1).delta
+
+    def on_writes(self, host: HostState, store: StrategyStore, k: int) -> WriteRun:
+        """Log ``k`` writes issued back to back from the host's cell; the
+        same placement and costs as ``k`` calls of ``on_write``. The default
+        policy sends each entry to the current BS, which acknowledges it."""
+        first = host.next_seq
+        host.next_seq += k
+        self._append(store, bs_site(host.current_cell), host.current_bsc, range(first, first + k))
+        # One wireless data item plus the BSC's acknowledgement message.
+        delta = CostDelta(
+            wireless_cost=self.cp.alpha * self.cp.c_1,
+            wired_cost=self.cp.c_m,
+            control_msgs=1,
+            data_items_moved=1,
+            elapsed_transfer_time=1.0,
+        )
+        return WriteRun(delta, range(k), store.pieces)
 
     def on_checkpoint(self, host: HostState, store: StrategyStore, t: float) -> CostDelta:
         """Ship a fresh checkpoint to its durable site and purge the log.
@@ -207,7 +237,7 @@ class LogStrategy:
             n = len(frag.entries)
             if n == 0:
                 continue
-            hops = hop_distance(self.tree, frag.site, rec_site)
+            hops = hops_between(self.tree, frag.site, frag.region, rec_site, recovery_bsc)
             delta.wired_cost += cp.rho * n * cp.c_1 * hops
             delta.wireless_cost += cp.alpha * n * cp.c_1
             delta.data_items_moved += n
@@ -265,9 +295,6 @@ class LogStrategy:
     def _reset_fragments(self, host: HostState, store: StrategyStore) -> None:
         self._place(store, [])
 
-    def _log_entry(self, host: HostState, store: StrategyStore, seq: int) -> CostDelta:
-        raise NotImplementedError
-
     def _handoff(
         self,
         host: HostState,
@@ -286,16 +313,15 @@ class LogStrategy:
 
     # -- shared pieces ---------------------------------------------------
 
-    def _append(self, store: StrategyStore, site: Site, seqs: list[int]) -> None:
+    def _append(self, store: StrategyStore, site: Site, region: BscId, seqs: Sequence[int]) -> None:
         """Extend the last fragment if it sits at ``site``, else open a new
         one there, and update the store's tallies; ``seqs`` is non-empty."""
         if not (store.fragments and store.fragments[-1].site == site):
-            store.fragments.append(Fragment(site))
+            store.fragments.append(Fragment(site, region))
         frag = store.fragments[-1]
         if not frag.entries:
             store.pieces += 1
         frag.entries.extend(seqs)
-        region = region_of(self.tree, site)
         store.region_entries[region] = store.region_entries.get(region, 0) + len(seqs)
 
     def _place(self, store: StrategyStore, fragments: list[Fragment]) -> None:
@@ -307,27 +333,13 @@ class LogStrategy:
         for frag in fragments:
             if frag.entries:
                 store.pieces += 1
-                store.region_entries[region_of(self.tree, frag.site)] = len(frag.entries)
-
-    def _bs_write_delta(self) -> CostDelta:
-        # One wireless data item plus the BSC's acknowledgement message.
-        return CostDelta(
-            wireless_cost=self.cp.alpha * self.cp.c_1,
-            wired_cost=self.cp.c_m,
-            control_msgs=1,
-            data_items_moved=1,
-            elapsed_transfer_time=1.0,
-        )
+                store.region_entries[frag.region] = len(frag.entries)
 
 
 class LazyStrategy(LogStrategy):
     """Fragments accumulate where written; handoffs only store pointers."""
 
     kind = StrategyKind.LAZY
-
-    def _log_entry(self, host: HostState, store: StrategyStore, seq: int) -> CostDelta:
-        self._append(store, bs_site(host.current_cell), [seq])
-        return self._bs_write_delta()
 
     def _handoff(self, host, store, from_cell, to_cell, move) -> CostDelta:
         # The new BS stores a pointer to the old one; no log data moves.
@@ -353,18 +365,14 @@ class PessimisticStrategy(LogStrategy):
     kind = StrategyKind.PESSIMISTIC
 
     def _reset_fragments(self, host: HostState, store: StrategyStore) -> None:
-        self._place(store, [Fragment(bs_site(host.current_cell))])
-
-    def _log_entry(self, host, store, seq) -> CostDelta:
-        self._append(store, bs_site(host.current_cell), [seq])
-        return self._bs_write_delta()
+        self._place(store, [Fragment(bs_site(host.current_cell), host.current_bsc)])
 
     def _handoff(self, host, store, from_cell, to_cell, move) -> CostDelta:
         frag = store.fragments[0]
         n = len(frag.entries)
         hops = hop_distance(self.tree, bs_site(from_cell), bs_site(to_cell))
         cp = self.cp
-        self._place(store, [Fragment(bs_site(to_cell), frag.entries)])
+        self._place(store, [Fragment(bs_site(to_cell), host.current_bsc, frag.entries)])
         store.checkpoint_site = bs_site(to_cell)
         return CostDelta(
             wired_cost=(n * cp.c_1 + cp.c_c) * cp.rho * hops + cp.c_m,
@@ -377,7 +385,10 @@ class PessimisticStrategy(LogStrategy):
         # The retrieval already delivered log and checkpoint to the restart
         # BS; they become the durable copy there.
         if store.fragments:
-            self._place(store, [Fragment(bs_site(recovery_cell), store.fragments[0].entries)])
+            self._place(
+                store,
+                [Fragment(bs_site(recovery_cell), host.current_bsc, store.fragments[0].entries)],
+            )
         if store.checkpoint_site is not None:
             store.checkpoint_site = bs_site(recovery_cell)
 
@@ -390,28 +401,49 @@ class ProposedStrategy(LogStrategy):
     def _checkpoint_site(self, host: HostState) -> Site:
         return bsc_site(host.home_bsc)
 
-    def _log_entry(self, host, store, seq) -> CostDelta:
-        host.cache.append(seq)
-        if len(host.cache) >= self.sp.cache_capacity:
-            return self._flush_cache(host, store)
-        return CostDelta()
+    def on_writes(self, host: HostState, store: StrategyStore, k: int) -> WriteRun:
+        """Each write joins the cache, and the write that fills it flushes
+        the cache to the home BSC. Every flush of the run moves a full
+        cache from the same cell, so they all cost the same."""
+        cap = self.sp.cache_capacity
+        cache = host.cache
+        seqs = range(host.next_seq, host.next_seq + k)
+        host.next_seq += k
+        before = store.pieces
+        first = cap - len(cache) - 1  # index of the write that fills the cache
+        if first >= k:
+            cache.extend(seqs)
+            return WriteRun(CostDelta(), range(0), before + 1)
+        delta = self._flush_cost(host, cap)
+        charged = range(first, k, cap)
+        flushed = charged[-1] + 1
+        cache.extend(seqs[:flushed])
+        self._append(store, bsc_site(host.home_bsc), host.home_bsc, cache)
+        cache[:] = seqs[flushed:]
+        # Between flushes the cache holds entries; right after one it is
+        # empty, and every flush after the first extends the same fragment.
+        after = store.pieces + (cap > 1 and first + 1 < k)
+        return WriteRun(delta, charged, max(before + 1, after) if first else after)
 
-    def _flush_cache(self, host: HostState, store: StrategyStore) -> CostDelta:
-        """Copy the entire cache to the home BSC and append it there."""
-        n = len(host.cache)
-        if n == 0:
-            return CostDelta()
+    def _flush_cost(self, host: HostState, n: int) -> CostDelta:
+        """Cost of moving ``n`` cached entries to the home BSC."""
         cp = self.cp
-        target = bsc_site(host.home_bsc)
-        hops = hop_distance(self.tree, bs_site(host.current_cell), target)
-        delta = CostDelta(
+        hops = hop_distance(self.tree, bs_site(host.current_cell), bsc_site(host.home_bsc))
+        return CostDelta(
             wireless_cost=n * cp.alpha * cp.c_1,
             wired_cost=n * cp.rho * cp.c_1 * hops + cp.c_m,
             control_msgs=1,
             data_items_moved=n,
             elapsed_transfer_time=n * (1.0 + cp.r * hops),
         )
-        self._append(store, target, host.cache)
+
+    def _flush_cache(self, host: HostState, store: StrategyStore) -> CostDelta:
+        """Copy the entire cache to the home BSC and append it there."""
+        n = len(host.cache)
+        if n == 0:
+            return CostDelta()
+        delta = self._flush_cost(host, n)
+        self._append(store, bsc_site(host.home_bsc), host.home_bsc, host.cache)
         host.cache.clear()
         return delta
 
@@ -456,7 +488,7 @@ class ProposedStrategy(LogStrategy):
     def _rehome(self, host: HostState, store: StrategyStore, bsc: BscId) -> None:
         """Merge the log and the checkpoint at ``bsc``, the new home BSC."""
         merged = [seq for f in store.fragments for seq in f.entries]
-        self._place(store, [Fragment(bsc_site(bsc), merged)] if merged else [])
+        self._place(store, [Fragment(bsc_site(bsc), bsc, merged)] if merged else [])
         store.checkpoint_site = bsc_site(bsc)
         host.home_bsc = bsc
 

@@ -174,7 +174,14 @@ def hop_distance(tree: NetworkTree, a: Site, b: Site) -> int:
     BS up to its BSC, plus the gap between the two BSCs."""
     if a == b:
         return 0
-    return (a[0] == BS) + (b[0] == BS) + _bsc_gap(tree, region_of(tree, a), region_of(tree, b))
+    return hops_between(tree, a, region_of(tree, a), b, region_of(tree, b))
+
+
+def hops_between(tree: NetworkTree, a: Site, a_region: BscId, b: Site, b_region: BscId) -> int:
+    """``hop_distance`` for sites whose regions the caller already holds."""
+    if a == b:
+        return 0
+    return (a[0] == BS) + (b[0] == BS) + _bsc_gap(tree, a_region, b_region)
 
 
 def sample_next_cell(tree: NetworkTree, current: CellId, rng: np.random.Generator) -> CellId:

@@ -2,7 +2,7 @@ import pytest
 
 from mhlogsim import cli
 from mhlogsim.config import ConfigError, default_config, parse_config
-from mhlogsim.model import ValidationError, default_recovery_deadline
+from mhlogsim.model import MAX_EXPECTED_EVENTS, ValidationError, default_recovery_deadline
 from mhlogsim.strategies import StrategyKind
 
 
@@ -78,6 +78,36 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="^topology: "):
             parse_config(path)
         assert cli.main(["analytic", "--config", str(path)]) == 1
+
+
+class TestEventBudget:
+    """horizon * (lambda_w + mu + lambda_f + 1/T_c) may not exceed the cap.
+    Neither side is run: parse-time validation decides."""
+
+    @staticmethod
+    def horizon_at(fraction: float) -> float:
+        sp = default_config().sim
+        rate = sp.lambda_w + sp.mu + sp.lambda_f + 1.0 / sp.t_c
+        return fraction * MAX_EXPECTED_EVENTS / rate
+
+    def test_just_under_the_cap_is_accepted(self, tmp_path):
+        horizon = self.horizon_at(0.999)
+        cfg = parse_config(write(tmp_path, f"sim.horizon = {horizon!r}\n"))
+        assert cfg.sim.sim_horizon == horizon
+
+    def test_just_over_the_cap_is_rejected_naming_the_horizon(self, tmp_path):
+        path = write(tmp_path, f"sim.horizon = {self.horizon_at(1.001)!r}\n")
+        with pytest.raises(ValidationError, match=r"^sim\.horizon: .* over the budget"):
+            parse_config(path)
+        assert cli.main(["analytic", "--config", str(path)]) == 1
+
+    def test_figure_configs_sit_far_below_the_cap(self):
+        # fig4 at mu=0.1 expects the most events of any figure run.
+        sp = default_config().with_overrides({
+            "sim.mu": 0.1, "sim.lambda_f": 0.02, "sim.horizon": 50000.0, "sim.T_c": 200.0,
+        }).sim
+        expected = sp.sim_horizon * (sp.lambda_w + sp.mu + sp.lambda_f + 1.0 / sp.t_c)
+        assert 30_000 < expected < MAX_EXPECTED_EVENTS / 10
 
 
 class TestDeadlineCalibration:

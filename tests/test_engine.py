@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from mhlogsim.config import default_config
 from mhlogsim.engine import (
+    RunStats,
     SimConfig,
     estimate_transition_probs,
     measure_mean_pending_log,
@@ -20,6 +22,7 @@ from mhlogsim.engine import (
     split_seed,
 )
 from mhlogsim.model import CostParams, SimParams
+from mhlogsim.strategies import make_strategy
 from mhlogsim.topology import BS
 from mhlogsim import analytic, engine, experiments, topology
 
@@ -66,8 +69,16 @@ def test_split_seed_documented_formula():
 
 
 class TestEventQueue:
-    """run_simulation's four next-time clocks, one per EventKind, are its
+    """generate_timeline's four next-time clocks, one per EventKind, are its
     event queue: the earliest clock fires, the lower kind first on a tie."""
+
+    @pytest.fixture(autouse=True)
+    def scripted_timelines_stay_here(self):
+        # These tests script the draws; keep their timelines out of the
+        # engine's cache, where a later run with the same key would find them.
+        engine._timelines.clear()
+        yield
+        engine._timelines.clear()
 
     def test_priority_order_for_simultaneous_events(self, monkeypatch):
         # Every gap equal to T_c makes all four kinds fire together.
@@ -192,13 +203,14 @@ def rescan_placement(tree, host, store) -> tuple[int, dict[int, int]]:
             pieces += 1
             kind, idx = frag.site
             region = idx // tree.bss_per_bsc if kind == BS else idx
+            assert frag.region == region, frag
             per_bsc[region] = per_bsc.get(region, 0) + len(frag.entries)
     return pieces, per_bsc
 
 
 class TestPlacementPeaks:
     """The placement peaks come from running tallies; a rescan of the store
-    after every event must give the same maxima."""
+    after every event, each write included, must give the same maxima."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -226,19 +238,39 @@ class TestPlacementPeaks:
         bsc_peaks: dict[int, int] = {}
         engine_make_strategy = engine.make_strategy
 
+        def rescan(tree, host, store):
+            pieces, per_bsc = rescan_placement(tree, host, store)
+            peak[0] = max(peak[0], pieces)
+            for region, n in per_bsc.items():
+                bsc_peaks[region] = max(bsc_peaks.get(region, 0), n)
+
         def rescanning(kind, tree, sp, cp):
             strategy = engine_make_strategy(kind, tree, sp, cp)
-            for hook in ("on_write", "on_handoff", "on_checkpoint", "recover"):
+            for hook in ("on_handoff", "on_checkpoint", "recover"):
                 setattr(strategy, hook, after_each(getattr(strategy, hook), tree))
+            strategy.on_writes = write_by_write(strategy.on_writes, tree)
             return strategy
 
         def after_each(hook, tree):
             def wrapped(host, store, *args):
                 out = hook(host, store, *args)
-                pieces, per_bsc = rescan_placement(tree, host, store)
-                peak[0] = max(peak[0], pieces)
-                for region, n in per_bsc.items():
-                    bsc_peaks[region] = max(bsc_peaks.get(region, 0), n)
+                rescan(tree, host, store)
+                return out
+            return wrapped
+
+        def write_by_write(on_writes, tree):
+            # The kernel hands a strategy whole runs of writes. Replay each
+            # run one write at a time on a copy and rescan after every
+            # write, then let the real store take the run at once.
+            def wrapped(host, store, k):
+                host_copy, store_copy = copy.deepcopy((host, store))
+                for _ in range(k):
+                    on_writes(host_copy, store_copy, 1)
+                    rescan(tree, host_copy, store_copy)
+                out = on_writes(host, store, k)
+                assert rescan_placement(tree, host, store) == rescan_placement(
+                    tree, host_copy, store_copy
+                )
                 return out
             return wrapped
 
@@ -247,6 +279,165 @@ class TestPlacementPeaks:
             stats = run_simulation(cfg, kind, seed)
         assert stats.peak_fragments == peak[0]
         assert stats.bsc_peak_entries == bsc_peaks
+
+
+def reference_run(cfg, kind, seed, trace):
+    """The per-event kernel that the timeline fold replaced, kept here as a
+    reference: four clocks, one dispatch per event, one ``on_write`` per
+    write, and placement peaks read after every event."""
+    sp, tree = cfg.sim, cfg.tree
+    rng = np.random.Generator(np.random.PCG64(seed))
+    strategy = make_strategy(kind, tree, sp, cfg.cost)
+    host = strategy.initial_host()
+    store = strategy.initial_store(host)
+    write_at = sample_exponential(sp.lambda_w, rng) if sp.lambda_w > 0 else math.inf
+    handoff_at = sample_exponential(sp.mu, rng)
+    clocks = [sp.t_c, handoff_at, write_at, sample_exponential(sp.lambda_f, rng)]
+    names = ("CHECKPOINT", "HANDOFF", "WRITE", "FAILURE")
+    count = dict.fromkeys(names, 0)
+    cost = dict.fromkeys(names, 0.0)
+    intra = successes = lost = home = peak = 0
+    retrieval = cost_home = 0.0
+    bsc_peaks: dict[int, int] = {}
+    while True:
+        t = min(clocks)
+        if t > sp.sim_horizon:
+            break
+        ev = clocks.index(t)
+        if ev == 0:
+            delta = strategy.on_checkpoint(host, store, t)
+            clocks[0] = t + sp.t_c
+        elif ev == 1:
+            frm = host.current_cell
+            to = topology.sample_next_cell(tree, frm, rng)
+            intra += topology.bsc_of(tree, frm) == topology.bsc_of(tree, to)
+            delta = strategy.on_handoff(host, store, frm, to, t)
+            clocks[1] = t + sample_exponential(sp.mu, rng)
+        elif ev == 2:
+            delta = strategy.on_write(host, store, t)
+            clocks[2] = t + sample_exponential(sp.lambda_w, rng)
+        else:
+            region = topology.cells_of_bsc(tree, host.current_bsc)
+            if rng.random() < cfg.p_same_region or tree.n_bscs == 1:
+                cells = region
+            else:
+                cells = [c for c in range(tree.n_cells) if c not in region]
+            outcome = strategy.recover(host, store, cells[int(rng.integers(len(cells)))], t)
+            delta = outcome.cost
+            successes += outcome.success
+            retrieval += outcome.retrieval_time
+            lost += outcome.lost_entries
+            if outcome.recovered_in_home_region:
+                cost_home += delta.total
+                home += 1
+            clocks[3] = t + sample_exponential(sp.lambda_f, rng)
+        count[names[ev]] += 1
+        cost[names[ev]] += delta.total
+        trace.append((t, names[ev], delta))
+        peak = max(peak, store.pieces + bool(host.cache))
+        for region, n in store.region_entries.items():
+            bsc_peaks[region] = max(bsc_peaks.get(region, 0), n)
+    failures = count["FAILURE"]
+    return RunStats(
+        handoff_count=count["HANDOFF"],
+        intra_bsc_count=intra,
+        inter_bsc_count=count["HANDOFF"] - intra,
+        write_count=count["WRITE"],
+        checkpoint_count=count["CHECKPOINT"],
+        failure_count=failures,
+        recovery_success_count=successes,
+        total_handoff_cost=cost["HANDOFF"],
+        total_recovery_cost=cost["FAILURE"],
+        total_logging_cost=cost["WRITE"],
+        total_checkpoint_cost=cost["CHECKPOINT"],
+        mean_cost_per_handoff_interval=(
+            cost["HANDOFF"] + cost["FAILURE"] + cost["WRITE"] + cost["CHECKPOINT"]
+        ) / max(1, count["HANDOFF"]),
+        recovery_probability=successes / failures if failures else 1.0,
+        mean_retrieval_time=retrieval / failures if failures else 0.0,
+        peak_fragments=peak,
+        lost_entries=lost,
+        recovery_cost_home_total=cost_home,
+        home_recovery_count=home,
+        bsc_peak_entries=bsc_peaks,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["lazy", "pessimistic", "proposed"]),
+    t_c=st.sampled_from([20.0, 150.0, 1000.0]),
+    mu=st.sampled_from([0.005, 0.05, 0.3]),
+    lambda_w=st.sampled_from([0.0, 0.1, 0.6, 2.0]),
+    lambda_f=st.sampled_from([0.001, 0.02, 0.2]),
+    cache=st.integers(1, 6),
+    shape=st.sampled_from([(1, 1, 2), (1, 3, 3), (2, 2, 2), (1, 2, 4)]),
+    adjacency=st.sampled_from(["ring", "grid"]),
+    p_same_region=st.sampled_from([0.0, 0.8, 1.0]),
+    # Unit costs such as 0.1 are inexact in binary, so a run's cost summed
+    # as k * c would differ from k additions in the last bits.
+    c_1=st.sampled_from([1.0, 0.1, 0.7]),
+    alpha=st.sampled_from([1.0, 0.3]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_fold_equals_per_event_reference(
+    kind, t_c, mu, lambda_w, lambda_f, cache, shape, adjacency, p_same_region, c_1, alpha, seed
+):
+    cfg = sim_config(**{
+        "sim.T_c": t_c, "sim.mu": mu, "sim.lambda_w": lambda_w,
+        "sim.lambda_f": lambda_f, "sim.cache_capacity": cache,
+        "sim.horizon": 1500.0, "topology.msc": shape[0],
+        "topology.bsc_per_msc": shape[1], "topology.bs_per_bsc": shape[2],
+        "topology.adjacency": adjacency, "recovery.p_same_region": p_same_region,
+        "cost.C_1": c_1, "cost.alpha": alpha,
+    })
+    expected_trace: list = []
+    expected = reference_run(cfg, kind, seed, expected_trace)
+    trace: list = []
+    assert run_simulation(cfg, kind, seed, trace=trace) == expected
+    assert trace == expected_trace
+    # The untraced fold takes the same timeline without write times.
+    engine._timelines.clear()
+    assert run_simulation(cfg, kind, seed) == expected
+
+
+class TestTimelineCache:
+    def test_sweep_generates_each_timeline_once(self, monkeypatch):
+        made = []
+        original = engine.generate_timeline
+
+        def counting(cfg, seed, keep_write_times=False):
+            made.append((cfg, seed))
+            timeline = original(cfg, seed, keep_write_times)
+            assert len(engine._timelines) <= 1
+            return timeline
+
+        monkeypatch.setattr(engine, "generate_timeline", counting)
+        cfg = default_config()
+        spec = experiments.figure_spec("fig8", cfg, reps=3, master_seed=5)
+        spec = replace(spec, sweep_values=(50.0, 500.0),
+                       overrides={**spec.overrides, "sim.horizon": 1000.0})
+        rows = experiments.run_figure(spec, cfg)
+        assert len(rows) == 2 * 3
+        assert len(made) == len(set(made)) == 2 * 3
+        assert len(engine._timelines) == 1
+
+    def test_fresh_timeline_gives_the_cached_result(self):
+        cfg = sim_config(**{"sim.horizon": 3000.0})
+        kinds = ("lazy", "pessimistic", "proposed")
+        engine._timelines.clear()
+        shared = [run_simulation(cfg, kind, 77) for kind in kinds]
+        assert len(engine._timelines) == 1
+        for kind, stats in zip(kinds, shared):
+            engine._timelines.clear()
+            assert run_simulation(cfg, kind, 77) == stats
+        # A traced run on a cached timeline without write times makes a
+        # new one with them; the numbers stay the same.
+        assert engine._timelines[cfg, 77].write_times is None
+        trace: list = []
+        assert run_simulation(cfg, "proposed", 77, trace=trace) == shared[2]
+        assert engine._timelines[cfg, 77].write_times is not None
+        assert len(engine._timelines) == 1
 
 
 def count_bsc_of(monkeypatch) -> list[int]:

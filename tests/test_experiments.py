@@ -83,6 +83,10 @@ class TestExperimentSpec:
                 "fig3", "sim.mu", (0.02, 0.01), (StrategyKind.LAZY,), 1, 0, {}
             )
 
+    def test_reps_must_be_positive(self):
+        with pytest.raises(ValueError, match="reps must be >= 1"):
+            ExperimentSpec("fig3", "sim.mu", (0.01,), (StrategyKind.LAZY,), 0, 0, {})
+
     def test_figure_specs_sweep_the_documented_parameter(self):
         cfg = default_config()
         assert figure_spec("fig3", cfg).swept_param == "sim.mu"
@@ -346,3 +350,18 @@ def test_run_figures_script_rejects_unknown_ids_before_running(capsys, tmp_path,
         capsys.readouterr().err
     )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_figures_script_reports_a_bad_config_in_one_line(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("topology.inter_msc_hops = 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    module = load_run_figures()
+    monkeypatch.setattr(sys, "argv", [
+        "run_figures.py", "--config", str(cfg), "--out", str(out), "--figures", "fig3",
+    ])
+    assert module.main() == 1
+    assert capsys.readouterr().err == (
+        "error: topology: inter_msc_bsc_hops must be >= 2, got 1\n"
+    )
+    assert not out.exists()

@@ -1,7 +1,11 @@
+import copy
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mhlogsim.model import CostParams, SimParams
-from mhlogsim.strategies import StrategyStore, make_strategy
+from mhlogsim.strategies import CostDelta, StrategyStore, make_strategy
 from mhlogsim.topology import bs_site, bsc_site, build_topology, mh_site
 
 CP = CostParams()  # r=0.1, C_c=5, C_1=1, C_m=0.5, alpha=rho=1
@@ -277,6 +281,46 @@ class TestLogLocations:
         locs = strat.log_locations(host, store)
         assert len(locs) == m + 1
         assert [site for site, _ in locs] == [bs_site(c) for c in range(m + 1)]
+
+
+class TestOnWrites:
+    """A run of k writes leaves what k single writes leave, costs what they
+    cost, and reports the largest placement count they pass through."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["lazy", "pessimistic", "proposed"]),
+        cap=st.integers(1, 5),
+        ops=st.lists(st.tuples(st.sampled_from("wwhcf"), st.integers(0, 7)), max_size=25),
+        k=st.integers(1, 12),
+    )
+    # Proposed's count peaks inside the run: before its one flush, which
+    # extends the fragment already at the BSC, and after its first flush.
+    @example(kind="proposed", cap=2, ops=[("w", 0), ("w", 0)], k=2)
+    @example(kind="proposed", cap=3, ops=[("w", 0)], k=4)
+    def test_run_equals_single_writes(self, kind, cap, ops, k):
+        tree = build_topology(2, 2, 2, "ring")
+        strat, host, store, _ = setup(kind, tree=tree, cache_capacity=cap)
+        for t, (op, n) in enumerate(ops):
+            if op == "w":
+                strat.on_write(host, store, t)
+            elif op == "h":
+                nbrs = tree.adjacency[host.current_cell]
+                strat.on_handoff(host, store, host.current_cell, nbrs[n % len(nbrs)], t)
+            elif op == "c":
+                strat.on_checkpoint(host, store, t)
+            else:
+                strat.recover(host, store, n, t)
+        one_host, one_store = copy.deepcopy((host, store))
+        deltas, peak = [], 0
+        for _ in range(k):
+            deltas.append(strat.on_write(one_host, one_store, 0.0))
+            peak = max(peak, one_store.pieces + bool(one_host.cache))
+
+        run = strat.on_writes(host, store, k)
+        assert [run.delta if i in run.charged else CostDelta() for i in range(k)] == deltas
+        assert run.peak_pieces == peak
+        assert (host, store) == (one_host, one_store)
 
 
 class TestReplayCompleteness:
