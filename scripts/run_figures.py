@@ -7,20 +7,29 @@ Usage:
 
 Each CSV carries a provenance header with the effective configuration, the
 experiment overrides, and the recovery deadline at every sweep point, so a
-re-run with the same arguments is byte-identical. A config file that does
+re-run with the same arguments is byte-identical. Timings, which differ
+from run to run, go to ``manifest.json`` beside the CSVs instead: each
+figure's wall time, run count and replications, and the Python, numpy and
+scipy versions and core count of the machine. A config file that does
 not parse or validate ends the script with one ``error:`` line and exit
 code 1, as ``mhlogsim`` reports it; an unreadable one with exit code 2.
 """
 
 import argparse
+import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
 
+import numpy
+import scipy
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mhlogsim.config import ConfigError, default_config, parse_config
-from mhlogsim.experiments import FIGURE_IDS, write_figure
+from mhlogsim.experiments import FIGURE_IDS, figure_spec, write_figure
 from mhlogsim.model import ValidationError
 
 
@@ -48,17 +57,34 @@ def main() -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
 
+    manifest = {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "figures": {},
+    }
     any_violations = False
     for figure_id in figure_ids:
-        t0 = time.time()
+        t0 = time.perf_counter()
         path, rows, violations = write_figure(
             figure_id, config, args.out, reps=args.reps, master_seed=args.seed
         )
+        wall_s = time.perf_counter() - t0
+        spec = figure_spec(figure_id, config, reps=args.reps, master_seed=args.seed)
+        manifest["figures"][figure_id] = {
+            "wall_s": wall_s,
+            "runs": len(spec.sweep_values) * len(spec.strategies) * spec.reps,
+            "reps": spec.reps,
+        }
         status = "ok" if not violations else f"{len(violations)} trend violation(s)"
-        print(f"{figure_id}: {len(rows)} rows -> {path}  [{time.time() - t0:.1f}s, {status}]")
+        print(f"{figure_id}: {len(rows)} rows -> {path}  [{wall_s:.1f}s, {status}]")
         for v in violations:
             print(f"  - {v}")
         any_violations = any_violations or bool(violations)
+    manifest_path = Path(args.out) / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    print(f"manifest -> {manifest_path}")
     return 1 if any_violations else 0
 
 

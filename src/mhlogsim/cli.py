@@ -56,6 +56,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
+    for flag, p in (("--p-prop", args.p_prop), ("--p-lazy", args.p_lazy)):
+        # The negated range test also rejects nan.
+        if p is not None and not 0.0 <= p <= 1.0:
+            raise ValidationError([f"{flag} must be a probability in [0, 1], got {p}"])
     config = _load_config(args.config)
     report = analytic.build_report(
         config.sim,

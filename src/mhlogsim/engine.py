@@ -27,10 +27,11 @@ One event of each kind is pending at a time. Simultaneous events dispatch
 by kind priority: checkpoint, handoff, write, failure.
 
 The placement peaks ``peak_fragments`` and ``bsc_peak_entries`` are post-event
-maxima, read from running tallies kept on the strategy's store after each
-non-write event and after each run of writes, whose ``WriteRun`` reports
-the peak inside the run: O(1) placement work per event, however many
-fragments lazy logging leaves.
+maxima. The store keeps each region's peak where its tallies change, so
+``bsc_peak_entries`` is a copy of it; the fold reads only the piece count,
+after each non-write event and after each run of writes, whose ``WriteRun``
+reports the peak inside the run: O(1) placement work per event, however
+many fragments lazy logging leaves.
 
 Replication i of a master seed uses stream seed
 ``master ^ ((0x9E3779B97F4A7C15 * (i + 1)) mod 2^64)``.
@@ -48,14 +49,7 @@ from scipy import stats as sstats
 
 from .model import CostParams, SimParams, derive_quantities, validate_params
 from .strategies import CostDelta, LogStrategy, StrategyKind, make_strategy
-from .topology import (
-    MoveKind,
-    NetworkTree,
-    bsc_of,
-    cells_of_bsc,
-    classify_move,
-    sample_next_cell,
-)
+from .topology import NetworkTree, cells_of_bsc, sample_next_cell
 
 SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # fixed odd multiplier for stream splits
@@ -165,8 +159,11 @@ def generate_timeline(cfg: SimConfig, seed: int, keep_write_times: bool = False)
 
     The host is born in cell 0, where ``LogStrategy.initial_host`` puts it,
     and moves to each handoff's destination and each failure's restart cell.
+    Every cell comes from the adjacency table or a region's cells, so the
+    cell -> BSC table is read without a range check.
     """
     sp, tree = cfg.sim, cfg.tree
+    cell_bsc = tree.cell_bsc
     rng = np.random.Generator(np.random.PCG64(seed & SEED_MASK))
     draw, horizon, lambda_w = sample_exponential, sp.sim_horizon, sp.lambda_w
 
@@ -202,7 +199,7 @@ def generate_timeline(cfg: SimConfig, seed: int, keep_write_times: bool = False)
             checkpoint_at = t + sp.t_c
         elif handoff_at == t:
             to_cell = sample_next_cell(tree, cell, rng)
-            if classify_move(tree, cell, to_cell) is MoveKind.INTRA_BSC:
+            if cell_bsc[cell] == cell_bsc[to_cell]:
                 intra += 1
             else:
                 inter += 1
@@ -210,7 +207,7 @@ def generate_timeline(cfg: SimConfig, seed: int, keep_write_times: bool = False)
             events.append((t, EventKind.HANDOFF, cell))
             handoff_at = t + draw(sp.mu, rng)
         else:
-            cell = _sample_recovery_cell(tree, bsc_of(tree, cell), cfg.p_same_region, rng)
+            cell = _sample_recovery_cell(tree, cell_bsc[cell], cfg.p_same_region, rng)
             events.append((t, EventKind.FAILURE, cell))
             failure_at = t + draw(sp.lambda_f, rng)
     writes.append(k)
@@ -270,16 +267,6 @@ def _fold(
     peak_fragments = 0
     cost_home = 0.0
     home_recoveries = 0
-    bsc_peaks: dict[int, int] = {}
-
-    def observe(pieces: int) -> None:
-        # Post-event only: mid-flush, entries sit in both cache and store.
-        nonlocal peak_fragments
-        if pieces > peak_fragments:
-            peak_fragments = pieces
-        for region, n in store.region_entries.items():
-            if n > bsc_peaks.get(region, 0):
-                bsc_peaks[region] = n
 
     for k, event in zip(timeline.writes, chain(timeline.events, (None,))):
         if k:
@@ -293,8 +280,8 @@ def _fold(
                 for i in range(k):
                     delta = run.delta if i in run.charged else _NO_COST
                     trace.append((next(write_times), "WRITE", delta))
-            # A run's entries only accumulate, so its tallies peak at its end.
-            observe(run.peak_pieces)
+            if run.peak_pieces > peak_fragments:
+                peak_fragments = run.peak_pieces
         if event is None:
             break
         t, ev, cell = event
@@ -319,7 +306,10 @@ def _fold(
                 home_recoveries += 1
         if trace is not None:
             trace.append((t, ev.name, delta))
-        observe(store.pieces + bool(host.cache))
+        # Post-event only: mid-flush, entries sit in both cache and store.
+        pieces = store.pieces + bool(host.cache)
+        if pieces > peak_fragments:
+            peak_fragments = pieces
 
     total_cost = cost_handoff + cost_recovery + cost_logging + cost_checkpoint
     return RunStats(
@@ -342,7 +332,7 @@ def _fold(
         lost_entries=lost_total,
         recovery_cost_home_total=cost_home,
         home_recovery_count=home_recoveries,
-        bsc_peak_entries=bsc_peaks,
+        bsc_peak_entries=dict(store.region_peaks),
     )
 
 

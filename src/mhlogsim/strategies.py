@@ -31,13 +31,12 @@ from .model import CostParams, SimParams
 from .topology import (
     BscId,
     CellId,
-    MoveKind,
     NetworkTree,
     Site,
+    _bsc_gap,
     bs_site,
     bsc_of,
     bsc_site,
-    classify_move,
     hop_distance,
     hops_between,
     mh_site,
@@ -128,6 +127,14 @@ class StrategyStore:
     pointer_chain_length: int = 0  # lazy only
     pieces: int = 0  # running tally of non-empty fragments
     region_entries: dict[BscId, int] = field(default_factory=dict)  # entries per BSC region
+    region_peaks: dict[BscId, int] = field(default_factory=dict)  # most entries each region held
+
+    def add_entries(self, region: BscId, n: int) -> None:
+        """Count ``n`` more entries held in ``region`` and lift its peak."""
+        total = self.region_entries.get(region, 0) + n
+        self.region_entries[region] = total
+        if total > self.region_peaks.get(region, 0):
+            self.region_peaks[region] = total
 
 
 class LogStrategy:
@@ -206,10 +213,15 @@ class LogStrategy:
         to_cell: CellId,
         t: float,
     ) -> CostDelta:
-        move = classify_move(self.tree, from_cell, to_cell)
+        """Move the host to ``to_cell``; the move is intra-BSC when both
+        cells share a region."""
+        if from_cell == to_cell:
+            raise ValueError("not a handoff: from_cell == to_cell")
+        from_bsc = bsc_of(self.tree, from_cell)
+        to_bsc = bsc_of(self.tree, to_cell)
         host.current_cell = to_cell
-        host.current_bsc = bsc_of(self.tree, to_cell)
-        return self._handoff(host, store, from_cell, to_cell, move)
+        host.current_bsc = to_bsc
+        return self._handoff(host, store, from_bsc, to_bsc)
 
     def recover(
         self, host: HostState, store: StrategyStore, recovery_cell: CellId, t: float
@@ -296,13 +308,10 @@ class LogStrategy:
         self._place(store, [])
 
     def _handoff(
-        self,
-        host: HostState,
-        store: StrategyStore,
-        from_cell: CellId,
-        to_cell: CellId,
-        move: MoveKind,
+        self, host: HostState, store: StrategyStore, from_bsc: BscId, to_bsc: BscId
     ) -> CostDelta:
+        """Policy for a move from region ``from_bsc`` to ``to_bsc``; the
+        host already stands in its new cell."""
         raise NotImplementedError
 
     def _locate_log(self, host: HostState, store: StrategyStore, recovery_bsc: BscId) -> CostDelta:
@@ -322,7 +331,7 @@ class LogStrategy:
         if not frag.entries:
             store.pieces += 1
         frag.entries.extend(seqs)
-        store.region_entries[region] = store.region_entries.get(region, 0) + len(seqs)
+        store.add_entries(region, len(seqs))
 
     def _place(self, store: StrategyStore, fragments: list[Fragment]) -> None:
         """Rewrite the whole store, which then holds at most one fragment,
@@ -333,7 +342,7 @@ class LogStrategy:
         for frag in fragments:
             if frag.entries:
                 store.pieces += 1
-                store.region_entries[frag.region] = len(frag.entries)
+                store.add_entries(frag.region, len(frag.entries))
 
 
 class LazyStrategy(LogStrategy):
@@ -341,7 +350,7 @@ class LazyStrategy(LogStrategy):
 
     kind = StrategyKind.LAZY
 
-    def _handoff(self, host, store, from_cell, to_cell, move) -> CostDelta:
+    def _handoff(self, host, store, from_bsc, to_bsc) -> CostDelta:
         # The new BS stores a pointer to the old one; no log data moves.
         store.pointer_chain_length += 1
         return CostDelta(wired_cost=self.cp.c_m, control_msgs=1)
@@ -367,13 +376,13 @@ class PessimisticStrategy(LogStrategy):
     def _reset_fragments(self, host: HostState, store: StrategyStore) -> None:
         self._place(store, [Fragment(bs_site(host.current_cell), host.current_bsc)])
 
-    def _handoff(self, host, store, from_cell, to_cell, move) -> CostDelta:
-        frag = store.fragments[0]
-        n = len(frag.entries)
-        hops = hop_distance(self.tree, bs_site(from_cell), bs_site(to_cell))
+    def _handoff(self, host, store, from_bsc, to_bsc) -> CostDelta:
+        n = len(store.fragments[0].entries)
+        # BS up to its BSC, across to the new BSC, down to the new BS.
+        hops = 2 + _bsc_gap(self.tree, from_bsc, to_bsc)
         cp = self.cp
-        self._place(store, [Fragment(bs_site(to_cell), host.current_bsc, frag.entries)])
-        store.checkpoint_site = bs_site(to_cell)
+        store.checkpoint_site = site = bs_site(host.current_cell)
+        self._move(store, site, to_bsc)
         return CostDelta(
             wired_cost=(n * cp.c_1 + cp.c_c) * cp.rho * hops + cp.c_m,
             control_msgs=1,
@@ -384,13 +393,18 @@ class PessimisticStrategy(LogStrategy):
     def _after_recovery(self, host, store, recovery_cell) -> None:
         # The retrieval already delivered log and checkpoint to the restart
         # BS; they become the durable copy there.
-        if store.fragments:
-            self._place(
-                store,
-                [Fragment(bs_site(recovery_cell), host.current_bsc, store.fragments[0].entries)],
-            )
+        self._move(store, bs_site(recovery_cell), host.current_bsc)
         if store.checkpoint_site is not None:
             store.checkpoint_site = bs_site(recovery_cell)
+
+    def _move(self, store: StrategyStore, site: Site, region: BscId) -> None:
+        """Move the one fragment to ``site`` in ``region``, its entries'
+        region tally with it."""
+        frag = store.fragments[0]
+        if frag.entries:
+            del store.region_entries[frag.region]
+            store.add_entries(region, len(frag.entries))
+        frag.site, frag.region = site, region
 
 
 class ProposedStrategy(LogStrategy):
@@ -428,7 +442,7 @@ class ProposedStrategy(LogStrategy):
     def _flush_cost(self, host: HostState, n: int) -> CostDelta:
         """Cost of moving ``n`` cached entries to the home BSC."""
         cp = self.cp
-        hops = hop_distance(self.tree, bs_site(host.current_cell), bsc_site(host.home_bsc))
+        hops = 1 + _bsc_gap(self.tree, host.current_bsc, host.home_bsc)
         return CostDelta(
             wireless_cost=n * cp.alpha * cp.c_1,
             wired_cost=n * cp.rho * cp.c_1 * hops + cp.c_m,
@@ -447,15 +461,14 @@ class ProposedStrategy(LogStrategy):
         host.cache.clear()
         return delta
 
-    def _handoff(self, host, store, from_cell, to_cell, move) -> CostDelta:
-        if move is MoveKind.INTRA_BSC:
+    def _handoff(self, host, store, from_bsc, to_bsc) -> CostDelta:
+        if from_bsc == to_bsc:
             # The durable log is already at this region's BSC; only the
             # cache moves.
             return self._flush_cache(host, store)
 
         cp = self.cp
         old_home = host.home_bsc
-        new_bsc = host.current_bsc
         # Registration: Connect(MHid, PBSCid) to the new BSC, which then
         # notifies the old home BSC of the host's reachability.
         delta = CostDelta(wired_cost=2 * cp.c_m, control_msgs=2)
@@ -463,11 +476,11 @@ class ProposedStrategy(LogStrategy):
         # The old home BSC transfers its whole fragment plus the checkpoint
         # to the new BSC, which becomes the home.
         n_home = sum(len(f.entries) for f in store.fragments)
-        hops = hop_distance(self.tree, bsc_site(old_home), bsc_site(new_bsc))
+        hops = _bsc_gap(self.tree, old_home, to_bsc)
         delta.wired_cost += (n_home * cp.c_1 + cp.c_c) * cp.rho * hops
         delta.data_items_moved += n_home + 1
         delta.elapsed_transfer_time += (n_home + 1) * cp.r * hops
-        self._rehome(host, store, new_bsc)
+        self._rehome(host, store, to_bsc)
 
         delta.add(self._flush_cache(host, store))
         return delta

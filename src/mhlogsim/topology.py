@@ -12,6 +12,9 @@ fixed by the tree shape:
                               convention for an MSC backbone of diameter 2)
 
 Sites are (kind, index) pairs so log fragments can name their holder.
+A network may hold at most ``MAX_CELLS`` cells, so that building one (in
+time and memory linear in its cells) stays bounded for every accepted
+config.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 
 CellId = int
 BscId = int
-MscId = int
 
 # Site kinds used across the strategy layer.
 BS = "bs"
@@ -32,6 +34,8 @@ BSC = "bsc"
 MH = "mh"
 
 Site = tuple[str, int]
+
+MAX_CELLS = 1_000_000
 
 
 def bs_site(cell: CellId) -> Site:
@@ -114,6 +118,8 @@ def build_topology(
     n = msc_count * bscs_per_msc * bss_per_bsc
     if n < 2:
         raise ValueError("topology must contain at least 2 cells for mobility")
+    if n > MAX_CELLS:
+        raise ValueError(f"topology has {n} cells, more than MAX_CELLS ({MAX_CELLS})")
     if inter_msc_bsc_hops < 2:
         raise ValueError(f"inter_msc_bsc_hops must be >= 2, got {inter_msc_bsc_hops}")
     if adjacency_kind == "ring":
@@ -140,21 +146,17 @@ def bsc_of(tree: NetworkTree, cell: CellId) -> BscId:
     return tree.cell_bsc[cell]
 
 
-def msc_of_bsc(tree: NetworkTree, bsc: BscId) -> MscId:
-    if not 0 <= bsc < tree.n_bscs:
-        raise ValueError(f"unknown BSC {bsc}")
-    return bsc // tree.bscs_per_msc
-
-
 def cells_of_bsc(tree: NetworkTree, bsc: BscId) -> list[CellId]:
     start = bsc * tree.bss_per_bsc
     return list(range(start, start + tree.bss_per_bsc))
 
 
 def _bsc_gap(tree: NetworkTree, a: BscId, b: BscId) -> int:
+    """Wired hops between two known BSCs: 0, 2 under one MSC, else the
+    inter-MSC count."""
     if a == b:
         return 0
-    if msc_of_bsc(tree, a) == msc_of_bsc(tree, b):
+    if a // tree.bscs_per_msc == b // tree.bscs_per_msc:
         return 2
     return tree.inter_msc_bsc_hops
 
@@ -165,6 +167,8 @@ def region_of(tree: NetworkTree, site: Site) -> BscId:
     if kind == BS:
         return bsc_of(tree, idx)
     if kind == BSC:
+        if not 0 <= idx < tree.n_bscs:
+            raise ValueError(f"unknown BSC {idx}")
         return idx
     raise ValueError(f"not a BS or BSC site: {site}")
 

@@ -1,6 +1,6 @@
 import pytest
 
-from mhlogsim import cli
+from mhlogsim import cli, topology
 from mhlogsim.config import ConfigError, default_config, parse_config
 from mhlogsim.model import MAX_EXPECTED_EVENTS, ValidationError, default_recovery_deadline
 from mhlogsim.strategies import StrategyKind
@@ -108,6 +108,41 @@ class TestEventBudget:
         }).sim
         expected = sp.sim_horizon * (sp.lambda_w + sp.mu + sp.lambda_f + 1.0 / sp.t_c)
         assert 30_000 < expected < MAX_EXPECTED_EVENTS / 10
+
+
+class TestTopologySizeBudget:
+    """msc * bsc_per_msc * bs_per_bsc may not exceed topology.MAX_CELLS.
+    The adjacency builders are stubbed out, so no large tree is built: a
+    config under the cap reaches them, one over it is rejected first."""
+
+    class Built(Exception):
+        pass
+
+    @pytest.fixture(autouse=True)
+    def no_adjacency(self, monkeypatch):
+        def stub(n):
+            raise self.Built(n)
+
+        monkeypatch.setattr(topology, "_ring_adjacency", stub)
+        monkeypatch.setattr(topology, "_grid_adjacency", stub)
+
+    @staticmethod
+    def cells_at(tmp_path, fraction: float):
+        bscs = round(fraction * topology.MAX_CELLS / 1000)
+        text = f"topology.bsc_per_msc = {bscs}\ntopology.bs_per_bsc = 1000\n"
+        return write(tmp_path, text), bscs * 1000
+
+    def test_just_under_the_cap_is_built(self, tmp_path):
+        path, cells = self.cells_at(tmp_path, 0.999)
+        with pytest.raises(self.Built, match=f"^{cells}$"):
+            parse_config(path)
+
+    def test_just_over_the_cap_is_rejected_before_building(self, tmp_path):
+        path, cells = self.cells_at(tmp_path, 1.001)
+        with pytest.raises(ValidationError, match=f"^topology: topology has {cells} cells, "
+                                                   r"more than MAX_CELLS \(1000000\)$"):
+            parse_config(path)
+        assert cli.main(["analytic", "--config", str(path)]) == 1
 
 
 class TestDeadlineCalibration:

@@ -1,6 +1,5 @@
 import copy
 import math
-import sys
 import warnings
 from dataclasses import replace
 
@@ -440,35 +439,20 @@ class TestTimelineCache:
         assert len(engine._timelines) == 1
 
 
-def count_bsc_of(monkeypatch) -> list[int]:
-    """Route every mhlogsim binding of ``topology.bsc_of`` through a counter."""
-    calls = [0]
-    original = topology.bsc_of
-
-    def counting(tree, cell):
-        calls[0] += 1
-        return original(tree, cell)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("mhlogsim") and getattr(module, "bsc_of", None) is original:
-            monkeypatch.setattr(module, "bsc_of", counting)
-    return calls
-
-
-def test_bsc_of_calls_per_event_do_not_grow_with_the_log(monkeypatch):
+def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls):
     # Lazy keeps ~mu * T_c fragments between purges: about 3 at T_c=50 and
     # well over 100 at T_c=4000. Placement work per event must not follow.
-    calls = count_bsc_of(monkeypatch)
+    calls = count_calls("bsc_of")
     per_event = {}
     for t_c in (50.0, 4000.0):
         cfg = sim_config(**{
             "sim.T_c": t_c, "sim.mu": 0.1, "sim.lambda_w": 0.1, "sim.horizon": 20000.0,
         })
-        calls[0] = 0
+        calls.clear()
         stats = run_simulation(cfg, "lazy", 12345)
         events = (stats.write_count + stats.handoff_count
                   + stats.checkpoint_count + stats.failure_count)
-        per_event[t_c] = calls[0] / events
+        per_event[t_c] = calls["bsc_of"] / events
     assert stats.peak_fragments > 100
     assert per_event[4000.0] <= 1.5 * per_event[50.0], per_event
 

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +22,7 @@ from mhlogsim.experiments import (
     run_figure,
 )
 from mhlogsim.strategies import StrategyKind
-from mhlogsim import cli, experiments
+from mhlogsim import analytic, cli, experiments
 
 
 def load_run_figures():
@@ -238,6 +240,28 @@ class TestCli:
         assert cli.main(["crosscheck", "--intervals", "20000"]) == 0
         assert "p02" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args, message", [
+        (["--p-prop", "2", "--p-lazy", "0.5"],
+         "--p-prop must be a probability in [0, 1], got 2.0"),
+        (["--p-prop", "nan", "--p-lazy", "0.5"],
+         "--p-prop must be a probability in [0, 1], got nan"),
+        (["--p-prop", "0.5", "--p-lazy=-inf"],
+         "--p-lazy must be a probability in [0, 1], got -inf"),
+    ], ids=["above_one", "nan", "minus_inf"])
+    def test_analytic_rejects_a_non_probability(self, capsys, args, message):
+        assert cli.main(["analytic", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_analytic_prints_the_ratio_of_probabilities(self, capsys):
+        assert cli.main(["analytic", "--p-prop", "0.9", "--p-lazy", "0.5"]) == 0
+        frcr = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("frcr ")]
+        cfg = default_config()
+        expected = analytic.build_report(cfg.sim, cfg.cost, p_prop=0.9, p_lazy=0.5).frcr
+        assert len(frcr) == 1
+        assert float(frcr[0].split()[1]) == pytest.approx(expected)
+
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("sim.mu = -2\n", encoding="utf-8")
@@ -350,6 +374,29 @@ def test_run_figures_script_rejects_unknown_ids_before_running(capsys, tmp_path,
         capsys.readouterr().err
     )
     assert list(tmp_path.iterdir()) == []
+
+
+def test_run_figures_script_writes_a_manifest(tmp_path, monkeypatch):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("sim.horizon = 500\n", encoding="utf-8")
+    out = tmp_path / "out"
+    module = load_run_figures()
+    monkeypatch.setattr(sys, "argv", [
+        "run_figures.py", "--config", str(cfg), "--out", str(out), "--reps", "2",
+        "--figures", "fig8",
+    ])
+    module.main()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest) == {"python", "numpy", "scipy", "cpu_count", "figures"}
+    assert manifest["cpu_count"] == os.cpu_count()
+    fig8 = manifest["figures"]["fig8"]
+    assert set(fig8) == {"wall_s", "runs", "reps"}
+    # Six sweep points, proposed and lazy, two replications each.
+    assert (fig8["runs"], fig8["reps"]) == (6 * 2 * 2, 2)
+    assert fig8["wall_s"] > 0
+    # Timings stay out of the CSV.
+    assert "wall" not in (out / "fig8.csv").read_text(encoding="utf-8")
+    assert sorted(p.name for p in out.iterdir()) == ["fig8.csv", "manifest.json"]
 
 
 def test_run_figures_script_reports_a_bad_config_in_one_line(capsys, tmp_path, monkeypatch):

@@ -166,6 +166,32 @@ class TestOnHandoff:
             assert all(b >= a for a, b in zip(totals, totals[1:])), kind
 
 
+class TestHandoffLookups:
+    """A handoff prices its hops from the two regions it looks up, one BSC
+    lookup per side, whatever the strategy holds."""
+
+    @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
+    @pytest.mark.parametrize("move", [(0, 1), (1, 2)], ids=["intra_bsc", "inter_bsc"])
+    def test_one_bsc_lookup_per_side(self, count_calls, kind, move):
+        from_cell, to_cell = move
+        strat, host, store, _ = setup(kind, cache_capacity=4)
+        for _ in range(6):  # proposed: one flush to the BSC and two cached
+            strat.on_write(host, store, 1.0)
+        calls = count_calls("bsc_of", "classify_move", "hop_distance")
+        strat.on_handoff(host, store, from_cell, to_cell, 2.0)
+        assert calls["bsc_of"] <= 2
+        assert calls["classify_move"] == 0
+        assert calls["hop_distance"] == 0
+
+    @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
+    def test_bad_moves_still_raise(self, kind):
+        strat, host, store, _ = setup(kind)
+        with pytest.raises(ValueError, match="not a handoff"):
+            strat.on_handoff(host, store, 1, 1, 2.0)
+        with pytest.raises(ValueError, match="unknown cell 99"):
+            strat.on_handoff(host, store, 0, 99, 2.0)
+
+
 class TestRecover:
     def test_empty_log_fetches_checkpoint_only(self):
         for kind in ("lazy", "pessimistic", "proposed"):

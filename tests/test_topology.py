@@ -101,6 +101,12 @@ class TestHopDistance:
         with pytest.raises(ValueError, match="not a BS or BSC site"):
             hop_distance(self.tree, bs_site(0), mh_site(0))
 
+    def test_unknown_bsc(self):
+        with pytest.raises(ValueError, match="unknown BSC 99"):
+            hop_distance(self.tree, bsc_site(99), bs_site(0))
+        with pytest.raises(ValueError, match="unknown BSC -1"):
+            region_of(self.tree, bsc_site(-1))
+
     @given(st.data())
     @settings(max_examples=200)
     def test_metric_properties_over_random_trees(self, data):
