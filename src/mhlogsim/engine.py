@@ -2,7 +2,11 @@
 
 Every stochastic choice in a run comes from one PCG64 stream seeded with a
 64-bit integer, so identical (config, strategy, seed) triples reproduce
-identical RunStats bit for bit. Strategies never touch the stream, and the
+identical RunStats bit for bit. ``PCG64Stream`` reads that stream as raw
+words, 512 at a time, and decodes them exactly as ``Generator.random`` and
+``Generator.integers`` do, so a run draws the same numbers as scalar
+``np.random.Generator(np.random.PCG64(seed))`` calls without numpy's
+per-call cost. Strategies never touch the stream, and the
 host's cell follows the same handoffs and restarts under each of them, so
 the event sequence depends on the config and the seed alone.
 
@@ -21,6 +25,8 @@ Draw order, fixed for reproducibility:
   at start     next write, next handoff, next failure (in that order)
   handoff      destination cell, then the next handoff gap
   failure      restart region, restart cell, then the next failure gap
+               (a foreign restart draws an index among the cells outside
+               the failure region, which skips that region's contiguous block)
   write/ckpt   the next gap only (checkpoints are a deterministic timer)
 
 One event of each kind is pending at a time. Simultaneous events dispatch
@@ -40,16 +46,18 @@ Replication i of a master seed uses stream seed
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 from scipy import stats as sstats
 
 from .model import CostParams, SimParams, derive_quantities, validate_params
 from .strategies import CostDelta, LogStrategy, StrategyKind, make_strategy
-from .topology import NetworkTree, cells_of_bsc, sample_next_cell
+from .topology import NetworkTree, UniformDraws, sample_next_cell
 
 SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # fixed odd multiplier for stream splits
@@ -69,12 +77,63 @@ def split_seed(master_seed: int, index: int) -> int:
     return (master_seed ^ ((_SPLIT_MULTIPLIER * (index + 1)) & SEED_MASK)) & SEED_MASK
 
 
-def sample_exponential(rate: float, rng: np.random.Generator) -> float:
+def sample_exponential(rate: float, rng: UniformDraws) -> float:
     """Inverse-transform exponential draw: -ln(u)/rate with u in (0, 1]."""
     if rate <= 0:
         raise ValueError("rate must be > 0")
     u = 1.0 - rng.random()
     return -math.log(u) / rate
+
+
+_BLOCK = 512  # raw words per refill: 4 KiB
+
+
+def _decoded_words(bits: np.random.PCG64) -> Iterator[zip]:
+    """Blocks of raw words from ``bits``, each word as (double, low 32 bits,
+    high 32 bits); the double is ``Generator.random``'s top 53 bits * 2**-53."""
+    while True:
+        raw = bits.random_raw(_BLOCK)
+        yield zip(
+            ((raw >> 11) * 2.0**-53).tolist(), (raw & 0xFFFFFFFF).tolist(), (raw >> 32).tolist()
+        )
+
+
+class PCG64Stream:
+    """The draws ``np.random.Generator(np.random.PCG64(seed))`` makes for
+    ``random()`` and ``integers(n)``, decoded from raw words read in blocks,
+    without numpy's per-call cost.
+
+    ``random()`` takes one word. ``integers(n)`` draws nothing for n == 1,
+    and otherwise is Lemire's method on 32-bit draws, each the low half of
+    a new word or the high half the previous one left buffered. ``random()``
+    neither reads nor clears the buffered half, as in numpy's PCG64.
+    """
+
+    __slots__ = ("random", "_word", "_half")
+
+    def __init__(self, seed: int):
+        words = chain.from_iterable(_decoded_words(np.random.PCG64(seed)))
+        self.random = map(itemgetter(0), words).__next__
+        self._word = words.__next__
+        self._half: int | None = None
+
+    def integers(self, n: int) -> int:
+        """Uniform integer in [0, n), for 1 <= n <= 2**32: ``x * n >> 32``
+        for the first 32-bit draw x whose ``x * n mod 2**32`` is at least
+        ``2**32 mod n``."""
+        if not 1 < n <= 1 << 32:
+            if n == 1:
+                return 0
+            raise ValueError(f"integers needs 1 <= n <= 2**32, got {n}")
+        threshold = (1 << 32) % n
+        while True:
+            if self._half is None:
+                _, x, self._half = self._word()
+            else:
+                x, self._half = self._half, None
+            m = x * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
 
 
 @dataclass(frozen=True)
@@ -119,19 +178,19 @@ SUMMARY_FIELDS: tuple[str, ...] = tuple(
 
 
 def _sample_recovery_cell(
-    tree: NetworkTree, region_bsc: int, p_same_region: float, rng: np.random.Generator
+    tree: NetworkTree, region_bsc: int, p_same_region: float, rng: UniformDraws
 ) -> int:
     """Restart cell: uniform within the failure-time region with probability
-    p_same_region, else uniform over foreign cells. Single-region networks
-    always restart in-region."""
+    p_same_region, else uniform over foreign cells, whose ascending order
+    skips the region's contiguous block. Single-region networks always
+    restart in-region."""
     same = rng.random() < p_same_region
-    region = cells_of_bsc(tree, region_bsc)
+    size = tree.bss_per_bsc
+    start = region_bsc * size
     if same or tree.n_bscs == 1:
-        cells = region
-    else:
-        in_region = set(region)
-        cells = [c for c in range(tree.n_cells) if c not in in_region]
-    return cells[int(rng.integers(len(cells)))]
+        return start + int(rng.integers(size))
+    j = int(rng.integers(tree.n_cells - size))
+    return j if j < start else j + size
 
 
 @dataclass(frozen=True)
@@ -164,7 +223,7 @@ def generate_timeline(cfg: SimConfig, seed: int, keep_write_times: bool = False)
     """
     sp, tree = cfg.sim, cfg.tree
     cell_bsc = tree.cell_bsc
-    rng = np.random.Generator(np.random.PCG64(seed & SEED_MASK))
+    rng = PCG64Stream(seed & SEED_MASK)
     draw, horizon, lambda_w = sample_exponential, sp.sim_horizon, sp.lambda_w
 
     # The write clock of a host that never writes reads inf and never fires.

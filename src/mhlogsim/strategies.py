@@ -157,7 +157,7 @@ class LogStrategy:
         """Seed checkpoint 0 at the host's birth site at zero cost: the
         initial application state is registered where the transaction
         starts, so recovery always has a durable baseline."""
-        store = StrategyStore(checkpoint_site=self._checkpoint_site(host))
+        store = StrategyStore(checkpoint_site=self._checkpoint_site(host)[0])
         self._reset_fragments(host, store)
         return store
 
@@ -191,8 +191,8 @@ class LogStrategy:
         older than the new checkpoint, and lazy's pointer chain resets with
         them since the pointers only locate purged fragments.
         """
-        site = self._checkpoint_site(host)
-        hops = hop_distance(self.tree, bs_site(host.current_cell), site)
+        site, region = self._checkpoint_site(host)
+        hops = hops_between(self.tree, bs_site(host.current_cell), host.current_bsc, site, region)
         delta = CostDelta(
             wireless_cost=self.cp.alpha * self.cp.c_c,
             wired_cost=self.cp.rho * self.cp.c_c * hops,
@@ -301,8 +301,9 @@ class LogStrategy:
 
     # -- policy hooks ---------------------------------------------------
 
-    def _checkpoint_site(self, host: HostState) -> Site:
-        return bs_site(host.current_cell)
+    def _checkpoint_site(self, host: HostState) -> tuple[Site, BscId]:
+        """Where the host's next checkpoint is kept, and that site's region."""
+        return bs_site(host.current_cell), host.current_bsc
 
     def _reset_fragments(self, host: HostState, store: StrategyStore) -> None:
         self._place(store, [])
@@ -412,8 +413,8 @@ class ProposedStrategy(LogStrategy):
 
     kind = StrategyKind.PROPOSED
 
-    def _checkpoint_site(self, host: HostState) -> Site:
-        return bsc_site(host.home_bsc)
+    def _checkpoint_site(self, host: HostState) -> tuple[Site, BscId]:
+        return bsc_site(host.home_bsc), host.home_bsc
 
     def on_writes(self, host: HostState, store: StrategyStore, k: int) -> WriteRun:
         """Each write joins the cache, and the write that fills it flushes

@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import Protocol
 
 CellId = int
 BscId = int
@@ -36,6 +35,14 @@ MH = "mh"
 Site = tuple[str, int]
 
 MAX_CELLS = 1_000_000
+
+
+class UniformDraws(Protocol):
+    """``np.random.Generator`` or ``engine.PCG64Stream``."""
+
+    def random(self) -> float: ...
+
+    def integers(self, n: int) -> int: ...
 
 
 def bs_site(cell: CellId) -> Site:
@@ -188,7 +195,7 @@ def hops_between(tree: NetworkTree, a: Site, a_region: BscId, b: Site, b_region:
     return (a[0] == BS) + (b[0] == BS) + _bsc_gap(tree, a_region, b_region)
 
 
-def sample_next_cell(tree: NetworkTree, current: CellId, rng: np.random.Generator) -> CellId:
+def sample_next_cell(tree: NetworkTree, current: CellId, rng: UniformDraws) -> CellId:
     """Uniformly random neighbor of ``current``; deterministic per stream."""
     nbrs = tree.adjacency[current]
     return nbrs[int(rng.integers(len(nbrs)))]

@@ -1,15 +1,17 @@
 import copy
 import math
+import time
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mhlogsim.config import default_config
 from mhlogsim.engine import (
+    PCG64Stream,
     RunStats,
     SimConfig,
     estimate_transition_probs,
@@ -27,13 +29,18 @@ from mhlogsim import analytic, engine, experiments, topology
 
 
 class FakeRng:
-    """Returns a scripted uniform value so draws can be pinned."""
+    """Returns a scripted uniform value and bounded integer so draws can be
+    pinned."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, value, index=0):
+        self.value, self.index = value, index
 
     def random(self):
         return self.value
+
+    def integers(self, n):
+        assert 0 <= self.index < n
+        return self.index
 
 
 def sim_config(**overrides) -> SimConfig:
@@ -58,6 +65,46 @@ class TestSampleExponential:
         n = 100_000
         mean = sum(sample_exponential(0.01, rng) for _ in range(n)) / n
         assert abs(mean - 100.0) / 100.0 < 0.02
+
+
+# integers(n) bounds: no draw at 1, then Lemire's method, whose rejection
+# fires on about half the draws just above 2**31.
+STREAM_BOUNDS = (1, 2, 3, 4, 7, 1000, topology.MAX_CELLS, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32)
+
+
+class TestPCG64Stream:
+    """The timeline's stream must give exactly what scalar
+    ``Generator.random()`` and ``Generator.integers(n)`` calls give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        lead=st.integers(0, engine._BLOCK),
+        ops=st.lists(st.sampled_from((None,) + STREAM_BOUNDS), min_size=1, max_size=8),
+    )
+    @example(seed=1, lead=0, ops=[2**31 + 1])
+    @example(seed=2, lead=engine._BLOCK - 1, ops=[2, 2**32])
+    def test_mixed_draws_equal_generator(self, seed, lead, ops):
+        """``lead`` random() calls, then ``ops`` (None is a random() call,
+        n an integers(n) call) with a random() after each pass, repeated
+        until more than two blocks of raw words have been read."""
+        ours = PCG64Stream(seed)
+        theirs = np.random.Generator(np.random.PCG64(seed))
+        for _ in range(lead):
+            assert ours.random() == theirs.random()
+        randoms = lead
+        while randoms <= 2 * engine._BLOCK:
+            for n in ops + [None]:
+                if n is None:
+                    assert ours.random() == theirs.random()
+                    randoms += 1
+                else:
+                    assert ours.integers(n) == int(theirs.integers(n))
+
+    @pytest.mark.parametrize("n", [0, 2**32 + 1])
+    def test_rejects_bounds_outside_32_bits(self, n):
+        with pytest.raises(ValueError):
+            PCG64Stream(0).integers(n)
 
 
 def test_split_seed_documented_formula():
@@ -455,6 +502,36 @@ def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls):
         per_event[t_c] = calls["bsc_of"] / events
     assert stats.peak_fragments > 100
     assert per_event[4000.0] <= 1.5 * per_event[50.0], per_event
+
+
+class TestRecoveryCell:
+    @pytest.mark.parametrize("shape", [(1, 2, 1), (1, 3, 3), (2, 2, 2), (1, 2, 4), (3, 2, 5)])
+    def test_foreign_index_skips_the_region_block(self, shape):
+        tree = topology.build_topology(*shape)
+        size = tree.bss_per_bsc
+        for region in range(tree.n_bscs):
+            foreign = [c for c in range(tree.n_cells) if c // size != region]
+            for j, cell in enumerate(foreign):
+                # u = 1 is never below p_same_region = 1: a foreign restart.
+                assert engine._sample_recovery_cell(tree, region, 1.0, FakeRng(1.0, j)) == cell
+            for j in range(size):
+                drawn = engine._sample_recovery_cell(tree, region, 1.0, FakeRng(0.5, j))
+                assert drawn == region * size + j
+
+    def test_large_ring_with_foreign_restarts_finishes(self):
+        cfg = sim_config(**{
+            "topology.msc": 1, "topology.bsc_per_msc": 1000, "topology.bs_per_bsc": 200,
+            "recovery.p_same_region": 0.0, "sim.lambda_f": 1.0, "sim.mu": 1.0,
+            "sim.horizon": 2000.0,
+        })
+        assert cfg.tree.n_cells == 200_000
+        t0 = time.perf_counter()
+        stats = run_simulation(cfg, "proposed", 5)
+        # About 2,000 restarts, none in the failure region; listing the
+        # foreign cells for each would take tens of seconds.
+        assert stats.failure_count > 1500
+        assert stats.home_recovery_count == 0
+        assert time.perf_counter() - t0 < 10.0
 
 
 class TestEmptySamples:

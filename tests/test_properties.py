@@ -1,0 +1,92 @@
+"""Properties every config that validation accepts must have, drawn over
+every ``config.CONFIG_KEYS`` entry within its bounds at a short horizon."""
+
+import math
+from dataclasses import fields
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mhlogsim.config import CONFIG_KEYS, default_config
+from mhlogsim.engine import RunStats, SimConfig, run_simulation
+
+KINDS = ("lazy", "pessimistic", "proposed")
+EVENT_FIELDS = {  # trace kind -> (RunStats count, RunStats total cost)
+    "WRITE": ("write_count", "total_logging_cost"),
+    "HANDOFF": ("handoff_count", "total_handoff_cost"),
+    "CHECKPOINT": ("checkpoint_count", "total_checkpoint_cost"),
+    "FAILURE": ("failure_count", "total_recovery_cost"),
+}
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+POSITIVE = floats(1e-3, 2.0)
+COST = floats(0.0, 10.0)
+
+# Rates and T_c are capped so that a run stays within a few thousand events.
+VALUES = {
+    "sim.lambda_f": floats(1e-4, 1.0),
+    "sim.lambda_w": st.one_of(st.just(0.0), floats(0.0, 4.0)),
+    "sim.mu": POSITIVE,
+    "sim.T_c": floats(0.5, 2000.0),
+    "sim.cache_capacity": st.integers(1, 64),
+    "sim.horizon": floats(1.0, 400.0),
+    "sim.seed": st.integers(0, 2**64 - 1),
+    "sim.replications": st.integers(1, 100),
+    "cost.r": POSITIVE,
+    "cost.C_c": COST,
+    "cost.C_1": COST,
+    "cost.C_m": COST,
+    "cost.alpha": COST,
+    "cost.rho": COST,
+    "cost.T_load_ckpt": COST,
+    "cost.T_load_log": COST,
+    "cost.C_p": COST,
+    "topology.msc": st.integers(1, 3),
+    "topology.bsc_per_msc": st.integers(1, 4),
+    "topology.bs_per_bsc": st.integers(1, 6),
+    "topology.adjacency": st.sampled_from(["ring", "grid"]),
+    "topology.inter_msc_hops": st.integers(2, 8),
+    "strategy": st.sampled_from(KINDS),
+    "recovery.deadline": st.one_of(st.just("auto"), floats(1e-3, 1e4)),
+    "recovery.p_same_region": floats(0.0, 1.0),
+    "frcr.erratum_bound": st.booleans(),
+}
+
+
+def test_every_config_key_is_drawn():
+    assert set(VALUES) == set(CONFIG_KEYS)
+
+
+def fold(trace):
+    out = {kind: [0, 0.0] for kind in EVENT_FIELDS}
+    for _, kind, delta in trace:
+        out[kind][0] += 1
+        out[kind][1] += delta.total
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.fixed_dictionaries(VALUES))
+def test_accepted_configs_run_finite_conserved_and_paired(values):
+    assume(values["topology.msc"] * values["topology.bsc_per_msc"] * values["topology.bs_per_bsc"] >= 2)
+    cfg = default_config().with_overrides(values)
+    sim_cfg = SimConfig(cfg.sim, cfg.cost, cfg.tree, cfg.p_same_region)
+    counts = set()
+    for kind in KINDS:
+        trace: list = []
+        stats = run_simulation(sim_cfg, kind, cfg.sim.seed, trace=trace)
+        for f in fields(RunStats):
+            value = getattr(stats, f.name)
+            assert all(map(math.isfinite, value.values() if isinstance(value, dict) else [value])), f.name
+        # Costs are summed in dispatch order from 0.0, as the fold sums them.
+        for kind_name, (n, cost) in fold(trace).items():
+            count_field, cost_field = EVENT_FIELDS[kind_name]
+            assert n == getattr(stats, count_field), (kind, kind_name)
+            assert cost == getattr(stats, cost_field), (kind, kind_name)
+        counts.add(tuple(getattr(stats, count) for count, _ in EVENT_FIELDS.values())
+                   + (stats.intra_bsc_count, stats.inter_bsc_count))
+    assert len(counts) == 1

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import CostDelta, StrategyStore, make_strategy
-from mhlogsim.topology import bs_site, bsc_site, build_topology, mh_site
+from mhlogsim.topology import bs_site, bsc_site, build_topology, hop_distance, mh_site, region_of
 
 CP = CostParams()  # r=0.1, C_c=5, C_1=1, C_m=0.5, alpha=rho=1
 
@@ -190,6 +190,28 @@ class TestHandoffLookups:
             strat.on_handoff(host, store, 1, 1, 2.0)
         with pytest.raises(ValueError, match="unknown cell 99"):
             strat.on_handoff(host, store, 0, 99, 2.0)
+
+
+class TestCheckpointLookups:
+    """A checkpoint prices its hops from the regions the host already
+    holds: the current cell's and, for proposed, the home BSC's."""
+
+    @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
+    def test_no_topology_lookups(self, count_calls, kind):
+        strat, host, store, tree = setup(kind, cache_capacity=4)
+        for _ in range(6):
+            strat.on_write(host, store, 1.0)
+        strat.on_handoff(host, store, 0, 2, 2.0)  # into the second region
+        site, region = strat._checkpoint_site(host)
+        hops = hop_distance(tree, bs_site(host.current_cell), site)
+        assert region_of(tree, site) == region
+        calls = count_calls("bsc_of", "hop_distance")
+        delta = strat.on_checkpoint(host, store, 3.0)
+        assert calls["bsc_of"] == 0
+        assert calls["hop_distance"] == 0
+        assert hops == (1 if kind == "proposed" else 0)
+        assert delta.wired_cost == CP.rho * CP.c_c * hops
+        assert delta.elapsed_transfer_time == 1.0 + CP.r * hops
 
 
 class TestRecover:
