@@ -18,7 +18,7 @@ import sys
 
 from . import analytic
 from .config import Config, ConfigError, default_config, parse_config
-from .engine import SimConfig, replicate
+from .engine import replicate
 from .experiments import FIGURE_IDS, crosscheck_analytic, write_figure
 from .model import ValidationError
 from .strategies import StrategyKind
@@ -41,13 +41,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     strategy = StrategyKind(args.strategy) if args.strategy else config.strategy
     seed = args.seed if args.seed is not None else config.sim.seed
-    sim_cfg = SimConfig(
-        sim=config.sim,
-        cost=config.cost,
-        tree=config.build_tree(),
-        p_same_region=config.p_same_region,
-    )
-    runs, summary = replicate(sim_cfg, strategy, seed, config.sim.replications)
+    runs, summary = replicate(config, strategy, seed, config.sim.replications)
     print(f"strategy {strategy.value}, seed {seed}, replications {len(runs)}")
     width = max(len(name) for name in summary)
     for name, (mean, lo, hi) in summary.items():

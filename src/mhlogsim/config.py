@@ -83,7 +83,6 @@ class Config:
     strategy: StrategyKind
     p_same_region: float
     frcr_erratum_bound: bool
-    deadline_is_auto: bool
     raw: tuple[tuple[str, str], ...]  # every effective key=value, sorted
     warnings: tuple[str, ...]  # model-regime warnings from validate_params
 
@@ -121,7 +120,6 @@ def _build_config(values: dict[str, object]) -> Config:
     merged.update(values)
 
     deadline = merged["recovery.deadline"]
-    deadline_is_auto = deadline == "auto"
 
     sim = SimParams(
         lambda_f=float(merged["sim.lambda_f"]),
@@ -145,7 +143,7 @@ def _build_config(values: dict[str, object]) -> Config:
         t_load_log=float(merged["cost.T_load_log"]),
         c_p=float(merged["cost.C_p"]),
     )
-    if deadline_is_auto:
+    if deadline == "auto":
         sim = replace(sim, recovery_deadline=default_recovery_deadline(sim, cost))
     else:
         sim = replace(sim, recovery_deadline=float(deadline))
@@ -185,7 +183,6 @@ def _build_config(values: dict[str, object]) -> Config:
         strategy=strategy,
         p_same_region=p_same,
         frcr_erratum_bound=bool(merged["frcr.erratum_bound"]),
-        deadline_is_auto=deadline_is_auto,
         raw=raw,
         warnings=warnings,
     )

@@ -14,11 +14,11 @@ The kernel is therefore two steps. ``generate_timeline`` runs the event
 clocks once and records the non-write events (time, kind, cell) and the
 number of writes before each. A fold then applies one strategy to that
 record, handing it each run of writes between two other events at once
-(``LogStrategy.on_writes``). ``run_simulation`` keeps the last timeline,
-keyed by (config, seed), so the strategies of one replication share one
-timeline object: the pairing of common random numbers holds by
-construction, and the clocks run once per replication, not once per
-strategy.
+(``LogStrategy.on_writes``). ``run_simulation`` keeps the last timeline
+with the ``Config`` object and the seed it was made for, so the strategies
+of one replication share one timeline object: the pairing of common random
+numbers holds by construction, and the clocks run once per replication,
+not once per strategy.
 
 Draw order, fixed for reproducibility:
 
@@ -30,7 +30,8 @@ Draw order, fixed for reproducibility:
   write/ckpt   the next gap only (checkpoints are a deterministic timer)
 
 One event of each kind is pending at a time. Simultaneous events dispatch
-by kind priority: checkpoint, handoff, write, failure.
+by kind priority: checkpoint, handoff, write, failure. The trace names the
+kinds "CHECKPOINT", "HANDOFF", "WRITE" and "FAILURE".
 
 The placement peaks ``peak_fragments`` and ``bsc_peak_entries`` are post-event
 maxima. The store keeps each region's peak where its tallies change, so
@@ -48,28 +49,19 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
-from enum import IntEnum
 from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 from scipy import stats as sstats
 
+from .config import Config
 from .model import CostParams, SimParams, derive_quantities, validate_params
 from .strategies import CostDelta, LogStrategy, StrategyKind, make_strategy
 from .topology import NetworkTree, UniformDraws, sample_next_cell
 
 SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # fixed odd multiplier for stream splits
-
-
-class EventKind(IntEnum):
-    """Dispatch priority for simultaneous events is the enum value."""
-
-    CHECKPOINT = 0
-    HANDOFF = 1
-    WRITE = 2
-    FAILURE = 3
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -137,16 +129,6 @@ class PCG64Stream:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Everything one run needs besides the strategy and the seed."""
-
-    sim: SimParams
-    cost: CostParams
-    tree: NetworkTree
-    p_same_region: float = 0.8
-
-
-@dataclass(frozen=True)
 class RunStats:
     """Accumulated per-run counts, costs, and recovery outcomes."""
 
@@ -199,21 +181,21 @@ class Timeline:
     depend on the strategy.
 
     ``events`` lists the non-write events in dispatch order as (time, kind,
-    cell): a handoff's destination cell, a failure's restart cell, the
-    host's cell for a checkpoint. ``writes[i]`` counts the writes dispatched
-    just before ``events[i]``, and its one extra last entry the writes after
-    the last event. ``write_times``, kept only when asked for, holds every
-    write's time in order.
+    cell), the kind named as in the trace: a handoff's destination cell, a
+    failure's restart cell, the host's cell for a checkpoint. ``writes[i]``
+    counts the writes dispatched just before ``events[i]``, and its one
+    extra last entry the writes after the last event. ``write_times``, kept
+    only when asked for, holds every write's time in order.
     """
 
-    events: list[tuple[float, EventKind, int]]
+    events: list[tuple[float, str, int]]
     writes: list[int]
     intra_bsc: int
     inter_bsc: int
     write_times: list[float] | None = None
 
 
-def generate_timeline(cfg: SimConfig, seed: int, keep_write_times: bool = False) -> Timeline:
+def generate_timeline(cfg: Config, seed: int, keep_write_times: bool = False) -> Timeline:
     """Run the four event clocks of one run and record what they fire.
 
     The host is born in cell 0, where ``LogStrategy.initial_host`` puts it,
@@ -232,7 +214,7 @@ def generate_timeline(cfg: SimConfig, seed: int, keep_write_times: bool = False)
     failure_at = draw(sp.lambda_f, rng)
     checkpoint_at = sp.t_c
 
-    events: list[tuple[float, EventKind, int]] = []
+    events: list[tuple[float, str, int]] = []
     writes: list[int] = []
     write_times = [] if keep_write_times else None
     cell = 0
@@ -254,7 +236,7 @@ def generate_timeline(cfg: SimConfig, seed: int, keep_write_times: bool = False)
         writes.append(k)
         k = 0
         if checkpoint_at == t:
-            events.append((t, EventKind.CHECKPOINT, cell))
+            events.append((t, "CHECKPOINT", cell))
             checkpoint_at = t + sp.t_c
         elif handoff_at == t:
             to_cell = sample_next_cell(tree, cell, rng)
@@ -263,41 +245,45 @@ def generate_timeline(cfg: SimConfig, seed: int, keep_write_times: bool = False)
             else:
                 inter += 1
             cell = to_cell
-            events.append((t, EventKind.HANDOFF, cell))
+            events.append((t, "HANDOFF", cell))
             handoff_at = t + draw(sp.mu, rng)
         else:
             cell = _sample_recovery_cell(tree, cell_bsc[cell], cfg.p_same_region, rng)
-            events.append((t, EventKind.FAILURE, cell))
+            events.append((t, "FAILURE", cell))
             failure_at = t + draw(sp.lambda_f, rng)
     writes.append(k)
     return Timeline(events, writes, intra, inter, write_times)
 
 
-# The last timeline made, keyed by (config, seed): a figure sweep runs every
-# strategy of a (point, rep) back to back, so one entry is enough.
-_timelines: dict[tuple[SimConfig, int], Timeline] = {}
+# The last timeline made, with the Config object and seed it was made for: a
+# figure sweep runs every strategy of a (point, rep) back to back on one
+# point object, so one slot is enough. The slot holds the frozen Config
+# itself, so an identity match is an equal config, found without hashing
+# its network.
+_last: tuple[Config, int, Timeline] | None = None
 
 
-def _timeline(cfg: SimConfig, seed: int, keep_write_times: bool) -> Timeline:
-    key = (cfg, seed)
-    timeline = _timelines.get(key)
-    if timeline is None or (keep_write_times and timeline.write_times is None):
-        timeline = generate_timeline(cfg, seed, keep_write_times)
-        _timelines.clear()
-        _timelines[key] = timeline
+def _timeline(cfg: Config, seed: int, keep_write_times: bool) -> Timeline:
+    global _last
+    if _last is not None and _last[0] is cfg and _last[1] == seed:
+        timeline = _last[2]
+        if not keep_write_times or timeline.write_times is not None:
+            return timeline
+    timeline = generate_timeline(cfg, seed, keep_write_times)
+    _last = (cfg, seed, timeline)
     return timeline
 
 
 def run_simulation(
-    cfg: SimConfig,
+    cfg: Config,
     kind: StrategyKind | str,
     seed: int,
     trace: list[tuple[float, str, CostDelta]] | None = None,
 ) -> RunStats:
     """Simulate one host for ``cfg.sim.sim_horizon`` time units.
 
-    The timeline is the cached one when the last run had the same config
-    and seed, and a new one otherwise. ``trace``, when given, receives
+    The timeline is the kept one when the last run had this very ``cfg``
+    object and seed, and a new one otherwise. ``trace``, when given, receives
     (time, event kind, cost delta) for every processed event, one entry per
     write included; tests use it to check cost conservation.
     """
@@ -344,11 +330,11 @@ def _fold(
         if event is None:
             break
         t, ev, cell = event
-        if ev is EventKind.CHECKPOINT:
+        if ev == "CHECKPOINT":
             delta = strategy.on_checkpoint(host, store, t)
             checkpoints += 1
             cost_checkpoint += delta.total
-        elif ev is EventKind.HANDOFF:
+        elif ev == "HANDOFF":
             delta = strategy.on_handoff(host, store, host.current_cell, cell, t)
             handoffs += 1
             cost_handoff += delta.total
@@ -364,7 +350,7 @@ def _fold(
                 cost_home += delta.total
                 home_recoveries += 1
         if trace is not None:
-            trace.append((t, ev.name, delta))
+            trace.append((t, ev, delta))
         # Post-event only: mid-flush, entries sit in both cache and store.
         pieces = store.pieces + bool(host.cache)
         if pieces > peak_fragments:
@@ -395,8 +381,8 @@ def _fold(
     )
 
 
-def summarize(values: list[float], confidence: float = 0.95) -> tuple[float, float, float]:
-    """Mean with a Student-t confidence interval; width 0 for one value, and
+def summarize(values: list[float]) -> tuple[float, float, float]:
+    """Mean with a 95% Student-t confidence interval; width 0 for one value, and
     ``(nan, nan, nan)`` with no warning for an empty sample."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -407,12 +393,12 @@ def summarize(values: list[float], confidence: float = 0.95) -> tuple[float, flo
     sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
     if sem == 0.0:
         return mean, mean, mean
-    half = sem * float(sstats.t.ppf((1 + confidence) / 2.0, arr.size - 1))
+    half = sem * float(sstats.t.ppf((1 + 0.95) / 2.0, arr.size - 1))
     return mean, mean - half, mean + half
 
 
 def replicate(
-    cfg: SimConfig, kind: StrategyKind | str, master_seed: int, reps: int
+    cfg: Config, kind: StrategyKind | str, master_seed: int, reps: int
 ) -> tuple[list[RunStats], dict[str, tuple[float, float, float]]]:
     """Run ``reps`` independent replications and summarize every metric."""
     if reps < 1:

@@ -31,7 +31,7 @@ from scipy import stats as sstats
 
 from . import analytic, engine
 from .config import Config
-from .engine import RunStats, SimConfig, simulate_interval_costs, split_seed, summarize
+from .engine import RunStats, simulate_interval_costs, split_seed, summarize
 from .engine import estimate_transition_probs
 from .strategies import StrategyKind
 
@@ -336,17 +336,11 @@ def run_figure(spec: ExperimentSpec, config: Config) -> list[MetricRow]:
     rows: list[MetricRow] = []
     for value in spec.sweep_values:
         point = base.with_overrides({spec.swept_param: value})
-        sim_cfg = SimConfig(
-            sim=point.sim,
-            cost=point.cost,
-            tree=point.build_tree(),
-            p_same_region=point.p_same_region,
-        )
         runs: dict[StrategyKind, list[RunStats]] = {s: [] for s in spec.strategies}
         for i in range(spec.reps):
             seed = split_seed(spec.master_seed, i)
             for strategy in spec.strategies:
-                runs[strategy].append(engine.run_simulation(sim_cfg, strategy, seed))
+                runs[strategy].append(engine.run_simulation(point, strategy, seed))
         for strategy in spec.strategies:
             for metric, extract in metrics.items():
                 values = [v for v in map(extract, runs[strategy]) if v is not None]

@@ -75,8 +75,6 @@ class DerivedQuantities:
 
     k_expected: float  # expected write events per checkpoint interval
     eta: float  # average log size, (k - 1) / 2 floored at zero
-    n_c: float  # expected checkpoints in the horizon
-    n_l: float  # expected messages logged in the horizon
 
 
 def validate_params(sp: SimParams, cp: CostParams) -> list[str]:
@@ -142,22 +140,14 @@ def validate_params(sp: SimParams, cp: CostParams) -> list[str]:
     return warnings
 
 
-def derive_quantities(sp: SimParams, horizon: float | None = None) -> DerivedQuantities:
-    """Compute expected per-interval write count, log size, and event totals.
+def derive_quantities(sp: SimParams) -> DerivedQuantities:
+    """Compute the expected per-interval write count and log size.
 
     eta follows (k - 1) / 2 and is floored at zero because a log cannot have
     negative size when fewer than one write is expected per interval.
     """
-    if horizon is None:
-        horizon = sp.sim_horizon
     k = sp.lambda_w * sp.t_c
-    eta = max(0.0, (k - 1.0) / 2.0)
-    return DerivedQuantities(
-        k_expected=k,
-        eta=eta,
-        n_c=horizon / sp.t_c,
-        n_l=sp.lambda_w * horizon,
-    )
+    return DerivedQuantities(k_expected=k, eta=max(0.0, (k - 1.0) / 2.0))
 
 
 def default_recovery_deadline(sp: SimParams, cp: CostParams) -> float:

@@ -37,7 +37,6 @@ from .topology import (
     bs_site,
     bsc_of,
     bsc_site,
-    hop_distance,
     hops_between,
     mh_site,
 )
@@ -110,7 +109,6 @@ class WriteRun:
 class HostState:
     """Mutable per-run state of the mobile host."""
 
-    host_id: int
     current_cell: CellId
     current_bsc: BscId
     home_bsc: BscId  # BSC holding the consolidated log (proposed only)
@@ -123,6 +121,7 @@ class StrategyStore:
     """Durable placement of the checkpoint and log fragments."""
 
     checkpoint_site: Site | None
+    checkpoint_region: BscId | None = None  # the BSC region of ``checkpoint_site``
     fragments: list[Fragment] = field(default_factory=list)
     pointer_chain_length: int = 0  # lazy only
     pieces: int = 0  # running tally of non-empty fragments
@@ -149,15 +148,17 @@ class LogStrategy:
 
     # -- setup ---------------------------------------------------------
 
-    def initial_host(self, cell: CellId = 0, host_id: int = 0) -> HostState:
-        bsc = bsc_of(self.tree, cell)
-        return HostState(host_id=host_id, current_cell=cell, current_bsc=bsc, home_bsc=bsc)
+    def initial_host(self) -> HostState:
+        """The host, born in cell 0."""
+        bsc = bsc_of(self.tree, 0)
+        return HostState(current_cell=0, current_bsc=bsc, home_bsc=bsc)
 
     def initial_store(self, host: HostState) -> StrategyStore:
         """Seed checkpoint 0 at the host's birth site at zero cost: the
         initial application state is registered where the transaction
         starts, so recovery always has a durable baseline."""
-        store = StrategyStore(checkpoint_site=self._checkpoint_site(host)[0])
+        site, region = self._checkpoint_site(host)
+        store = StrategyStore(checkpoint_site=site, checkpoint_region=region)
         self._reset_fragments(host, store)
         return store
 
@@ -199,7 +200,7 @@ class LogStrategy:
             data_items_moved=1,
             elapsed_transfer_time=1.0 + self.cp.r * hops,
         )
-        store.checkpoint_site = site
+        store.checkpoint_site, store.checkpoint_region = site, region
         host.cache.clear()
         store.pointer_chain_length = 0
         self._reset_fragments(host, store)
@@ -257,7 +258,9 @@ class LogStrategy:
             fragments_fetched += 1
 
         if store.checkpoint_site is not None:
-            hops = hop_distance(self.tree, store.checkpoint_site, rec_site)
+            hops = hops_between(
+                self.tree, store.checkpoint_site, store.checkpoint_region, rec_site, recovery_bsc
+            )
             delta.wired_cost += cp.rho * cp.c_c * hops
             delta.wireless_cost += cp.alpha * cp.c_c
             delta.data_items_moved += 1
@@ -290,7 +293,7 @@ class LogStrategy:
         """Current fragment placement snapshot, in replay order."""
         out = [(f.site, len(f.entries)) for f in store.fragments]
         if host.cache:
-            out.append((mh_site(host.host_id), len(host.cache)))
+            out.append((mh_site(0), len(host.cache)))
         return out
 
     def replay_sequence(self, host: HostState, store: StrategyStore) -> list[int]:
@@ -382,7 +385,8 @@ class PessimisticStrategy(LogStrategy):
         # BS up to its BSC, across to the new BSC, down to the new BS.
         hops = 2 + _bsc_gap(self.tree, from_bsc, to_bsc)
         cp = self.cp
-        store.checkpoint_site = site = bs_site(host.current_cell)
+        site = bs_site(host.current_cell)
+        store.checkpoint_site, store.checkpoint_region = site, to_bsc
         self._move(store, site, to_bsc)
         return CostDelta(
             wired_cost=(n * cp.c_1 + cp.c_c) * cp.rho * hops + cp.c_m,
@@ -394,9 +398,10 @@ class PessimisticStrategy(LogStrategy):
     def _after_recovery(self, host, store, recovery_cell) -> None:
         # The retrieval already delivered log and checkpoint to the restart
         # BS; they become the durable copy there.
-        self._move(store, bs_site(recovery_cell), host.current_bsc)
+        site = bs_site(recovery_cell)
+        self._move(store, site, host.current_bsc)
         if store.checkpoint_site is not None:
-            store.checkpoint_site = bs_site(recovery_cell)
+            store.checkpoint_site, store.checkpoint_region = site, host.current_bsc
 
     def _move(self, store: StrategyStore, site: Site, region: BscId) -> None:
         """Move the one fragment to ``site`` in ``region``, its entries'
@@ -497,13 +502,13 @@ class ProposedStrategy(LogStrategy):
         # Retrieval delivered the full log and checkpoint to the recovery
         # region; its BSC adopts them and becomes the home BSC, restoring
         # the consolidation invariant.
-        self._rehome(host, store, bsc_of(self.tree, recovery_cell))
+        self._rehome(host, store, host.current_bsc)
 
     def _rehome(self, host: HostState, store: StrategyStore, bsc: BscId) -> None:
         """Merge the log and the checkpoint at ``bsc``, the new home BSC."""
         merged = [seq for f in store.fragments for seq in f.entries]
         self._place(store, [Fragment(bsc_site(bsc), bsc, merged)] if merged else [])
-        store.checkpoint_site = bsc_site(bsc)
+        store.checkpoint_site, store.checkpoint_region = bsc_site(bsc), bsc
         host.home_bsc = bsc
 
 

@@ -71,7 +71,6 @@ class NetworkTree:
     bss_per_bsc: int
     adjacency: tuple[tuple[CellId, ...], ...]
     cell_bsc: tuple[BscId, ...]
-    adjacency_kind: str = "ring"
     inter_msc_bsc_hops: int = 4
 
     @property
@@ -141,7 +140,6 @@ def build_topology(
         bss_per_bsc=bss_per_bsc,
         adjacency=adj,
         cell_bsc=tuple(c // bss_per_bsc for c in range(n)),
-        adjacency_kind=adjacency_kind,
         inter_msc_bsc_hops=inter_msc_bsc_hops,
     )
 

@@ -18,7 +18,7 @@ class TestParseConfig:
         assert cfg == default_config()
         assert cfg.sim.lambda_f == 0.001
         assert cfg.strategy is StrategyKind.PROPOSED
-        assert cfg.deadline_is_auto
+        assert cfg.raw_values()["recovery.deadline"] == "auto"
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         cfg = parse_config(write(tmp_path, "# comment\n\nsim.mu = 0.05\n"))
@@ -154,7 +154,7 @@ class TestDeadlineCalibration:
 
     def test_explicit_deadline_is_pinned(self, tmp_path):
         cfg = parse_config(write(tmp_path, "recovery.deadline = 55.5\n"))
-        assert not cfg.deadline_is_auto
+        assert cfg.raw_values()["recovery.deadline"] == 55.5
         assert cfg.sim.recovery_deadline == 55.5
         bumped = cfg.with_overrides({"sim.lambda_w": 0.25})
         assert bumped.sim.recovery_deadline == 55.5
@@ -182,4 +182,4 @@ class TestWithOverrides:
         cfg = default_config()
         tree = cfg.build_tree()
         assert tree.n_cells == 9
-        assert tree.adjacency_kind == "ring"
+        assert tree.adjacency[0] == (1, 8)

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mhlogsim.config import default_config
+from mhlogsim.config import Config, default_config
 from mhlogsim.engine import (
     PCG64Stream,
     RunStats,
-    SimConfig,
     estimate_transition_probs,
     measure_mean_pending_log,
     replicate,
@@ -43,9 +42,8 @@ class FakeRng:
         return self.index
 
 
-def sim_config(**overrides) -> SimConfig:
-    cfg = default_config().with_overrides(overrides)
-    return SimConfig(cfg.sim, cfg.cost, cfg.build_tree(), cfg.p_same_region)
+def sim_config(**overrides) -> Config:
+    return default_config().with_overrides(overrides)
 
 
 class TestSampleExponential:
@@ -115,16 +113,16 @@ def test_split_seed_documented_formula():
 
 
 class TestEventQueue:
-    """generate_timeline's four next-time clocks, one per EventKind, are its
-    event queue: the earliest clock fires, the lower kind first on a tie."""
+    """generate_timeline's four next-time clocks, one per event kind, are its
+    event queue: the earliest clock fires, the earlier kind in dispatch
+    priority first on a tie."""
 
     @pytest.fixture(autouse=True)
-    def scripted_timelines_stay_here(self):
+    def scripted_timeline_stays_here(self, monkeypatch):
         # These tests script the draws; keep their timelines out of the
-        # engine's cache, where a later run with the same key would find them.
-        engine._timelines.clear()
-        yield
-        engine._timelines.clear()
+        # engine's slot, where a later run on the same config and seed
+        # would find them.
+        monkeypatch.setattr(engine, "_last", None)
 
     def test_priority_order_for_simultaneous_events(self, monkeypatch):
         # Every gap equal to T_c makes all four kinds fire together.
@@ -241,7 +239,9 @@ class TestRunSimulation:
 
 def rescan_placement(tree, host, store) -> tuple[int, dict[int, int]]:
     """Brute-force placement of a store: non-empty pieces (the cache counts
-    as one) and entries per BSC region, from the fragments themselves."""
+    as one) and entries per BSC region, from the fragments themselves. The
+    regions the store records must be those of its sites."""
+    assert store.checkpoint_region == topology.region_of(tree, store.checkpoint_site)
     pieces = int(bool(host.cache))
     per_bsc: dict[int, int] = {}
     for frag in store.fragments:
@@ -443,20 +443,25 @@ def test_fold_equals_per_event_reference(
     assert run_simulation(cfg, kind, seed, trace=trace) == expected
     assert trace == expected_trace
     # The untraced fold takes the same timeline without write times.
-    engine._timelines.clear()
+    engine._last = None
     assert run_simulation(cfg, kind, seed) == expected
 
 
 class TestTimelineCache:
+    """The engine keeps one timeline, with the Config object and seed it
+    was made for."""
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self, monkeypatch):
+        monkeypatch.setattr(engine, "_last", None)
+
     def test_sweep_generates_each_timeline_once(self, monkeypatch):
         made = []
         original = engine.generate_timeline
 
         def counting(cfg, seed, keep_write_times=False):
             made.append((cfg, seed))
-            timeline = original(cfg, seed, keep_write_times)
-            assert len(engine._timelines) <= 1
-            return timeline
+            return original(cfg, seed, keep_write_times)
 
         monkeypatch.setattr(engine, "generate_timeline", counting)
         cfg = default_config()
@@ -466,24 +471,43 @@ class TestTimelineCache:
         rows = experiments.run_figure(spec, cfg)
         assert len(rows) == 2 * 3
         assert len(made) == len(set(made)) == 2 * 3
-        assert len(engine._timelines) == 1
+        point, seed = made[-1]
+        assert engine._last[0] is point and engine._last[1] == seed
 
     def test_fresh_timeline_gives_the_cached_result(self):
         cfg = sim_config(**{"sim.horizon": 3000.0})
         kinds = ("lazy", "pessimistic", "proposed")
-        engine._timelines.clear()
-        shared = [run_simulation(cfg, kind, 77) for kind in kinds]
-        assert len(engine._timelines) == 1
+        shared = [run_simulation(cfg, "lazy", 77)]
+        timeline = engine._last[2]
+        shared += [run_simulation(cfg, kind, 77) for kind in kinds[1:]]
+        assert engine._last[2] is timeline
         for kind, stats in zip(kinds, shared):
-            engine._timelines.clear()
+            engine._last = None
             assert run_simulation(cfg, kind, 77) == stats
-        # A traced run on a cached timeline without write times makes a
-        # new one with them; the numbers stay the same.
-        assert engine._timelines[cfg, 77].write_times is None
+        # An equal but distinct Config gets a timeline of its own.
+        assert run_simulation(sim_config(**{"sim.horizon": 3000.0}), "lazy", 77) == shared[0]
+        assert engine._last[0] is not cfg
+        # A traced run on a kept timeline without write times makes a new
+        # one with them; the numbers stay the same.
+        run_simulation(cfg, "proposed", 77)
+        assert engine._last[2].write_times is None
         trace: list = []
         assert run_simulation(cfg, "proposed", 77, trace=trace) == shared[2]
-        assert engine._timelines[cfg, 77].write_times is not None
-        assert len(engine._timelines) == 1
+        assert engine._last[0] is cfg and engine._last[2].write_times is not None
+
+    def test_kept_timeline_runs_never_hash_the_network(self, monkeypatch):
+        hashes = []
+        original = topology.NetworkTree.__hash__
+
+        def counting(tree):
+            hashes.append(tree)
+            return original(tree)
+
+        monkeypatch.setattr(topology.NetworkTree, "__hash__", counting)
+        cfg = sim_config(**{"sim.horizon": 1000.0})
+        for kind in ("lazy", "pessimistic", "proposed"):
+            run_simulation(cfg, kind, 3)
+        assert hashes == []
 
 
 def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls):

@@ -21,3 +21,13 @@ def test_short_interval_matches_recorded_golden(tmp_path):
         WORKLOADS["short-interval"], default_config(), DEFAULT_SEED, tmp_path
     )
     assert entry == golden["short-interval"]
+
+
+def test_every_traced_name_is_callable():
+    # The benchmark's tracer wraps these by name, some with no caller in
+    # src/; deleting one would break ``benchmarks/run.py --trace 1``.
+    import_mhlogsim()
+    import tracer
+
+    for owner, attr, name in tracer.layer_targets():
+        assert callable(getattr(owner, attr, None)), name

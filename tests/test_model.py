@@ -56,26 +56,22 @@ class TestValidateParams:
 
 class TestDeriveQuantities:
     def test_hand_evaluated_expectations(self):
-        d = derive_quantities(SimParams(lambda_w=0.05, t_c=100.0), horizon=10000.0)
+        d = derive_quantities(SimParams(lambda_w=0.05, t_c=100.0))
         assert d.k_expected == pytest.approx(5.0)
         assert d.eta == pytest.approx(2.0)
-        assert d.n_c == pytest.approx(100.0)
-        assert d.n_l == pytest.approx(500.0)
 
     def test_single_write_per_interval_gives_zero_log(self):
-        d = derive_quantities(SimParams(lambda_w=0.01, t_c=100.0), horizon=1000.0)
+        d = derive_quantities(SimParams(lambda_w=0.01, t_c=100.0))
         assert d.k_expected == pytest.approx(1.0)
         assert d.eta == 0.0
 
     def test_second_hand_evaluation(self):
-        d = derive_quantities(SimParams(lambda_w=0.2, t_c=100.0), horizon=1000.0)
+        d = derive_quantities(SimParams(lambda_w=0.2, t_c=100.0))
         assert d.k_expected == pytest.approx(20.0)
         assert d.eta == pytest.approx(9.5)
-        assert d.n_c == pytest.approx(10.0)
-        assert d.n_l == pytest.approx(200.0)
 
     def test_eta_floors_at_zero(self):
-        d = derive_quantities(SimParams(lambda_w=0.001, t_c=100.0), horizon=100.0)
+        d = derive_quantities(SimParams(lambda_w=0.001, t_c=100.0))
         assert d.eta == 0.0
 
     @given(

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mhlogsim.config import CONFIG_KEYS, default_config
-from mhlogsim.engine import RunStats, SimConfig, run_simulation
+from mhlogsim.engine import RunStats, run_simulation
 
 KINDS = ("lazy", "pessimistic", "proposed")
 EVENT_FIELDS = {  # trace kind -> (RunStats count, RunStats total cost)
@@ -74,11 +74,10 @@ def fold(trace):
 def test_accepted_configs_run_finite_conserved_and_paired(values):
     assume(values["topology.msc"] * values["topology.bsc_per_msc"] * values["topology.bs_per_bsc"] >= 2)
     cfg = default_config().with_overrides(values)
-    sim_cfg = SimConfig(cfg.sim, cfg.cost, cfg.tree, cfg.p_same_region)
     counts = set()
     for kind in KINDS:
         trace: list = []
-        stats = run_simulation(sim_cfg, kind, cfg.sim.seed, trace=trace)
+        stats = run_simulation(cfg, kind, cfg.sim.seed, trace=trace)
         for f in fields(RunStats):
             value = getattr(stats, f.name)
             assert all(map(math.isfinite, value.values() if isinstance(value, dict) else [value])), f.name

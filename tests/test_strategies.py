@@ -214,6 +214,24 @@ class TestCheckpointLookups:
         assert delta.elapsed_transfer_time == 1.0 + CP.r * hops
 
 
+class TestRecoverLookups:
+    """A recovery looks up only the restart cell's BSC: the fragments and
+    the checkpoint carry their regions."""
+
+    @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
+    def test_one_bsc_lookup(self, count_calls, kind):
+        strat, host, store, tree = setup(kind, cache_capacity=4)
+        for _ in range(6):
+            strat.on_write(host, store, 1.0)
+        strat.on_handoff(host, store, 0, 2, 2.0)  # into the second region
+        strat.on_write(host, store, 2.5)
+        calls = count_calls("bsc_of", "hop_distance")
+        strat.recover(host, store, 1, 3.0)  # back in the first region
+        assert calls["bsc_of"] == 1
+        assert calls["hop_distance"] == 0
+        assert store.checkpoint_region == region_of(tree, store.checkpoint_site) == 0
+
+
 class TestRecover:
     def test_empty_log_fetches_checkpoint_only(self):
         for kind in ("lazy", "pessimistic", "proposed"):
