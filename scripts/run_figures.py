@@ -11,8 +11,9 @@ re-run with the same arguments is byte-identical. Timings, which differ
 from run to run, go to ``manifest.json`` beside the CSVs instead: each
 figure's wall time, run count and replications, and the Python, numpy and
 scipy versions and core count of the machine. A config file that does
-not parse or validate ends the script with one ``error:`` line and exit
-code 1, as ``mhlogsim`` reports it; an unreadable one with exit code 2.
+not parse or validate, or a ``--reps`` below 1, ends the script before
+anything runs, with one ``error:`` line and exit code 1 as ``mhlogsim``
+reports it; an unreadable config file ends it with exit code 2.
 """
 
 import argparse
@@ -28,9 +29,8 @@ import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mhlogsim.config import ConfigError, default_config, parse_config
+from mhlogsim.config import default_config, parse_config
 from mhlogsim.experiments import FIGURE_IDS, figure_spec, write_figure
-from mhlogsim.model import ValidationError
 
 
 def main() -> int:
@@ -50,7 +50,9 @@ def main() -> int:
 
     try:
         config = parse_config(args.config) if args.config else default_config()
-    except (ConfigError, ValidationError) as exc:
+        specs = {f: figure_spec(f, config, reps=args.reps, master_seed=args.seed)
+                 for f in figure_ids}
+    except ValueError as exc:  # ConfigError and ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -71,7 +73,7 @@ def main() -> int:
             figure_id, config, args.out, reps=args.reps, master_seed=args.seed
         )
         wall_s = time.perf_counter() - t0
-        spec = figure_spec(figure_id, config, reps=args.reps, master_seed=args.seed)
+        spec = specs[figure_id]
         manifest["figures"][figure_id] = {
             "wall_s": wall_s,
             "runs": len(spec.sweep_values) * len(spec.strategies) * spec.reps,

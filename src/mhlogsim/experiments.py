@@ -363,14 +363,14 @@ def _frcr_row(
         erratum_bound=point.frcr_erratum_bound,
     )
     cost_lazy = analytic.c_lazy(point.sim.t_c, point.sim.lambda_f, point.cost)
-    denom = cost_prop - cost_lazy
-    # Equal investment costs leave the ratio undefined: an empty sample,
-    # which summarizes to NaN.
-    paired = [] if denom == 0 else [
-        (pp.recovery_probability - pl.recovery_probability) / denom
+    paired = [
+        analytic.frcr(pp.recovery_probability, pl.recovery_probability, cost_prop, cost_lazy)
         for pp, pl in zip(runs[StrategyKind.PROPOSED], runs[StrategyKind.LAZY])
     ]
-    return _row(spec, "proposed-vs-lazy", value, "frcr", summarize(paired))
+    # Equal investment costs leave the ratio undefined: an empty sample,
+    # which summarizes to NaN.
+    defined = [v for v in paired if v is not None]
+    return _row(spec, "proposed-vs-lazy", value, "frcr", summarize(defined))
 
 
 def _row(

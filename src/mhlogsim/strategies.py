@@ -9,12 +9,16 @@ proposed     write events buffer in the host cache and flush to the region's
              BSC (on cache exhaustion and on handoff); inter-BSC handoffs
              re-register the host and migrate the consolidated log.
 
-Cost accounting conventions, applied uniformly:
+Cost accounting conventions, applied uniformly; each of the first three is
+one ``LogStrategy`` method:
 
-* Data items (log entries, checkpoints) pay ``alpha * unit`` on the wireless
-  hop and ``rho * unit * hops`` on the wired path.
-* Control messages pay a flat ``c_m`` each, booked as wired cost, except the
-  recovery request which the model prices at ``alpha * c_m`` (wireless).
+* ``_ship``: data items (log entries, checkpoints) that cross the wireless
+  hop pay ``alpha * unit`` there and ``rho * unit * hops`` on the wired path.
+* ``_carry``: a log of ``n`` entries plus the checkpoint, moved between
+  network sites, pays ``(n * c_1 + c_c) * rho * hops`` on the wired path only.
+* ``_messages``: control messages pay a flat ``c_m`` each, booked as wired
+  cost, except the recovery request which the model prices at
+  ``alpha * c_m`` (wireless).
 * ``elapsed_transfer_time`` counts 1 per item crossing the wireless link and
   ``r`` per item per wired hop; control messages take no time.
 * Handoff channel signalling common to every strategy is not priced; only
@@ -175,13 +179,7 @@ class LogStrategy:
         host.next_seq += k
         self._append(store, bs_site(host.current_cell), host.current_bsc, range(first, first + k))
         # One wireless data item plus the BSC's acknowledgement message.
-        delta = CostDelta(
-            wireless_cost=self.cp.alpha * self.cp.c_1,
-            wired_cost=self.cp.c_m,
-            control_msgs=1,
-            data_items_moved=1,
-            elapsed_transfer_time=1.0,
-        )
+        delta = self._ship(self._messages(1), 1, self.cp.c_1, 0)
         return WriteRun(delta, range(k), store.pieces)
 
     def on_checkpoint(self, host: HostState, store: StrategyStore, t: float) -> CostDelta:
@@ -194,12 +192,7 @@ class LogStrategy:
         """
         site, region = self._checkpoint_site(host)
         hops = hops_between(self.tree, bs_site(host.current_cell), host.current_bsc, site, region)
-        delta = CostDelta(
-            wireless_cost=self.cp.alpha * self.cp.c_c,
-            wired_cost=self.cp.rho * self.cp.c_c * hops,
-            data_items_moved=1,
-            elapsed_transfer_time=1.0 + self.cp.r * hops,
-        )
+        delta = self._ship(CostDelta(), 1, self.cp.c_c, hops)
         store.checkpoint_site, store.checkpoint_region = site, region
         host.cache.clear()
         store.pointer_chain_length = 0
@@ -251,20 +244,14 @@ class LogStrategy:
             if n == 0:
                 continue
             hops = hops_between(self.tree, frag.site, frag.region, rec_site, recovery_bsc)
-            delta.wired_cost += cp.rho * n * cp.c_1 * hops
-            delta.wireless_cost += cp.alpha * n * cp.c_1
-            delta.data_items_moved += n
-            delta.elapsed_transfer_time += n * (1.0 + cp.r * hops)
+            self._ship(delta, n, cp.c_1, hops)
             fragments_fetched += 1
 
         if store.checkpoint_site is not None:
             hops = hops_between(
                 self.tree, store.checkpoint_site, store.checkpoint_region, rec_site, recovery_bsc
             )
-            delta.wired_cost += cp.rho * cp.c_c * hops
-            delta.wireless_cost += cp.alpha * cp.c_c
-            delta.data_items_moved += 1
-            delta.elapsed_transfer_time += 1.0 + cp.r * hops
+            self._ship(delta, 1, cp.c_c, hops)
             fragments_fetched += 1
             retrieval_time = cp.t_load_ckpt
         else:
@@ -326,6 +313,29 @@ class LogStrategy:
 
     # -- shared pieces ---------------------------------------------------
 
+    def _messages(self, k: int) -> CostDelta:
+        """``k`` wired control messages."""
+        return CostDelta(wired_cost=k * self.cp.c_m, control_msgs=k)
+
+    def _ship(self, delta: CostDelta, n: int, unit: float, hops: int) -> CostDelta:
+        """Add to ``delta`` ``n`` items of cost ``unit`` that cross the
+        wireless hop and ``hops`` wired hops."""
+        cp = self.cp
+        delta.wireless_cost += cp.alpha * n * unit
+        delta.wired_cost += cp.rho * n * unit * hops
+        delta.data_items_moved += n
+        delta.elapsed_transfer_time += n * (1.0 + cp.r * hops)
+        return delta
+
+    def _carry(self, delta: CostDelta, n: int, hops: int) -> CostDelta:
+        """Add to ``delta`` a log of ``n`` entries plus the checkpoint,
+        moved ``hops`` wired hops between network sites."""
+        cp = self.cp
+        delta.wired_cost += (n * cp.c_1 + cp.c_c) * cp.rho * hops
+        delta.data_items_moved += n + 1
+        delta.elapsed_transfer_time += (n + 1) * cp.r * hops
+        return delta
+
     def _append(self, store: StrategyStore, site: Site, region: BscId, seqs: Sequence[int]) -> None:
         """Extend the last fragment if it sits at ``site``, else open a new
         one there, and update the store's tallies; ``seqs`` is non-empty."""
@@ -338,15 +348,20 @@ class LogStrategy:
         store.add_entries(region, len(seqs))
 
     def _place(self, store: StrategyStore, fragments: list[Fragment]) -> None:
-        """Rewrite the whole store, which then holds at most one fragment,
-        and recount its tallies."""
+        """Purge the log: the store then holds ``fragments``, which hold no
+        entries."""
         store.fragments[:] = fragments
         store.pieces = 0
         store.region_entries.clear()
-        for frag in fragments:
-            if frag.entries:
-                store.pieces += 1
-                store.add_entries(frag.region, len(frag.entries))
+
+    def _move(self, store: StrategyStore, site: Site, region: BscId) -> None:
+        """Move the one fragment pessimistic and proposed keep to ``site`` in
+        ``region``, its entries' region tally with it."""
+        frag = store.fragments[0]
+        if frag.entries:
+            del store.region_entries[frag.region]
+            store.add_entries(region, len(frag.entries))
+        frag.site, frag.region = site, region
 
 
 class LazyStrategy(LogStrategy):
@@ -357,12 +372,11 @@ class LazyStrategy(LogStrategy):
     def _handoff(self, host, store, from_bsc, to_bsc) -> CostDelta:
         # The new BS stores a pointer to the old one; no log data moves.
         store.pointer_chain_length += 1
-        return CostDelta(wired_cost=self.cp.c_m, control_msgs=1)
+        return self._messages(1)
 
     def _locate_log(self, host, store, recovery_bsc) -> CostDelta:
         # Chase the pointer chain back to the fragments, one message a link.
-        chain = store.pointer_chain_length
-        return CostDelta(wired_cost=chain * self.cp.c_m, control_msgs=chain)
+        return self._messages(store.pointer_chain_length)
 
     def _after_recovery(self, host, store, recovery_cell) -> None:
         # Fragments stay put; the restart BS links into the existing chain
@@ -384,16 +398,10 @@ class PessimisticStrategy(LogStrategy):
         n = len(store.fragments[0].entries)
         # BS up to its BSC, across to the new BSC, down to the new BS.
         hops = 2 + _bsc_gap(self.tree, from_bsc, to_bsc)
-        cp = self.cp
         site = bs_site(host.current_cell)
         store.checkpoint_site, store.checkpoint_region = site, to_bsc
         self._move(store, site, to_bsc)
-        return CostDelta(
-            wired_cost=(n * cp.c_1 + cp.c_c) * cp.rho * hops + cp.c_m,
-            control_msgs=1,
-            data_items_moved=n + 1,
-            elapsed_transfer_time=(n + 1) * cp.r * hops,
-        )
+        return self._carry(self._messages(1), n, hops)
 
     def _after_recovery(self, host, store, recovery_cell) -> None:
         # The retrieval already delivered log and checkpoint to the restart
@@ -402,15 +410,6 @@ class PessimisticStrategy(LogStrategy):
         self._move(store, site, host.current_bsc)
         if store.checkpoint_site is not None:
             store.checkpoint_site, store.checkpoint_region = site, host.current_bsc
-
-    def _move(self, store: StrategyStore, site: Site, region: BscId) -> None:
-        """Move the one fragment to ``site`` in ``region``, its entries'
-        region tally with it."""
-        frag = store.fragments[0]
-        if frag.entries:
-            del store.region_entries[frag.region]
-            store.add_entries(region, len(frag.entries))
-        frag.site, frag.region = site, region
 
 
 class ProposedStrategy(LogStrategy):
@@ -447,15 +446,8 @@ class ProposedStrategy(LogStrategy):
 
     def _flush_cost(self, host: HostState, n: int) -> CostDelta:
         """Cost of moving ``n`` cached entries to the home BSC."""
-        cp = self.cp
         hops = 1 + _bsc_gap(self.tree, host.current_bsc, host.home_bsc)
-        return CostDelta(
-            wireless_cost=n * cp.alpha * cp.c_1,
-            wired_cost=n * cp.rho * cp.c_1 * hops + cp.c_m,
-            control_msgs=1,
-            data_items_moved=n,
-            elapsed_transfer_time=n * (1.0 + cp.r * hops),
-        )
+        return self._ship(self._messages(1), n, self.cp.c_1, hops)
 
     def _flush_cache(self, host: HostState, store: StrategyStore) -> CostDelta:
         """Copy the entire cache to the home BSC and append it there."""
@@ -473,19 +465,13 @@ class ProposedStrategy(LogStrategy):
             # cache moves.
             return self._flush_cache(host, store)
 
-        cp = self.cp
-        old_home = host.home_bsc
         # Registration: Connect(MHid, PBSCid) to the new BSC, which then
-        # notifies the old home BSC of the host's reachability.
-        delta = CostDelta(wired_cost=2 * cp.c_m, control_msgs=2)
-
-        # The old home BSC transfers its whole fragment plus the checkpoint
-        # to the new BSC, which becomes the home.
+        # notifies the old home BSC of the host's reachability. The old home
+        # BSC then transfers its whole fragment plus the checkpoint to the
+        # new BSC, which becomes the home.
         n_home = sum(len(f.entries) for f in store.fragments)
-        hops = _bsc_gap(self.tree, old_home, to_bsc)
-        delta.wired_cost += (n_home * cp.c_1 + cp.c_c) * cp.rho * hops
-        delta.data_items_moved += n_home + 1
-        delta.elapsed_transfer_time += (n_home + 1) * cp.r * hops
+        hops = _bsc_gap(self.tree, host.home_bsc, to_bsc)
+        delta = self._carry(self._messages(2), n_home, hops)
         self._rehome(host, store, to_bsc)
 
         delta.add(self._flush_cache(host, store))
@@ -495,7 +481,7 @@ class ProposedStrategy(LogStrategy):
         # Tracking agent asks the HLR/VLR where the log lives when the host
         # restarts outside the home region.
         if recovery_bsc != host.home_bsc:
-            return CostDelta(wired_cost=self.cp.c_m, control_msgs=1)
+            return self._messages(1)
         return CostDelta()
 
     def _after_recovery(self, host, store, recovery_cell) -> None:
@@ -505,10 +491,13 @@ class ProposedStrategy(LogStrategy):
         self._rehome(host, store, host.current_bsc)
 
     def _rehome(self, host: HostState, store: StrategyStore, bsc: BscId) -> None:
-        """Merge the log and the checkpoint at ``bsc``, the new home BSC."""
-        merged = [seq for f in store.fragments for seq in f.entries]
-        self._place(store, [Fragment(bsc_site(bsc), bsc, merged)] if merged else [])
-        store.checkpoint_site, store.checkpoint_region = bsc_site(bsc), bsc
+        """Move the log and the checkpoint to ``bsc``, the new home BSC. The
+        log is at most one fragment: flushes only go to the home BSC, and
+        only this method changes the home."""
+        site = bsc_site(bsc)
+        if store.fragments:
+            self._move(store, site, bsc)
+        store.checkpoint_site, store.checkpoint_region = site, bsc
         host.home_bsc = bsc
 
 

@@ -285,6 +285,12 @@ class TestPlacementPeaks:
         engine_make_strategy = engine.make_strategy
 
         def rescan(tree, host, store):
+            # Pessimistic keeps its one fragment; proposed holds at most one,
+            # at the home BSC.
+            if kind == "pessimistic":
+                assert len(store.fragments) == 1
+            elif kind == "proposed":
+                assert len(store.fragments) <= 1
             pieces, per_bsc = rescan_placement(tree, host, store)
             peak[0] = max(peak[0], pieces)
             for region, n in per_bsc.items():

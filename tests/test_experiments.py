@@ -412,3 +412,15 @@ def test_run_figures_script_reports_a_bad_config_in_one_line(capsys, tmp_path, m
         "error: topology: inter_msc_bsc_hops must be >= 2, got 1\n"
     )
     assert not out.exists()
+
+
+def test_run_figures_script_reports_bad_reps_as_the_cli_does(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    module = load_run_figures()
+    monkeypatch.setattr(sys, "argv", ["run_figures.py", "--out", str(out), "--reps", "0"])
+    assert module.main() == 1
+    assert capsys.readouterr().err == "error: reps must be >= 1\n"
+    assert not out.exists()
+    assert cli.main(["figure", "fig3", "--out", str(out), "--reps", "0"]) == 1
+    assert capsys.readouterr().err == "error: reps must be >= 1\n"
+    assert not out.exists()

@@ -11,10 +11,10 @@ from mhlogsim.topology import bs_site, bsc_site, build_topology, hop_distance, m
 CP = CostParams()  # r=0.1, C_c=5, C_1=1, C_m=0.5, alpha=rho=1
 
 
-def setup(kind, tree=None, cache_capacity=8, deadline=42.0):
+def setup(kind, tree=None, cache_capacity=8, deadline=42.0, cp=CP):
     tree = tree or build_topology(1, 2, 2, "ring")
     sp = SimParams(cache_capacity=cache_capacity, recovery_deadline=deadline)
-    strat = make_strategy(kind, tree, sp, CP)
+    strat = make_strategy(kind, tree, sp, cp)
     host = strat.initial_host()
     store = strat.initial_store(host)
     return strat, host, store, tree
@@ -315,6 +315,126 @@ class TestRecover:
         outcome = strat.recover(host, store, 0, 5.0)  # retrieval_time = 12.0
         assert outcome.retrieval_time == pytest.approx(12.0)
         assert not outcome.success
+
+
+XP = CostParams(r=0.37, c_c=2.3, c_1=0.7, c_m=0.11, alpha=0.3, rho=1.3)
+# Cells 2b and 2b+1 form BSC b; BSCs 0 and 1 hang off one MSC, 2 and 3 off
+# the other, 3 wired hops away. Hop counts that are not powers of two make a
+# reassociated product round differently.
+TWO_MSC = build_topology(2, 2, 2, "ring", inter_msc_bsc_hops=3)
+
+
+class TestExactPricing:
+    """Every handler's CostDelta, checked with == at unit costs whose
+    products round, against the pricing formulas written out term by term
+    in the order the strategies evaluate them. Default costs make most of
+    these products exact, so only inexact ones show a reordered
+    expression."""
+
+    @staticmethod
+    def exact(kind):
+        strat, host, store, _ = setup(kind, tree=TWO_MSC, cache_capacity=3, deadline=1e9, cp=XP)
+        return strat, host, store
+
+    @pytest.mark.parametrize("kind", ["lazy", "pessimistic"])
+    def test_write_run(self, kind):
+        strat, host, store = self.exact(kind)
+        run = strat.on_writes(host, store, 4)
+        assert run.charged == range(4)
+        assert run.delta == CostDelta(XP.alpha * XP.c_1, XP.c_m, 1, 1, 1.0)
+
+    def test_proposed_write_run_flushes_full_caches(self):
+        strat, host, store = self.exact("proposed")
+        run = strat.on_writes(host, store, 7)
+        n, hops = 3, 1  # a full cache, from the host's BS up to its home BSC
+        assert run.charged == range(2, 7, 3)
+        assert run.delta == CostDelta(
+            n * XP.alpha * XP.c_1, n * XP.rho * XP.c_1 * hops + XP.c_m, 1, n, n * (1.0 + XP.r * hops)
+        )
+
+    @pytest.mark.parametrize("kind, hops", [("lazy", 0), ("pessimistic", 0), ("proposed", 1)])
+    def test_checkpoint(self, kind, hops):
+        strat, host, store = self.exact(kind)
+        strat.on_writes(host, store, 5)
+        strat.on_handoff(host, store, 0, 3, 1.0)
+        delta = strat.on_checkpoint(host, store, 2.0)
+        assert delta == CostDelta(
+            XP.alpha * XP.c_c, XP.rho * XP.c_c * hops, 0, 1, 1.0 + XP.r * hops
+        )
+
+    @pytest.mark.parametrize("to_cell", [1, 2, 4], ids=["intra_bsc", "inter_bsc", "inter_msc"])
+    def test_lazy_handoff(self, to_cell):
+        strat, host, store = self.exact("lazy")
+        strat.on_writes(host, store, 5)
+        assert strat.on_handoff(host, store, 0, to_cell, 1.0) == CostDelta(0.0, XP.c_m, 1, 0, 0.0)
+
+    @pytest.mark.parametrize("to_cell, gap", [(1, 0), (2, 2), (4, 3)],
+                             ids=["intra_bsc", "inter_bsc", "inter_msc"])
+    def test_pessimistic_handoff(self, to_cell, gap):
+        strat, host, store = self.exact("pessimistic")
+        strat.on_writes(host, store, 5)
+        n, hops = 5, 2 + gap
+        assert strat.on_handoff(host, store, 0, to_cell, 1.0) == CostDelta(
+            0.0, (n * XP.c_1 + XP.c_c) * XP.rho * hops + XP.c_m, 1, n + 1, (n + 1) * XP.r * hops
+        )
+
+    def test_proposed_intra_bsc_handoff_flushes_the_cache(self):
+        strat, host, store = self.exact("proposed")
+        strat.on_writes(host, store, 5)  # 3 at the home BSC, 2 cached
+        n, hops = 2, 1
+        assert strat.on_handoff(host, store, 0, 1, 1.0) == CostDelta(
+            n * XP.alpha * XP.c_1, n * XP.rho * XP.c_1 * hops + XP.c_m, 1, n, n * (1.0 + XP.r * hops)
+        )
+
+    @pytest.mark.parametrize("to_cell, gap", [(2, 2), (4, 3)], ids=["inter_bsc", "inter_msc"])
+    def test_proposed_inter_bsc_handoff(self, to_cell, gap):
+        strat, host, store = self.exact("proposed")
+        strat.on_writes(host, store, 5)  # 3 at the home BSC, 2 cached
+        home, cached = 3, 2
+        # Registration and the home log's move, then the cache flush.
+        wired = 2 * XP.c_m + (home * XP.c_1 + XP.c_c) * XP.rho * gap
+        time = (home + 1) * XP.r * gap
+        assert strat.on_handoff(host, store, 0, to_cell, 1.0) == CostDelta(
+            cached * XP.alpha * XP.c_1,
+            wired + (cached * XP.rho * XP.c_1 * 1 + XP.c_m),
+            3,
+            home + 1 + cached,
+            time + cached * (1.0 + XP.r * 1),
+        )
+
+    # (kind, restart cell): control messages, the wired cost of locating the
+    # log, (entries, hops) of each non-empty fragment, the checkpoint's hops.
+    RECOVERIES = {
+        ("lazy", 3): (2, 1 * XP.c_m, [(3, 4), (2, 2)], 4),
+        ("lazy", 4): (2, 1 * XP.c_m, [(3, 5), (2, 5)], 5),
+        ("pessimistic", 3): (1, 0.0, [(5, 2)], 2),
+        ("pessimistic", 4): (1, 0.0, [(5, 5)], 5),
+        ("proposed", 3): (1, 0.0, [(3, 1)], 1),
+        ("proposed", 4): (2, XP.c_m, [(3, 4)], 4),
+    }
+
+    @pytest.mark.parametrize("kind, cell", list(RECOVERIES), ids=lambda v: str(v))
+    def test_recovery(self, kind, cell):
+        strat, host, store = self.exact(kind)
+        strat.on_writes(host, store, 3)  # proposed flushes these to BSC 0
+        strat.on_handoff(host, store, 0, 2, 1.0)  # into BSC 1
+        strat.on_writes(host, store, 2)
+        control, wired, fragments, ckpt_hops = self.RECOVERIES[kind, cell]
+        wireless, items, time = XP.alpha * XP.c_m, 0, 0.0
+        for n, hops in fragments:
+            wired += XP.rho * n * XP.c_1 * hops
+            wireless += XP.alpha * n * XP.c_1
+            items += n
+            time += n * (1.0 + XP.r * hops)
+        wired += XP.rho * XP.c_c * ckpt_hops
+        wireless += XP.alpha * XP.c_c
+        time += 1.0 + XP.r * ckpt_hops
+        outcome = strat.recover(host, store, cell, 2.0)
+        assert outcome.recovered_in_home_region == (cell == 3)
+        assert outcome.cost == CostDelta(wireless, wired, control, items + 1, time)
+        assert outcome.retrieval_time == (
+            XP.t_load_ckpt + XP.t_load_log * (len(fragments) + 1) + time
+        )
 
 
 class TestLogLocations:
