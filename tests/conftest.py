@@ -4,6 +4,24 @@ from collections import Counter
 import pytest
 
 from mhlogsim import topology
+from mhlogsim.config import default_config
+from mhlogsim.experiments import figure_spec, run_figure
+
+
+@pytest.fixture(scope="session")
+def figure_rows():
+    """``figure_rows(figure_id)``: the figure's rows at the default config
+    (20 replications, master seed 12345), run once per session."""
+    cache: dict[str, list] = {}
+    cfg = default_config()
+
+    def get(figure_id: str):
+        if figure_id not in cache:
+            spec = figure_spec(figure_id, cfg)
+            cache[figure_id] = run_figure(spec, cfg)
+        return cache[figure_id]
+
+    return get
 
 
 @pytest.fixture

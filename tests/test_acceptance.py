@@ -14,7 +14,6 @@ clause is asserted as stated rather than weakened.
 """
 
 import numpy as np
-import pytest
 
 from mhlogsim import analytic, cli
 from mhlogsim.config import default_config
@@ -22,7 +21,7 @@ from mhlogsim.engine import (
     estimate_transition_probs,
     measure_mean_pending_log,
 )
-from mhlogsim.experiments import check_trends, crosscheck_analytic, figure_spec, run_figure
+from mhlogsim.experiments import check_trends, crosscheck_analytic
 from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import make_strategy
 from mhlogsim.topology import bsc_of, bsc_site, build_topology
@@ -34,20 +33,6 @@ def report(criterion: int, description: str, violations: list[str]) -> None:
     for v in violations:
         print(f"              - {v}")
     assert not violations, f"criterion {criterion}: " + "; ".join(violations)
-
-
-@pytest.fixture(scope="module")
-def figure_rows():
-    cache: dict[str, list] = {}
-    cfg = default_config()
-
-    def get(figure_id: str):
-        if figure_id not in cache:
-            spec = figure_spec(figure_id, cfg, reps=20)
-            cache[figure_id] = run_figure(spec, cfg)
-        return cache[figure_id]
-
-    return get
 
 
 def test_criterion_01_closed_form_exactness():
