@@ -34,7 +34,7 @@ by kind priority: checkpoint, handoff, write, failure. The trace names the
 kinds "CHECKPOINT", "HANDOFF", "WRITE" and "FAILURE".
 
 The placement peaks ``peak_fragments`` and ``bsc_peak_entries`` are post-event
-maxima. The store keeps each region's peak where its tallies change, so
+maxima. The strategy keeps each region's peak where its tallies change, so
 ``bsc_peak_entries`` is a copy of it; the fold reads only the piece count,
 after each non-write event and after each run of writes, whose ``WriteRun``
 reports the peak inside the run: O(1) placement work per event, however
@@ -198,7 +198,7 @@ class Timeline:
 def generate_timeline(cfg: Config, seed: int, keep_write_times: bool = False) -> Timeline:
     """Run the four event clocks of one run and record what they fire.
 
-    The host is born in cell 0, where ``LogStrategy.initial_host`` puts it,
+    The host is born in cell 0, where a new ``LogStrategy`` puts it,
     and moves to each handoff's destination and each failure's restart cell.
     Every cell comes from the adjacency table or a region's cells, so the
     cell -> BSC table is read without a range check.
@@ -300,9 +300,7 @@ def _fold(
     timeline: Timeline,
     trace: list[tuple[float, str, CostDelta]] | None,
 ) -> RunStats:
-    """Apply one strategy to a timeline, a run of writes at a time."""
-    host = strategy.initial_host()
-    store = strategy.initial_store(host)
+    """Apply a new strategy object to a timeline, a run of writes at a time."""
     write_times = iter(timeline.write_times or ())
 
     handoffs = checkpoints = failures = successes = 0
@@ -315,7 +313,7 @@ def _fold(
 
     for k, event in zip(timeline.writes, chain(timeline.events, (None,))):
         if k:
-            run = strategy.on_writes(host, store, k)
+            run = strategy.on_writes(k)
             # One addition per charged write, in order, as a per-write loop
             # sums them; an uncharged write adds 0.0, which changes nothing.
             cost = run.delta.total
@@ -331,15 +329,15 @@ def _fold(
             break
         t, ev, cell = event
         if ev == "CHECKPOINT":
-            delta = strategy.on_checkpoint(host, store, t)
+            delta = strategy.on_checkpoint()
             checkpoints += 1
             cost_checkpoint += delta.total
         elif ev == "HANDOFF":
-            delta = strategy.on_handoff(host, store, host.current_cell, cell, t)
+            delta = strategy.on_handoff(cell)
             handoffs += 1
             cost_handoff += delta.total
         else:  # FAILURE
-            outcome = strategy.recover(host, store, cell, t)
+            outcome = strategy.recover(cell)
             delta = outcome.cost
             failures += 1
             successes += int(outcome.success)
@@ -351,8 +349,8 @@ def _fold(
                 home_recoveries += 1
         if trace is not None:
             trace.append((t, ev, delta))
-        # Post-event only: mid-flush, entries sit in both cache and store.
-        pieces = store.pieces + bool(host.cache)
+        # Post-event only: mid-flush, entries sit in both cache and log.
+        pieces = strategy.pieces + bool(strategy.cache)
         if pieces > peak_fragments:
             peak_fragments = pieces
 
@@ -377,7 +375,7 @@ def _fold(
         lost_entries=lost_total,
         recovery_cost_home_total=cost_home,
         home_recovery_count=home_recoveries,
-        bsc_peak_entries=dict(store.region_peaks),
+        bsc_peak_entries=dict(strategy.region_peaks),
     )
 
 

@@ -1,11 +1,15 @@
 """The three log-management strategies behind one event interface.
 
+A strategy object is one run: it holds the host's cell, BSC and cache and
+where the checkpoint and log fragments sit, and its handlers apply each
+event to that state. Make a fresh object for every run.
+
 lazy         log fragments stay at the BS where they were written; each
              handoff stores a pointer in the new BS, recovery chases the
              pointer chain.
 pessimistic  the entire log plus checkpoint follows the host to the new BS
              on every handoff, so recovery is local.
-proposed     write events buffer in the host cache and flush to the region's
+proposed     write events buffer in the host cache and flush to the host's
              BSC (on cache exhaustion and on handoff); inter-BSC handoffs
              re-register the host and migrate the consolidated log.
 
@@ -109,39 +113,9 @@ class WriteRun:
     peak_pieces: int
 
 
-@dataclass
-class HostState:
-    """Mutable per-run state of the mobile host."""
-
-    current_cell: CellId
-    current_bsc: BscId
-    home_bsc: BscId  # BSC holding the consolidated log (proposed only)
-    cache: list[int] = field(default_factory=list)  # write sequence numbers
-    next_seq: int = 1
-
-
-@dataclass
-class StrategyStore:
-    """Durable placement of the checkpoint and log fragments."""
-
-    checkpoint_site: Site | None
-    checkpoint_region: BscId | None = None  # the BSC region of ``checkpoint_site``
-    fragments: list[Fragment] = field(default_factory=list)
-    pointer_chain_length: int = 0  # lazy only
-    pieces: int = 0  # running tally of non-empty fragments
-    region_entries: dict[BscId, int] = field(default_factory=dict)  # entries per BSC region
-    region_peaks: dict[BscId, int] = field(default_factory=dict)  # most entries each region held
-
-    def add_entries(self, region: BscId, n: int) -> None:
-        """Count ``n`` more entries held in ``region`` and lift its peak."""
-        total = self.region_entries.get(region, 0) + n
-        self.region_entries[region] = total
-        if total > self.region_peaks.get(region, 0):
-            self.region_peaks[region] = total
-
-
 class LogStrategy:
-    """Shared machinery; subclasses fill in the placement policy."""
+    """One run of one strategy: the mobile host and the durable placement
+    of its checkpoint and log. Subclasses fill in the placement policy."""
 
     kind: StrategyKind
 
@@ -149,40 +123,41 @@ class LogStrategy:
         self.tree = tree
         self.sp = sp
         self.cp = cp
-
-    # -- setup ---------------------------------------------------------
-
-    def initial_host(self) -> HostState:
-        """The host, born in cell 0."""
-        bsc = bsc_of(self.tree, 0)
-        return HostState(current_cell=0, current_bsc=bsc, home_bsc=bsc)
-
-    def initial_store(self, host: HostState) -> StrategyStore:
-        """Seed checkpoint 0 at the host's birth site at zero cost: the
-        initial application state is registered where the transaction
-        starts, so recovery always has a durable baseline."""
-        site, region = self._checkpoint_site(host)
-        store = StrategyStore(checkpoint_site=site, checkpoint_region=region)
-        self._reset_fragments(host, store)
-        return store
+        # The host, born in cell 0.
+        self.current_cell: CellId = 0
+        self.current_bsc: BscId = bsc_of(tree, 0)
+        self.cache: list[int] = []  # write sequence numbers
+        self.next_seq = 1
+        # The log: its fragments, the running tally of non-empty ones, and
+        # the entries each BSC region holds and the most it ever held.
+        self.fragments: list[Fragment] = []
+        self.pointer_chain_length = 0  # lazy only
+        self.pieces = 0
+        self.region_entries: dict[BscId, int] = {}
+        self.region_peaks: dict[BscId, int] = {}
+        # Checkpoint 0 sits at the host's birth site, and in its region, at
+        # zero cost: the initial application state is registered where the
+        # transaction starts, so recovery always has a durable baseline.
+        self.checkpoint_site, self.checkpoint_region = self._checkpoint_site()
+        self._reset_fragments()
 
     # -- events --------------------------------------------------------
 
-    def on_write(self, host: HostState, store: StrategyStore, t: float) -> CostDelta:
-        return self.on_writes(host, store, 1).delta
+    def on_write(self) -> CostDelta:
+        return self.on_writes(1).delta
 
-    def on_writes(self, host: HostState, store: StrategyStore, k: int) -> WriteRun:
+    def on_writes(self, k: int) -> WriteRun:
         """Log ``k`` writes issued back to back from the host's cell; the
         same placement and costs as ``k`` calls of ``on_write``. The default
         policy sends each entry to the current BS, which acknowledges it."""
-        first = host.next_seq
-        host.next_seq += k
-        self._append(store, bs_site(host.current_cell), host.current_bsc, range(first, first + k))
+        first = self.next_seq
+        self.next_seq += k
+        self._append(bs_site(self.current_cell), self.current_bsc, range(first, first + k))
         # One wireless data item plus the BSC's acknowledgement message.
         delta = self._ship(self._messages(1), 1, self.cp.c_1, 0)
-        return WriteRun(delta, range(k), store.pieces)
+        return WriteRun(delta, range(k), self.pieces)
 
-    def on_checkpoint(self, host: HostState, store: StrategyStore, t: float) -> CostDelta:
+    def on_checkpoint(self) -> CostDelta:
         """Ship a fresh checkpoint to its durable site and purge the log.
 
         The checkpoint originates at the host: one wireless hop, then the
@@ -190,36 +165,26 @@ class LogStrategy:
         older than the new checkpoint, and lazy's pointer chain resets with
         them since the pointers only locate purged fragments.
         """
-        site, region = self._checkpoint_site(host)
-        hops = hops_between(self.tree, bs_site(host.current_cell), host.current_bsc, site, region)
+        site, region = self._checkpoint_site()
+        hops = hops_between(self.tree, bs_site(self.current_cell), self.current_bsc, site, region)
         delta = self._ship(CostDelta(), 1, self.cp.c_c, hops)
-        store.checkpoint_site, store.checkpoint_region = site, region
-        host.cache.clear()
-        store.pointer_chain_length = 0
-        self._reset_fragments(host, store)
+        self.checkpoint_site, self.checkpoint_region = site, region
+        self.cache.clear()
+        self.pointer_chain_length = 0
+        self._reset_fragments()
         return delta
 
-    def on_handoff(
-        self,
-        host: HostState,
-        store: StrategyStore,
-        from_cell: CellId,
-        to_cell: CellId,
-        t: float,
-    ) -> CostDelta:
-        """Move the host to ``to_cell``; the move is intra-BSC when both
-        cells share a region."""
-        if from_cell == to_cell:
-            raise ValueError("not a handoff: from_cell == to_cell")
-        from_bsc = bsc_of(self.tree, from_cell)
-        to_bsc = bsc_of(self.tree, to_cell)
-        host.current_cell = to_cell
-        host.current_bsc = to_bsc
-        return self._handoff(host, store, from_bsc, to_bsc)
+    def on_handoff(self, to_cell: CellId) -> CostDelta:
+        """Move the host from its cell to ``to_cell``; the move is intra-BSC
+        when both cells share a region."""
+        if to_cell == self.current_cell:
+            raise ValueError(f"not a handoff: the host is already in cell {to_cell}")
+        from_bsc = self.current_bsc
+        self.current_bsc = bsc_of(self.tree, to_cell)
+        self.current_cell = to_cell
+        return self._handoff(from_bsc)
 
-    def recover(
-        self, host: HostState, store: StrategyStore, recovery_cell: CellId, t: float
-    ) -> RecoveryOutcome:
+    def recover(self, recovery_cell: CellId) -> RecoveryOutcome:
         """Retrieve the checkpoint and every durable fragment at the cell
         where the host restarts, replay, and re-home the fetched copies.
 
@@ -230,16 +195,15 @@ class LogStrategy:
         durable copy at no extra transfer cost.
         """
         cp = self.cp
-        failure_bsc = host.current_bsc
         recovery_bsc = bsc_of(self.tree, recovery_cell)
-        in_home_region = recovery_bsc == failure_bsc
+        in_home_region = recovery_bsc == self.current_bsc
 
         delta = CostDelta(wireless_cost=cp.alpha * cp.c_m, control_msgs=1)
-        delta.add(self._locate_log(host, store, recovery_bsc))
+        delta.add(self._locate_log(in_home_region))
 
         rec_site = bs_site(recovery_cell)
         fragments_fetched = 0
-        for frag in store.fragments:
+        for frag in self.fragments:
             n = len(frag.entries)
             if n == 0:
                 continue
@@ -247,9 +211,9 @@ class LogStrategy:
             self._ship(delta, n, cp.c_1, hops)
             fragments_fetched += 1
 
-        if store.checkpoint_site is not None:
+        if self.checkpoint_site is not None:
             hops = hops_between(
-                self.tree, store.checkpoint_site, store.checkpoint_region, rec_site, recovery_bsc
+                self.tree, self.checkpoint_site, self.checkpoint_region, rec_site, recovery_bsc
             )
             self._ship(delta, 1, cp.c_c, hops)
             fragments_fetched += 1
@@ -260,12 +224,12 @@ class LogStrategy:
 
         # Unflushed cache entries die with the host; only durable state
         # replays.
-        lost = len(host.cache)
-        host.cache.clear()
+        lost = len(self.cache)
+        self.cache.clear()
 
-        host.current_cell = recovery_cell
-        host.current_bsc = recovery_bsc
-        self._after_recovery(host, store, recovery_cell)
+        self.current_cell = recovery_cell
+        self.current_bsc = recovery_bsc
+        self._after_recovery()
 
         return RecoveryOutcome(
             success=retrieval_time <= self.sp.recovery_deadline,
@@ -276,40 +240,41 @@ class LogStrategy:
             lost_entries=lost,
         )
 
-    def log_locations(self, host: HostState, store: StrategyStore) -> list[tuple[Site, int]]:
+    def log_locations(self) -> list[tuple[Site, int]]:
         """Current fragment placement snapshot, in replay order."""
-        out = [(f.site, len(f.entries)) for f in store.fragments]
-        if host.cache:
-            out.append((mh_site(0), len(host.cache)))
+        out = [(f.site, len(f.entries)) for f in self.fragments]
+        if self.cache:
+            out.append((mh_site(0), len(self.cache)))
         return out
 
-    def replay_sequence(self, host: HostState, store: StrategyStore) -> list[int]:
+    def replay_sequence(self) -> list[int]:
         """Entry seqs recoverable in order: durable fragments then cache."""
-        seqs = [seq for f in store.fragments for seq in f.entries]
-        seqs.extend(host.cache)
+        seqs = [seq for f in self.fragments for seq in f.entries]
+        seqs.extend(self.cache)
         return seqs
 
     # -- policy hooks ---------------------------------------------------
 
-    def _checkpoint_site(self, host: HostState) -> tuple[Site, BscId]:
+    def _checkpoint_site(self) -> tuple[Site, BscId]:
         """Where the host's next checkpoint is kept, and that site's region."""
-        return bs_site(host.current_cell), host.current_bsc
+        return bs_site(self.current_cell), self.current_bsc
 
-    def _reset_fragments(self, host: HostState, store: StrategyStore) -> None:
-        self._place(store, [])
+    def _reset_fragments(self) -> None:
+        self._place([])
 
-    def _handoff(
-        self, host: HostState, store: StrategyStore, from_bsc: BscId, to_bsc: BscId
-    ) -> CostDelta:
-        """Policy for a move from region ``from_bsc`` to ``to_bsc``; the
-        host already stands in its new cell."""
+    def _handoff(self, from_bsc: BscId) -> CostDelta:
+        """Policy for a move out of region ``from_bsc``; the host already
+        stands in its new cell and region."""
         raise NotImplementedError
 
-    def _locate_log(self, host: HostState, store: StrategyStore, recovery_bsc: BscId) -> CostDelta:
+    def _locate_log(self, in_home_region: bool) -> CostDelta:
         return CostDelta()
 
-    def _after_recovery(self, host: HostState, store: StrategyStore, recovery_cell: CellId) -> None:
-        pass
+    def _after_recovery(self) -> None:
+        """Policy once the host stands in its restart cell. Retrieval
+        delivered the log and checkpoint there; by default they become the
+        durable copy where the policy keeps them."""
+        self._rehome()
 
     # -- shared pieces ---------------------------------------------------
 
@@ -336,32 +301,42 @@ class LogStrategy:
         delta.elapsed_transfer_time += (n + 1) * cp.r * hops
         return delta
 
-    def _append(self, store: StrategyStore, site: Site, region: BscId, seqs: Sequence[int]) -> None:
+    def _add_entries(self, region: BscId, n: int) -> None:
+        """Count ``n`` more entries held in ``region`` and lift its peak."""
+        total = self.region_entries.get(region, 0) + n
+        self.region_entries[region] = total
+        if total > self.region_peaks.get(region, 0):
+            self.region_peaks[region] = total
+
+    def _append(self, site: Site, region: BscId, seqs: Sequence[int]) -> None:
         """Extend the last fragment if it sits at ``site``, else open a new
-        one there, and update the store's tallies; ``seqs`` is non-empty."""
-        if not (store.fragments and store.fragments[-1].site == site):
-            store.fragments.append(Fragment(site, region))
-        frag = store.fragments[-1]
+        one there, and update the tallies; ``seqs`` is non-empty."""
+        if not (self.fragments and self.fragments[-1].site == site):
+            self.fragments.append(Fragment(site, region))
+        frag = self.fragments[-1]
         if not frag.entries:
-            store.pieces += 1
+            self.pieces += 1
         frag.entries.extend(seqs)
-        store.add_entries(region, len(seqs))
+        self._add_entries(region, len(seqs))
 
-    def _place(self, store: StrategyStore, fragments: list[Fragment]) -> None:
-        """Purge the log: the store then holds ``fragments``, which hold no
-        entries."""
-        store.fragments[:] = fragments
-        store.pieces = 0
-        store.region_entries.clear()
+    def _place(self, fragments: list[Fragment]) -> None:
+        """Purge the log: it then holds ``fragments``, which hold no entries."""
+        self.fragments[:] = fragments
+        self.pieces = 0
+        self.region_entries.clear()
 
-    def _move(self, store: StrategyStore, site: Site, region: BscId) -> None:
-        """Move the one fragment pessimistic and proposed keep to ``site`` in
-        ``region``, its entries' region tally with it."""
-        frag = store.fragments[0]
-        if frag.entries:
-            del store.region_entries[frag.region]
-            store.add_entries(region, len(frag.entries))
-        frag.site, frag.region = site, region
+    def _rehome(self) -> None:
+        """Move the checkpoint and the one fragment pessimistic and proposed
+        keep, if there is one, to the host's checkpoint site, the fragment's
+        region tally with it."""
+        site, region = self._checkpoint_site()
+        if self.fragments:
+            frag = self.fragments[0]
+            if frag.entries:
+                del self.region_entries[frag.region]
+                self._add_entries(region, len(frag.entries))
+            frag.site, frag.region = site, region
+        self.checkpoint_site, self.checkpoint_region = site, region
 
 
 class LazyStrategy(LogStrategy):
@@ -369,136 +344,113 @@ class LazyStrategy(LogStrategy):
 
     kind = StrategyKind.LAZY
 
-    def _handoff(self, host, store, from_bsc, to_bsc) -> CostDelta:
+    def _handoff(self, from_bsc) -> CostDelta:
         # The new BS stores a pointer to the old one; no log data moves.
-        store.pointer_chain_length += 1
+        self.pointer_chain_length += 1
         return self._messages(1)
 
-    def _locate_log(self, host, store, recovery_bsc) -> CostDelta:
+    def _locate_log(self, in_home_region) -> CostDelta:
         # Chase the pointer chain back to the fragments, one message a link.
-        return self._messages(store.pointer_chain_length)
+        return self._messages(self.pointer_chain_length)
 
-    def _after_recovery(self, host, store, recovery_cell) -> None:
+    def _after_recovery(self) -> None:
         # Fragments stay put; the restart BS links into the existing chain
         # so the next recovery can still find them. Registration signalling
         # is common to all strategies and not priced.
-        if store.fragments and store.fragments[-1].site != bs_site(recovery_cell):
-            store.pointer_chain_length += 1
+        if self.fragments and self.fragments[-1].site != bs_site(self.current_cell):
+            self.pointer_chain_length += 1
 
 
 class PessimisticStrategy(LogStrategy):
-    """One fragment, co-located with the host's BS at all times."""
+    """One fragment, kept with the checkpoint at the host's BS at all times."""
 
     kind = StrategyKind.PESSIMISTIC
 
-    def _reset_fragments(self, host: HostState, store: StrategyStore) -> None:
-        self._place(store, [Fragment(bs_site(host.current_cell), host.current_bsc)])
+    def _reset_fragments(self) -> None:
+        self._place([Fragment(bs_site(self.current_cell), self.current_bsc)])
 
-    def _handoff(self, host, store, from_bsc, to_bsc) -> CostDelta:
-        n = len(store.fragments[0].entries)
+    def _handoff(self, from_bsc) -> CostDelta:
+        n = len(self.fragments[0].entries)
         # BS up to its BSC, across to the new BSC, down to the new BS.
-        hops = 2 + _bsc_gap(self.tree, from_bsc, to_bsc)
-        site = bs_site(host.current_cell)
-        store.checkpoint_site, store.checkpoint_region = site, to_bsc
-        self._move(store, site, to_bsc)
+        hops = 2 + _bsc_gap(self.tree, from_bsc, self.current_bsc)
+        self._rehome()
         return self._carry(self._messages(1), n, hops)
-
-    def _after_recovery(self, host, store, recovery_cell) -> None:
-        # The retrieval already delivered log and checkpoint to the restart
-        # BS; they become the durable copy there.
-        site = bs_site(recovery_cell)
-        self._move(store, site, host.current_bsc)
-        if store.checkpoint_site is not None:
-            store.checkpoint_site, store.checkpoint_region = site, host.current_bsc
 
 
 class ProposedStrategy(LogStrategy):
-    """Cache on the host, consolidate at the region's BSC."""
+    """Cache on the host, consolidate at its BSC.
+
+    The log is at most one fragment, and it and the checkpoint sit at the
+    host's BSC after every event: flushes go there, and the host changes
+    BSC only by an inter-BSC handoff or a recovery, each of which moves
+    them along (``_rehome``)."""
 
     kind = StrategyKind.PROPOSED
 
-    def _checkpoint_site(self, host: HostState) -> tuple[Site, BscId]:
-        return bsc_site(host.home_bsc), host.home_bsc
+    def _checkpoint_site(self) -> tuple[Site, BscId]:
+        return bsc_site(self.current_bsc), self.current_bsc
 
-    def on_writes(self, host: HostState, store: StrategyStore, k: int) -> WriteRun:
+    def on_writes(self, k: int) -> WriteRun:
         """Each write joins the cache, and the write that fills it flushes
-        the cache to the home BSC. Every flush of the run moves a full
+        the cache to the host's BSC. Every flush of the run moves a full
         cache from the same cell, so they all cost the same."""
         cap = self.sp.cache_capacity
-        cache = host.cache
-        seqs = range(host.next_seq, host.next_seq + k)
-        host.next_seq += k
-        before = store.pieces
+        cache = self.cache
+        seqs = range(self.next_seq, self.next_seq + k)
+        self.next_seq += k
+        before = self.pieces
         first = cap - len(cache) - 1  # index of the write that fills the cache
         if first >= k:
             cache.extend(seqs)
             return WriteRun(CostDelta(), range(0), before + 1)
-        delta = self._flush_cost(host, cap)
+        delta = self._flush_cost(cap)
         charged = range(first, k, cap)
         flushed = charged[-1] + 1
         cache.extend(seqs[:flushed])
-        self._append(store, bsc_site(host.home_bsc), host.home_bsc, cache)
+        self._append(bsc_site(self.current_bsc), self.current_bsc, cache)
         cache[:] = seqs[flushed:]
         # Between flushes the cache holds entries; right after one it is
         # empty, and every flush after the first extends the same fragment.
-        after = store.pieces + (cap > 1 and first + 1 < k)
+        after = self.pieces + (cap > 1 and first + 1 < k)
         return WriteRun(delta, charged, max(before + 1, after) if first else after)
 
-    def _flush_cost(self, host: HostState, n: int) -> CostDelta:
-        """Cost of moving ``n`` cached entries to the home BSC."""
-        hops = 1 + _bsc_gap(self.tree, host.current_bsc, host.home_bsc)
-        return self._ship(self._messages(1), n, self.cp.c_1, hops)
+    def _flush_cost(self, n: int) -> CostDelta:
+        """Cost of moving ``n`` cached entries up one hop to the host's BSC."""
+        return self._ship(self._messages(1), n, self.cp.c_1, 1)
 
-    def _flush_cache(self, host: HostState, store: StrategyStore) -> CostDelta:
-        """Copy the entire cache to the home BSC and append it there."""
-        n = len(host.cache)
+    def _flush_cache(self) -> CostDelta:
+        """Copy the entire cache to the host's BSC and append it there."""
+        n = len(self.cache)
         if n == 0:
             return CostDelta()
-        delta = self._flush_cost(host, n)
-        self._append(store, bsc_site(host.home_bsc), host.home_bsc, host.cache)
-        host.cache.clear()
+        delta = self._flush_cost(n)
+        self._append(bsc_site(self.current_bsc), self.current_bsc, self.cache)
+        self.cache.clear()
         return delta
 
-    def _handoff(self, host, store, from_bsc, to_bsc) -> CostDelta:
-        if from_bsc == to_bsc:
+    def _handoff(self, from_bsc) -> CostDelta:
+        if from_bsc == self.current_bsc:
             # The durable log is already at this region's BSC; only the
             # cache moves.
-            return self._flush_cache(host, store)
+            return self._flush_cache()
 
         # Registration: Connect(MHid, PBSCid) to the new BSC, which then
-        # notifies the old home BSC of the host's reachability. The old home
-        # BSC then transfers its whole fragment plus the checkpoint to the
-        # new BSC, which becomes the home.
-        n_home = sum(len(f.entries) for f in store.fragments)
-        hops = _bsc_gap(self.tree, host.home_bsc, to_bsc)
+        # notifies the old BSC of the host's reachability. The old BSC then
+        # transfers its whole fragment plus the checkpoint to the new BSC.
+        n_home = sum(len(f.entries) for f in self.fragments)
+        hops = _bsc_gap(self.tree, from_bsc, self.current_bsc)
         delta = self._carry(self._messages(2), n_home, hops)
-        self._rehome(host, store, to_bsc)
+        self._rehome()
 
-        delta.add(self._flush_cache(host, store))
+        delta.add(self._flush_cache())
         return delta
 
-    def _locate_log(self, host, store, recovery_bsc) -> CostDelta:
+    def _locate_log(self, in_home_region) -> CostDelta:
         # Tracking agent asks the HLR/VLR where the log lives when the host
-        # restarts outside the home region.
-        if recovery_bsc != host.home_bsc:
-            return self._messages(1)
-        return CostDelta()
-
-    def _after_recovery(self, host, store, recovery_cell) -> None:
-        # Retrieval delivered the full log and checkpoint to the recovery
-        # region; its BSC adopts them and becomes the home BSC, restoring
-        # the consolidation invariant.
-        self._rehome(host, store, host.current_bsc)
-
-    def _rehome(self, host: HostState, store: StrategyStore, bsc: BscId) -> None:
-        """Move the log and the checkpoint to ``bsc``, the new home BSC. The
-        log is at most one fragment: flushes only go to the home BSC, and
-        only this method changes the home."""
-        site = bsc_site(bsc)
-        if store.fragments:
-            self._move(store, site, bsc)
-        store.checkpoint_site, store.checkpoint_region = site, bsc
-        host.home_bsc = bsc
+        # restarts outside the failure region.
+        if in_home_region:
+            return CostDelta()
+        return self._messages(1)
 
 
 _STRATEGIES = {

@@ -138,28 +138,24 @@ def test_criterion_09_protocol_invariants():
     # Replay completeness on failure-free sequences (a failure legitimately
     # loses cached entries for the consolidating strategy).
     for kind in ("lazy", "pessimistic", "proposed"):
-        strat = make_strategy(kind, tree, sp, cp)
         for i in range(n_sequences):
             rng = np.random.Generator(np.random.PCG64(1000 + i))
-            host = strat.initial_host()
-            store = strat.initial_store(host)
+            strat = make_strategy(kind, tree, sp, cp)
             expected: list[int] = []
-            t = 0.0
             for _ in range(30):
-                t += 1.0
                 u = rng.random()
                 if u < 0.6:
-                    seq = host.next_seq
-                    strat.on_write(host, store, t)
+                    seq = strat.next_seq
+                    strat.on_write()
                     expected.append(seq)
                 elif u < 0.9:
                     to = int(rng.integers(tree.n_cells - 1))
-                    to = to if to < host.current_cell else to + 1
-                    strat.on_handoff(host, store, host.current_cell, to, t)
+                    to = to if to < strat.current_cell else to + 1
+                    strat.on_handoff(to)
                 else:
-                    strat.on_checkpoint(host, store, t)
+                    strat.on_checkpoint()
                     expected = []
-                if strat.replay_sequence(host, store) != expected:
+                if strat.replay_sequence() != expected:
                     violations.append(f"{kind}: replay completeness broken (seq {i})")
                     break
             if violations:
@@ -167,47 +163,45 @@ def test_criterion_09_protocol_invariants():
 
     # Placement invariants on sequences that do include failures.
     for kind in ("lazy", "pessimistic", "proposed"):
-        strat = make_strategy(kind, tree, sp, cp)
         for i in range(n_sequences):
             rng = np.random.Generator(np.random.PCG64(5000 + i))
-            host = strat.initial_host()
-            store = strat.initial_store(host)
-            t = 0.0
+            strat = make_strategy(kind, tree, sp, cp)
             for _ in range(30):
-                t += 1.0
                 u = rng.random()
                 if u < 0.5:
-                    strat.on_write(host, store, t)
+                    strat.on_write()
                 elif u < 0.8:
-                    frm = host.current_cell
+                    frm = strat.current_cell
                     to = int(rng.integers(tree.n_cells - 1))
                     to = to if to < frm else to + 1
                     inter = bsc_of(tree, frm) != bsc_of(tree, to)
-                    delta = strat.on_handoff(host, store, frm, to, t)
+                    delta = strat.on_handoff(to)
                     if kind == "lazy" and delta.data_items_moved != 0:
                         violations.append(f"lazy: handoff moved data (seq {i})")
                     if kind == "pessimistic":
-                        locs = strat.log_locations(host, store)
+                        locs = strat.log_locations()
                         if len(locs) != 1 or locs[0][0] != ("bs", to):
                             violations.append(
                                 f"pessimistic: fragment not solo at host BS (seq {i})"
                             )
                     if kind == "proposed" and inter:
-                        if host.home_bsc != host.current_bsc:
-                            violations.append(f"proposed: home != current (seq {i})")
+                        if strat.checkpoint_site != bsc_site(strat.current_bsc):
+                            violations.append(
+                                f"proposed: checkpoint not at the host's BSC (seq {i})"
+                            )
                         bad = [
-                            f for f in store.fragments
-                            if f.entries and f.site != bsc_site(host.current_bsc)
+                            f for f in strat.fragments
+                            if f.entries and f.site != bsc_site(strat.current_bsc)
                         ]
-                        if bad or host.cache:
+                        if bad or strat.cache:
                             violations.append(
                                 f"proposed: log not consolidated after inter-BSC (seq {i})"
                             )
                 elif u < 0.9:
-                    strat.on_checkpoint(host, store, t)
+                    strat.on_checkpoint()
                 else:
                     cell = int(rng.integers(tree.n_cells))
-                    strat.recover(host, store, cell, t)
+                    strat.recover(cell)
                 if violations:
                     break
             if violations:

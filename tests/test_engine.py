@@ -23,7 +23,7 @@ from mhlogsim.engine import (
 )
 from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import make_strategy
-from mhlogsim.topology import BS
+from mhlogsim.topology import BS, bs_site, bsc_site
 from mhlogsim import analytic, engine, experiments, topology
 
 
@@ -237,14 +237,15 @@ class TestRunSimulation:
         assert all(v > 0 for v in stats.bsc_peak_entries.values())
 
 
-def rescan_placement(tree, host, store) -> tuple[int, dict[int, int]]:
-    """Brute-force placement of a store: non-empty pieces (the cache counts
-    as one) and entries per BSC region, from the fragments themselves. The
-    regions the store records must be those of its sites."""
-    assert store.checkpoint_region == topology.region_of(tree, store.checkpoint_site)
-    pieces = int(bool(host.cache))
+def rescan_placement(strategy) -> tuple[int, dict[int, int]]:
+    """Brute-force placement of a strategy's log: non-empty pieces (the cache
+    counts as one) and entries per BSC region, from the fragments themselves.
+    The regions the strategy records must be those of its sites."""
+    tree = strategy.tree
+    assert strategy.checkpoint_region == topology.region_of(tree, strategy.checkpoint_site)
+    pieces = int(bool(strategy.cache))
     per_bsc: dict[int, int] = {}
-    for frag in store.fragments:
+    for frag in strategy.fragments:
         if frag.entries:
             pieces += 1
             kind, idx = frag.site
@@ -255,7 +256,7 @@ def rescan_placement(tree, host, store) -> tuple[int, dict[int, int]]:
 
 
 class TestPlacementPeaks:
-    """The placement peaks come from running tallies; a rescan of the store
+    """The placement peaks come from running tallies; a rescan of the log
     after every event, each write included, must give the same maxima."""
 
     @settings(max_examples=40, deadline=None)
@@ -284,14 +285,19 @@ class TestPlacementPeaks:
         bsc_peaks: dict[int, int] = {}
         engine_make_strategy = engine.make_strategy
 
-        def rescan(tree, host, store):
-            # Pessimistic keeps its one fragment; proposed holds at most one,
-            # at the home BSC.
+        def rescan(strategy):
+            # Pessimistic keeps its one fragment with the checkpoint at the
+            # host's BS; proposed holds at most one, with the checkpoint at
+            # the host's BSC.
             if kind == "pessimistic":
-                assert len(store.fragments) == 1
+                site = bs_site(strategy.current_cell)
+                assert [f.site for f in strategy.fragments] == [site]
+                assert strategy.checkpoint_site == site
             elif kind == "proposed":
-                assert len(store.fragments) <= 1
-            pieces, per_bsc = rescan_placement(tree, host, store)
+                site = bsc_site(strategy.current_bsc)
+                assert [f.site for f in strategy.fragments] in ([], [site])
+                assert strategy.checkpoint_site == site
+            pieces, per_bsc = rescan_placement(strategy)
             peak[0] = max(peak[0], pieces)
             for region, n in per_bsc.items():
                 bsc_peaks[region] = max(bsc_peaks.get(region, 0), n)
@@ -299,30 +305,28 @@ class TestPlacementPeaks:
         def rescanning(kind, tree, sp, cp):
             strategy = engine_make_strategy(kind, tree, sp, cp)
             for hook in ("on_handoff", "on_checkpoint", "recover"):
-                setattr(strategy, hook, after_each(getattr(strategy, hook), tree))
-            strategy.on_writes = write_by_write(strategy.on_writes, tree)
+                setattr(strategy, hook, after_each(getattr(strategy, hook), strategy))
+            strategy.on_writes = write_by_write(type(strategy).on_writes, strategy)
             return strategy
 
-        def after_each(hook, tree):
-            def wrapped(host, store, *args):
-                out = hook(host, store, *args)
-                rescan(tree, host, store)
+        def after_each(hook, strategy):
+            def wrapped(*args):
+                out = hook(*args)
+                rescan(strategy)
                 return out
             return wrapped
 
-        def write_by_write(on_writes, tree):
+        def write_by_write(on_writes, strategy):
             # The kernel hands a strategy whole runs of writes. Replay each
             # run one write at a time on a copy and rescan after every
-            # write, then let the real store take the run at once.
-            def wrapped(host, store, k):
-                host_copy, store_copy = copy.deepcopy((host, store))
+            # write, then let the real strategy take the run at once.
+            def wrapped(k):
+                shadow = copy.deepcopy(strategy)
                 for _ in range(k):
-                    on_writes(host_copy, store_copy, 1)
-                    rescan(tree, host_copy, store_copy)
-                out = on_writes(host, store, k)
-                assert rescan_placement(tree, host, store) == rescan_placement(
-                    tree, host_copy, store_copy
-                )
+                    on_writes(shadow, 1)
+                    rescan(shadow)
+                out = on_writes(strategy, k)
+                assert rescan_placement(strategy) == rescan_placement(shadow)
                 return out
             return wrapped
 
@@ -340,8 +344,6 @@ def reference_run(cfg, kind, seed, trace):
     sp, tree = cfg.sim, cfg.tree
     rng = np.random.Generator(np.random.PCG64(seed))
     strategy = make_strategy(kind, tree, sp, cfg.cost)
-    host = strategy.initial_host()
-    store = strategy.initial_store(host)
     write_at = sample_exponential(sp.lambda_w, rng) if sp.lambda_w > 0 else math.inf
     handoff_at = sample_exponential(sp.mu, rng)
     clocks = [sp.t_c, handoff_at, write_at, sample_exponential(sp.lambda_f, rng)]
@@ -357,24 +359,24 @@ def reference_run(cfg, kind, seed, trace):
             break
         ev = clocks.index(t)
         if ev == 0:
-            delta = strategy.on_checkpoint(host, store, t)
+            delta = strategy.on_checkpoint()
             clocks[0] = t + sp.t_c
         elif ev == 1:
-            frm = host.current_cell
+            frm = strategy.current_cell
             to = topology.sample_next_cell(tree, frm, rng)
             intra += topology.bsc_of(tree, frm) == topology.bsc_of(tree, to)
-            delta = strategy.on_handoff(host, store, frm, to, t)
+            delta = strategy.on_handoff(to)
             clocks[1] = t + sample_exponential(sp.mu, rng)
         elif ev == 2:
-            delta = strategy.on_write(host, store, t)
+            delta = strategy.on_write()
             clocks[2] = t + sample_exponential(sp.lambda_w, rng)
         else:
-            region = topology.cells_of_bsc(tree, host.current_bsc)
+            region = topology.cells_of_bsc(tree, strategy.current_bsc)
             if rng.random() < cfg.p_same_region or tree.n_bscs == 1:
                 cells = region
             else:
                 cells = [c for c in range(tree.n_cells) if c not in region]
-            outcome = strategy.recover(host, store, cells[int(rng.integers(len(cells)))], t)
+            outcome = strategy.recover(cells[int(rng.integers(len(cells)))])
             delta = outcome.cost
             successes += outcome.success
             retrieval += outcome.retrieval_time
@@ -386,8 +388,8 @@ def reference_run(cfg, kind, seed, trace):
         count[names[ev]] += 1
         cost[names[ev]] += delta.total
         trace.append((t, names[ev], delta))
-        peak = max(peak, store.pieces + bool(host.cache))
-        for region, n in store.region_entries.items():
+        peak = max(peak, strategy.pieces + bool(strategy.cache))
+        for region, n in strategy.region_entries.items():
             bsc_peaks[region] = max(bsc_peaks.get(region, 0), n)
     failures = count["FAILURE"]
     return RunStats(

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mhlogsim.model import CostParams, SimParams
-from mhlogsim.strategies import CostDelta, StrategyStore, make_strategy
+from mhlogsim.strategies import CostDelta, make_strategy
 from mhlogsim.topology import bs_site, bsc_site, build_topology, hop_distance, mh_site, region_of
 
 CP = CostParams()  # r=0.1, C_c=5, C_1=1, C_m=0.5, alpha=rho=1
@@ -14,199 +14,197 @@ CP = CostParams()  # r=0.1, C_c=5, C_1=1, C_m=0.5, alpha=rho=1
 def setup(kind, tree=None, cache_capacity=8, deadline=42.0, cp=CP):
     tree = tree or build_topology(1, 2, 2, "ring")
     sp = SimParams(cache_capacity=cache_capacity, recovery_deadline=deadline)
-    strat = make_strategy(kind, tree, sp, cp)
-    host = strat.initial_host()
-    store = strat.initial_store(host)
-    return strat, host, store, tree
+    return make_strategy(kind, tree, sp, cp)
 
 
 class TestOnWrite:
     def test_proposed_cache_append_is_free(self):
-        strat, host, store, _ = setup("proposed", cache_capacity=8)
+        strat = setup("proposed", cache_capacity=8)
         for _ in range(3):
-            strat.on_write(host, store, 1.0)
-        delta = strat.on_write(host, store, 2.0)
-        assert len(host.cache) == 4
+            strat.on_write()
+        delta = strat.on_write()
+        assert len(strat.cache) == 4
         assert delta.total == 0.0
         assert delta.control_msgs == 0
 
     def test_proposed_flush_on_exhaustion(self):
-        strat, host, store, _ = setup("proposed", cache_capacity=8)
+        strat = setup("proposed", cache_capacity=8)
         for _ in range(7):
-            strat.on_write(host, store, 1.0)
-        delta = strat.on_write(host, store, 2.0)  # 8th write fills the cache
-        assert host.cache == []
+            strat.on_write()
+        delta = strat.on_write()  # 8th write fills the cache
+        assert strat.cache == []
         assert delta.wireless_cost == pytest.approx(8 * CP.alpha * CP.c_1)
         assert delta.wired_cost == pytest.approx(8 * CP.rho * CP.c_1 * 1 + CP.c_m)
         assert delta.control_msgs == 1
         assert delta.data_items_moved == 8
         assert delta.elapsed_transfer_time == pytest.approx(8 * (1 + CP.r))
-        assert store.fragments[0].site == bsc_site(0)
-        assert len(store.fragments[0].entries) == 8
+        assert strat.fragments[0].site == bsc_site(0)
+        assert len(strat.fragments[0].entries) == 8
 
     def test_lazy_write_appends_at_current_bs(self):
-        strat, host, store, _ = setup("lazy")
-        delta = strat.on_write(host, store, 1.0)
-        assert [(f.site, len(f.entries)) for f in store.fragments] == [(bs_site(0), 1)]
+        strat = setup("lazy")
+        delta = strat.on_write()
+        assert [(f.site, len(f.entries)) for f in strat.fragments] == [(bs_site(0), 1)]
         assert delta.wireless_cost == pytest.approx(CP.alpha * CP.c_1)
         assert delta.wired_cost == pytest.approx(CP.c_m)
         assert delta.total == pytest.approx(1.5)
 
     def test_pessimistic_write_costs_match_lazy(self):
-        strat, host, store, _ = setup("pessimistic")
-        delta = strat.on_write(host, store, 1.0)
+        strat = setup("pessimistic")
+        delta = strat.on_write()
         assert delta.total == pytest.approx(1.5)
-        assert len(store.fragments) == 1
+        assert len(strat.fragments) == 1
 
 
 class TestOnCheckpoint:
     def test_empty_log_purge_is_noop_cost_is_transfer_only(self):
         for kind, expected in (("lazy", 5.0), ("pessimistic", 5.0), ("proposed", 10.0)):
-            strat, host, store, _ = setup(kind)
-            delta = strat.on_checkpoint(host, store, 100.0)
+            strat = setup(kind)
+            delta = strat.on_checkpoint()
             assert delta.total == pytest.approx(expected), kind
-            assert strat.replay_sequence(host, store) == []
+            assert strat.replay_sequence() == []
 
     def test_proposed_checkpoint_pays_one_wired_hop(self):
-        strat, host, store, _ = setup("proposed")
-        delta = strat.on_checkpoint(host, store, 100.0)
+        strat = setup("proposed")
+        delta = strat.on_checkpoint()
         assert delta.wireless_cost == pytest.approx(CP.alpha * CP.c_c)
         assert delta.wired_cost == pytest.approx(CP.rho * CP.c_c)
-        assert store.checkpoint_site == bsc_site(0)
+        assert strat.checkpoint_site == bsc_site(0)
 
     def test_pessimistic_purge_restarts_single_empty_fragment(self):
-        strat, host, store, _ = setup("pessimistic")
+        strat = setup("pessimistic")
         for _ in range(5):
-            strat.on_write(host, store, 1.0)
-        strat.on_checkpoint(host, store, 100.0)
-        assert [(f.site, len(f.entries)) for f in store.fragments] == [(bs_site(0), 0)]
+            strat.on_write()
+        strat.on_checkpoint()
+        assert [(f.site, len(f.entries)) for f in strat.fragments] == [(bs_site(0), 0)]
 
     def test_proposed_checkpoint_clears_cache(self):
-        strat, host, store, _ = setup("proposed")
-        strat.on_write(host, store, 1.0)
-        strat.on_checkpoint(host, store, 100.0)
-        assert host.cache == []
+        strat = setup("proposed")
+        strat.on_write()
+        strat.on_checkpoint()
+        assert strat.cache == []
 
     def test_lazy_pointer_chain_resets_with_purge(self):
-        strat, host, store, _ = setup("lazy")
-        strat.on_handoff(host, store, 0, 1, 1.0)
-        assert store.pointer_chain_length == 1
-        strat.on_checkpoint(host, store, 100.0)
-        assert store.pointer_chain_length == 0
+        strat = setup("lazy")
+        strat.on_handoff(1)
+        assert strat.pointer_chain_length == 1
+        strat.on_checkpoint()
+        assert strat.pointer_chain_length == 0
 
 
 class TestOnHandoff:
     def test_proposed_intra_bsc_empty_cache_is_free(self):
-        strat, host, store, _ = setup("proposed")
-        delta = strat.on_handoff(host, store, 0, 1, 1.0)
+        strat = setup("proposed")
+        delta = strat.on_handoff(1)
         assert delta.total == 0.0
         assert delta.data_items_moved == 0
         assert delta.control_msgs == 0
 
     def test_proposed_inter_bsc_migrates_log_and_checkpoint(self):
-        strat, host, store, _ = setup("proposed", cache_capacity=4)
+        strat = setup("proposed", cache_capacity=4)
         for _ in range(4):
-            strat.on_write(host, store, 1.0)  # 4th write flushes to BSC 0
-        assert [(f.site, len(f.entries)) for f in store.fragments] == [(bsc_site(0), 4)]
-        delta = strat.on_handoff(host, store, 1, 2, 2.0)  # BSC 0 -> BSC 1
+            strat.on_write()  # 4th write flushes to BSC 0
+        assert [(f.site, len(f.entries)) for f in strat.fragments] == [(bsc_site(0), 4)]
+        delta = strat.on_handoff(2)  # BSC 0 -> BSC 1
         assert delta.wired_cost == pytest.approx((4 * CP.c_1 + CP.c_c) * CP.rho * 2 + 2 * CP.c_m)
         assert delta.control_msgs == 2
         assert delta.wireless_cost == 0.0
         assert delta.data_items_moved == 5
-        assert host.home_bsc == 1
-        assert store.checkpoint_site == bsc_site(1)
-        assert [(f.site, len(f.entries)) for f in store.fragments] == [(bsc_site(1), 4)]
+        assert strat.current_bsc == 1
+        assert strat.checkpoint_site == strat.fragments[0].site == bsc_site(strat.current_bsc)
+        assert strat.checkpoint_site == bsc_site(1)
+        assert [(f.site, len(f.entries)) for f in strat.fragments] == [(bsc_site(1), 4)]
 
     def test_proposed_handoff_flushes_cache_to_new_home(self):
-        strat, host, store, _ = setup("proposed", cache_capacity=8)
-        strat.on_write(host, store, 1.0)
-        strat.on_write(host, store, 1.5)
-        delta = strat.on_handoff(host, store, 1, 2, 2.0)
-        assert host.cache == []
-        assert len(store.fragments[0].entries) == 2
+        strat = setup("proposed", cache_capacity=8)
+        strat.on_write()
+        strat.on_write()
+        delta = strat.on_handoff(2)
+        assert strat.cache == []
+        assert len(strat.fragments[0].entries) == 2
         # cache flush rides the new BS -> new BSC hop
         assert delta.wireless_cost == pytest.approx(2 * CP.alpha * CP.c_1)
 
     def test_lazy_handoff_moves_nothing(self):
-        strat, host, store, _ = setup("lazy")
-        strat.on_write(host, store, 1.0)
-        delta = strat.on_handoff(host, store, 0, 1, 2.0)
+        strat = setup("lazy")
+        strat.on_write()
+        delta = strat.on_handoff(1)
         assert delta.data_items_moved == 0
         assert delta.control_msgs == 1
-        assert store.pointer_chain_length == 1
-        assert store.fragments[0].site == bs_site(0)  # fragment stays put
+        assert strat.pointer_chain_length == 1
+        assert strat.fragments[0].site == bs_site(0)  # fragment stays put
 
     def test_pessimistic_handoff_moves_log_and_checkpoint(self):
-        strat, host, store, _ = setup("pessimistic")
+        strat = setup("pessimistic")
         for _ in range(3):
-            strat.on_write(host, store, 1.0)
-        delta = strat.on_handoff(host, store, 0, 1, 2.0)  # sibling cells, 2 hops
+            strat.on_write()
+        delta = strat.on_handoff(1)  # sibling cells, 2 hops
         assert delta.wired_cost == pytest.approx((3 * CP.c_1 + CP.c_c) * CP.rho * 2 + CP.c_m)
         assert delta.data_items_moved == 4
-        assert store.fragments[0].site == bs_site(1)
-        assert store.checkpoint_site == bs_site(1)
+        assert strat.fragments[0].site == bs_site(1)
+        assert strat.checkpoint_site == bs_site(1)
 
     def test_pessimistic_handoff_cost_strictly_increases_with_pending(self):
         totals = []
         for n in (0, 1, 4, 9):
-            strat, host, store, _ = setup("pessimistic")
+            strat = setup("pessimistic")
             for _ in range(n):
-                strat.on_write(host, store, 1.0)
-            totals.append(strat.on_handoff(host, store, 0, 1, 2.0).total)
+                strat.on_write()
+            totals.append(strat.on_handoff(1).total)
         assert all(b > a for a, b in zip(totals, totals[1:]))
 
     def test_handoff_cost_non_decreasing_in_pending_for_all_kinds(self):
         for kind in ("lazy", "pessimistic", "proposed"):
             totals = []
             for n in (0, 2, 5):
-                strat, host, store, _ = setup(kind, cache_capacity=100)
+                strat = setup(kind, cache_capacity=100)
                 for _ in range(n):
-                    strat.on_write(host, store, 1.0)
-                totals.append(strat.on_handoff(host, store, 0, 1, 2.0).total)
+                    strat.on_write()
+                totals.append(strat.on_handoff(1).total)
             assert all(b >= a for a, b in zip(totals, totals[1:])), kind
 
 
 class TestHandoffLookups:
-    """A handoff prices its hops from the two regions it looks up, one BSC
-    lookup per side, whatever the strategy holds."""
+    """A handoff prices its hops from the host's region and the one BSC
+    lookup it makes, for the destination cell, whatever the strategy holds."""
 
     @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
-    @pytest.mark.parametrize("move", [(0, 1), (1, 2)], ids=["intra_bsc", "inter_bsc"])
-    def test_one_bsc_lookup_per_side(self, count_calls, kind, move):
-        from_cell, to_cell = move
-        strat, host, store, _ = setup(kind, cache_capacity=4)
+    @pytest.mark.parametrize("to_cell", [1, 2], ids=["intra_bsc", "inter_bsc"])
+    def test_one_bsc_lookup_per_side(self, count_calls, kind, to_cell):
+        strat = setup(kind, cache_capacity=4)
         for _ in range(6):  # proposed: one flush to the BSC and two cached
-            strat.on_write(host, store, 1.0)
+            strat.on_write()
         calls = count_calls("bsc_of", "classify_move", "hop_distance")
-        strat.on_handoff(host, store, from_cell, to_cell, 2.0)
-        assert calls["bsc_of"] <= 2
+        strat.on_handoff(to_cell)
+        assert calls["bsc_of"] == 1
         assert calls["classify_move"] == 0
         assert calls["hop_distance"] == 0
 
     @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
     def test_bad_moves_still_raise(self, kind):
-        strat, host, store, _ = setup(kind)
+        strat = setup(kind)
         with pytest.raises(ValueError, match="not a handoff"):
-            strat.on_handoff(host, store, 1, 1, 2.0)
+            strat.on_handoff(0)
         with pytest.raises(ValueError, match="unknown cell 99"):
-            strat.on_handoff(host, store, 0, 99, 2.0)
+            strat.on_handoff(99)
 
 
 class TestCheckpointLookups:
-    """A checkpoint prices its hops from the regions the host already
-    holds: the current cell's and, for proposed, the home BSC's."""
+    """A checkpoint prices its hops from the regions the strategy already
+    holds: the current cell's and, for proposed, its BSC's."""
 
     @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
     def test_no_topology_lookups(self, count_calls, kind):
-        strat, host, store, tree = setup(kind, cache_capacity=4)
+        strat = setup(kind, cache_capacity=4)
+        tree = strat.tree
         for _ in range(6):
-            strat.on_write(host, store, 1.0)
-        strat.on_handoff(host, store, 0, 2, 2.0)  # into the second region
-        site, region = strat._checkpoint_site(host)
-        hops = hop_distance(tree, bs_site(host.current_cell), site)
+            strat.on_write()
+        strat.on_handoff(2)  # into the second region
+        site, region = strat._checkpoint_site()
+        hops = hop_distance(tree, bs_site(strat.current_cell), site)
         assert region_of(tree, site) == region
         calls = count_calls("bsc_of", "hop_distance")
-        delta = strat.on_checkpoint(host, store, 3.0)
+        delta = strat.on_checkpoint()
         assert calls["bsc_of"] == 0
         assert calls["hop_distance"] == 0
         assert hops == (1 if kind == "proposed" else 0)
@@ -220,23 +218,23 @@ class TestRecoverLookups:
 
     @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
     def test_one_bsc_lookup(self, count_calls, kind):
-        strat, host, store, tree = setup(kind, cache_capacity=4)
+        strat = setup(kind, cache_capacity=4)
         for _ in range(6):
-            strat.on_write(host, store, 1.0)
-        strat.on_handoff(host, store, 0, 2, 2.0)  # into the second region
-        strat.on_write(host, store, 2.5)
+            strat.on_write()
+        strat.on_handoff(2)  # into the second region
+        strat.on_write()
         calls = count_calls("bsc_of", "hop_distance")
-        strat.recover(host, store, 1, 3.0)  # back in the first region
+        strat.recover(1)  # back in the first region
         assert calls["bsc_of"] == 1
         assert calls["hop_distance"] == 0
-        assert store.checkpoint_region == region_of(tree, store.checkpoint_site) == 0
+        assert strat.checkpoint_region == region_of(strat.tree, strat.checkpoint_site) == 0
 
 
 class TestRecover:
     def test_empty_log_fetches_checkpoint_only(self):
         for kind in ("lazy", "pessimistic", "proposed"):
-            strat, host, store, _ = setup(kind)
-            outcome = strat.recover(host, store, 0, 5.0)
+            strat = setup(kind)
+            outcome = strat.recover(0)
             assert outcome.fragments_fetched == 1, kind
             assert outcome.success
             # request message plus the checkpoint's wireless delivery; the
@@ -246,14 +244,14 @@ class TestRecover:
 
     def test_lazy_chases_pointer_chain(self):
         tree = build_topology(1, 3, 3, "ring")
-        strat, host, store, _ = setup("lazy", tree=tree)
-        strat.on_write(host, store, 1.0)  # fragment at BS 0
-        strat.on_handoff(host, store, 0, 1, 2.0)
-        strat.on_write(host, store, 3.0)  # fragment at BS 1
-        strat.on_handoff(host, store, 1, 2, 4.0)
-        strat.on_write(host, store, 5.0)  # fragment at BS 2
-        assert store.pointer_chain_length == 2
-        outcome = strat.recover(host, store, 2, 6.0)
+        strat = setup("lazy", tree=tree)
+        strat.on_write()  # fragment at BS 0
+        strat.on_handoff(1)
+        strat.on_write()  # fragment at BS 1
+        strat.on_handoff(2)
+        strat.on_write()  # fragment at BS 2
+        assert strat.pointer_chain_length == 2
+        outcome = strat.recover(2)
         # request + 2 chase messages
         assert outcome.cost.control_msgs == 3
         assert outcome.fragments_fetched == 4  # 3 fragments + checkpoint
@@ -263,10 +261,10 @@ class TestRecover:
         assert outcome.recovered_in_home_region
 
     def test_proposed_home_region_single_fragment(self):
-        strat, host, store, _ = setup("proposed", cache_capacity=2)
-        strat.on_write(host, store, 1.0)
-        strat.on_write(host, store, 1.5)  # flush of 2 to BSC 0
-        outcome = strat.recover(host, store, 1, 5.0)
+        strat = setup("proposed", cache_capacity=2)
+        strat.on_write()
+        strat.on_write()  # flush of 2 to BSC 0
+        outcome = strat.recover(1)
         assert outcome.recovered_in_home_region
         assert outcome.fragments_fetched == 2
         assert outcome.cost.wireless_cost == pytest.approx(0.5 + 2 * 1.0 + 5.0)
@@ -274,45 +272,46 @@ class TestRecover:
         assert outcome.retrieval_time == pytest.approx(10 + 2 * 1 + (2 * 1.1 + 1.1))
 
     def test_proposed_cache_entries_are_lost(self):
-        strat, host, store, _ = setup("proposed", cache_capacity=8)
-        strat.on_write(host, store, 1.0)
-        strat.on_write(host, store, 2.0)
-        outcome = strat.recover(host, store, 0, 5.0)
+        strat = setup("proposed", cache_capacity=8)
+        strat.on_write()
+        strat.on_write()
+        outcome = strat.recover(0)
         assert outcome.lost_entries == 2
-        assert host.cache == []
-        assert strat.replay_sequence(host, store) == []
+        assert strat.cache == []
+        assert strat.replay_sequence() == []
 
     def test_proposed_foreign_recovery_pays_tracking_and_rehomes(self):
-        strat, host, store, tree = setup("proposed", cache_capacity=2)
-        strat.on_write(host, store, 1.0)
-        strat.on_write(host, store, 1.5)
-        outcome = strat.recover(host, store, 2, 5.0)  # cell 2 is BSC 1
+        strat = setup("proposed", cache_capacity=2)
+        strat.on_write()
+        strat.on_write()
+        outcome = strat.recover(2)  # cell 2 is BSC 1
         assert not outcome.recovered_in_home_region
         assert outcome.cost.control_msgs == 2  # request + tracking lookup
-        assert host.home_bsc == 1
-        assert store.fragments[0].site == bsc_site(1)
-        assert store.checkpoint_site == bsc_site(1)
+        assert strat.current_bsc == 1
+        assert strat.checkpoint_site == strat.fragments[0].site == bsc_site(strat.current_bsc)
+        assert strat.fragments[0].site == bsc_site(1)
+        assert strat.checkpoint_site == bsc_site(1)
 
     def test_pessimistic_relocates_to_recovery_bs(self):
-        strat, host, store, _ = setup("pessimistic")
-        strat.on_write(host, store, 1.0)
-        strat.recover(host, store, 1, 5.0)
-        assert store.fragments[0].site == bs_site(1)
-        assert store.checkpoint_site == bs_site(1)
-        assert host.current_cell == 1
+        strat = setup("pessimistic")
+        strat.on_write()
+        strat.recover(1)
+        assert strat.fragments[0].site == bs_site(1)
+        assert strat.checkpoint_site == bs_site(1)
+        assert strat.current_cell == 1
 
     def test_no_durable_checkpoint_recovers_to_initial_state(self):
-        strat, host, _, _ = setup("lazy")
-        store = StrategyStore(checkpoint_site=None)
-        outcome = strat.recover(host, store, 1, 5.0)
+        strat = setup("lazy")
+        strat.checkpoint_site = strat.checkpoint_region = None
+        outcome = strat.recover(1)
         assert outcome.fragments_fetched == 0
         assert outcome.retrieval_time == 0.0
         assert outcome.success
         assert outcome.cost.total == pytest.approx(CP.alpha * CP.c_m)
 
     def test_deadline_governs_success(self):
-        strat, host, store, _ = setup("lazy", deadline=11.9)
-        outcome = strat.recover(host, store, 0, 5.0)  # retrieval_time = 12.0
+        strat = setup("lazy", deadline=11.9)
+        outcome = strat.recover(0)  # retrieval_time = 12.0
         assert outcome.retrieval_time == pytest.approx(12.0)
         assert not outcome.success
 
@@ -333,19 +332,18 @@ class TestExactPricing:
 
     @staticmethod
     def exact(kind):
-        strat, host, store, _ = setup(kind, tree=TWO_MSC, cache_capacity=3, deadline=1e9, cp=XP)
-        return strat, host, store
+        return setup(kind, tree=TWO_MSC, cache_capacity=3, deadline=1e9, cp=XP)
 
     @pytest.mark.parametrize("kind", ["lazy", "pessimistic"])
     def test_write_run(self, kind):
-        strat, host, store = self.exact(kind)
-        run = strat.on_writes(host, store, 4)
+        strat = self.exact(kind)
+        run = strat.on_writes(4)
         assert run.charged == range(4)
         assert run.delta == CostDelta(XP.alpha * XP.c_1, XP.c_m, 1, 1, 1.0)
 
     def test_proposed_write_run_flushes_full_caches(self):
-        strat, host, store = self.exact("proposed")
-        run = strat.on_writes(host, store, 7)
+        strat = self.exact("proposed")
+        run = strat.on_writes(7)
         n, hops = 3, 1  # a full cache, from the host's BS up to its home BSC
         assert run.charged == range(2, 7, 3)
         assert run.delta == CostDelta(
@@ -354,47 +352,47 @@ class TestExactPricing:
 
     @pytest.mark.parametrize("kind, hops", [("lazy", 0), ("pessimistic", 0), ("proposed", 1)])
     def test_checkpoint(self, kind, hops):
-        strat, host, store = self.exact(kind)
-        strat.on_writes(host, store, 5)
-        strat.on_handoff(host, store, 0, 3, 1.0)
-        delta = strat.on_checkpoint(host, store, 2.0)
+        strat = self.exact(kind)
+        strat.on_writes(5)
+        strat.on_handoff(3)
+        delta = strat.on_checkpoint()
         assert delta == CostDelta(
             XP.alpha * XP.c_c, XP.rho * XP.c_c * hops, 0, 1, 1.0 + XP.r * hops
         )
 
     @pytest.mark.parametrize("to_cell", [1, 2, 4], ids=["intra_bsc", "inter_bsc", "inter_msc"])
     def test_lazy_handoff(self, to_cell):
-        strat, host, store = self.exact("lazy")
-        strat.on_writes(host, store, 5)
-        assert strat.on_handoff(host, store, 0, to_cell, 1.0) == CostDelta(0.0, XP.c_m, 1, 0, 0.0)
+        strat = self.exact("lazy")
+        strat.on_writes(5)
+        assert strat.on_handoff(to_cell) == CostDelta(0.0, XP.c_m, 1, 0, 0.0)
 
     @pytest.mark.parametrize("to_cell, gap", [(1, 0), (2, 2), (4, 3)],
                              ids=["intra_bsc", "inter_bsc", "inter_msc"])
     def test_pessimistic_handoff(self, to_cell, gap):
-        strat, host, store = self.exact("pessimistic")
-        strat.on_writes(host, store, 5)
+        strat = self.exact("pessimistic")
+        strat.on_writes(5)
         n, hops = 5, 2 + gap
-        assert strat.on_handoff(host, store, 0, to_cell, 1.0) == CostDelta(
+        assert strat.on_handoff(to_cell) == CostDelta(
             0.0, (n * XP.c_1 + XP.c_c) * XP.rho * hops + XP.c_m, 1, n + 1, (n + 1) * XP.r * hops
         )
 
     def test_proposed_intra_bsc_handoff_flushes_the_cache(self):
-        strat, host, store = self.exact("proposed")
-        strat.on_writes(host, store, 5)  # 3 at the home BSC, 2 cached
+        strat = self.exact("proposed")
+        strat.on_writes(5)  # 3 at the home BSC, 2 cached
         n, hops = 2, 1
-        assert strat.on_handoff(host, store, 0, 1, 1.0) == CostDelta(
+        assert strat.on_handoff(1) == CostDelta(
             n * XP.alpha * XP.c_1, n * XP.rho * XP.c_1 * hops + XP.c_m, 1, n, n * (1.0 + XP.r * hops)
         )
 
     @pytest.mark.parametrize("to_cell, gap", [(2, 2), (4, 3)], ids=["inter_bsc", "inter_msc"])
     def test_proposed_inter_bsc_handoff(self, to_cell, gap):
-        strat, host, store = self.exact("proposed")
-        strat.on_writes(host, store, 5)  # 3 at the home BSC, 2 cached
+        strat = self.exact("proposed")
+        strat.on_writes(5)  # 3 at the home BSC, 2 cached
         home, cached = 3, 2
         # Registration and the home log's move, then the cache flush.
         wired = 2 * XP.c_m + (home * XP.c_1 + XP.c_c) * XP.rho * gap
         time = (home + 1) * XP.r * gap
-        assert strat.on_handoff(host, store, 0, to_cell, 1.0) == CostDelta(
+        assert strat.on_handoff(to_cell) == CostDelta(
             cached * XP.alpha * XP.c_1,
             wired + (cached * XP.rho * XP.c_1 * 1 + XP.c_m),
             3,
@@ -415,10 +413,10 @@ class TestExactPricing:
 
     @pytest.mark.parametrize("kind, cell", list(RECOVERIES), ids=lambda v: str(v))
     def test_recovery(self, kind, cell):
-        strat, host, store = self.exact(kind)
-        strat.on_writes(host, store, 3)  # proposed flushes these to BSC 0
-        strat.on_handoff(host, store, 0, 2, 1.0)  # into BSC 1
-        strat.on_writes(host, store, 2)
+        strat = self.exact(kind)
+        strat.on_writes(3)  # proposed flushes these to BSC 0
+        strat.on_handoff(2)  # into BSC 1
+        strat.on_writes(2)
         control, wired, fragments, ckpt_hops = self.RECOVERIES[kind, cell]
         wireless, items, time = XP.alpha * XP.c_m, 0, 0.0
         for n, hops in fragments:
@@ -429,7 +427,7 @@ class TestExactPricing:
         wired += XP.rho * XP.c_c * ckpt_hops
         wireless += XP.alpha * XP.c_c
         time += 1.0 + XP.r * ckpt_hops
-        outcome = strat.recover(host, store, cell, 2.0)
+        outcome = strat.recover(cell)
         assert outcome.recovered_in_home_region == (cell == 3)
         assert outcome.cost == CostDelta(wireless, wired, control, items + 1, time)
         assert outcome.retrieval_time == (
@@ -439,32 +437,32 @@ class TestExactPricing:
 
 class TestLogLocations:
     def test_proposed_quiescent_at_most_home_bsc(self):
-        strat, host, store, _ = setup("proposed", cache_capacity=2)
-        strat.on_write(host, store, 1.0)
-        strat.on_write(host, store, 1.5)
-        assert strat.log_locations(host, store) == [(bsc_site(0), 2)]
+        strat = setup("proposed", cache_capacity=2)
+        strat.on_write()
+        strat.on_write()
+        assert strat.log_locations() == [(bsc_site(0), 2)]
 
     def test_proposed_lists_unflushed_cache(self):
-        strat, host, store, _ = setup("proposed", cache_capacity=8)
-        strat.on_write(host, store, 1.0)
-        assert strat.log_locations(host, store) == [(mh_site(0), 1)]
+        strat = setup("proposed", cache_capacity=8)
+        strat.on_write()
+        assert strat.log_locations() == [(mh_site(0), 1)]
 
     def test_pessimistic_exactly_one_fragment(self):
-        strat, host, store, _ = setup("pessimistic")
+        strat = setup("pessimistic")
         for _ in range(4):
-            strat.on_write(host, store, 1.0)
-        strat.on_handoff(host, store, 0, 1, 2.0)
-        assert strat.log_locations(host, store) == [(bs_site(1), 4)]
+            strat.on_write()
+        strat.on_handoff(1)
+        assert strat.log_locations() == [(bs_site(1), 4)]
 
     def test_lazy_m_handoffs_with_writes_gives_m_plus_1_fragments(self):
         tree = build_topology(1, 3, 3, "ring")
-        strat, host, store, _ = setup("lazy", tree=tree)
-        strat.on_write(host, store, 0.5)
+        strat = setup("lazy", tree=tree)
+        strat.on_write()
         m = 3
         for i in range(m):
-            strat.on_handoff(host, store, i, i + 1, float(i))
-            strat.on_write(host, store, float(i) + 0.5)
-        locs = strat.log_locations(host, store)
+            strat.on_handoff(i + 1)
+            strat.on_write()
+        locs = strat.log_locations()
         assert len(locs) == m + 1
         assert [site for site, _ in locs] == [bs_site(c) for c in range(m + 1)]
 
@@ -486,48 +484,46 @@ class TestOnWrites:
     @example(kind="proposed", cap=3, ops=[("w", 0)], k=4)
     def test_run_equals_single_writes(self, kind, cap, ops, k):
         tree = build_topology(2, 2, 2, "ring")
-        strat, host, store, _ = setup(kind, tree=tree, cache_capacity=cap)
-        for t, (op, n) in enumerate(ops):
+        strat = setup(kind, tree=tree, cache_capacity=cap)
+        for op, n in ops:
             if op == "w":
-                strat.on_write(host, store, t)
+                strat.on_write()
             elif op == "h":
-                nbrs = tree.adjacency[host.current_cell]
-                strat.on_handoff(host, store, host.current_cell, nbrs[n % len(nbrs)], t)
+                nbrs = tree.adjacency[strat.current_cell]
+                strat.on_handoff(nbrs[n % len(nbrs)])
             elif op == "c":
-                strat.on_checkpoint(host, store, t)
+                strat.on_checkpoint()
             else:
-                strat.recover(host, store, n, t)
-        one_host, one_store = copy.deepcopy((host, store))
+                strat.recover(n)
+        one = copy.deepcopy(strat)
         deltas, peak = [], 0
         for _ in range(k):
-            deltas.append(strat.on_write(one_host, one_store, 0.0))
-            peak = max(peak, one_store.pieces + bool(one_host.cache))
+            deltas.append(one.on_write())
+            peak = max(peak, one.pieces + bool(one.cache))
 
-        run = strat.on_writes(host, store, k)
+        run = strat.on_writes(k)
         assert [run.delta if i in run.charged else CostDelta() for i in range(k)] == deltas
         assert run.peak_pieces == peak
-        assert (host, store) == (one_host, one_store)
+        assert vars(strat) == vars(one)
 
 
 class TestReplayCompleteness:
     def test_sequences_replay_in_order_without_cache_loss(self):
         tree = build_topology(1, 3, 3, "ring")
         for kind in ("lazy", "pessimistic", "proposed"):
-            strat, host, store, _ = setup(kind, tree=tree, cache_capacity=3)
+            strat = setup(kind, tree=tree, cache_capacity=3)
             expected = []
-            t = 0.0
             cell = 0
             for step in range(40):
-                t += 1.0
                 if step % 11 == 10:
-                    strat.on_checkpoint(host, store, t)
+                    strat.on_checkpoint()
                     expected = []
                 elif step % 4 == 3:
                     nxt = (cell + 1) % tree.n_cells
-                    strat.on_handoff(host, store, cell, nxt, t)
+                    strat.on_handoff(nxt)
                     cell = nxt
                 else:
-                    seq = host.next_seq
-                    strat.on_write(host, store, t)
+                    seq = strat.next_seq
+                    strat.on_write()
                     expected.append(seq)
-                assert strat.replay_sequence(host, store) == expected, kind
+                assert strat.replay_sequence() == expected, kind
