@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Record one point of the performance trajectory as ``BENCH_<label>.json``.
+
+Usage (from the repository root):
+
+    python scripts/bench.py --label N [--root DIR]
+
+Measures the checkout at ``--root`` (by default this one) with that
+checkout's own code, one step after another so that no step competes with
+another for a core:
+
+1. the tier-1 suite, ``python -m pytest -q --continue-on-collection-errors``
+   with ``src`` on ``PYTHONPATH``: its wall time and outcome counts;
+2. ``scripts/run_figures.py --reps 20`` into a temporary directory: its
+   ``manifest.json`` (per-figure ``wall_s`` and ``runs``) and total wall time;
+3. ``benchmarks/run.py --trace 0`` on every workload ``BENCHMARK.json``
+   names, at the run length the benchmark fixes: the result object each
+   run prints last;
+4. the machine: Python, numpy and scipy versions and the core count.
+
+Every step runs as a subprocess of this interpreter. The record names the
+measured commit; when the checkout has uncommitted changes to tracked files
+it also carries the SHA-256 of ``git diff HEAD`` without the documents
+(``*.md``) and the ``BENCH_*.json`` records, so the measured code can be
+identified. The file goes to ``BENCH_<label>.json`` at the root of the
+repository that holds this script; nothing else is written outside a
+temporary directory, apart from the caches pytest and hypothesis keep in
+the checkout.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy
+import scipy
+
+REPO = Path(__file__).resolve().parents[1]
+FIGURE_REPS = 20
+
+
+def timed(cmd: list[str], cwd: Path, env: dict | None = None) -> tuple[float, subprocess.CompletedProcess]:
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+    return time.perf_counter() - t0, proc
+
+
+def git_state(root: Path) -> dict:
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True).stdout
+
+    # Hashed as git prints it, so piping the same command to sha256sum
+    # reproduces the digest.
+    diff = git("diff", "HEAD", "--", ".", ":(exclude)*.md", ":(exclude)BENCH_*.json")
+    state = {"commit": git("rev-parse", "HEAD").decode().strip(), "dirty": bool(diff)}
+    if diff:
+        state["diff_sha256"] = hashlib.sha256(diff).hexdigest()
+    return state
+
+
+def tier1(root: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    wall_s, proc = timed(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"], root, env
+    )
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", summary)}
+    return {"wall_s": wall_s, "exit_code": proc.returncode, "summary": summary, **counts}
+
+
+def figures(root: Path) -> dict:
+    with tempfile.TemporaryDirectory() as out:
+        wall_s, proc = timed(
+            [sys.executable, "scripts/run_figures.py", "--reps", str(FIGURE_REPS), "--out", out],
+            root,
+        )
+        manifest_path = Path(out) / "manifest.json"
+        if not manifest_path.exists():
+            raise RuntimeError(f"run_figures.py wrote no manifest:\n{proc.stderr}")
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    # Exit code 1 with a manifest means trend violations, which tier-1's
+    # criterion checks report; the timings stand.
+    return {"wall_s": wall_s, "exit_code": proc.returncode, "manifest": manifest}
+
+
+def benchmark(root: Path, workload: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--trace", "0"],
+        cwd=root, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"benchmarks/run.py --workload {workload} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
+    parser.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
+    args = parser.parse_args()
+    root = args.root.resolve()
+    out = REPO / f"BENCH_{args.label}.json"
+    workloads = [w["name"] for w in
+                 json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+
+    record = {
+        "label": args.label,
+        **git_state(root),
+        "machine": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+            "platform": platform.platform(),
+        },
+    }
+    print("tier-1 ...", flush=True)
+    record["tier1"] = tier1(root)
+    print(f"  {record['tier1']['summary']}", flush=True)
+    print(f"run_figures.py --reps {FIGURE_REPS} ...", flush=True)
+    record["figures"] = figures(root)
+    print(f"  {record['figures']['wall_s']:.1f} s", flush=True)
+    record["benchmarks"] = {}
+    for workload in workloads:
+        print(f"benchmarks/run.py --workload {workload} ...", flush=True)
+        result = benchmark(root, workload)
+        record["benchmarks"][workload] = result
+        print(f"  correct={result['correct']} wall_s={result['metrics']['wall_s']['value']:.3f}",
+              flush=True)
+    out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"-> {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -57,7 +57,7 @@ from scipy import stats as sstats
 
 from .config import Config
 from .model import CostParams, SimParams, derive_quantities, validate_params
-from .strategies import CostDelta, LogStrategy, StrategyKind, make_strategy
+from .strategies import NO_COST, CostDelta, LogStrategy, StrategyKind, make_strategy
 from .topology import NetworkTree, UniformDraws, sample_next_cell
 
 SEED_MASK = 0xFFFFFFFFFFFFFFFF
@@ -292,9 +292,6 @@ def run_simulation(
     return _fold(make_strategy(kind, cfg.tree, cfg.sim, cfg.cost), timeline, trace)
 
 
-_NO_COST = CostDelta()
-
-
 def _fold(
     strategy: LogStrategy,
     timeline: Timeline,
@@ -321,7 +318,7 @@ def _fold(
                 cost_logging += cost
             if trace is not None:
                 for i in range(k):
-                    delta = run.delta if i in run.charged else _NO_COST
+                    delta = run.delta if i in run.charged else NO_COST
                     trace.append((next(write_times), "WRITE", delta))
             if run.peak_pieces > peak_fragments:
                 peak_fragments = run.peak_pieces

@@ -27,6 +27,10 @@ one ``LogStrategy`` method:
   ``r`` per item per wired hop; control messages take no time.
 * Handoff channel signalling common to every strategy is not priced; only
   strategy-differential costs appear in a CostDelta.
+* Prices fixed for a whole run (a BS-logged write, a checkpoint, lazy's
+  pointer message, proposed's full-cache flush) are computed once in
+  ``__init__`` by the same rules, and every event that pays one returns
+  that same object. A returned CostDelta is therefore shared and read-only.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .model import CostParams, SimParams
 from .topology import (
@@ -56,9 +61,10 @@ class StrategyKind(Enum):
     PROPOSED = "proposed"
 
 
-@dataclass
+@dataclass(slots=True)
 class CostDelta:
-    """Cost of one strategy action, split by link type."""
+    """Cost of one strategy action, split by link type. One a handler
+    returns may be shared with other events: read it, never change it."""
 
     wireless_cost: float = 0.0  # alpha-weighted
     wired_cost: float = 0.0  # rho-weighted data plus flat control messages
@@ -79,9 +85,16 @@ class CostDelta:
         return self
 
 
+# The price of a write that moves and sends nothing; only write runs and
+# the trace hand it out, never a handler that callers might add to.
+NO_COST = CostDelta()
+
+
 @dataclass
 class RecoveryOutcome:
-    """Result of one recovery attempt."""
+    """Result of one recovery attempt. ``cost`` is priced afresh for each
+    recovery: the request, any log-locating messages, then every fetched
+    piece, the checkpoint last."""
 
     success: bool
     retrieval_time: float
@@ -100,11 +113,11 @@ class Fragment:
     entries: list[int] = field(default_factory=list)  # write sequence numbers
 
 
-@dataclass(frozen=True)
-class WriteRun:
+class WriteRun(NamedTuple):
     """What a run of writes cost, all issued from one cell with no other
     event between them: ``delta`` on each write whose index within the run
-    is in ``charged``, nothing on the others. ``peak_pieces`` is the largest
+    is in ``charged``, nothing on the others. ``delta`` is the strategy's
+    shared per-run price of one such write. ``peak_pieces`` is the largest
     non-empty fragment count, the cache counting as one, after any write of
     the run."""
 
@@ -118,6 +131,8 @@ class LogStrategy:
     of its checkpoint and log. Subclasses fill in the placement policy."""
 
     kind: StrategyKind
+    checkpoint_site: Site
+    checkpoint_region: BscId
 
     def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
         self.tree = tree
@@ -137,9 +152,18 @@ class LogStrategy:
         self.region_peaks: dict[BscId, int] = {}
         # Checkpoint 0 sits at the host's birth site, and in its region, at
         # zero cost: the initial application state is registered where the
-        # transaction starts, so recovery always has a durable baseline.
+        # transaction starts, and no handler clears it, so recovery always
+        # has a durable baseline.
         self.checkpoint_site, self.checkpoint_region = self._checkpoint_site()
         self._reset_fragments()
+        # Prices no event of the run changes. A write is one wireless data
+        # item plus the BSC's acknowledgement message. The checkpoint site
+        # keeps its place relative to the host's cell, so the hop count at
+        # birth holds for every checkpoint of the run.
+        self._write_cost = self._ship(self._messages(1), 1, cp.c_1, 0)
+        site, region = self.checkpoint_site, self.checkpoint_region
+        hops = hops_between(tree, bs_site(0), self.current_bsc, site, region)
+        self._checkpoint_cost = self._ship(CostDelta(), 1, cp.c_c, hops)
 
     # -- events --------------------------------------------------------
 
@@ -153,9 +177,7 @@ class LogStrategy:
         first = self.next_seq
         self.next_seq += k
         self._append(bs_site(self.current_cell), self.current_bsc, range(first, first + k))
-        # One wireless data item plus the BSC's acknowledgement message.
-        delta = self._ship(self._messages(1), 1, self.cp.c_1, 0)
-        return WriteRun(delta, range(k), self.pieces)
+        return WriteRun(self._write_cost, range(k), self.pieces)
 
     def on_checkpoint(self) -> CostDelta:
         """Ship a fresh checkpoint to its durable site and purge the log.
@@ -163,16 +185,15 @@ class LogStrategy:
         The checkpoint originates at the host: one wireless hop, then the
         wired path to the durable site. Every strategy purges fragments
         older than the new checkpoint, and lazy's pointer chain resets with
-        them since the pointers only locate purged fragments.
+        them since the pointers only locate purged fragments. The durable
+        site is always the same number of hops from the host's cell, so
+        every checkpoint of a run costs the same.
         """
-        site, region = self._checkpoint_site()
-        hops = hops_between(self.tree, bs_site(self.current_cell), self.current_bsc, site, region)
-        delta = self._ship(CostDelta(), 1, self.cp.c_c, hops)
-        self.checkpoint_site, self.checkpoint_region = site, region
+        self.checkpoint_site, self.checkpoint_region = self._checkpoint_site()
         self.cache.clear()
         self.pointer_chain_length = 0
         self._reset_fragments()
-        return delta
+        return self._checkpoint_cost
 
     def on_handoff(self, to_cell: CellId) -> CostDelta:
         """Move the host from its cell to ``to_cell``; the move is intra-BSC
@@ -198,8 +219,10 @@ class LogStrategy:
         recovery_bsc = bsc_of(self.tree, recovery_cell)
         in_home_region = recovery_bsc == self.current_bsc
 
-        delta = CostDelta(wireless_cost=cp.alpha * cp.c_m, control_msgs=1)
-        delta.add(self._locate_log(in_home_region))
+        # The wireless recovery request, then the wired messages that
+        # locate the log.
+        k = self._locate_log(in_home_region)
+        delta = CostDelta(cp.alpha * cp.c_m, k * cp.c_m, 1 + k)
 
         rec_site = bs_site(recovery_cell)
         fragments_fetched = 0
@@ -211,16 +234,14 @@ class LogStrategy:
             self._ship(delta, n, cp.c_1, hops)
             fragments_fetched += 1
 
-        if self.checkpoint_site is not None:
-            hops = hops_between(
-                self.tree, self.checkpoint_site, self.checkpoint_region, rec_site, recovery_bsc
-            )
-            self._ship(delta, 1, cp.c_c, hops)
-            fragments_fetched += 1
-            retrieval_time = cp.t_load_ckpt
-        else:
-            retrieval_time = 0.0
-        retrieval_time += cp.t_load_log * fragments_fetched + delta.elapsed_transfer_time
+        hops = hops_between(
+            self.tree, self.checkpoint_site, self.checkpoint_region, rec_site, recovery_bsc
+        )
+        self._ship(delta, 1, cp.c_c, hops)
+        fragments_fetched += 1
+        retrieval_time = cp.t_load_ckpt + (
+            cp.t_load_log * fragments_fetched + delta.elapsed_transfer_time
+        )
 
         # Unflushed cache entries die with the host; only durable state
         # replays.
@@ -264,11 +285,14 @@ class LogStrategy:
 
     def _handoff(self, from_bsc: BscId) -> CostDelta:
         """Policy for a move out of region ``from_bsc``; the host already
-        stands in its new cell and region."""
+        stands in its new cell and region. The result may be a shared
+        per-run price: never add to it or ship into it."""
         raise NotImplementedError
 
-    def _locate_log(self, in_home_region: bool) -> CostDelta:
-        return CostDelta()
+    def _locate_log(self, in_home_region: bool) -> int:
+        """How many wired control messages a recovery sends, after its
+        request, to locate the log; by default none."""
+        return 0
 
     def _after_recovery(self) -> None:
         """Policy once the host stands in its restart cell. Retrieval
@@ -344,14 +368,18 @@ class LazyStrategy(LogStrategy):
 
     kind = StrategyKind.LAZY
 
+    def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
+        super().__init__(tree, sp, cp)
+        self._pointer_cost = self._messages(1)
+
     def _handoff(self, from_bsc) -> CostDelta:
         # The new BS stores a pointer to the old one; no log data moves.
         self.pointer_chain_length += 1
-        return self._messages(1)
+        return self._pointer_cost
 
-    def _locate_log(self, in_home_region) -> CostDelta:
+    def _locate_log(self, in_home_region) -> int:
         # Chase the pointer chain back to the fragments, one message a link.
-        return self._messages(self.pointer_chain_length)
+        return self.pointer_chain_length
 
     def _after_recovery(self) -> None:
         # Fragments stay put; the restart BS links into the existing chain
@@ -387,6 +415,10 @@ class ProposedStrategy(LogStrategy):
 
     kind = StrategyKind.PROPOSED
 
+    def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
+        super().__init__(tree, sp, cp)
+        self._full_flush_cost = self._flush_cost(sp.cache_capacity)
+
     def _checkpoint_site(self) -> tuple[Site, BscId]:
         return bsc_site(self.current_bsc), self.current_bsc
 
@@ -402,8 +434,8 @@ class ProposedStrategy(LogStrategy):
         first = cap - len(cache) - 1  # index of the write that fills the cache
         if first >= k:
             cache.extend(seqs)
-            return WriteRun(CostDelta(), range(0), before + 1)
-        delta = self._flush_cost(cap)
+            return WriteRun(NO_COST, range(0), before + 1)
+        delta = self._full_flush_cost
         charged = range(first, k, cap)
         flushed = charged[-1] + 1
         cache.extend(seqs[:flushed])
@@ -419,7 +451,8 @@ class ProposedStrategy(LogStrategy):
         return self._ship(self._messages(1), n, self.cp.c_1, 1)
 
     def _flush_cache(self) -> CostDelta:
-        """Copy the entire cache to the host's BSC and append it there."""
+        """Copy the entire cache to the host's BSC and append it there; the
+        result is a fresh CostDelta, zero when the cache is empty."""
         n = len(self.cache)
         if n == 0:
             return CostDelta()
@@ -445,12 +478,10 @@ class ProposedStrategy(LogStrategy):
         delta.add(self._flush_cache())
         return delta
 
-    def _locate_log(self, in_home_region) -> CostDelta:
+    def _locate_log(self, in_home_region) -> int:
         # Tracking agent asks the HLR/VLR where the log lives when the host
         # restarts outside the failure region.
-        if in_home_region:
-            return CostDelta()
-        return self._messages(1)
+        return 0 if in_home_region else 1
 
 
 _STRATEGIES = {

@@ -4,11 +4,15 @@ every ``config.CONFIG_KEYS`` entry within its bounds at a short horizon."""
 import math
 from dataclasses import fields
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mhlogsim import engine
 from mhlogsim.config import CONFIG_KEYS, default_config
-from mhlogsim.engine import RunStats, run_simulation
+from mhlogsim.engine import RunStats, _fold, generate_timeline, run_simulation
+from mhlogsim.strategies import NO_COST, CostDelta, StrategyKind, make_strategy
+from mhlogsim.topology import bs_site, hops_between
 
 KINDS = ("lazy", "pessimistic", "proposed")
 EVENT_FIELDS = {  # trace kind -> (RunStats count, RunStats total cost)
@@ -69,10 +73,23 @@ def fold(trace):
     return out
 
 
+def assert_trace_folds_to(stats, trace, kind):
+    """Costs are summed in dispatch order from 0.0, as the fold sums them,
+    so each event kind's trace total equals its ``RunStats`` total exactly."""
+    for kind_name, (n, cost) in fold(trace).items():
+        count_field, cost_field = EVENT_FIELDS[kind_name]
+        assert n == getattr(stats, count_field), (kind, kind_name)
+        assert cost == getattr(stats, cost_field), (kind, kind_name)
+
+
+def multi_cell(values):
+    return values["topology.msc"] * values["topology.bsc_per_msc"] * values["topology.bs_per_bsc"] >= 2
+
+
 @settings(max_examples=80, deadline=None)
 @given(values=st.fixed_dictionaries(VALUES))
 def test_accepted_configs_run_finite_conserved_and_paired(values):
-    assume(values["topology.msc"] * values["topology.bsc_per_msc"] * values["topology.bs_per_bsc"] >= 2)
+    assume(multi_cell(values))
     cfg = default_config().with_overrides(values)
     counts = set()
     for kind in KINDS:
@@ -81,11 +98,75 @@ def test_accepted_configs_run_finite_conserved_and_paired(values):
         for f in fields(RunStats):
             value = getattr(stats, f.name)
             assert all(map(math.isfinite, value.values() if isinstance(value, dict) else [value])), f.name
-        # Costs are summed in dispatch order from 0.0, as the fold sums them.
-        for kind_name, (n, cost) in fold(trace).items():
-            count_field, cost_field = EVENT_FIELDS[kind_name]
-            assert n == getattr(stats, count_field), (kind, kind_name)
-            assert cost == getattr(stats, cost_field), (kind, kind_name)
+        assert_trace_folds_to(stats, trace, kind)
         counts.add(tuple(getattr(stats, count) for count, _ in EVENT_FIELDS.values())
                    + (stats.intra_bsc_count, stats.inter_bsc_count))
     assert len(counts) == 1
+
+
+def assert_cached_prices_fresh(strategy):
+    """The prices a strategy made once at birth equal the same prices made
+    afresh, by the same rules, from the state it stands in now."""
+    cp = strategy.cp
+    assert strategy._write_cost == strategy._ship(strategy._messages(1), 1, cp.c_1, 0)
+    site, region = strategy._checkpoint_site()
+    hops = hops_between(strategy.tree, bs_site(strategy.current_cell), strategy.current_bsc,
+                        site, region)
+    assert strategy._checkpoint_cost == strategy._ship(CostDelta(), 1, cp.c_c, hops)
+    if strategy.kind is StrategyKind.LAZY:
+        assert strategy._pointer_cost == strategy._messages(1)
+    if strategy.kind is StrategyKind.PROPOSED:
+        assert strategy._full_flush_cost == strategy._flush_cost(strategy.sp.cache_capacity)
+    assert NO_COST == CostDelta()
+
+
+def price_checking(kind, tree, sp, cp):
+    """A new strategy that checks its cached prices after every event."""
+    strategy = make_strategy(kind, tree, sp, cp)
+
+    def checked(handler):
+        def wrapped(*args):
+            out = handler(*args)
+            assert_cached_prices_fresh(strategy)
+            return out
+        return wrapped
+
+    for name in ("on_writes", "on_handoff", "on_checkpoint", "recover"):
+        setattr(strategy, name, checked(getattr(strategy, name)))
+    assert_cached_prices_fresh(strategy)
+    return strategy
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.fixed_dictionaries(VALUES))
+def test_cached_prices_equal_fresh_prices_after_every_event(values):
+    # Handlers return the cached deltas themselves, and the trace holds
+    # every one it was handed, so a mutated shared delta would also break
+    # the trace fold.
+    assume(multi_cell(values))
+    cfg = default_config().with_overrides(values)
+    for kind in KINDS:
+        trace: list = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "make_strategy", price_checking)
+            stats = run_simulation(cfg, kind, cfg.sim.seed, trace=trace)
+        assert_trace_folds_to(stats, trace, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.fixed_dictionaries({**VALUES, "sim.lambda_f": floats(1e-6, 1e-3)}))
+def test_replay_without_loss_when_no_failure_occurs(values):
+    assume(multi_cell(values))
+    cfg = default_config().with_overrides(values)
+    timeline = generate_timeline(cfg, cfg.sim.seed)
+    kinds = [ev for _, ev, _ in timeline.events]
+    assume("FAILURE" not in kinds)
+    # writes[i] precedes events[i]; the last entry follows the last event.
+    last_checkpoint = max((i for i, ev in enumerate(kinds) if ev == "CHECKPOINT"), default=-1)
+    total = sum(timeline.writes)
+    pending = sum(timeline.writes[last_checkpoint + 1:])
+    expected = list(range(total - pending + 1, total + 1))
+    for kind in KINDS:
+        strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
+        _fold(strategy, timeline, None)
+        assert strategy.replay_sequence() == expected, kind

@@ -300,14 +300,27 @@ class TestRecover:
         assert strat.checkpoint_site == bs_site(1)
         assert strat.current_cell == 1
 
-    def test_no_durable_checkpoint_recovers_to_initial_state(self):
-        strat = setup("lazy")
-        strat.checkpoint_site = strat.checkpoint_region = None
-        outcome = strat.recover(1)
-        assert outcome.fragments_fetched == 0
-        assert outcome.retrieval_time == 0.0
-        assert outcome.success
-        assert outcome.cost.total == pytest.approx(CP.alpha * CP.c_m)
+    @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
+    def test_fresh_strategy_recovers_its_birth_checkpoint(self, kind):
+        # Checkpoint 0 sits at the birth site and no handler clears it, so
+        # a recovery before any event fetches exactly that checkpoint.
+        tree = build_topology(2, 2, 2, "ring", inter_msc_bsc_hops=3)
+        for cell in range(tree.n_cells):
+            strat = setup(kind, tree=tree)
+            site, region = strat.checkpoint_site, strat.checkpoint_region
+            assert region == region_of(tree, site) == strat.current_bsc
+            hops = hop_distance(tree, site, bs_site(cell))
+            tracking = int(kind == "proposed" and region_of(tree, bs_site(cell)) != region)
+            outcome = strat.recover(cell)
+            assert outcome.fragments_fetched == 1
+            assert outcome.cost == CostDelta(
+                CP.alpha * CP.c_m + CP.alpha * CP.c_c,
+                tracking * CP.c_m + CP.rho * CP.c_c * hops,
+                1 + tracking,
+                1,
+                1.0 + CP.r * hops,
+            )
+            assert outcome.retrieval_time == CP.t_load_ckpt + (CP.t_load_log + (1.0 + CP.r * hops))
 
     def test_deadline_governs_success(self):
         strat = setup("lazy", deadline=11.9)
