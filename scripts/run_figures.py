@@ -9,7 +9,8 @@ Each CSV carries a provenance header with the effective configuration, the
 experiment overrides, and the recovery deadline at every sweep point, so a
 re-run with the same arguments is byte-identical. Timings, which differ
 from run to run, go to ``manifest.json`` beside the CSVs instead: each
-figure's wall time, run count and replications, and the Python, numpy and
+figure's wall time, run count, replications and model-regime warnings
+(each mapped to the sweep points it holds at), and the Python, numpy and
 scipy versions and core count of the machine. A config file that does
 not parse or validate, or a ``--reps`` below 1, ends the script before
 anything runs, with one ``error:`` line and exit code 1 as ``mhlogsim``
@@ -69,7 +70,7 @@ def main() -> int:
     any_violations = False
     for figure_id in figure_ids:
         t0 = time.perf_counter()
-        path, rows, violations = write_figure(
+        path, rows, violations, warnings = write_figure(
             figure_id, config, args.out, reps=args.reps, master_seed=args.seed
         )
         wall_s = time.perf_counter() - t0
@@ -78,6 +79,7 @@ def main() -> int:
             "wall_s": wall_s,
             "runs": len(spec.sweep_values) * len(spec.strategies) * spec.reps,
             "reps": spec.reps,
+            "warnings": warnings,
         }
         status = "ok" if not violations else f"{len(violations)} trend violation(s)"
         print(f"{figure_id}: {len(rows)} rows -> {path}  [{wall_s:.1f}s, {status}]")

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import Config
 from .model import CostParams, SimParams, derive_quantities
+from .topology import _bsc_gap
 
 
 def markov_probs(lambda_f: float, mu: float) -> tuple[float, float]:
@@ -118,6 +120,35 @@ def frcr(p_prop: float, p_lazy: float, cost_prop: float, cost_lazy: float) -> fl
     if denom == 0:
         return None
     return (p_prop - p_lazy) / denom
+
+
+# -- the simulator's own expectations --------------------------------------
+#
+# Unlike the paper's forms above, these follow from the simulator's pricing
+# rules (README, "Cost accounting") and stationarity. They check the
+# simulator against itself, so they are kept apart from the paper's model.
+
+
+def expected_pessimistic_handoff_cost(cfg: Config) -> float:
+    """The simulator's expected cost of one pessimistic handoff.
+
+    A handoff sends one control message and carries the log plus the
+    checkpoint ``2 + gap`` wired hops, BS to BS through the two BSCs:
+    ``c_m + (n * c_1 + c_c) * rho * E[hops]``. Checkpoints purge the log on
+    a deterministic timer, so a handoff finds on average ``lambda_w * T_c /
+    2`` entries in it. The host picks each next cell uniformly among its
+    neighbours, so in the long run it crosses every directed adjacency edge
+    equally often, and ``E[hops]`` is 2 plus the mean BSC gap over those
+    edges. No term depends on ``mu``.
+    """
+    tree, sp, cp = cfg.tree, cfg.sim, cfg.cost
+    gaps = [
+        _bsc_gap(tree, tree.cell_bsc[a], tree.cell_bsc[b])
+        for a, neighbours in enumerate(tree.adjacency)
+        for b in neighbours
+    ]
+    hops = 2 + sum(gaps) / len(gaps)
+    return cp.c_m + (sp.lambda_w * sp.t_c / 2 * cp.c_1 + cp.c_c) * cp.rho * hops
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    out_path, rows, violations = write_figure(
+    out_path, rows, violations, _ = write_figure(
         args.figure, config, args.out, reps=args.reps, master_seed=args.seed
     )
     print(f"wrote {out_path} ({len(rows)} rows)")

@@ -307,10 +307,12 @@ def _fold(
     peak_fragments = 0
     cost_home = 0.0
     home_recoveries = 0
+    on_writes, on_checkpoint = strategy.on_writes, strategy.on_checkpoint
+    on_handoff, recover = strategy.on_handoff, strategy.recover
 
     for k, event in zip(timeline.writes, chain(timeline.events, (None,))):
         if k:
-            run = strategy.on_writes(k)
+            run = on_writes(k)
             # One addition per charged write, in order, as a per-write loop
             # sums them; an uncharged write adds 0.0, which changes nothing.
             cost = run.delta.total
@@ -326,15 +328,15 @@ def _fold(
             break
         t, ev, cell = event
         if ev == "CHECKPOINT":
-            delta = strategy.on_checkpoint()
+            delta = on_checkpoint()
             checkpoints += 1
             cost_checkpoint += delta.total
         elif ev == "HANDOFF":
-            delta = strategy.on_handoff(cell)
+            delta = on_handoff(cell)
             handoffs += 1
             cost_handoff += delta.total
         else:  # FAILURE
-            outcome = strategy.recover(cell)
+            outcome = recover(cell)
             delta = outcome.cost
             failures += 1
             successes += int(outcome.success)

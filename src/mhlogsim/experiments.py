@@ -124,7 +124,10 @@ def _check_fig3(rows: list[MetricRow]) -> list[str]:
     s_prop, ci_prop = _fitted_slope(prop)
     s_lazy, ci_lazy = _fitted_slope(lazy)
     # Largest slope, allowing statistical ties: pessimistic must not sit
-    # measurably below either other slope.
+    # measurably below either other slope. The simulator's own expectation
+    # of pessimistic's handoff cost
+    # (``analytic.expected_pessimistic_handoff_cost``) has no mu in it, so
+    # this clause can only pass as a statistical tie.
     tol = ci_pess + ci_lazy
     if s_pess < s_lazy - tol:
         violations.append("fig3: pessimistic slope measurably below lazy slope")
@@ -481,12 +484,13 @@ def write_figure(
     out_dir: str | Path,
     reps: int | None = None,
     master_seed: int | None = None,
-) -> tuple[Path, list[MetricRow], list[str]]:
+) -> tuple[Path, list[MetricRow], list[str], dict[str, list[str]]]:
     """Run one figure, write ``<out_dir>/<figure_id>.csv`` with its
     provenance header, and check its trends. Each distinct model-regime
     warning goes to stderr once, with the sweep points it holds at.
 
-    Returns the CSV path, the rows and the trend violations.
+    Returns the CSV path, the rows, the trend violations and the warnings,
+    each mapped to the sweep points it holds at.
     """
     spec = figure_spec(figure_id, config, reps=reps, master_seed=master_seed)
     base = config.with_overrides(spec.overrides)
@@ -500,7 +504,7 @@ def write_figure(
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = run_figure(spec, config)
     path = emit_csv(rows, out_dir / f"{figure_id}.csv", provenance=provenance_lines(spec, config))
-    return path, rows, check_trends(figure_id, rows)
+    return path, rows, check_trends(figure_id, rows), points
 
 
 # -- analytic vs simulation crosscheck -----------------------------------

@@ -30,7 +30,11 @@ one ``LogStrategy`` method:
 * Prices fixed for a whole run (a BS-logged write, a checkpoint, lazy's
   pointer message, proposed's full-cache flush) are computed once in
   ``__init__`` by the same rules, and every event that pays one returns
-  that same object. A returned CostDelta is therefore shared and read-only.
+  that same object. Handoff prices that depend only on a few small
+  integers (a log size, a hop count, a cache fill) are priced by the same
+  rules on first use and kept in a per-run table under those integers
+  (``_keep``), up to ``_PRICE_TABLE_LIMIT`` entries a table. A returned
+  CostDelta is therefore shared and read-only.
 """
 
 from __future__ import annotations
@@ -53,6 +57,14 @@ from .topology import (
     hops_between,
     mh_site,
 )
+
+
+# The most entries one per-run price table stores; a miss once a table is
+# full is priced afresh. Without a cap a table grows with the distinct log
+# sizes a run reaches, which a long checkpoint interval and a high write
+# rate make a quarter of a million, costing memory and time for keys that
+# rarely repeat. The default figures reach a few hundred keys a run.
+_PRICE_TABLE_LIMIT = 4096
 
 
 class StrategyKind(Enum):
@@ -302,6 +314,17 @@ class LogStrategy:
 
     # -- shared pieces ---------------------------------------------------
 
+    @staticmethod
+    def _keep(table: dict, key: object, delta: CostDelta) -> CostDelta:
+        """Store ``delta``, the price of a ``key`` its handler missed in the
+        per-run ``table``, unless the table holds ``_PRICE_TABLE_LIMIT``
+        entries, and return it. Handlers probe the table and build the
+        price themselves, so a hit costs one probe, and a miss in a full
+        table one probe and this call more than pricing afresh."""
+        if len(table) < _PRICE_TABLE_LIMIT:
+            table[key] = delta
+        return delta
+
     def _messages(self, k: int) -> CostDelta:
         """``k`` wired control messages."""
         return CostDelta(wired_cost=k * self.cp.c_m, control_msgs=k)
@@ -356,7 +379,8 @@ class LogStrategy:
         site, region = self._checkpoint_site()
         if self.fragments:
             frag = self.fragments[0]
-            if frag.entries:
+            # A move within one region leaves its tally as it is.
+            if frag.entries and frag.region != region:
                 del self.region_entries[frag.region]
                 self._add_entries(region, len(frag.entries))
             frag.site, frag.region = site, region
@@ -394,15 +418,29 @@ class PessimisticStrategy(LogStrategy):
 
     kind = StrategyKind.PESSIMISTIC
 
+    def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
+        super().__init__(tree, sp, cp)
+        self._handoff_prices: dict[tuple[int, int], CostDelta] = {}
+
     def _reset_fragments(self) -> None:
         self._place([Fragment(bs_site(self.current_cell), self.current_bsc)])
 
     def _handoff(self, from_bsc) -> CostDelta:
+        """Carry the log and checkpoint to the new BS. The price depends
+        only on the log's entry count and the hop count, so it comes from
+        the run's ``_handoff_prices`` table under ``(n, hops)``. The table
+        keeps at most ``_PRICE_TABLE_LIMIT`` entries: without a checkpoint
+        for long, log sizes rarely repeat, and an unbounded table would
+        grow with every handoff."""
         n = len(self.fragments[0].entries)
         # BS up to its BSC, across to the new BSC, down to the new BS.
         hops = 2 + _bsc_gap(self.tree, from_bsc, self.current_bsc)
         self._rehome()
-        return self._carry(self._messages(1), n, hops)
+        key = (n, hops)
+        delta = self._handoff_prices.get(key)
+        if delta is None:
+            delta = self._keep(self._handoff_prices, key, self._carry(self._messages(1), n, hops))
+        return delta
 
 
 class ProposedStrategy(LogStrategy):
@@ -418,6 +456,8 @@ class ProposedStrategy(LogStrategy):
     def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
         super().__init__(tree, sp, cp)
         self._full_flush_cost = self._flush_cost(sp.cache_capacity)
+        self._flush_prices: dict[int, CostDelta] = {}
+        self._move_prices: dict[tuple[int, int, int], CostDelta] = {}
 
     def _checkpoint_site(self) -> tuple[Site, BscId]:
         return bsc_site(self.current_bsc), self.current_bsc
@@ -451,17 +491,35 @@ class ProposedStrategy(LogStrategy):
         return self._ship(self._messages(1), n, self.cp.c_1, 1)
 
     def _flush_cache(self) -> CostDelta:
-        """Copy the entire cache to the host's BSC and append it there; the
-        result is a fresh CostDelta, zero when the cache is empty."""
+        """Copy the entire cache to the host's BSC and append it there. The
+        price depends only on the cache fill ``n``, so it comes from the
+        run's ``_flush_prices`` table under ``n``: one entry per fill below
+        the cache capacity, and at most ``_PRICE_TABLE_LIMIT``. An empty
+        cache moves nothing and returns a fresh zero CostDelta."""
         n = len(self.cache)
         if n == 0:
             return CostDelta()
-        delta = self._flush_cost(n)
-        self._append(bsc_site(self.current_bsc), self.current_bsc, self.cache)
-        self.cache.clear()
+        self._drain_cache()
+        delta = self._flush_prices.get(n)
+        if delta is None:
+            delta = self._keep(self._flush_prices, n, self._flush_cost(n))
         return delta
 
+    def _drain_cache(self) -> None:
+        """Append the cache, if it holds entries, to the log at the host's
+        BSC and empty it."""
+        if self.cache:
+            self._append(bsc_site(self.current_bsc), self.current_bsc, self.cache)
+            self.cache.clear()
+
     def _handoff(self, from_bsc) -> CostDelta:
+        """An intra-BSC move flushes the cache. An inter-BSC move also
+        re-registers the host and migrates the log; its summed price
+        depends only on the log's entry count, the BSC gap and the cache
+        fill, so it comes from the run's ``_move_prices`` table under
+        ``(n_home, hops, n_cache)``. Like pessimistic's handoff table it
+        keeps at most ``_PRICE_TABLE_LIMIT`` entries, since the log size
+        need not repeat. The flush itself runs on every move."""
         if from_bsc == self.current_bsc:
             # The durable log is already at this region's BSC; only the
             # cache moves.
@@ -470,12 +528,18 @@ class ProposedStrategy(LogStrategy):
         # Registration: Connect(MHid, PBSCid) to the new BSC, which then
         # notifies the old BSC of the host's reachability. The old BSC then
         # transfers its whole fragment plus the checkpoint to the new BSC.
-        n_home = sum(len(f.entries) for f in self.fragments)
+        n_home = len(self.fragments[0].entries) if self.fragments else 0
         hops = _bsc_gap(self.tree, from_bsc, self.current_bsc)
-        delta = self._carry(self._messages(2), n_home, hops)
+        n = len(self.cache)
+        key = (n_home, hops, n)
+        delta = self._move_prices.get(key)
+        if delta is None:
+            delta = self._carry(self._messages(2), n_home, hops)
+            if n:  # an empty flush adds zero
+                delta.add(self._flush_cost(n))
+            delta = self._keep(self._move_prices, key, delta)
         self._rehome()
-
-        delta.add(self._flush_cache())
+        self._drain_cache()
         return delta
 
     def _locate_log(self, in_home_region) -> int:

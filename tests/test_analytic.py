@@ -8,6 +8,7 @@ from mhlogsim.analytic import (
     build_report,
     c_lazy,
     c_prop,
+    expected_pessimistic_handoff_cost,
     frcr,
     log_transfer_ops,
     markov_probs,
@@ -15,6 +16,8 @@ from mhlogsim.analytic import (
     total_cost,
     total_handoff_cost,
 )
+from mhlogsim.config import default_config
+from mhlogsim.experiments import figure_spec
 from mhlogsim.model import CostParams, SimParams
 
 REL = 1e-12
@@ -191,3 +194,27 @@ class TestBuildReport:
         assert "undefined" in report.as_text()
         row = report.as_csv_row()
         assert len(row.split(",")) == len(report.CSV_HEADER.split(","))
+
+
+class TestSimulatorExpectations:
+    def test_pessimistic_handoff_hand_value(self):
+        # Defaults: 9-cell ring over three BSCs of one MSC. Six of the 18
+        # directed edges cross a region boundary, each a 2-hop BSC gap, so
+        # E[hops] = 2 + 2/3 and the cost is 0.5 + (0.5*100/2 + 5) * 8/3.
+        assert expected_pessimistic_handoff_cost(default_config()) == pytest.approx(80.5, rel=REL)
+        # Two MSCs of one 2-cell BSC each: half the directed edges of the
+        # 4-cell ring cross MSCs, at 4 hops, so E[hops] = 2 + 2.
+        cfg = default_config().with_overrides(
+            {"topology.msc": 2, "topology.bsc_per_msc": 1, "topology.bs_per_bsc": 2}
+        )
+        assert expected_pessimistic_handoff_cost(cfg) == pytest.approx(0.5 + 30.0 * 4, rel=REL)
+
+    def test_fig3_pessimistic_handoff_cost_matches_the_expectation(self, figure_rows):
+        cfg = default_config()
+        spec = figure_spec("fig3", cfg)
+        rows = [r for r in figure_rows("fig3") if r.strategy == "pessimistic"]
+        assert [r.param_value for r in rows] == list(spec.sweep_values)
+        for row in rows:
+            point = cfg.with_overrides({**spec.overrides, spec.swept_param: row.param_value})
+            expected = expected_pessimistic_handoff_cost(point)
+            assert row.ci95_low <= expected <= row.ci95_high, (row.param_value, expected)

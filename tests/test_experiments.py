@@ -390,13 +390,39 @@ def test_run_figures_script_writes_a_manifest(tmp_path, monkeypatch):
     assert set(manifest) == {"python", "numpy", "scipy", "cpu_count", "figures"}
     assert manifest["cpu_count"] == os.cpu_count()
     fig8 = manifest["figures"]["fig8"]
-    assert set(fig8) == {"wall_s", "runs", "reps"}
+    assert set(fig8) == {"wall_s", "runs", "reps", "warnings"}
+    assert fig8["warnings"] == {}
     # Six sweep points, proposed and lazy, two replications each.
     assert (fig8["runs"], fig8["reps"]) == (6 * 2 * 2, 2)
     assert fig8["wall_s"] > 0
     # Timings stay out of the CSV.
     assert "wall" not in (out / "fig8.csv").read_text(encoding="utf-8")
     assert sorted(p.name for p in out.iterdir()) == ["fig8.csv", "manifest.json"]
+
+
+def test_run_figures_script_writes_the_warnings_to_the_manifest(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "warn.cfg"
+    cfg.write_text("sim.horizon = 500\nsim.lambda_f = 0.01\n", encoding="utf-8")
+    out = tmp_path / "out"
+    module = load_run_figures()
+    monkeypatch.setattr(sys, "argv", [
+        "run_figures.py", "--config", str(cfg), "--out", str(out), "--reps", "1",
+        "--figures", "fig3",
+    ])
+    module.main()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    # fig3 sweeps mu over 0.005 ... 0.1; lambda_f=0.01 reaches it at two points.
+    stressed = "single-failure assumption stressed: lambda_f=0.01 >= mu="
+    assert manifest["figures"]["fig3"]["warnings"] == {
+        f"{stressed}0.005": ["0.005"],
+        f"{stressed}0.01": ["0.01"],
+    }
+    # The same collection goes to stderr, one line a warning.
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: fig3 at sim.mu=0.005: {stressed}0.005",
+        f"warning: fig3 at sim.mu=0.01: {stressed}0.01",
+    ]
+    assert "warning" not in (out / "fig3.csv").read_text(encoding="utf-8")
 
 
 def test_run_figures_script_reports_a_bad_config_in_one_line(capsys, tmp_path, monkeypatch):

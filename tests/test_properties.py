@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mhlogsim import engine
+from mhlogsim import engine, strategies
 from mhlogsim.config import CONFIG_KEYS, default_config
 from mhlogsim.engine import RunStats, _fold, generate_timeline, run_simulation
 from mhlogsim.strategies import NO_COST, CostDelta, StrategyKind, make_strategy
@@ -104,9 +104,27 @@ def test_accepted_configs_run_finite_conserved_and_paired(values):
     assert len(counts) == 1
 
 
+def fresh_move_price(strategy, key):
+    """Proposed's inter-BSC move, priced as a from-scratch handoff sums it:
+    the registration and log migration, then the cache flush, zero when
+    the cache is empty."""
+    n_home, hops, n = key
+    flush = strategy._flush_cost(n) if n else CostDelta()
+    return strategy._carry(strategy._messages(2), n_home, hops).add(flush)
+
+
+PRICE_TABLES = {  # per-run price table -> its key's price made afresh
+    "_handoff_prices": lambda s, key: s._carry(s._messages(1), *key),
+    "_flush_prices": lambda s, n: s._flush_cost(n),
+    "_move_prices": fresh_move_price,
+}
+
+
 def assert_cached_prices_fresh(strategy):
-    """The prices a strategy made once at birth equal the same prices made
-    afresh, by the same rules, from the state it stands in now."""
+    """The prices a strategy made once at birth, and every entry of its
+    price tables, equal the same prices made afresh by the same rules: the
+    fixed ones from the state it stands in now, each table entry from its
+    key. No table holds more than ``_PRICE_TABLE_LIMIT`` entries."""
     cp = strategy.cp
     assert strategy._write_cost == strategy._ship(strategy._messages(1), 1, cp.c_1, 0)
     site, region = strategy._checkpoint_site()
@@ -117,6 +135,11 @@ def assert_cached_prices_fresh(strategy):
         assert strategy._pointer_cost == strategy._messages(1)
     if strategy.kind is StrategyKind.PROPOSED:
         assert strategy._full_flush_cost == strategy._flush_cost(strategy.sp.cache_capacity)
+    for name, price in PRICE_TABLES.items():
+        table = getattr(strategy, name, {})
+        assert len(table) <= strategies._PRICE_TABLE_LIMIT
+        for key, delta in table.items():
+            assert delta == price(strategy, key), (name, key)
     assert NO_COST == CostDelta()
 
 
@@ -151,6 +174,46 @@ def test_cached_prices_equal_fresh_prices_after_every_event(values):
             mp.setattr(engine, "make_strategy", price_checking)
             stats = run_simulation(cfg, kind, cfg.sim.seed, trace=trace)
         assert_trace_folds_to(stats, trace, kind)
+
+
+def run_kinds(cfg):
+    """Every kind's ``RunStats`` and trace fold at the config's seed."""
+    out = {}
+    for kind in KINDS:
+        trace: list = []
+        stats = run_simulation(cfg, kind, cfg.sim.seed, trace=trace)
+        out[kind] = stats, fold(trace)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.fixed_dictionaries(VALUES))
+def test_runs_are_unchanged_when_no_price_is_stored(values):
+    assume(multi_cell(values))
+    cfg = default_config().with_overrides(values)
+    stored = run_kinds(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strategies, "_PRICE_TABLE_LIMIT", 0)
+        assert run_kinds(cfg) == stored
+
+
+def test_a_full_price_table_prices_its_misses_afresh():
+    # No checkpoint within the horizon, so the log only grows: pessimistic's
+    # ~10,000 handoffs meet more distinct (log size, hops) keys than its
+    # table stores.
+    cfg = default_config().with_overrides({
+        "sim.T_c": 600.0, "sim.horizon": 500.0, "sim.lambda_w": 20.0, "sim.mu": 20.0,
+    })
+    timeline = generate_timeline(cfg, cfg.sim.seed)
+    assert "CHECKPOINT" not in {ev for _, ev, _ in timeline.events}
+    strategy = make_strategy("pessimistic", cfg.tree, cfg.sim, cfg.cost)
+    stats = _fold(strategy, timeline, None)
+    assert len(strategy._handoff_prices) == strategies._PRICE_TABLE_LIMIT
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strategies, "_PRICE_TABLE_LIMIT", 0)
+        strategy = make_strategy("pessimistic", cfg.tree, cfg.sim, cfg.cost)
+        assert _fold(strategy, timeline, None) == stats
+        assert not strategy._handoff_prices
 
 
 @settings(max_examples=60, deadline=None)
