@@ -148,7 +148,18 @@ def _build_config(values: dict[str, object]) -> Config:
     else:
         sim = replace(sim, recovery_deadline=float(deadline))
 
-    warnings = tuple(validate_params(sim, cost))
+    try:
+        warnings = tuple(validate_params(sim, cost))
+    except ValidationError as exc:
+        # With every other parameter valid, an auto deadline is 0 only when
+        # each load time and transfer cost it is calibrated from is 0.
+        if deadline == "auto" and exc.violations == ["recovery_deadline must be > 0"]:
+            raise ValidationError([
+                "recovery.deadline = auto calibrated to 0 because every load time and "
+                "transfer cost is 0 (cost.T_load_ckpt, cost.T_load_log, cost.C_c, cost.C_m, "
+                "and cost.C_1 at the expected log size); set an explicit recovery.deadline"
+            ]) from None
+        raise
 
     strategy_text = str(merged["strategy"])
     try:

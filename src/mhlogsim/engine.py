@@ -29,6 +29,11 @@ Draw order, fixed for reproducibility:
                the failure region, which skips that region's contiguous block)
   write/ckpt   the next gap only (checkpoints are a deterministic timer)
 
+Every gap is ``sample_exponential``'s draw, ``-log(1 - u) / rate``. The
+write clock, by far the busiest, evaluates that expression inline after its
+first draw, so a traced run counts only the start, handoff and failure
+draws as ``sample_exponential`` calls.
+
 One event of each kind is pending at a time. Simultaneous events dispatch
 by kind priority: checkpoint, handoff, write, failure. The trace names the
 kinds "CHECKPOINT", "HANDOFF", "WRITE" and "FAILURE".
@@ -207,6 +212,7 @@ def generate_timeline(cfg: Config, seed: int, keep_write_times: bool = False) ->
     cell_bsc = tree.cell_bsc
     rng = PCG64Stream(seed & SEED_MASK)
     draw, horizon, lambda_w = sample_exponential, sp.sim_horizon, sp.lambda_w
+    random, log = rng.random, math.log
 
     # The write clock of a host that never writes reads inf and never fires.
     write_at = draw(lambda_w, rng) if lambda_w > 0 else math.inf
@@ -228,7 +234,8 @@ def generate_timeline(cfg: Config, seed: int, keep_write_times: bool = False) ->
             k += 1
             if write_times is not None:
                 write_times.append(write_at)
-            write_at += draw(lambda_w, rng)
+            # sample_exponential's arithmetic; lambda_w > 0 once a write fires.
+            write_at += -log(1.0 - random()) / lambda_w
 
         t = min(ahead, failure_at)
         if t > horizon:

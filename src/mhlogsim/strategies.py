@@ -30,11 +30,13 @@ one ``LogStrategy`` method:
 * Prices fixed for a whole run (a BS-logged write, a checkpoint, lazy's
   pointer message, proposed's full-cache flush) are computed once in
   ``__init__`` by the same rules, and every event that pays one returns
-  that same object. Handoff prices that depend only on a few small
-  integers (a log size, a hop count, a cache fill) are priced by the same
-  rules on first use and kept in a per-run table under those integers
-  (``_keep``), up to ``_PRICE_TABLE_LIMIT`` entries a table. A returned
-  CostDelta is therefore shared and read-only.
+  that same object. Handoff and recovery prices that depend only on a few
+  small integers (a log size, a hop count, a cache fill) are priced by the
+  same rules on first use and kept in a per-run table under those integers
+  (``_keep``), up to ``_PRICE_TABLE_LIMIT`` entries a table: pessimistic's
+  and proposed's recoveries under (log size, hops from the checkpoint to
+  the restart BS) in ``_recovery_prices``. A returned CostDelta, a
+  ``RecoveryOutcome.cost`` included, is therefore shared and read-only.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .model import CostParams, SimParams
 from .topology import (
@@ -65,6 +67,8 @@ from .topology import (
 # rate make a quarter of a million, costing memory and time for keys that
 # rarely repeat. The default figures reach a few hundred keys a run.
 _PRICE_TABLE_LIMIT = 4096
+
+_Price = TypeVar("_Price")
 
 
 class StrategyKind(Enum):
@@ -102,11 +106,11 @@ class CostDelta:
 NO_COST = CostDelta()
 
 
-@dataclass
+@dataclass(slots=True)
 class RecoveryOutcome:
-    """Result of one recovery attempt. ``cost`` is priced afresh for each
-    recovery: the request, any log-locating messages, then every fetched
-    piece, the checkpoint last."""
+    """Result of one recovery attempt. ``cost`` prices the request, any
+    log-locating messages, then every fetched piece, the checkpoint last;
+    it may be a shared per-run price: read it, never change it."""
 
     success: bool
     retrieval_time: float
@@ -222,37 +226,15 @@ class LogStrategy:
         where the host restarts, replay, and re-home the fetched copies.
 
         Retrieval time is load time plus transfer time; transfer costs are
-        priced per item over the wired path and the final wireless hop. The
-        fetched copies physically arrive at the recovery site, so placement
-        strategies that keep the log near the host adopt them as the new
-        durable copy at no extra transfer cost.
+        priced per item over the wired path and the final wireless hop
+        (``_recovery_price``). The fetched copies physically arrive at the
+        recovery site, so placement strategies that keep the log near the
+        host adopt them as the new durable copy at no extra transfer cost.
         """
-        cp = self.cp
         recovery_bsc = bsc_of(self.tree, recovery_cell)
         in_home_region = recovery_bsc == self.current_bsc
-
-        # The wireless recovery request, then the wired messages that
-        # locate the log.
-        k = self._locate_log(in_home_region)
-        delta = CostDelta(cp.alpha * cp.c_m, k * cp.c_m, 1 + k)
-
-        rec_site = bs_site(recovery_cell)
-        fragments_fetched = 0
-        for frag in self.fragments:
-            n = len(frag.entries)
-            if n == 0:
-                continue
-            hops = hops_between(self.tree, frag.site, frag.region, rec_site, recovery_bsc)
-            self._ship(delta, n, cp.c_1, hops)
-            fragments_fetched += 1
-
-        hops = hops_between(
-            self.tree, self.checkpoint_site, self.checkpoint_region, rec_site, recovery_bsc
-        )
-        self._ship(delta, 1, cp.c_c, hops)
-        fragments_fetched += 1
-        retrieval_time = cp.t_load_ckpt + (
-            cp.t_load_log * fragments_fetched + delta.elapsed_transfer_time
+        cost, fragments_fetched, retrieval_time = self._recovery_price(
+            bs_site(recovery_cell), recovery_bsc, in_home_region
         )
 
         # Unflushed cache entries die with the host; only durable state
@@ -267,7 +249,7 @@ class LogStrategy:
         return RecoveryOutcome(
             success=retrieval_time <= self.sp.recovery_deadline,
             retrieval_time=retrieval_time,
-            cost=delta,
+            cost=cost,
             fragments_fetched=fragments_fetched,
             recovered_in_home_region=in_home_region,
             lost_entries=lost,
@@ -306,6 +288,37 @@ class LogStrategy:
         request, to locate the log; by default none."""
         return 0
 
+    def _recovery_price(
+        self, rec_site: Site, recovery_bsc: BscId, in_home_region: bool
+    ) -> tuple[CostDelta, int, float]:
+        """What fetching the log and checkpoint to ``rec_site`` costs, as
+        (cost, fragments fetched, retrieval time). The wireless recovery
+        request, then the wired messages that locate the log, then every
+        non-empty fragment, then the checkpoint. Reads the placement and
+        changes nothing."""
+        cp = self.cp
+        k = self._locate_log(in_home_region)
+        delta = CostDelta(cp.alpha * cp.c_m, k * cp.c_m, 1 + k)
+
+        fragments_fetched = 0
+        for frag in self.fragments:
+            n = len(frag.entries)
+            if n == 0:
+                continue
+            hops = hops_between(self.tree, frag.site, frag.region, rec_site, recovery_bsc)
+            self._ship(delta, n, cp.c_1, hops)
+            fragments_fetched += 1
+
+        hops = hops_between(
+            self.tree, self.checkpoint_site, self.checkpoint_region, rec_site, recovery_bsc
+        )
+        self._ship(delta, 1, cp.c_c, hops)
+        fragments_fetched += 1
+        retrieval_time = cp.t_load_ckpt + (
+            cp.t_load_log * fragments_fetched + delta.elapsed_transfer_time
+        )
+        return delta, fragments_fetched, retrieval_time
+
     def _after_recovery(self) -> None:
         """Policy once the host stands in its restart cell. Retrieval
         delivered the log and checkpoint there; by default they become the
@@ -315,15 +328,15 @@ class LogStrategy:
     # -- shared pieces ---------------------------------------------------
 
     @staticmethod
-    def _keep(table: dict, key: object, delta: CostDelta) -> CostDelta:
-        """Store ``delta``, the price of a ``key`` its handler missed in the
+    def _keep(table: dict, key: object, price: _Price) -> _Price:
+        """Store ``price``, the price of a ``key`` its handler missed in the
         per-run ``table``, unless the table holds ``_PRICE_TABLE_LIMIT``
         entries, and return it. Handlers probe the table and build the
         price themselves, so a hit costs one probe, and a miss in a full
         table one probe and this call more than pricing afresh."""
         if len(table) < _PRICE_TABLE_LIMIT:
-            table[key] = delta
-        return delta
+            table[key] = price
+        return price
 
     def _messages(self, k: int) -> CostDelta:
         """``k`` wired control messages."""
@@ -413,7 +426,34 @@ class LazyStrategy(LogStrategy):
             self.pointer_chain_length += 1
 
 
-class PessimisticStrategy(LogStrategy):
+class _OneFragmentStrategy(LogStrategy):
+    """Pessimistic and proposed: at most one fragment, which shares the
+    checkpoint's site and region after every event."""
+
+    def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
+        super().__init__(tree, sp, cp)
+        self._recovery_prices: dict[tuple[int, int], tuple[CostDelta, int, float]] = {}
+
+    def _recovery_price(self, rec_site, recovery_bsc, in_home_region):
+        """The fragment and the checkpoint travel the same ``hops`` to the
+        restart BS, so the price depends only on the fragment's entry count
+        ``n`` and ``hops``; the locate messages follow from ``hops`` too
+        (proposed restarts in its home region exactly when ``hops == 1``).
+        It comes from the run's ``_recovery_prices`` table under
+        ``(n, hops)``, at most ``_PRICE_TABLE_LIMIT`` entries."""
+        n = len(self.fragments[0].entries) if self.fragments else 0
+        hops = hops_between(
+            self.tree, self.checkpoint_site, self.checkpoint_region, rec_site, recovery_bsc
+        )
+        key = (n, hops)
+        price = self._recovery_prices.get(key)
+        if price is None:
+            price = super()._recovery_price(rec_site, recovery_bsc, in_home_region)
+            self._keep(self._recovery_prices, key, price)
+        return price
+
+
+class PessimisticStrategy(_OneFragmentStrategy):
     """One fragment, kept with the checkpoint at the host's BS at all times."""
 
     kind = StrategyKind.PESSIMISTIC
@@ -443,7 +483,7 @@ class PessimisticStrategy(LogStrategy):
         return delta
 
 
-class ProposedStrategy(LogStrategy):
+class ProposedStrategy(_OneFragmentStrategy):
     """Cache on the host, consolidate at its BSC.
 
     The log is at most one fragment, and it and the checkpoint sit at the

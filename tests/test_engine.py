@@ -124,15 +124,23 @@ class TestEventQueue:
         # would find them.
         monkeypatch.setattr(engine, "_last", None)
 
+    # A stream whose every uniform is 0.5 makes every gap -log(0.5) / rate,
+    # so a clock at rate L = -log(0.5) ticks exactly once per time unit.
+    L = -math.log(0.5)
+
     def test_priority_order_for_simultaneous_events(self, monkeypatch):
         # Every gap equal to T_c makes all four kinds fire together.
-        t_c = SimParams().t_c
-        monkeypatch.setattr(engine, "sample_exponential", lambda rate, rng: t_c)
+        monkeypatch.setattr(engine, "PCG64Stream", lambda seed: FakeRng(0.5))
+        L = self.L
+        cfg = sim_config(**{
+            "sim.T_c": 1.0, "sim.lambda_w": L, "sim.mu": L, "sim.lambda_f": L,
+            "sim.horizon": 2.5,
+        })
         trace = []
-        run_simulation(sim_config(**{"sim.horizon": 2.5 * t_c}), "lazy", 3, trace=trace)
+        run_simulation(cfg, "lazy", 3, trace=trace)
         order = ["CHECKPOINT", "HANDOFF", "WRITE", "FAILURE"]
         assert [(t, kind) for t, kind, _ in trace] == (
-            [(t_c, kind) for kind in order] + [(2 * t_c, kind) for kind in order]
+            [(1.0, kind) for kind in order] + [(2.0, kind) for kind in order]
         )
 
     def test_time_order_dominates(self, monkeypatch):
@@ -142,20 +150,20 @@ class TestEventQueue:
         assert times == sorted(times)
 
         # A failure due at T_c / 2 goes before the checkpoint due at T_c,
-        # although FAILURE is the lowest-priority kind.
-        params = SimParams()
-        t_c = params.t_c
-        monkeypatch.setattr(
-            engine,
-            "sample_exponential",
-            lambda rate, rng: t_c / 2 if rate == params.lambda_f else 2 * t_c,
-        )
+        # although FAILURE is the lowest-priority kind; writes and handoffs
+        # are due at 2 * T_c.
+        monkeypatch.setattr(engine, "PCG64Stream", lambda seed: FakeRng(0.5))
+        L = self.L
+        cfg = sim_config(**{
+            "sim.T_c": 1.0, "sim.lambda_w": L / 2, "sim.mu": L / 2, "sim.lambda_f": 2 * L,
+            "sim.horizon": 1.2,
+        })
         trace = []
-        run_simulation(sim_config(**{"sim.horizon": 1.2 * t_c}), "lazy", 3, trace=trace)
+        run_simulation(cfg, "lazy", 3, trace=trace)
         assert [(t, kind) for t, kind, _ in trace] == [
-            (t_c / 2, "FAILURE"),
-            (t_c, "CHECKPOINT"),
-            (t_c, "FAILURE"),
+            (0.5, "FAILURE"),
+            (1.0, "CHECKPOINT"),
+            (1.0, "FAILURE"),
         ]
 
 

@@ -267,6 +267,21 @@ class TestCli:
         bad.write_text("sim.mu = -2\n", encoding="utf-8")
         assert cli.main(["analytic", "--config", str(bad)]) == 1
 
+    def test_auto_deadline_of_zero_is_located(self, tmp_path, capsys):
+        # Every term the auto deadline is calibrated from is 0, so it is 0.
+        bad = tmp_path / "free.cfg"
+        bad.write_text(
+            "cost.T_load_ckpt = 0\ncost.T_load_log = 0\ncost.C_c = 0\ncost.C_m = 0\n"
+            "cost.C_1 = 0\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["simulate", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: recovery.deadline = auto calibrated to 0 because every "
+                              "load time and transfer cost is 0")
+        assert "set an explicit recovery.deadline" in err
+        assert "recovery_deadline must be > 0" not in err
+
     def test_unknown_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("wat = 1\n", encoding="utf-8")

@@ -1,9 +1,11 @@
 """The benchmark's golden RunStats digests and CSV SHA-256, checked in the
-tier-1 suite for one workload: ``short-interval`` at the default seed."""
+tier-1 suite for every benchmark workload at the default seed."""
 
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS))
@@ -12,15 +14,14 @@ import record_golden  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS, import_mhlogsim  # noqa: E402
 
 
-def test_short_interval_matches_recorded_golden(tmp_path):
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_matches_recorded_golden(name, tmp_path):
     import_mhlogsim()
     from mhlogsim.config import default_config
 
     golden = json.loads((BENCHMARKS / "golden.json").read_text(encoding="utf-8"))
-    entry = record_golden.golden_entry(
-        WORKLOADS["short-interval"], default_config(), DEFAULT_SEED, tmp_path
-    )
-    assert entry == golden["short-interval"]
+    entry = record_golden.golden_entry(WORKLOADS[name], default_config(), DEFAULT_SEED, tmp_path)
+    assert entry == golden[name]
 
 
 def test_every_traced_name_is_callable():

@@ -5,13 +5,21 @@ import math
 from dataclasses import fields
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from mhlogsim import engine, strategies
 from mhlogsim.config import CONFIG_KEYS, default_config
 from mhlogsim.engine import RunStats, _fold, generate_timeline, run_simulation
-from mhlogsim.strategies import NO_COST, CostDelta, StrategyKind, make_strategy
+from mhlogsim.model import ValidationError
+from mhlogsim.strategies import (
+    NO_COST,
+    CostDelta,
+    Fragment,
+    LogStrategy,
+    StrategyKind,
+    make_strategy,
+)
 from mhlogsim.topology import bs_site, hops_between
 
 KINDS = ("lazy", "pessimistic", "proposed")
@@ -86,11 +94,21 @@ def multi_cell(values):
     return values["topology.msc"] * values["topology.bsc_per_msc"] * values["topology.bs_per_bsc"] >= 2
 
 
+def accepted(values):
+    """The config ``values`` draw; a draw validation rejects is skipped, as
+    the properties are claimed for accepted configs only (an all-zero set
+    of load times and transfer costs calibrates an auto deadline to 0)."""
+    try:
+        return default_config().with_overrides(values)
+    except ValidationError:
+        reject()
+
+
 @settings(max_examples=80, deadline=None)
 @given(values=st.fixed_dictionaries(VALUES))
 def test_accepted_configs_run_finite_conserved_and_paired(values):
     assume(multi_cell(values))
-    cfg = default_config().with_overrides(values)
+    cfg = accepted(values)
     counts = set()
     for kind in KINDS:
         trace: list = []
@@ -113,10 +131,31 @@ def fresh_move_price(strategy, key):
     return strategy._carry(strategy._messages(2), n_home, hops).add(flush)
 
 
+def fresh_recovery_price(strategy, key):
+    """A recovery of a log of ``n`` entries from ``hops`` away, priced by
+    the base hook with the strategy's one fragment holding ``n`` entries at
+    the checkpoint's site, restarting at the first BS ``hops`` from that
+    site."""
+    n, hops = key
+    tree = strategy.tree
+    site, region = strategy.checkpoint_site, strategy.checkpoint_region
+    cell = next(c for c in range(tree.n_cells)
+                if hops_between(tree, site, region, bs_site(c), tree.cell_bsc[c]) == hops)
+    bsc = tree.cell_bsc[cell]
+    fragments = strategy.fragments
+    strategy.fragments = [Fragment(site, region, [0] * n)]
+    try:
+        return LogStrategy._recovery_price(
+            strategy, bs_site(cell), bsc, bsc == strategy.current_bsc)
+    finally:
+        strategy.fragments = fragments
+
+
 PRICE_TABLES = {  # per-run price table -> its key's price made afresh
     "_handoff_prices": lambda s, key: s._carry(s._messages(1), *key),
     "_flush_prices": lambda s, n: s._flush_cost(n),
     "_move_prices": fresh_move_price,
+    "_recovery_prices": fresh_recovery_price,
 }
 
 
@@ -124,7 +163,9 @@ def assert_cached_prices_fresh(strategy):
     """The prices a strategy made once at birth, and every entry of its
     price tables, equal the same prices made afresh by the same rules: the
     fixed ones from the state it stands in now, each table entry from its
-    key. No table holds more than ``_PRICE_TABLE_LIMIT`` entries."""
+    key. No table holds more than ``_PRICE_TABLE_LIMIT`` entries.
+    Pessimistic's and proposed's one fragment, which the recovery table's
+    key assumes, shares the checkpoint's site and region."""
     cp = strategy.cp
     assert strategy._write_cost == strategy._ship(strategy._messages(1), 1, cp.c_1, 0)
     site, region = strategy._checkpoint_site()
@@ -135,6 +176,10 @@ def assert_cached_prices_fresh(strategy):
         assert strategy._pointer_cost == strategy._messages(1)
     if strategy.kind is StrategyKind.PROPOSED:
         assert strategy._full_flush_cost == strategy._flush_cost(strategy.sp.cache_capacity)
+    if strategy.kind is not StrategyKind.LAZY:
+        assert len(strategy.fragments) <= 1
+        for frag in strategy.fragments:
+            assert (frag.site, frag.region) == (strategy.checkpoint_site, strategy.checkpoint_region)
     for name, price in PRICE_TABLES.items():
         table = getattr(strategy, name, {})
         assert len(table) <= strategies._PRICE_TABLE_LIMIT
@@ -167,7 +212,7 @@ def test_cached_prices_equal_fresh_prices_after_every_event(values):
     # every one it was handed, so a mutated shared delta would also break
     # the trace fold.
     assume(multi_cell(values))
-    cfg = default_config().with_overrides(values)
+    cfg = accepted(values)
     for kind in KINDS:
         trace: list = []
         with pytest.MonkeyPatch.context() as mp:
@@ -190,37 +235,47 @@ def run_kinds(cfg):
 @given(values=st.fixed_dictionaries(VALUES))
 def test_runs_are_unchanged_when_no_price_is_stored(values):
     assume(multi_cell(values))
-    cfg = default_config().with_overrides(values)
+    cfg = accepted(values)
     stored = run_kinds(cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strategies, "_PRICE_TABLE_LIMIT", 0)
         assert run_kinds(cfg) == stored
 
 
-def test_a_full_price_table_prices_its_misses_afresh():
-    # No checkpoint within the horizon, so the log only grows: pessimistic's
-    # ~10,000 handoffs meet more distinct (log size, hops) keys than its
-    # table stores.
+def assert_full_table_prices_misses_afresh(overrides, table):
+    # No checkpoint within the horizon, so the log only grows: pessimistic
+    # meets more distinct (log size, hops) keys than ``table`` stores.
     cfg = default_config().with_overrides({
         "sim.T_c": 600.0, "sim.horizon": 500.0, "sim.lambda_w": 20.0, "sim.mu": 20.0,
+        **overrides,
     })
     timeline = generate_timeline(cfg, cfg.sim.seed)
     assert "CHECKPOINT" not in {ev for _, ev, _ in timeline.events}
     strategy = make_strategy("pessimistic", cfg.tree, cfg.sim, cfg.cost)
     stats = _fold(strategy, timeline, None)
-    assert len(strategy._handoff_prices) == strategies._PRICE_TABLE_LIMIT
+    assert len(getattr(strategy, table)) == strategies._PRICE_TABLE_LIMIT
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strategies, "_PRICE_TABLE_LIMIT", 0)
         strategy = make_strategy("pessimistic", cfg.tree, cfg.sim, cfg.cost)
         assert _fold(strategy, timeline, None) == stats
-        assert not strategy._handoff_prices
+        assert not getattr(strategy, table)
+
+
+def test_a_full_price_table_prices_its_misses_afresh():
+    # ~10,000 handoffs.
+    assert_full_table_prices_misses_afresh({}, "_handoff_prices")
+
+
+def test_a_full_recovery_table_prices_its_misses_afresh():
+    # ~10,000 failures, a write rate as high, and three hop counts.
+    assert_full_table_prices_misses_afresh({"sim.lambda_f": 20.0}, "_recovery_prices")
 
 
 @settings(max_examples=60, deadline=None)
 @given(values=st.fixed_dictionaries({**VALUES, "sim.lambda_f": floats(1e-6, 1e-3)}))
 def test_replay_without_loss_when_no_failure_occurs(values):
     assume(multi_cell(values))
-    cfg = default_config().with_overrides(values)
+    cfg = accepted(values)
     timeline = generate_timeline(cfg, cfg.sim.seed)
     kinds = [ev for _, ev, _ in timeline.events]
     assume("FAILURE" not in kinds)
