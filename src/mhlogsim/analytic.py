@@ -129,6 +129,16 @@ def frcr(p_prop: float, p_lazy: float, cost_prop: float, cost_lazy: float) -> fl
 # simulator against itself, so they are kept apart from the paper's model.
 
 
+def expected_lazy_handoff_cost(cfg: Config) -> float:
+    """The simulator's expected cost of one lazy handoff.
+
+    A handoff stores one pointer at the new BS, a single control message,
+    and moves no log data: exactly ``c_m`` on every handoff, whatever the
+    log holds, the hop count or ``mu``.
+    """
+    return cfg.cost.c_m
+
+
 def expected_pessimistic_handoff_cost(cfg: Config) -> float:
     """The simulator's expected cost of one pessimistic handoff.
 

@@ -30,9 +30,9 @@ Draw order, fixed for reproducibility:
   write/ckpt   the next gap only (checkpoints are a deterministic timer)
 
 Every gap is ``sample_exponential``'s draw, ``-log(1 - u) / rate``. The
-write clock, by far the busiest, evaluates that expression inline after its
-first draw, so a traced run counts only the start, handoff and failure
-draws as ``sample_exponential`` calls.
+three start draws call it, and its ``rate > 0`` check covers every rate the
+clocks divide by; every later gap evaluates the same expression inline, so
+a traced run counts 3 ``sample_exponential`` calls per timeline.
 
 One event of each kind is pending at a time. Simultaneous events dispatch
 by kind priority: checkpoint, handoff, write, failure. The trace names the
@@ -86,13 +86,11 @@ _BLOCK = 512  # raw words per refill: 4 KiB
 
 
 def _decoded_words(bits: np.random.PCG64) -> Iterator[zip]:
-    """Blocks of raw words from ``bits``, each word as (double, low 32 bits,
-    high 32 bits); the double is ``Generator.random``'s top 53 bits * 2**-53."""
+    """Blocks of raw words from ``bits``, each word as (double, word); the
+    double is ``Generator.random``'s top 53 bits * 2**-53."""
     while True:
         raw = bits.random_raw(_BLOCK)
-        yield zip(
-            ((raw >> 11) * 2.0**-53).tolist(), (raw & 0xFFFFFFFF).tolist(), (raw >> 32).tolist()
-        )
+        yield zip(((raw >> 11) * 2.0**-53).tolist(), raw.tolist())
 
 
 class PCG64Stream:
@@ -102,8 +100,9 @@ class PCG64Stream:
 
     ``random()`` takes one word. ``integers(n)`` draws nothing for n == 1,
     and otherwise is Lemire's method on 32-bit draws, each the low half of
-    a new word or the high half the previous one left buffered. ``random()``
-    neither reads nor clears the buffered half, as in numpy's PCG64.
+    a new word or the high half the previous one left buffered; only
+    ``integers`` splits a word into its halves. ``random()`` neither reads
+    nor clears the buffered half, as in numpy's PCG64.
     """
 
     __slots__ = ("random", "_word", "_half")
@@ -125,7 +124,8 @@ class PCG64Stream:
         threshold = (1 << 32) % n
         while True:
             if self._half is None:
-                _, x, self._half = self._word()
+                word = self._word()[1]
+                x, self._half = word & 0xFFFFFFFF, word >> 32
             else:
                 x, self._half = self._half, None
             m = x * n
@@ -209,16 +209,21 @@ def generate_timeline(cfg: Config, seed: int, keep_write_times: bool = False) ->
     cell -> BSC table is read without a range check.
     """
     sp, tree = cfg.sim, cfg.tree
-    cell_bsc = tree.cell_bsc
+    cell_bsc, p_same_region = tree.cell_bsc, cfg.p_same_region
+    horizon, t_c, lambda_w, mu, lambda_f = sp.sim_horizon, sp.t_c, sp.lambda_w, sp.mu, sp.lambda_f
     rng = PCG64Stream(seed & SEED_MASK)
-    draw, horizon, lambda_w = sample_exponential, sp.sim_horizon, sp.lambda_w
-    random, log = rng.random, math.log
+    random, log, nextafter, inf = rng.random, math.log, math.nextafter, math.inf
 
     # The write clock of a host that never writes reads inf and never fires.
-    write_at = draw(lambda_w, rng) if lambda_w > 0 else math.inf
-    handoff_at = draw(sp.mu, rng)
-    failure_at = draw(sp.lambda_f, rng)
-    checkpoint_at = sp.t_c
+    # The start draws check every rate the gaps below divide by.
+    write_at = sample_exponential(lambda_w, rng) if lambda_w > 0 else inf
+    handoff_at = sample_exponential(mu, rng)
+    failure_at = sample_exponential(lambda_f, rng)
+    checkpoint_at = t_c
+    # A write fires before a failure at the same time, and at the horizon:
+    # ``w <= x`` is ``w < nextafter(x, inf)``, as no float lies between.
+    # Horizon is fixed, so this bound moves only when a failure fires.
+    last = nextafter(failure_at if failure_at < horizon else horizon, inf)
 
     events: list[tuple[float, str, int]] = []
     writes: list[int] = []
@@ -228,23 +233,23 @@ def generate_timeline(cfg: Config, seed: int, keep_write_times: bool = False) ->
     while True:
         # Writes fire until a checkpoint or handoff is due at or before the
         # next one, or a failure strictly before it.
-        ahead = min(checkpoint_at, handoff_at)
-        last = min(failure_at, horizon)
-        while write_at < ahead and write_at <= last:
+        ahead = checkpoint_at if checkpoint_at <= handoff_at else handoff_at
+        bound = ahead if ahead < last else last
+        while write_at < bound:
             k += 1
             if write_times is not None:
                 write_times.append(write_at)
             # sample_exponential's arithmetic; lambda_w > 0 once a write fires.
             write_at += -log(1.0 - random()) / lambda_w
 
-        t = min(ahead, failure_at)
+        t = ahead if ahead <= failure_at else failure_at
         if t > horizon:
             break
         writes.append(k)
         k = 0
         if checkpoint_at == t:
             events.append((t, "CHECKPOINT", cell))
-            checkpoint_at = t + sp.t_c
+            checkpoint_at = t + t_c
         elif handoff_at == t:
             to_cell = sample_next_cell(tree, cell, rng)
             if cell_bsc[cell] == cell_bsc[to_cell]:
@@ -253,11 +258,12 @@ def generate_timeline(cfg: Config, seed: int, keep_write_times: bool = False) ->
                 inter += 1
             cell = to_cell
             events.append((t, "HANDOFF", cell))
-            handoff_at = t + draw(sp.mu, rng)
+            handoff_at = t + -log(1.0 - random()) / mu
         else:
-            cell = _sample_recovery_cell(tree, cell_bsc[cell], cfg.p_same_region, rng)
+            cell = _sample_recovery_cell(tree, cell_bsc[cell], p_same_region, rng)
             events.append((t, "FAILURE", cell))
-            failure_at = t + draw(sp.lambda_f, rng)
+            failure_at = t + -log(1.0 - random()) / lambda_f
+            last = nextafter(failure_at if failure_at < horizon else horizon, inf)
     writes.append(k)
     return Timeline(events, writes, intra, inter, write_times)
 

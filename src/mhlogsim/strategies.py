@@ -35,8 +35,11 @@ one ``LogStrategy`` method:
   same rules on first use and kept in a per-run table under those integers
   (``_keep``), up to ``_PRICE_TABLE_LIMIT`` entries a table: pessimistic's
   and proposed's recoveries under (log size, hops from the checkpoint to
-  the restart BS) in ``_recovery_prices``. A returned CostDelta, a
-  ``RecoveryOutcome.cost`` included, is therefore shared and read-only.
+  the restart BS) in ``_recovery_prices``. A run of writes is kept the same
+  way in ``_write_runs``: lazy's and pessimistic's under (run length, piece
+  count after it), proposed's under (run length, cache fill, piece count
+  before it). A returned CostDelta, a ``RecoveryOutcome.cost`` included,
+  and a returned ``WriteRun`` are therefore shared and read-only.
 """
 
 from __future__ import annotations
@@ -135,7 +138,8 @@ class WriteRun(NamedTuple):
     is in ``charged``, nothing on the others. ``delta`` is the strategy's
     shared per-run price of one such write. ``peak_pieces`` is the largest
     non-empty fragment count, the cache counting as one, after any write of
-    the run."""
+    the run. A strategy hands one ``WriteRun`` to every run of the same
+    shape: read it, never change it."""
 
     delta: CostDelta
     charged: range
@@ -172,6 +176,7 @@ class LogStrategy:
         # has a durable baseline.
         self.checkpoint_site, self.checkpoint_region = self._checkpoint_site()
         self._reset_fragments()
+        self._write_runs: dict[tuple[int, ...], WriteRun] = {}
         # Prices no event of the run changes. A write is one wireless data
         # item plus the BSC's acknowledgement message. The checkpoint site
         # keeps its place relative to the host's cell, so the hop count at
@@ -189,11 +194,17 @@ class LogStrategy:
     def on_writes(self, k: int) -> WriteRun:
         """Log ``k`` writes issued back to back from the host's cell; the
         same placement and costs as ``k`` calls of ``on_write``. The default
-        policy sends each entry to the current BS, which acknowledges it."""
+        policy sends each entry to the current BS, which acknowledges it.
+        The run depends only on ``k`` and the piece count after it, so it
+        comes from the run's ``_write_runs`` table under ``(k, pieces)``."""
         first = self.next_seq
         self.next_seq += k
         self._append(bs_site(self.current_cell), self.current_bsc, range(first, first + k))
-        return WriteRun(self._write_cost, range(k), self.pieces)
+        key = (k, self.pieces)
+        run = self._write_runs.get(key)
+        if run is None:
+            run = self._keep(self._write_runs, key, WriteRun(self._write_cost, range(k), self.pieces))
+        return run
 
     def on_checkpoint(self) -> CostDelta:
         """Ship a fresh checkpoint to its durable site and purge the log.
@@ -505,26 +516,38 @@ class ProposedStrategy(_OneFragmentStrategy):
     def on_writes(self, k: int) -> WriteRun:
         """Each write joins the cache, and the write that fills it flushes
         the cache to the host's BSC. Every flush of the run moves a full
-        cache from the same cell, so they all cost the same."""
-        cap = self.sp.cache_capacity
+        cache from the same cell, so they all cost the same. The run
+        depends only on ``k``, the cache fill and the piece count before
+        it, so it comes from the run's ``_write_runs`` table under those."""
         cache = self.cache
-        seqs = range(self.next_seq, self.next_seq + k)
-        self.next_seq += k
-        before = self.pieces
-        first = cap - len(cache) - 1  # index of the write that fills the cache
-        if first >= k:
-            cache.extend(seqs)
-            return WriteRun(NO_COST, range(0), before + 1)
-        delta = self._full_flush_cost
-        charged = range(first, k, cap)
-        flushed = charged[-1] + 1
-        cache.extend(seqs[:flushed])
+        first = self.next_seq
+        self.next_seq = first + k
+        key = (k, len(cache), self.pieces)
+        run = self._write_runs.get(key)
+        if run is None:
+            run = self._keep(self._write_runs, key, self._write_run(*key))
+        if not run.charged:
+            cache.extend(range(first, first + k))
+            return run
+        flushed = first + run.charged[-1] + 1
+        cache.extend(range(first, flushed))
         self._append(bsc_site(self.current_bsc), self.current_bsc, cache)
-        cache[:] = seqs[flushed:]
+        cache[:] = range(flushed, first + k)
+        return run
+
+    def _write_run(self, k: int, n: int, before: int) -> WriteRun:
+        """A run of ``k`` writes onto a cache of ``n`` entries, with
+        ``before`` non-empty fragments."""
+        cap = self.sp.cache_capacity
+        first = cap - n - 1  # index of the write that fills the cache
+        if first >= k:
+            return WriteRun(NO_COST, range(0), before + 1)
         # Between flushes the cache holds entries; right after one it is
-        # empty, and every flush after the first extends the same fragment.
-        after = self.pieces + (cap > 1 and first + 1 < k)
-        return WriteRun(delta, charged, max(before + 1, after) if first else after)
+        # empty, and the one fragment then holds entries.
+        after = 1 + (cap > 1 and first + 1 < k)
+        return WriteRun(
+            self._full_flush_cost, range(first, k, cap), max(before + 1, after) if first else after
+        )
 
     def _flush_cost(self, n: int) -> CostDelta:
         """Cost of moving ``n`` cached entries up one hop to the host's BSC."""

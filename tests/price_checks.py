@@ -1,0 +1,96 @@
+"""Checks that a strategy's cached prices equal the same prices made
+afresh: one fresh builder per per-run price table, and the check that runs
+them over every table entry. Shared by the property and strategy tests."""
+
+from mhlogsim import strategies
+from mhlogsim.strategies import NO_COST, CostDelta, Fragment, LogStrategy, StrategyKind, WriteRun
+from mhlogsim.topology import bs_site, hops_between
+
+
+def fresh_move_price(strategy, key):
+    """Proposed's inter-BSC move, priced as a from-scratch handoff sums it:
+    the registration and log migration, then the cache flush, zero when
+    the cache is empty."""
+    n_home, hops, n = key
+    flush = strategy._flush_cost(n) if n else CostDelta()
+    return strategy._carry(strategy._messages(2), n_home, hops).add(flush)
+
+
+def fresh_recovery_price(strategy, key):
+    """A recovery of a log of ``n`` entries from ``hops`` away, priced by
+    the base hook with the strategy's one fragment holding ``n`` entries at
+    the checkpoint's site, restarting at the first BS ``hops`` from that
+    site."""
+    n, hops = key
+    tree = strategy.tree
+    site, region = strategy.checkpoint_site, strategy.checkpoint_region
+    cell = next(c for c in range(tree.n_cells)
+                if hops_between(tree, site, region, bs_site(c), tree.cell_bsc[c]) == hops)
+    bsc = tree.cell_bsc[cell]
+    fragments = strategy.fragments
+    strategy.fragments = [Fragment(site, region, [0] * n)]
+    try:
+        return LogStrategy._recovery_price(
+            strategy, bs_site(cell), bsc, bsc == strategy.current_bsc)
+    finally:
+        strategy.fragments = fragments
+
+
+def fresh_write_run(strategy, key):
+    """A run of writes replayed one write at a time by the policy's rule.
+    Lazy and pessimistic charge every write and end the run with the key's
+    piece count. Proposed charges the write that fills the cache, which
+    then empties into the one fragment."""
+    if strategy.kind is not StrategyKind.PROPOSED:
+        k, pieces = key
+        return WriteRun(strategy._write_cost, range(k), pieces)
+    k, n, pieces = key
+    cap = strategy.sp.cache_capacity
+    charged, peak = [], 0
+    for i in range(k):
+        n += 1
+        if n == cap:
+            charged.append(i)
+            n, pieces = 0, 1
+        peak = max(peak, pieces + bool(n))
+    if not charged:
+        return WriteRun(NO_COST, range(0), peak)
+    return WriteRun(strategy._full_flush_cost, range(k)[charged[0]::cap], peak)
+
+
+PRICE_TABLES = {  # per-run price table -> its key's price made afresh
+    "_write_runs": fresh_write_run,
+    "_handoff_prices": lambda s, key: s._carry(s._messages(1), *key),
+    "_flush_prices": lambda s, n: s._flush_cost(n),
+    "_move_prices": fresh_move_price,
+    "_recovery_prices": fresh_recovery_price,
+}
+
+
+def assert_cached_prices_fresh(strategy):
+    """The prices a strategy made once at birth, and every entry of its
+    price tables, equal the same prices made afresh by the same rules: the
+    fixed ones from the state it stands in now, each table entry from its
+    key. No table holds more than ``_PRICE_TABLE_LIMIT`` entries.
+    Pessimistic's and proposed's one fragment, which the recovery table's
+    key assumes, shares the checkpoint's site and region."""
+    cp = strategy.cp
+    assert strategy._write_cost == strategy._ship(strategy._messages(1), 1, cp.c_1, 0)
+    site, region = strategy._checkpoint_site()
+    hops = hops_between(strategy.tree, bs_site(strategy.current_cell), strategy.current_bsc,
+                        site, region)
+    assert strategy._checkpoint_cost == strategy._ship(CostDelta(), 1, cp.c_c, hops)
+    if strategy.kind is StrategyKind.LAZY:
+        assert strategy._pointer_cost == strategy._messages(1)
+    if strategy.kind is StrategyKind.PROPOSED:
+        assert strategy._full_flush_cost == strategy._flush_cost(strategy.sp.cache_capacity)
+    if strategy.kind is not StrategyKind.LAZY:
+        assert len(strategy.fragments) <= 1
+        for frag in strategy.fragments:
+            assert (frag.site, frag.region) == (strategy.checkpoint_site, strategy.checkpoint_region)
+    for name, price in PRICE_TABLES.items():
+        table = getattr(strategy, name, {})
+        assert len(table) <= strategies._PRICE_TABLE_LIMIT
+        for key, delta in table.items():
+            assert delta == price(strategy, key), (name, key)
+    assert NO_COST == CostDelta()

@@ -8,6 +8,7 @@ from mhlogsim.analytic import (
     build_report,
     c_lazy,
     c_prop,
+    expected_lazy_handoff_cost,
     expected_pessimistic_handoff_cost,
     frcr,
     log_transfer_ops,
@@ -197,6 +198,27 @@ class TestBuildReport:
 
 
 class TestSimulatorExpectations:
+    def test_lazy_handoff_hand_value(self):
+        # One pointer message per handoff, whatever the network or the rates.
+        assert expected_lazy_handoff_cost(default_config()) == 0.5
+        cfg = default_config().with_overrides(
+            {"cost.C_m": 2.0, "sim.mu": 3.0, "topology.msc": 2, "topology.adjacency": "grid"}
+        )
+        assert expected_lazy_handoff_cost(cfg) == 2.0
+
+    def test_fig3_lazy_handoff_cost_is_the_expectation_exactly(self, figure_rows):
+        # C_m = 0.5 is dyadic, so every sum of handoff costs, their mean per
+        # run and the replications' mean are exact; equal runs give a
+        # zero-width interval.
+        cfg = default_config()
+        spec = figure_spec("fig3", cfg)
+        rows = [r for r in figure_rows("fig3") if r.strategy == "lazy"]
+        assert [r.param_value for r in rows] == list(spec.sweep_values)
+        for row in rows:
+            point = cfg.with_overrides({**spec.overrides, spec.swept_param: row.param_value})
+            expected = expected_lazy_handoff_cost(point)
+            assert row.mean == row.ci95_low == row.ci95_high == expected, row.param_value
+
     def test_pessimistic_handoff_hand_value(self):
         # Defaults: 9-cell ring over three BSCs of one MSC. Six of the 18
         # directed edges cross a region boundary, each a 2-hop BSC gap, so

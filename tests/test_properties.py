@@ -12,15 +12,9 @@ from mhlogsim import engine, strategies
 from mhlogsim.config import CONFIG_KEYS, default_config
 from mhlogsim.engine import RunStats, _fold, generate_timeline, run_simulation
 from mhlogsim.model import ValidationError
-from mhlogsim.strategies import (
-    NO_COST,
-    CostDelta,
-    Fragment,
-    LogStrategy,
-    StrategyKind,
-    make_strategy,
-)
-from mhlogsim.topology import bs_site, hops_between
+from mhlogsim.strategies import make_strategy
+
+from price_checks import assert_cached_prices_fresh, fresh_write_run
 
 KINDS = ("lazy", "pessimistic", "proposed")
 EVENT_FIELDS = {  # trace kind -> (RunStats count, RunStats total cost)
@@ -122,72 +116,6 @@ def test_accepted_configs_run_finite_conserved_and_paired(values):
     assert len(counts) == 1
 
 
-def fresh_move_price(strategy, key):
-    """Proposed's inter-BSC move, priced as a from-scratch handoff sums it:
-    the registration and log migration, then the cache flush, zero when
-    the cache is empty."""
-    n_home, hops, n = key
-    flush = strategy._flush_cost(n) if n else CostDelta()
-    return strategy._carry(strategy._messages(2), n_home, hops).add(flush)
-
-
-def fresh_recovery_price(strategy, key):
-    """A recovery of a log of ``n`` entries from ``hops`` away, priced by
-    the base hook with the strategy's one fragment holding ``n`` entries at
-    the checkpoint's site, restarting at the first BS ``hops`` from that
-    site."""
-    n, hops = key
-    tree = strategy.tree
-    site, region = strategy.checkpoint_site, strategy.checkpoint_region
-    cell = next(c for c in range(tree.n_cells)
-                if hops_between(tree, site, region, bs_site(c), tree.cell_bsc[c]) == hops)
-    bsc = tree.cell_bsc[cell]
-    fragments = strategy.fragments
-    strategy.fragments = [Fragment(site, region, [0] * n)]
-    try:
-        return LogStrategy._recovery_price(
-            strategy, bs_site(cell), bsc, bsc == strategy.current_bsc)
-    finally:
-        strategy.fragments = fragments
-
-
-PRICE_TABLES = {  # per-run price table -> its key's price made afresh
-    "_handoff_prices": lambda s, key: s._carry(s._messages(1), *key),
-    "_flush_prices": lambda s, n: s._flush_cost(n),
-    "_move_prices": fresh_move_price,
-    "_recovery_prices": fresh_recovery_price,
-}
-
-
-def assert_cached_prices_fresh(strategy):
-    """The prices a strategy made once at birth, and every entry of its
-    price tables, equal the same prices made afresh by the same rules: the
-    fixed ones from the state it stands in now, each table entry from its
-    key. No table holds more than ``_PRICE_TABLE_LIMIT`` entries.
-    Pessimistic's and proposed's one fragment, which the recovery table's
-    key assumes, shares the checkpoint's site and region."""
-    cp = strategy.cp
-    assert strategy._write_cost == strategy._ship(strategy._messages(1), 1, cp.c_1, 0)
-    site, region = strategy._checkpoint_site()
-    hops = hops_between(strategy.tree, bs_site(strategy.current_cell), strategy.current_bsc,
-                        site, region)
-    assert strategy._checkpoint_cost == strategy._ship(CostDelta(), 1, cp.c_c, hops)
-    if strategy.kind is StrategyKind.LAZY:
-        assert strategy._pointer_cost == strategy._messages(1)
-    if strategy.kind is StrategyKind.PROPOSED:
-        assert strategy._full_flush_cost == strategy._flush_cost(strategy.sp.cache_capacity)
-    if strategy.kind is not StrategyKind.LAZY:
-        assert len(strategy.fragments) <= 1
-        for frag in strategy.fragments:
-            assert (frag.site, frag.region) == (strategy.checkpoint_site, strategy.checkpoint_region)
-    for name, price in PRICE_TABLES.items():
-        table = getattr(strategy, name, {})
-        assert len(table) <= strategies._PRICE_TABLE_LIMIT
-        for key, delta in table.items():
-            assert delta == price(strategy, key), (name, key)
-    assert NO_COST == CostDelta()
-
-
 def price_checking(kind, tree, sp, cp):
     """A new strategy that checks its cached prices after every event."""
     strategy = make_strategy(kind, tree, sp, cp)
@@ -269,6 +197,57 @@ def test_a_full_price_table_prices_its_misses_afresh():
 def test_a_full_recovery_table_prices_its_misses_afresh():
     # ~10,000 failures, a write rate as high, and three hop counts.
     assert_full_table_prices_misses_afresh({"sim.lambda_f": 20.0}, "_recovery_prices")
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.fixed_dictionaries({
+    **VALUES, "sim.cache_capacity": st.integers(1, 4), "sim.lambda_w": floats(2.0, 20.0),
+}))
+def test_proposed_write_runs_equal_a_per_write_replay(values):
+    # Small caches and long runs flush several times within one run, so a
+    # run can end on a flush after writes past an earlier one. Each run the
+    # fold meets is checked against the replay of its own writes, from the
+    # cache fill and piece count the fold left before it.
+    assume(multi_cell(values))
+    cfg = accepted(values)
+    strategy = make_strategy("proposed", cfg.tree, cfg.sim, cfg.cost)
+    on_writes = strategy.on_writes
+
+    def replayed(k):
+        key = (k, len(strategy.cache), strategy.pieces)
+        run = on_writes(k)
+        assert run == fresh_write_run(strategy, key), key
+        return run
+
+    strategy.on_writes = replayed
+    _fold(strategy, generate_timeline(cfg, cfg.sim.seed), None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.fixed_dictionaries(VALUES))
+def test_write_times_leave_the_timeline_unchanged(values):
+    # writes[i] fire between events[i - 1] and events[i]. On a tie a
+    # checkpoint or handoff dispatches before a write and a write before a
+    # failure; the last run ends at the horizon, which a write may meet.
+    assume(multi_cell(values))
+    cfg = accepted(values)
+    plain = generate_timeline(cfg, cfg.sim.seed)
+    timed = generate_timeline(cfg, cfg.sim.seed, True)
+    assert plain.write_times is None
+    assert timed.events == plain.events
+    assert timed.writes == plain.writes
+    assert (timed.intra_bsc, timed.inter_bsc) == (plain.intra_bsc, plain.inter_bsc)
+    times = timed.write_times
+    assert len(times) == sum(timed.writes)
+    assert all(a <= b for a, b in zip(times, times[1:]))
+    before = [(0.0, "CHECKPOINT")] + [(t, ev) for t, ev, _ in timed.events]
+    after = [(t, ev) for t, ev, _ in timed.events] + [(cfg.sim.sim_horizon, "FAILURE")]
+    i = 0
+    for k, (lo, prev), (hi, nxt) in zip(timed.writes, before, after):
+        for w in times[i:i + k]:
+            assert lo < w if prev == "FAILURE" else lo <= w
+            assert w <= hi if nxt == "FAILURE" else w < hi
+        i += k
 
 
 @settings(max_examples=60, deadline=None)

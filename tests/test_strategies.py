@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import CostDelta, make_strategy
 from mhlogsim.topology import bs_site, bsc_site, build_topology, hop_distance, mh_site, region_of
+from price_checks import assert_cached_prices_fresh
 
 CP = CostParams()  # r=0.1, C_c=5, C_1=1, C_m=0.5, alpha=rho=1
 
@@ -517,7 +518,11 @@ class TestOnWrites:
         run = strat.on_writes(k)
         assert [run.delta if i in run.charged else CostDelta() for i in range(k)] == deltas
         assert run.peak_pieces == peak
-        assert vars(strat) == vars(one)
+        # One run and k single writes file their WriteRuns under different
+        # keys of the per-run table; every entry is still priced right.
+        assert {**vars(strat), "_write_runs": None} == {**vars(one), "_write_runs": None}
+        assert_cached_prices_fresh(strat)
+        assert_cached_prices_fresh(one)
 
 
 class TestReplayCompleteness:
