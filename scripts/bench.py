@@ -16,7 +16,10 @@ another for a core:
 3. ``benchmarks/run.py --trace 0`` on every workload ``BENCHMARK.json``
    names, at the run length the benchmark fixes: the result object each
    run prints last;
-4. the machine: Python, numpy and scipy versions and the core count.
+4. ``cli_analytic_s``: the median wall time of 5 fresh ``mhlogsim analytic``
+   processes (``python -m mhlogsim.cli analytic``), raw: the program's
+   start-up cost;
+5. the machine: Python, numpy and scipy versions and the core count.
 
 Every step runs as a subprocess of this interpreter. The record names the
 measured commit; when the checkout has uncommitted changes to tracked files
@@ -34,6 +37,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,6 +49,7 @@ import scipy
 
 REPO = Path(__file__).resolve().parents[1]
 FIGURE_REPS = 20
+CLI_RUNS = 5
 
 
 def timed(cmd: list[str], cwd: Path, env: dict | None = None) -> tuple[float, subprocess.CompletedProcess]:
@@ -66,11 +71,15 @@ def git_state(root: Path) -> dict:
     return state
 
 
-def tier1(root: Path) -> dict:
+def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    return env
+
+
+def tier1(root: Path) -> dict:
     wall_s, proc = timed(
-        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"], root, env
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"], root, src_env()
     )
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", summary)}
@@ -90,6 +99,16 @@ def figures(root: Path) -> dict:
     # Exit code 1 with a manifest means trend violations, which tier-1's
     # criterion checks report; the timings stand.
     return {"wall_s": wall_s, "exit_code": proc.returncode, "manifest": manifest}
+
+
+def cli_analytic(root: Path) -> float:
+    times = []
+    for _ in range(CLI_RUNS):
+        wall_s, proc = timed([sys.executable, "-m", "mhlogsim.cli", "analytic"], root, src_env())
+        if proc.returncode != 0:
+            raise RuntimeError(f"mhlogsim analytic failed:\n{proc.stderr}")
+        times.append(wall_s)
+    return statistics.median(times)
 
 
 def benchmark(root: Path, workload: str) -> dict:
@@ -130,6 +149,9 @@ def main() -> int:
     print(f"run_figures.py --reps {FIGURE_REPS} ...", flush=True)
     record["figures"] = figures(root)
     print(f"  {record['figures']['wall_s']:.1f} s", flush=True)
+    print(f"mhlogsim analytic x{CLI_RUNS} ...", flush=True)
+    record["cli_analytic_s"] = cli_analytic(root)
+    print(f"  median {record['cli_analytic_s']:.3f} s", flush=True)
     record["benchmarks"] = {}
     for workload in workloads:
         print(f"benchmarks/run.py --workload {workload} ...", flush=True)

@@ -26,11 +26,13 @@ import time
 from pathlib import Path
 
 import numpy
-import scipy
+# Every figure at 2 or more reps summarises, and summarize loads scipy.stats
+# on first use; loading it here keeps that load out of the first figure's wall_s.
+import scipy.stats
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mhlogsim.config import default_config, parse_config
+from mhlogsim.config import check_seed, default_config, parse_config
 from mhlogsim.experiments import FIGURE_IDS, figure_spec, write_figure
 
 
@@ -50,6 +52,8 @@ def main() -> int:
                      f"choose from {', '.join(FIGURE_IDS)}")
 
     try:
+        if args.seed is not None:
+            check_seed("--seed", args.seed)
         config = parse_config(args.config) if args.config else default_config()
         specs = {f: figure_spec(f, config, reps=args.reps, master_seed=args.seed)
                  for f in figure_ids}

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .config import Config
-from .model import CostParams, SimParams, derive_quantities
+from .model import CostParams, SimParams, ValidationError, derive_quantities
 from .topology import _bsc_gap
 
 
@@ -224,6 +224,11 @@ def build_report(
     ratio is reported as undefined.
     """
     d = derive_quantities(sp)
+    if d.k_expected < 1:
+        raise ValidationError([
+            "k_expected = sim.lambda_w * sim.T_c must be >= 1 for the closed-form handoff "
+            f"cost, got {sp.lambda_w:g} * {sp.t_c:g} = {d.k_expected:g}"
+        ])
     p01, p02 = markov_probs(sp.lambda_f, sp.mu)
     c01 = total_handoff_cost(d.k_expected, d.eta, cp)
     c_r = recovery_cost(d.eta, cp)

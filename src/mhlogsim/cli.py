@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import analytic
-from .config import Config, ConfigError, default_config, parse_config
+from .config import Config, ConfigError, check_seed, default_config, parse_config
 from .engine import replicate
 from .experiments import FIGURE_IDS, crosscheck_analytic, write_figure
 from .model import ValidationError
@@ -35,12 +35,19 @@ def _load_config(path: str | None) -> Config:
     return parse_config(path)
 
 
+def _seed_flag(args: argparse.Namespace) -> int | None:
+    if args.seed is not None:
+        check_seed("--seed", args.seed)
+    return args.seed
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    seed = _seed_flag(args)
     config = _load_config(args.config)
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     strategy = StrategyKind(args.strategy) if args.strategy else config.strategy
-    seed = args.seed if args.seed is not None else config.sim.seed
+    seed = config.sim.seed if seed is None else seed
     runs, summary = replicate(config, strategy, seed, config.sim.replications)
     print(f"strategy {strategy.value}, seed {seed}, replications {len(runs)}")
     width = max(len(name) for name in summary)
@@ -70,9 +77,10 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    seed = _seed_flag(args)
     config = _load_config(args.config)
     out_path, rows, violations, _ = write_figure(
-        args.figure, config, args.out, reps=args.reps, master_seed=args.seed
+        args.figure, config, args.out, reps=args.reps, master_seed=seed
     )
     print(f"wrote {out_path} ({len(rows)} rows)")
     if args.assert_trends:
@@ -85,8 +93,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
+    seed = _seed_flag(args)
     config = _load_config(args.config)
-    report = crosscheck_analytic(config, n_intervals=args.intervals, seed=args.seed)
+    report = crosscheck_analytic(config, n_intervals=args.intervals, seed=seed)
     print(report.as_text())
     return EXIT_OK
 

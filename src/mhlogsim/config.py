@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .model import (
+    SEED_MASK,
     CostParams,
     SimParams,
     ValidationError,
@@ -107,6 +108,48 @@ class Config:
         return out
 
 
+# Each SimParams and CostParams field -> the config key it is read from. A
+# violation validate_params names by field is reported under its key.
+_SIM_KEYS = {
+    "lambda_f": "sim.lambda_f",
+    "lambda_w": "sim.lambda_w",
+    "mu": "sim.mu",
+    "t_c": "sim.T_c",
+    "cache_capacity": "sim.cache_capacity",
+    "sim_horizon": "sim.horizon",
+    "seed": "sim.seed",
+    "replications": "sim.replications",
+}
+_COST_KEYS = {
+    "r": "cost.r",
+    "c_c": "cost.C_c",
+    "c_1": "cost.C_1",
+    "c_m": "cost.C_m",
+    "alpha": "cost.alpha",
+    "rho": "cost.rho",
+    "t_load_ckpt": "cost.T_load_ckpt",
+    "t_load_log": "cost.T_load_log",
+    "c_p": "cost.C_p",
+}
+_KEY_OF_FIELD = {**_SIM_KEYS, **_COST_KEYS, "recovery_deadline": "recovery.deadline"}
+
+
+def _fields(keys: dict[str, str], merged: dict[str, object]) -> dict[str, object]:
+    return {name: CONFIG_KEYS[key][0](merged[key]) for name, key in keys.items()}
+
+
+def _keyed(violation: str) -> str:
+    """``violation`` with its leading field name replaced by the config key."""
+    name, sep, rest = violation.partition(" must be ")
+    return f"{_KEY_OF_FIELD[name]}{sep}{rest}" if name in _KEY_OF_FIELD else violation
+
+
+def check_seed(name: str, seed: int) -> None:
+    """Reject a seed that is not a 64-bit stream seed, naming its source."""
+    if not 0 <= seed <= SEED_MASK:
+        raise ValidationError([f"{name} must be in [0, 2**64), got {seed}"])
+
+
 def _format_value(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -121,28 +164,9 @@ def _build_config(values: dict[str, object]) -> Config:
 
     deadline = merged["recovery.deadline"]
 
-    sim = SimParams(
-        lambda_f=float(merged["sim.lambda_f"]),
-        lambda_w=float(merged["sim.lambda_w"]),
-        mu=float(merged["sim.mu"]),
-        t_c=float(merged["sim.T_c"]),
-        cache_capacity=int(merged["sim.cache_capacity"]),
-        recovery_deadline=1.0,  # placeholder until calibrated below
-        sim_horizon=float(merged["sim.horizon"]),
-        seed=int(merged["sim.seed"]),
-        replications=int(merged["sim.replications"]),
-    )
-    cost = CostParams(
-        r=float(merged["cost.r"]),
-        c_c=float(merged["cost.C_c"]),
-        c_1=float(merged["cost.C_1"]),
-        c_m=float(merged["cost.C_m"]),
-        alpha=float(merged["cost.alpha"]),
-        rho=float(merged["cost.rho"]),
-        t_load_ckpt=float(merged["cost.T_load_ckpt"]),
-        t_load_log=float(merged["cost.T_load_log"]),
-        c_p=float(merged["cost.C_p"]),
-    )
+    # recovery_deadline is a placeholder until calibrated below.
+    sim = SimParams(recovery_deadline=1.0, **_fields(_SIM_KEYS, merged))
+    cost = CostParams(**_fields(_COST_KEYS, merged))
     if deadline == "auto":
         sim = replace(sim, recovery_deadline=default_recovery_deadline(sim, cost))
     else:
@@ -151,15 +175,22 @@ def _build_config(values: dict[str, object]) -> Config:
     try:
         warnings = tuple(validate_params(sim, cost))
     except ValidationError as exc:
-        # With every other parameter valid, an auto deadline is 0 only when
-        # each load time and transfer cost it is calibrated from is 0.
-        if deadline == "auto" and exc.violations == ["recovery_deadline must be > 0"]:
-            raise ValidationError([
-                "recovery.deadline = auto calibrated to 0 because every load time and "
-                "transfer cost is 0 (cost.T_load_ckpt, cost.T_load_log, cost.C_c, cost.C_m, "
-                "and cost.C_1 at the expected log size); set an explicit recovery.deadline"
-            ]) from None
-        raise
+        violations = exc.violations
+        if deadline == "auto":
+            # With every other parameter valid, an auto deadline is 0 only when
+            # each load time and transfer cost it is calibrated from is 0.
+            if violations == ["recovery_deadline must be > 0"]:
+                raise ValidationError([
+                    "recovery.deadline = auto calibrated to 0 because every load time and "
+                    "transfer cost is 0 (cost.T_load_ckpt, cost.T_load_log, cost.C_c, "
+                    "cost.C_m, and cost.C_1 at the expected log size); set an explicit "
+                    "recovery.deadline"
+                ]) from None
+            # Made from the other keys, the deadline fails only in their wake.
+            others = [v for v in violations if not v.startswith("recovery_deadline ")]
+            violations = others or violations
+        raise ValidationError([_keyed(v) for v in violations]) from None
+    check_seed("sim.seed", sim.seed)
 
     strategy_text = str(merged["strategy"])
     try:

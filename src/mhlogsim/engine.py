@@ -58,14 +58,12 @@ from itertools import chain
 from operator import itemgetter
 
 import numpy as np
-from scipy import stats as sstats
 
 from .config import Config
-from .model import CostParams, SimParams, derive_quantities, validate_params
+from .model import SEED_MASK, CostParams, SimParams, derive_quantities, validate_params
 from .strategies import NO_COST, CostDelta, LogStrategy, StrategyKind, make_strategy
 from .topology import NetworkTree, UniformDraws, sample_next_cell
 
-SEED_MASK = 0xFFFFFFFFFFFFFFFF
 _SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # fixed odd multiplier for stream splits
 
 
@@ -403,6 +401,8 @@ def summarize(values: list[float]) -> tuple[float, float, float]:
     sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
     if sem == 0.0:
         return mean, mean, mean
+    from scipy import stats as sstats  # deferred: importing it is most of start-up
+
     half = sem * float(sstats.t.ppf((1 + 0.95) / 2.0, arr.size - 1))
     return mean, mean - half, mean + half
 

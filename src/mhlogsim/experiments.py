@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import analytic, engine
 from .config import Config
@@ -176,6 +175,8 @@ def _check_fig5(rows: list[MetricRow]) -> list[str]:
 
 
 def _check_fig6(rows: list[MetricRow]) -> list[str]:
+    from scipy import stats as sstats  # deferred: importing it is most of start-up
+
     violations: list[str] = []
     series = _three(rows, "recovery_probability")
     for strategy, ser in zip(ALL_STRATEGIES, series):

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 # largest figure run, fig4 at mu=0.1, expects about 31 thousand.
 MAX_EXPECTED_EVENTS = 1_000_000
 
+# Stream seeds are 64-bit; the kernel masks any other int to this range.
+SEED_MASK = 0xFFFFFFFFFFFFFFFF
+
 
 class ValidationError(ValueError):
     """Raised when a parameter bundle violates a model invariant.
@@ -104,7 +107,7 @@ def validate_params(sp: SimParams, cp: CostParams) -> list[str]:
     if not sp.mu > 0:
         violations.append("mu must be > 0")
     if not sp.t_c > 0:
-        violations.append("T_c must be > 0")
+        violations.append("t_c must be > 0")
     if sp.cache_capacity < 1:
         violations.append("cache_capacity must be >= 1")
     if not sp.recovery_deadline > 0:

@@ -1,8 +1,16 @@
+import re
+from dataclasses import replace
+
 import pytest
 
 from mhlogsim import cli, topology
 from mhlogsim.config import ConfigError, default_config, parse_config
-from mhlogsim.model import MAX_EXPECTED_EVENTS, ValidationError, default_recovery_deadline
+from mhlogsim.model import (
+    MAX_EXPECTED_EVENTS,
+    ValidationError,
+    default_recovery_deadline,
+    validate_params,
+)
 from mhlogsim.strategies import StrategyKind
 
 
@@ -42,10 +50,20 @@ class TestParseConfig:
         ("cost.C_1", "nan", "c_1"),
     ])
     def test_non_finite_value_is_named(self, tmp_path, key, text, field):
+        # A config names the key; bare dataclasses, as run_simulation
+        # validates them, name the field.
         path = write(tmp_path, f"{key} = {text}\n")
-        with pytest.raises(ValidationError, match=rf"\b{field} must be finite"):
+        with pytest.raises(ValidationError, match=rf"^{re.escape(key)} must be finite"):
             parse_config(path)
         assert cli.main(["simulate", "--config", str(path)]) == 1
+        cfg = default_config()
+        sim, cost = cfg.sim, cfg.cost
+        if hasattr(sim, field):
+            sim = replace(sim, **{field: float(text)})
+        else:
+            cost = replace(cost, **{field: float(text)})
+        with pytest.raises(ValidationError, match=rf"^{field} must be finite"):
+            validate_params(sim, cost)
 
     def test_unknown_key_reports_line(self, tmp_path):
         with pytest.raises(ConfigError, match=r":2: unknown key"):

@@ -1,8 +1,12 @@
 import copy
+import json
 import math
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -593,6 +597,39 @@ class TestEmptySamples:
         assert all(math.isnan(v) for r in home for v in (r.mean, r.ci95_low, r.ci95_high))
         others = [r for r in rows if r not in home]
         assert others and all(math.isfinite(r.mean) for r in others)
+
+
+# Runs in a fresh interpreter, whose sys.modules shows what the program
+# itself loaded; argv[1] is the src directory.
+DEFERRED_SCIPY = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from mhlogsim import cli, engine
+from mhlogsim.config import default_config
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["analytic"]), cli.main(["crosscheck", "--intervals", "1000"])]
+engine.run_simulation(default_config().with_overrides({"sim.horizon": 500.0}), "proposed", 1)
+narrow = [engine.summarize([1.0]), engine.summarize([2.0, 2.0])]
+before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+ci = engine.summarize([1.0, 2.0])
+print(json.dumps({"codes": codes, "narrow": narrow, "before": before,
+                  "stats": "scipy.stats" in sys.modules, "ci": ci}))
+"""
+
+
+def test_scipy_loads_only_for_a_t_interval():
+    """The CLI's analytic and crosscheck, a run and a summary of fewer than 2
+    values or zero spread load no scipy module; the first t half-width loads
+    scipy.stats and gives the value it gave when scipy loaded at import."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", DEFERRED_SCIPY, str(src)],
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0, 0]
+    assert out["narrow"] == [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]
+    assert out["before"] == []
+    assert out["stats"]
+    assert tuple(out["ci"]) == (1.5, -4.853102368087347, 7.853102368087347)
 
 
 class TestEstimateTransitionProbs:

@@ -314,6 +314,72 @@ class TestCli:
         ])
         assert code == 3
 
+    @staticmethod
+    def assert_one_error(capsys, argv, message):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, text, product", [
+        ("analytic", "sim.lambda_w = 0.001\n", "0.001 * 100 = 0.1"),
+        ("crosscheck", "sim.lambda_w = 0\n", "0 * 100 = 0"),
+        ("analytic", "sim.T_c = 1\n", "0.5 * 1 = 0.5"),
+    ], ids=["analytic-lambda_w", "crosscheck-lambda_w-zero", "analytic-T_c"])
+    def test_closed_form_names_the_keys_of_k(self, capsys, tmp_path, command, text, product):
+        cfg_file = tmp_path / "few.cfg"
+        cfg_file.write_text(text, encoding="utf-8")
+        self.assert_one_error(
+            capsys, [command, "--config", str(cfg_file)],
+            "k_expected = sim.lambda_w * sim.T_c must be >= 1 for the closed-form handoff "
+            f"cost, got {product}",
+        )
+
+    def test_simulate_accepts_k_below_one(self, capsys, tmp_path):
+        cfg_file = tmp_path / "few.cfg"
+        cfg_file.write_text("sim.lambda_w = 0.001\nsim.horizon = 1000\nsim.replications = 2\n",
+                            encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(cfg_file)]) == 0
+        assert "write_count" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, message", [
+        ("sim.lambda_f = 0", "sim.lambda_f must be > 0"),
+        ("sim.lambda_w = -1", "sim.lambda_w must be >= 0"),
+        ("sim.mu = 0", "sim.mu must be > 0"),
+        ("sim.T_c = 0", "sim.T_c must be > 0"),
+        ("sim.horizon = 0", "sim.horizon must be > 0"),
+        ("sim.cache_capacity = 0", "sim.cache_capacity must be >= 1"),
+        ("sim.replications = 0", "sim.replications must be >= 1"),
+        ("recovery.deadline = 0", "recovery.deadline must be > 0"),
+        ("cost.r = 0", "cost.r must be > 0"),
+        ("cost.C_1 = -1", "cost.C_1 must be >= 0"),
+        ("cost.T_load_ckpt = -1", "cost.T_load_ckpt must be >= 0"),
+        ("cost.C_p = -1", "cost.C_p must be >= 0"),
+        ("cost.alpha = nan", "cost.alpha must be finite, got nan"),
+        ("sim.T_c = inf", "sim.T_c must be finite, got inf"),
+        ("cost.C_m = inf", "cost.C_m must be finite, got inf"),
+    ])
+    def test_config_errors_name_the_key(self, capsys, tmp_path, text, message):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(text + "\n", encoding="utf-8")
+        self.assert_one_error(capsys, ["simulate", "--config", str(cfg_file)], message)
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_config_seed_outside_64_bits_is_rejected(self, capsys, tmp_path, seed):
+        cfg_file = tmp_path / "seed.cfg"
+        cfg_file.write_text(f"sim.seed = {seed}\n", encoding="utf-8")
+        self.assert_one_error(capsys, ["simulate", "--config", str(cfg_file)],
+                              f"sim.seed must be in [0, 2**64), got {seed}")
+
+    @pytest.mark.parametrize("command", [["simulate"], ["figure", "fig3"], ["crosscheck"]],
+                             ids=["simulate", "figure", "crosscheck"])
+    @pytest.mark.parametrize("seed", ["-5", str(2**64)])
+    def test_seed_flag_outside_64_bits_is_rejected(self, capsys, tmp_path, command, seed):
+        out = tmp_path / "out"
+        argv = [*command, "--seed", seed, *(["--out", str(out)] if command[0] == "figure" else [])]
+        self.assert_one_error(capsys, argv, f"--seed must be in [0, 2**64), got {seed}")
+        assert not out.exists()
+
 
 class TestRegimeWarning:
     """lambda_f >= mu is accepted but stresses the model; each entry point
