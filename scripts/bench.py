@@ -19,7 +19,9 @@ another for a core:
 4. ``cli_analytic_s``: the median wall time of 5 fresh ``mhlogsim analytic``
    processes (``python -m mhlogsim.cli analytic``), raw: the program's
    start-up cost;
-5. the machine: Python, numpy and scipy versions and the core count.
+5. ``src_lines``: the total ``wc -l`` of ``src/mhlogsim/*.py``, the
+   program's size;
+6. the machine: Python, numpy and scipy versions and the core count.
 
 Every step runs as a subprocess of this interpreter. The record names the
 measured commit; when the checkout has uncommitted changes to tracked files
@@ -111,6 +113,11 @@ def cli_analytic(root: Path) -> float:
     return statistics.median(times)
 
 
+def src_lines(root: Path) -> int:
+    """What ``wc -l src/mhlogsim/*.py`` totals: the newlines in those files."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "mhlogsim").glob("*.py"))
+
+
 def benchmark(root: Path, workload: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--trace", "0"],
@@ -143,6 +150,8 @@ def main() -> int:
             "platform": platform.platform(),
         },
     }
+    record["src_lines"] = src_lines(root)
+    print(f"src/mhlogsim: {record['src_lines']} lines", flush=True)
     print("tier-1 ...", flush=True)
     record["tier1"] = tier1(root)
     print(f"  {record['tier1']['summary']}", flush=True)

@@ -32,7 +32,7 @@ import scipy.stats
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mhlogsim.config import check_seed, default_config, parse_config
+from mhlogsim.config import check_count, check_seed, default_config, parse_config
 from mhlogsim.experiments import FIGURE_IDS, figure_spec, write_figure
 
 
@@ -54,6 +54,8 @@ def main() -> int:
     try:
         if args.seed is not None:
             check_seed("--seed", args.seed)
+        if args.reps is not None:
+            check_count("--reps", args.reps)
         config = parse_config(args.config) if args.config else default_config()
         specs = {f: figure_spec(f, config, reps=args.reps, master_seed=args.seed)
                  for f in figure_ids}

@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import analytic
-from .config import Config, ConfigError, check_seed, default_config, parse_config
+from .config import Config, ConfigError, check_count, check_seed, default_config, parse_config
 from .engine import replicate
 from .experiments import FIGURE_IDS, crosscheck_analytic, write_figure
 from .model import ValidationError
@@ -27,6 +27,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_TREND = 3
+
+# The most intervals ``crosscheck`` simulates. Its estimators hold several
+# float arrays of that length, 80 MB each at this bound, so a far larger
+# count would end in a MemoryError or an out-of-memory kill.
+MAX_INTERVALS = 10_000_000
 
 
 def _load_config(path: str | None) -> Config:
@@ -78,6 +83,8 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     seed = _seed_flag(args)
+    if args.reps is not None:
+        check_count("--reps", args.reps)
     config = _load_config(args.config)
     out_path, rows, violations, _ = write_figure(
         args.figure, config, args.out, reps=args.reps, master_seed=seed
@@ -94,6 +101,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     seed = _seed_flag(args)
+    check_count("--intervals", args.intervals, MAX_INTERVALS)
     config = _load_config(args.config)
     report = crosscheck_analytic(config, n_intervals=args.intervals, seed=seed)
     print(report.as_text())
@@ -135,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cc = sub.add_parser("crosscheck", help="analytic vs simulation agreement")
     p_cc.add_argument("--config")
-    p_cc.add_argument("--intervals", type=int, default=100_000)
+    p_cc.add_argument("--intervals", type=int, default=100_000,
+                      help=f"handoff intervals to simulate, 1 to {MAX_INTERVALS}")
     p_cc.add_argument("--seed", type=int)
     p_cc.set_defaults(func=_cmd_crosscheck)
 

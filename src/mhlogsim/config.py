@@ -150,6 +150,14 @@ def check_seed(name: str, seed: int) -> None:
         raise ValidationError([f"{name} must be in [0, 2**64), got {seed}"])
 
 
+def check_count(name: str, value: int, most: int | None = None) -> None:
+    """Reject a count below 1, or above ``most`` when given, naming its source."""
+    if value < 1:
+        raise ValidationError([f"{name} must be >= 1, got {value}"])
+    if most is not None and value > most:
+        raise ValidationError([f"{name} must be <= {most}, got {value}"])
+
+
 def _format_value(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"

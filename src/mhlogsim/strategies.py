@@ -33,9 +33,11 @@ one ``LogStrategy`` method:
   that same object. Handoff and recovery prices that depend only on a few
   small integers (a log size, a hop count, a cache fill) are priced by the
   same rules on first use and kept in a per-run table under those integers
-  (``_keep``), up to ``_PRICE_TABLE_LIMIT`` entries a table: pessimistic's
-  and proposed's recoveries under (log size, hops from the checkpoint to
-  the restart BS) in ``_recovery_prices``. A run of writes is kept the same
+  (``_keep``), up to ``_PRICE_TABLE_LIMIT`` entries a table. Pessimistic's
+  and proposed's handoffs are kept in ``_move_prices`` under (log size,
+  hops the log moves, cache fill), the log size 0 for a move of 0 hops,
+  and their recoveries in ``_recovery_prices`` under (log size, hops from
+  the checkpoint to the restart BS). A run of writes is kept the same
   way in ``_write_runs``: lazy's and pessimistic's under (run length, piece
   count after it), proposed's under (run length, cache fill, piece count
   before it). A returned CostDelta, a ``RecoveryOutcome.cost`` included,
@@ -51,6 +53,7 @@ from typing import NamedTuple, TypeVar
 
 from .model import CostParams, SimParams
 from .topology import (
+    BS,
     BscId,
     CellId,
     NetworkTree,
@@ -331,10 +334,8 @@ class LogStrategy:
         return delta, fragments_fetched, retrieval_time
 
     def _after_recovery(self) -> None:
-        """Policy once the host stands in its restart cell. Retrieval
-        delivered the log and checkpoint there; by default they become the
-        durable copy where the policy keeps them."""
-        self._rehome()
+        """Policy once retrieval delivered the log to the host's restart cell."""
+        raise NotImplementedError
 
     # -- shared pieces ---------------------------------------------------
 
@@ -396,20 +397,6 @@ class LogStrategy:
         self.pieces = 0
         self.region_entries.clear()
 
-    def _rehome(self) -> None:
-        """Move the checkpoint and the one fragment pessimistic and proposed
-        keep, if there is one, to the host's checkpoint site, the fragment's
-        region tally with it."""
-        site, region = self._checkpoint_site()
-        if self.fragments:
-            frag = self.fragments[0]
-            # A move within one region leaves its tally as it is.
-            if frag.entries and frag.region != region:
-                del self.region_entries[frag.region]
-                self._add_entries(region, len(frag.entries))
-            frag.site, frag.region = site, region
-        self.checkpoint_site, self.checkpoint_region = site, region
-
 
 class LazyStrategy(LogStrategy):
     """Fragments accumulate where written; handoffs only store pointers."""
@@ -439,11 +426,55 @@ class LazyStrategy(LogStrategy):
 
 class _OneFragmentStrategy(LogStrategy):
     """Pessimistic and proposed: at most one fragment, which shares the
-    checkpoint's site and region after every event."""
+    checkpoint's site and region after every event. A handoff moves both to
+    the host's checkpoint site and appends the cache there; the subclasses
+    price the move (``_move_price``)."""
 
     def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
         super().__init__(tree, sp, cp)
+        self._move_prices: dict[tuple[int, int, int], CostDelta] = {}
         self._recovery_prices: dict[tuple[int, int], tuple[CostDelta, int, float]] = {}
+        # Hops a handoff adds to the BSC gap: a log kept at a BS goes up to
+        # its BSC and, past the gap, down to the new BS.
+        self._end_hops = 2 if self.checkpoint_site[0] == BS else 0
+
+    def _handoff(self, from_bsc) -> CostDelta:
+        """The log moves ``hops`` wired hops, and a move of 0 hops carries
+        none, so the price depends only on the log's entry count (0 for such
+        a move), ``hops`` and the cache fill. It comes from the run's
+        ``_move_prices`` table under those, at most ``_PRICE_TABLE_LIMIT``."""
+        hops = self._end_hops + _bsc_gap(self.tree, from_bsc, self.current_bsc)
+        cache = self.cache
+        n = len(self.fragments[0].entries) if hops and self.fragments else 0
+        key = (n, hops, len(cache))
+        delta = self._move_prices.get(key)
+        if delta is None:
+            delta = self._keep(self._move_prices, key, self._move_price(n, hops, len(cache)))
+        if hops:
+            self._rehome()
+        if cache:
+            self._append(self.checkpoint_site, self.checkpoint_region, cache)
+            cache.clear()
+        return delta
+
+    def _move_price(self, n: int, hops: int, cached: int) -> CostDelta:
+        """A handoff moving ``n`` log entries ``hops`` hops, flushing ``cached``."""
+        raise NotImplementedError
+
+    def _rehome(self) -> None:
+        """Move the checkpoint and the one fragment, if there is one, to the
+        host's checkpoint site, the fragment's region tally with it."""
+        site, region = self._checkpoint_site()
+        if self.fragments:
+            frag = self.fragments[0]
+            # A move within one region leaves its tally as it is.
+            if frag.entries and frag.region != region:
+                del self.region_entries[frag.region]
+                self._add_entries(region, len(frag.entries))
+            frag.site, frag.region = site, region
+        self.checkpoint_site, self.checkpoint_region = site, region
+
+    _after_recovery = _rehome  # the fetched copies become the durable ones
 
     def _recovery_price(self, rec_site, recovery_bsc, in_home_region):
         """The fragment and the checkpoint travel the same ``hops`` to the
@@ -469,29 +500,12 @@ class PessimisticStrategy(_OneFragmentStrategy):
 
     kind = StrategyKind.PESSIMISTIC
 
-    def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
-        super().__init__(tree, sp, cp)
-        self._handoff_prices: dict[tuple[int, int], CostDelta] = {}
-
     def _reset_fragments(self) -> None:
         self._place([Fragment(bs_site(self.current_cell), self.current_bsc)])
 
-    def _handoff(self, from_bsc) -> CostDelta:
-        """Carry the log and checkpoint to the new BS. The price depends
-        only on the log's entry count and the hop count, so it comes from
-        the run's ``_handoff_prices`` table under ``(n, hops)``. The table
-        keeps at most ``_PRICE_TABLE_LIMIT`` entries: without a checkpoint
-        for long, log sizes rarely repeat, and an unbounded table would
-        grow with every handoff."""
-        n = len(self.fragments[0].entries)
-        # BS up to its BSC, across to the new BSC, down to the new BS.
-        hops = 2 + _bsc_gap(self.tree, from_bsc, self.current_bsc)
-        self._rehome()
-        key = (n, hops)
-        delta = self._handoff_prices.get(key)
-        if delta is None:
-            delta = self._keep(self._handoff_prices, key, self._carry(self._messages(1), n, hops))
-        return delta
+    def _move_price(self, n, hops, cached) -> CostDelta:
+        # One message, then the log and checkpoint carried to the new BS.
+        return self._carry(self._messages(1), n, hops)
 
 
 class ProposedStrategy(_OneFragmentStrategy):
@@ -507,8 +521,6 @@ class ProposedStrategy(_OneFragmentStrategy):
     def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
         super().__init__(tree, sp, cp)
         self._full_flush_cost = self._flush_cost(sp.cache_capacity)
-        self._flush_prices: dict[int, CostDelta] = {}
-        self._move_prices: dict[tuple[int, int, int], CostDelta] = {}
 
     def _checkpoint_site(self) -> tuple[Site, BscId]:
         return bsc_site(self.current_bsc), self.current_bsc
@@ -531,7 +543,7 @@ class ProposedStrategy(_OneFragmentStrategy):
             return run
         flushed = first + run.charged[-1] + 1
         cache.extend(range(first, flushed))
-        self._append(bsc_site(self.current_bsc), self.current_bsc, cache)
+        self._append(self.checkpoint_site, self.checkpoint_region, cache)
         cache[:] = range(flushed, first + k)
         return run
 
@@ -553,57 +565,14 @@ class ProposedStrategy(_OneFragmentStrategy):
         """Cost of moving ``n`` cached entries up one hop to the host's BSC."""
         return self._ship(self._messages(1), n, self.cp.c_1, 1)
 
-    def _flush_cache(self) -> CostDelta:
-        """Copy the entire cache to the host's BSC and append it there. The
-        price depends only on the cache fill ``n``, so it comes from the
-        run's ``_flush_prices`` table under ``n``: one entry per fill below
-        the cache capacity, and at most ``_PRICE_TABLE_LIMIT``. An empty
-        cache moves nothing and returns a fresh zero CostDelta."""
-        n = len(self.cache)
-        if n == 0:
-            return CostDelta()
-        self._drain_cache()
-        delta = self._flush_prices.get(n)
-        if delta is None:
-            delta = self._keep(self._flush_prices, n, self._flush_cost(n))
-        return delta
-
-    def _drain_cache(self) -> None:
-        """Append the cache, if it holds entries, to the log at the host's
-        BSC and empty it."""
-        if self.cache:
-            self._append(bsc_site(self.current_bsc), self.current_bsc, self.cache)
-            self.cache.clear()
-
-    def _handoff(self, from_bsc) -> CostDelta:
-        """An intra-BSC move flushes the cache. An inter-BSC move also
-        re-registers the host and migrates the log; its summed price
-        depends only on the log's entry count, the BSC gap and the cache
-        fill, so it comes from the run's ``_move_prices`` table under
-        ``(n_home, hops, n_cache)``. Like pessimistic's handoff table it
-        keeps at most ``_PRICE_TABLE_LIMIT`` entries, since the log size
-        need not repeat. The flush itself runs on every move."""
-        if from_bsc == self.current_bsc:
-            # The durable log is already at this region's BSC; only the
-            # cache moves.
-            return self._flush_cache()
-
-        # Registration: Connect(MHid, PBSCid) to the new BSC, which then
-        # notifies the old BSC of the host's reachability. The old BSC then
-        # transfers its whole fragment plus the checkpoint to the new BSC.
-        n_home = len(self.fragments[0].entries) if self.fragments else 0
-        hops = _bsc_gap(self.tree, from_bsc, self.current_bsc)
-        n = len(self.cache)
-        key = (n_home, hops, n)
-        delta = self._move_prices.get(key)
-        if delta is None:
-            delta = self._carry(self._messages(2), n_home, hops)
-            if n:  # an empty flush adds zero
-                delta.add(self._flush_cost(n))
-            delta = self._keep(self._move_prices, key, delta)
-        self._rehome()
-        self._drain_cache()
-        return delta
+    def _move_price(self, n, hops, cached) -> CostDelta:
+        """An intra-BSC move only flushes the cache. An inter-BSC move first
+        re-registers the host (Connect(MHid, PBSCid) to the new BSC, which
+        tells the old one) and migrates the log plus the checkpoint."""
+        if hops == 0:
+            return self._flush_cost(cached) if cached else CostDelta()
+        delta = self._carry(self._messages(2), n, hops)
+        return delta.add(self._flush_cost(cached)) if cached else delta
 
     def _locate_log(self, in_home_region) -> int:
         # Tracking agent asks the HLR/VLR where the log lives when the host

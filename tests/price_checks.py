@@ -8,12 +8,19 @@ from mhlogsim.topology import bs_site, hops_between
 
 
 def fresh_move_price(strategy, key):
-    """Proposed's inter-BSC move, priced as a from-scratch handoff sums it:
-    the registration and log migration, then the cache flush, zero when
-    the cache is empty."""
-    n_home, hops, n = key
-    flush = strategy._flush_cost(n) if n else CostDelta()
-    return strategy._carry(strategy._messages(2), n_home, hops).add(flush)
+    """A handoff priced afresh. Pessimistic sends one message and
+    carries the log and checkpoint. Proposed's intra-BSC move (0 hops, no
+    log) only flushes the cache; an inter-BSC move sends two messages and
+    migrates the log, then flushes. An empty cache flushes for nothing."""
+    n, hops, cached = key
+    if strategy.kind is StrategyKind.PESSIMISTIC:
+        assert cached == 0
+        return strategy._carry(strategy._messages(1), n, hops)
+    flush = strategy._flush_cost(cached) if cached else CostDelta()
+    if hops == 0:
+        assert n == 0
+        return flush
+    return strategy._carry(strategy._messages(2), n, hops).add(flush)
 
 
 def fresh_recovery_price(strategy, key):
@@ -60,8 +67,6 @@ def fresh_write_run(strategy, key):
 
 PRICE_TABLES = {  # per-run price table -> its key's price made afresh
     "_write_runs": fresh_write_run,
-    "_handoff_prices": lambda s, key: s._carry(s._messages(1), *key),
-    "_flush_prices": lambda s, n: s._flush_cost(n),
     "_move_prices": fresh_move_price,
     "_recovery_prices": fresh_recovery_price,
 }

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mhlogsim.config import default_config
+from mhlogsim.config import check_count, default_config
 from mhlogsim.experiments import (
     CSV_HEADER,
     FIGURE_IDS,
@@ -25,9 +25,9 @@ from mhlogsim.strategies import StrategyKind
 from mhlogsim import analytic, cli, experiments
 
 
-def load_run_figures():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_figures.py"
-    spec = importlib.util.spec_from_file_location("run_figures", script)
+def load_script(name):
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -380,6 +380,23 @@ class TestCli:
         self.assert_one_error(capsys, argv, f"--seed must be in [0, 2**64), got {seed}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("intervals, message", [
+        ("0", "--intervals must be >= 1, got 0"),
+        ("-1", "--intervals must be >= 1, got -1"),
+        (str(cli.MAX_INTERVALS + 1), f"--intervals must be <= {cli.MAX_INTERVALS}, "
+                                     f"got {cli.MAX_INTERVALS + 1}"),
+        (str(2**63), f"--intervals must be <= {cli.MAX_INTERVALS}, got {2**63}"),
+    ], ids=["zero", "negative", "just-past-bound", "huge"])
+    def test_intervals_flag_outside_bounds_is_named(self, capsys, monkeypatch, intervals,
+                                                    message):
+        # Rejected before the estimators allocate anything.
+        monkeypatch.setattr(cli, "crosscheck_analytic", None)
+        self.assert_one_error(capsys, ["crosscheck", "--intervals", intervals], message)
+
+    def test_intervals_bound_is_inclusive(self):
+        assert cli.MAX_INTERVALS == 10_000_000
+        check_count("--intervals", cli.MAX_INTERVALS, cli.MAX_INTERVALS)
+
 
 class TestRegimeWarning:
     """lambda_f >= mu is accepted but stresses the model; each entry point
@@ -423,7 +440,7 @@ class TestRegimeWarning:
         ]
 
     def test_run_figures_script_prints_the_warning(self, capsys, tmp_path, monkeypatch):
-        module = load_run_figures()
+        module = load_script("run_figures")
         monkeypatch.setattr(sys, "argv", [
             "run_figures.py", "--config", self.config_file(tmp_path),
             "--out", str(tmp_path), "--reps", "1", "--figures", "fig5",
@@ -444,7 +461,7 @@ class TestRegimeWarning:
 
 
 def test_run_figures_script_rejects_unknown_ids_before_running(capsys, tmp_path, monkeypatch):
-    module = load_run_figures()
+    module = load_script("run_figures")
     monkeypatch.setattr(sys, "argv", [
         "run_figures.py", "--out", str(tmp_path), "--reps", "1", "--figures", "fig3,fig9",
     ])
@@ -461,7 +478,7 @@ def test_run_figures_script_writes_a_manifest(tmp_path, monkeypatch):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("sim.horizon = 500\n", encoding="utf-8")
     out = tmp_path / "out"
-    module = load_run_figures()
+    module = load_script("run_figures")
     monkeypatch.setattr(sys, "argv", [
         "run_figures.py", "--config", str(cfg), "--out", str(out), "--reps", "2",
         "--figures", "fig8",
@@ -485,7 +502,7 @@ def test_run_figures_script_writes_the_warnings_to_the_manifest(capsys, tmp_path
     cfg = tmp_path / "warn.cfg"
     cfg.write_text("sim.horizon = 500\nsim.lambda_f = 0.01\n", encoding="utf-8")
     out = tmp_path / "out"
-    module = load_run_figures()
+    module = load_script("run_figures")
     monkeypatch.setattr(sys, "argv", [
         "run_figures.py", "--config", str(cfg), "--out", str(out), "--reps", "1",
         "--figures", "fig3",
@@ -510,7 +527,7 @@ def test_run_figures_script_reports_a_bad_config_in_one_line(capsys, tmp_path, m
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("topology.inter_msc_hops = 1\n", encoding="utf-8")
     out = tmp_path / "out"
-    module = load_run_figures()
+    module = load_script("run_figures")
     monkeypatch.setattr(sys, "argv", [
         "run_figures.py", "--config", str(cfg), "--out", str(out), "--figures", "fig3",
     ])
@@ -523,11 +540,20 @@ def test_run_figures_script_reports_a_bad_config_in_one_line(capsys, tmp_path, m
 
 def test_run_figures_script_reports_bad_reps_as_the_cli_does(capsys, tmp_path, monkeypatch):
     out = tmp_path / "out"
-    module = load_run_figures()
+    module = load_script("run_figures")
     monkeypatch.setattr(sys, "argv", ["run_figures.py", "--out", str(out), "--reps", "0"])
     assert module.main() == 1
-    assert capsys.readouterr().err == "error: reps must be >= 1\n"
+    assert capsys.readouterr().err == "error: --reps must be >= 1, got 0\n"
     assert not out.exists()
     assert cli.main(["figure", "fig3", "--out", str(out), "--reps", "0"]) == 1
-    assert capsys.readouterr().err == "error: reps must be >= 1\n"
+    assert capsys.readouterr().err == "error: --reps must be >= 1, got 0\n"
     assert not out.exists()
+
+
+def test_bench_script_counts_source_lines_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "mhlogsim"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (pkg / "b.py").write_text("z = 3", encoding="utf-8")  # no final newline: wc counts 0
+    (pkg / "notes.txt").write_text("not counted\n", encoding="utf-8")
+    assert load_script("bench").src_lines(tmp_path) == 2

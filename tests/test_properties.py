@@ -191,7 +191,7 @@ def assert_full_table_prices_misses_afresh(overrides, table):
 
 def test_a_full_price_table_prices_its_misses_afresh():
     # ~10,000 handoffs.
-    assert_full_table_prices_misses_afresh({}, "_handoff_prices")
+    assert_full_table_prices_misses_afresh({}, "_move_prices")
 
 
 def test_a_full_recovery_table_prices_its_misses_afresh():
@@ -267,3 +267,39 @@ def test_replay_without_loss_when_no_failure_occurs(values):
         strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
         _fold(strategy, timeline, None)
         assert strategy.replay_sequence() == expected, kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.fixed_dictionaries(VALUES))
+def test_replay_loses_only_what_recoveries_report(values):
+    # After every event the log replays the writes since the last
+    # checkpoint, less the newest entries each recovery since then reported
+    # lost. A failure loses only the host's cache, which every other event
+    # empties, so it loses at most the writes since the event before it.
+    assume(multi_cell(values))
+    cfg = accepted(values)
+    timeline = generate_timeline(cfg, cfg.sim.seed)
+    assume("FAILURE" in {ev for _, ev, _ in timeline.events})
+    for kind in KINDS:
+        strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
+        written, expected = 0, []
+        # writes[i] precedes events[i]; the last entry follows the last event.
+        for k, event in zip(timeline.writes, [*timeline.events, None]):
+            if k:
+                strategy.on_writes(k)
+                expected.extend(range(written + 1, written + k + 1))
+                written += k
+                assert strategy.replay_sequence() == expected, kind
+            if event is None:
+                break
+            _, ev, cell = event
+            if ev == "CHECKPOINT":
+                strategy.on_checkpoint()
+                expected.clear()
+            elif ev == "HANDOFF":
+                strategy.on_handoff(cell)
+            else:
+                lost = strategy.recover(cell).lost_entries
+                assert lost <= (k if kind == "proposed" else 0), kind
+                del expected[len(expected) - lost:]
+            assert strategy.replay_sequence() == expected, (kind, ev)

@@ -154,6 +154,22 @@ class TestOnHandoff:
             totals.append(strat.on_handoff(1).total)
         assert all(b > a for a, b in zip(totals, totals[1:]))
 
+    def test_proposed_intra_bsc_moves_key_on_no_log(self):
+        # Cells 0 and 1 share BSC 0. Each move flushes the cache into a log
+        # that keeps growing, but a move of 0 hops carries no log, so its
+        # price is keyed on log size 0: at most one key per cache fill.
+        cap = 4
+        strat = setup("proposed", cache_capacity=cap)
+        runs = [1 + i % 7 for i in range(60)]
+        for k in runs:
+            strat.on_writes(k)
+            strat.on_handoff(1 - strat.current_cell)
+        assert len(strat.fragments[0].entries) == sum(runs)
+        intra = [key for key in strat._move_prices if key[1] == 0]
+        assert 0 < len(intra) <= cap
+        assert {n for n, _, _ in intra} == {0}
+        assert_cached_prices_fresh(strat)
+
     def test_handoff_cost_non_decreasing_in_pending_for_all_kinds(self):
         for kind in ("lazy", "pessimistic", "proposed"):
             totals = []
@@ -175,11 +191,12 @@ class TestHandoffLookups:
         strat = setup(kind, cache_capacity=4)
         for _ in range(6):  # proposed: one flush to the BSC and two cached
             strat.on_write()
-        calls = count_calls("bsc_of", "classify_move", "hop_distance")
+        calls = count_calls("bsc_of", "classify_move", "hop_distance", "hops_between")
         strat.on_handoff(to_cell)
         assert calls["bsc_of"] == 1
         assert calls["classify_move"] == 0
         assert calls["hop_distance"] == 0
+        assert calls["hops_between"] == 0
 
     @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
     def test_bad_moves_still_raise(self, kind):
