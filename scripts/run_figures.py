@@ -18,6 +18,7 @@ reports it; an unreadable config file ends it with exit code 2.
 """
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -26,9 +27,11 @@ import time
 from pathlib import Path
 
 import numpy
-# Every figure at 2 or more reps summarises, and summarize loads scipy.stats
-# on first use; loading it here keeps that load out of the first figure's wall_s.
-import scipy.stats
+# Every figure at 2 or more reps summarises, and summarize loads scipy.special
+# on first use; loading it here keeps that load out of the first figure's
+# wall_s. Only fig6's trend check loads scipy.stats, so main() loads it up
+# front only when fig6 runs.
+import scipy.special
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -65,6 +68,9 @@ def main() -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+
+    if "fig6" in figure_ids:
+        importlib.import_module("scipy.stats")  # fig6's Spearman check
 
     manifest = {
         "python": platform.python_version(),

@@ -39,11 +39,12 @@ by kind priority: checkpoint, handoff, write, failure. The trace names the
 kinds "CHECKPOINT", "HANDOFF", "WRITE" and "FAILURE".
 
 The placement peaks ``peak_fragments`` and ``bsc_peak_entries`` are post-event
-maxima. The strategy keeps each region's peak where its tallies change, so
-``bsc_peak_entries`` is a copy of it; the fold reads only the piece count,
-after each non-write event and after each run of writes, whose ``WriteRun``
-reports the peak inside the run: O(1) placement work per event, however
-many fragments lazy logging leaves.
+maxima. The fold reads only the piece count, after each non-write event and
+after each run of writes, whose ``WriteRun`` reports the peak inside the
+run. ``bsc_peak_entries`` copies the strategy's region peaks, which it
+settles when the log leaves a region or is purged and once more at the end
+(``settle_peaks``): O(1) placement work per event amortised, however many
+fragments lazy logging leaves.
 
 Replication i of a master seed uses stream seed
 ``master ^ ((0x9E3779B97F4A7C15 * (i + 1)) mod 2^64)``.
@@ -360,7 +361,7 @@ def _fold(
         if trace is not None:
             trace.append((t, ev, delta))
         # Post-event only: mid-flush, entries sit in both cache and log.
-        pieces = strategy.pieces + bool(strategy.cache)
+        pieces = strategy.pieces + 1 if strategy.cache else strategy.pieces
         if pieces > peak_fragments:
             peak_fragments = pieces
 
@@ -385,7 +386,7 @@ def _fold(
         lost_entries=lost_total,
         recovery_cost_home_total=cost_home,
         home_recovery_count=home_recoveries,
-        bsc_peak_entries=dict(strategy.region_peaks),
+        bsc_peak_entries=dict(strategy.settle_peaks()),
     )
 
 
@@ -401,9 +402,11 @@ def summarize(values: list[float]) -> tuple[float, float, float]:
     sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
     if sem == 0.0:
         return mean, mean, mean
-    from scipy import stats as sstats  # deferred: importing it is most of start-up
+    # Deferred: importing it is most of start-up. stdtrit is the Student-t
+    # quantile that scipy.stats' t.ppf computes, without loading scipy.stats.
+    from scipy.special import stdtrit
 
-    half = sem * float(sstats.t.ppf((1 + 0.95) / 2.0, arr.size - 1))
+    half = sem * float(stdtrit(arr.size - 1, (1 + 0.95) / 2.0))
     return mean, mean - half, mean + half
 
 

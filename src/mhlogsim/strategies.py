@@ -17,7 +17,9 @@ Cost accounting conventions, applied uniformly; each of the first three is
 one ``LogStrategy`` method:
 
 * ``_ship``: data items (log entries, checkpoints) that cross the wireless
-  hop pay ``alpha * unit`` there and ``rho * unit * hops`` on the wired path.
+  hop pay ``alpha * unit`` there and ``rho * unit * hops`` on the wired path;
+  one call ships a list of ``(n, hops)`` loads, so lazy's recovery ships all
+  its fragments at once.
 * ``_carry``: a log of ``n`` entries plus the checkpoint, moved between
   network sites, pays ``(n * c_1 + c_c) * rho * hops`` on the wired path only.
 * ``_messages``: control messages pay a flat ``c_m`` each, booked as wired
@@ -42,6 +44,10 @@ one ``LogStrategy`` method:
   count after it), proposed's under (run length, cache fill, piece count
   before it). A returned CostDelta, a ``RecoveryOutcome.cost`` included,
   and a returned ``WriteRun`` are therefore shared and read-only.
+
+Handlers index the tree's cell -> BSC table behind ``bsc_of``'s range check
+and call ``_bsc_gap`` only across two BSCs. A region's peak entries are
+settled when the log leaves it or is purged, and at the end of a run.
 """
 
 from __future__ import annotations
@@ -59,7 +65,6 @@ from .topology import (
     NetworkTree,
     Site,
     _bsc_gap,
-    bs_site,
     bsc_of,
     bsc_site,
     hops_between,
@@ -161,17 +166,17 @@ class LogStrategy:
         self.tree = tree
         self.sp = sp
         self.cp = cp
+        self._cell_bsc, self._n_cells = tree.cell_bsc, len(tree.cell_bsc)
         # The host, born in cell 0.
         self.current_cell: CellId = 0
         self.current_bsc: BscId = bsc_of(tree, 0)
         self.cache: list[int] = []  # write sequence numbers
         self.next_seq = 1
         # The log: its fragments, the running tally of non-empty ones, and
-        # the entries each BSC region holds and the most it ever held.
+        # the most entries each BSC region held as of the last settle.
         self.fragments: list[Fragment] = []
         self.pointer_chain_length = 0  # lazy only
         self.pieces = 0
-        self.region_entries: dict[BscId, int] = {}
         self.region_peaks: dict[BscId, int] = {}
         # Checkpoint 0 sits at the host's birth site, and in its region, at
         # zero cost: the initial application state is registered where the
@@ -184,10 +189,10 @@ class LogStrategy:
         # item plus the BSC's acknowledgement message. The checkpoint site
         # keeps its place relative to the host's cell, so the hop count at
         # birth holds for every checkpoint of the run.
-        self._write_cost = self._ship(self._messages(1), 1, cp.c_1, 0)
+        self._write_cost = self._ship(self._messages(1), cp.c_1, [(1, 0)])
         site, region = self.checkpoint_site, self.checkpoint_region
-        hops = hops_between(tree, bs_site(0), self.current_bsc, site, region)
-        self._checkpoint_cost = self._ship(CostDelta(), 1, cp.c_c, hops)
+        hops = hops_between(tree, (BS, 0), self.current_bsc, site, region)
+        self._checkpoint_cost = self._ship(CostDelta(), cp.c_c, [(1, hops)])
 
     # -- events --------------------------------------------------------
 
@@ -202,7 +207,7 @@ class LogStrategy:
         comes from the run's ``_write_runs`` table under ``(k, pieces)``."""
         first = self.next_seq
         self.next_seq += k
-        self._append(bs_site(self.current_cell), self.current_bsc, range(first, first + k))
+        self._append((BS, self.current_cell), self.current_bsc, range(first, first + k))
         key = (k, self.pieces)
         run = self._write_runs.get(key)
         if run is None:
@@ -230,8 +235,10 @@ class LogStrategy:
         when both cells share a region."""
         if to_cell == self.current_cell:
             raise ValueError(f"not a handoff: the host is already in cell {to_cell}")
+        if not 0 <= to_cell < self._n_cells:
+            raise ValueError(f"unknown cell {to_cell}")
         from_bsc = self.current_bsc
-        self.current_bsc = bsc_of(self.tree, to_cell)
+        self.current_bsc = self._cell_bsc[to_cell]
         self.current_cell = to_cell
         return self._handoff(from_bsc)
 
@@ -245,10 +252,12 @@ class LogStrategy:
         recovery site, so placement strategies that keep the log near the
         host adopt them as the new durable copy at no extra transfer cost.
         """
-        recovery_bsc = bsc_of(self.tree, recovery_cell)
+        if not 0 <= recovery_cell < self._n_cells:
+            raise ValueError(f"unknown cell {recovery_cell}")
+        recovery_bsc = self._cell_bsc[recovery_cell]
         in_home_region = recovery_bsc == self.current_bsc
         cost, fragments_fetched, retrieval_time = self._recovery_price(
-            bs_site(recovery_cell), recovery_bsc, in_home_region
+            (BS, recovery_cell), recovery_bsc, in_home_region
         )
 
         # Unflushed cache entries die with the host; only durable state
@@ -286,7 +295,7 @@ class LogStrategy:
 
     def _checkpoint_site(self) -> tuple[Site, BscId]:
         """Where the host's next checkpoint is kept, and that site's region."""
-        return bs_site(self.current_cell), self.current_bsc
+        return (BS, self.current_cell), self.current_bsc
 
     def _reset_fragments(self) -> None:
         self._place([])
@@ -310,24 +319,18 @@ class LogStrategy:
         request, then the wired messages that locate the log, then every
         non-empty fragment, then the checkpoint. Reads the placement and
         changes nothing."""
-        cp = self.cp
+        cp, tree = self.cp, self.tree
         k = self._locate_log(in_home_region)
         delta = CostDelta(cp.alpha * cp.c_m, k * cp.c_m, 1 + k)
-
-        fragments_fetched = 0
-        for frag in self.fragments:
-            n = len(frag.entries)
-            if n == 0:
-                continue
-            hops = hops_between(self.tree, frag.site, frag.region, rec_site, recovery_bsc)
-            self._ship(delta, n, cp.c_1, hops)
-            fragments_fetched += 1
-
-        hops = hops_between(
-            self.tree, self.checkpoint_site, self.checkpoint_region, rec_site, recovery_bsc
-        )
-        self._ship(delta, 1, cp.c_c, hops)
-        fragments_fetched += 1
+        loads = [
+            (len(frag.entries), hops_between(tree, frag.site, frag.region, rec_site, recovery_bsc))
+            for frag in self.fragments
+            if frag.entries
+        ]
+        self._ship(delta, cp.c_1, loads)
+        hops = hops_between(tree, self.checkpoint_site, self.checkpoint_region, rec_site, recovery_bsc)
+        self._ship(delta, cp.c_c, [(1, hops)])
+        fragments_fetched = len(loads) + 1
         retrieval_time = cp.t_load_ckpt + (
             cp.t_load_log * fragments_fetched + delta.elapsed_transfer_time
         )
@@ -354,14 +357,16 @@ class LogStrategy:
         """``k`` wired control messages."""
         return CostDelta(wired_cost=k * self.cp.c_m, control_msgs=k)
 
-    def _ship(self, delta: CostDelta, n: int, unit: float, hops: int) -> CostDelta:
-        """Add to ``delta`` ``n`` items of cost ``unit`` that cross the
-        wireless hop and ``hops`` wired hops."""
+    def _ship(self, delta: CostDelta, unit: float, loads: list[tuple[int, int]]) -> CostDelta:
+        """Add to ``delta``, for each ``(n, hops)`` of ``loads`` in fetch
+        order, ``n`` items of cost ``unit`` that cross the wireless hop and
+        ``hops`` wired hops."""
         cp = self.cp
-        delta.wireless_cost += cp.alpha * n * unit
-        delta.wired_cost += cp.rho * n * unit * hops
-        delta.data_items_moved += n
-        delta.elapsed_transfer_time += n * (1.0 + cp.r * hops)
+        for n, hops in loads:
+            delta.wireless_cost += cp.alpha * n * unit
+            delta.wired_cost += cp.rho * n * unit * hops
+            delta.data_items_moved += n
+            delta.elapsed_transfer_time += n * (1.0 + cp.r * hops)
         return delta
 
     def _carry(self, delta: CostDelta, n: int, hops: int) -> CostDelta:
@@ -373,29 +378,35 @@ class LogStrategy:
         delta.elapsed_transfer_time += (n + 1) * cp.r * hops
         return delta
 
-    def _add_entries(self, region: BscId, n: int) -> None:
-        """Count ``n`` more entries held in ``region`` and lift its peak."""
-        total = self.region_entries.get(region, 0) + n
-        self.region_entries[region] = total
-        if total > self.region_peaks.get(region, 0):
-            self.region_peaks[region] = total
-
     def _append(self, site: Site, region: BscId, seqs: Sequence[int]) -> None:
         """Extend the last fragment if it sits at ``site``, else open a new
-        one there, and update the tallies; ``seqs`` is non-empty."""
+        one there, and count it if it was empty; ``seqs`` is non-empty."""
         if not (self.fragments and self.fragments[-1].site == site):
             self.fragments.append(Fragment(site, region))
         frag = self.fragments[-1]
         if not frag.entries:
             self.pieces += 1
         frag.entries.extend(seqs)
-        self._add_entries(region, len(seqs))
+
+    def settle_peaks(self) -> dict[BscId, int]:
+        """Lift each region's peak to the entries the log holds there now,
+        and return the peaks. A region's entries fall only when the log leaves
+        it or is purged, so settling then and at the end gives its maximum."""
+        peaks = self.region_peaks
+        held: dict[BscId, int] = {}
+        for frag in self.fragments:
+            if frag.entries:
+                region = frag.region
+                held[region] = n = held.get(region, 0) + len(frag.entries)
+                if n > peaks.get(region, 0):
+                    peaks[region] = n
+        return peaks
 
     def _place(self, fragments: list[Fragment]) -> None:
         """Purge the log: it then holds ``fragments``, which hold no entries."""
+        self.settle_peaks()
         self.fragments[:] = fragments
         self.pieces = 0
-        self.region_entries.clear()
 
 
 class LazyStrategy(LogStrategy):
@@ -420,7 +431,7 @@ class LazyStrategy(LogStrategy):
         # Fragments stay put; the restart BS links into the existing chain
         # so the next recovery can still find them. Registration signalling
         # is common to all strategies and not priced.
-        if self.fragments and self.fragments[-1].site != bs_site(self.current_cell):
+        if self.fragments and self.fragments[-1].site != (BS, self.current_cell):
             self.pointer_chain_length += 1
 
 
@@ -443,7 +454,10 @@ class _OneFragmentStrategy(LogStrategy):
         none, so the price depends only on the log's entry count (0 for such
         a move), ``hops`` and the cache fill. It comes from the run's
         ``_move_prices`` table under those, at most ``_PRICE_TABLE_LIMIT``."""
-        hops = self._end_hops + _bsc_gap(self.tree, from_bsc, self.current_bsc)
+        to_bsc = self.current_bsc
+        hops = self._end_hops
+        if from_bsc != to_bsc:
+            hops += _bsc_gap(self.tree, from_bsc, to_bsc)
         cache = self.cache
         n = len(self.fragments[0].entries) if hops and self.fragments else 0
         key = (n, hops, len(cache))
@@ -463,14 +477,15 @@ class _OneFragmentStrategy(LogStrategy):
 
     def _rehome(self) -> None:
         """Move the checkpoint and the one fragment, if there is one, to the
-        host's checkpoint site, the fragment's region tally with it."""
+        host's checkpoint site. A move out of the fragment's region settles
+        that region's peak, which the fragment alone fills."""
         site, region = self._checkpoint_site()
         if self.fragments:
             frag = self.fragments[0]
-            # A move within one region leaves its tally as it is.
-            if frag.entries and frag.region != region:
-                del self.region_entries[frag.region]
-                self._add_entries(region, len(frag.entries))
+            if frag.region != region:
+                n, peaks = len(frag.entries), self.region_peaks
+                if n > peaks.get(frag.region, 0):
+                    peaks[frag.region] = n
             frag.site, frag.region = site, region
         self.checkpoint_site, self.checkpoint_region = site, region
 
@@ -501,7 +516,7 @@ class PessimisticStrategy(_OneFragmentStrategy):
     kind = StrategyKind.PESSIMISTIC
 
     def _reset_fragments(self) -> None:
-        self._place([Fragment(bs_site(self.current_cell), self.current_bsc)])
+        self._place([Fragment((BS, self.current_cell), self.current_bsc)])
 
     def _move_price(self, n, hops, cached) -> CostDelta:
         # One message, then the log and checkpoint carried to the new BS.
@@ -563,7 +578,7 @@ class ProposedStrategy(_OneFragmentStrategy):
 
     def _flush_cost(self, n: int) -> CostDelta:
         """Cost of moving ``n`` cached entries up one hop to the host's BSC."""
-        return self._ship(self._messages(1), n, self.cp.c_1, 1)
+        return self._ship(self._messages(1), self.cp.c_1, [(n, 1)])
 
     def _move_price(self, n, hops, cached) -> CostDelta:
         """An intra-BSC move only flushes the cache. An inter-BSC move first

@@ -190,7 +190,8 @@ def hops_between(tree: NetworkTree, a: Site, a_region: BscId, b: Site, b_region:
     """``hop_distance`` for sites whose regions the caller already holds."""
     if a == b:
         return 0
-    return (a[0] == BS) + (b[0] == BS) + _bsc_gap(tree, a_region, b_region)
+    hops = (a[0] == BS) + (b[0] == BS)
+    return hops if a_region == b_region else hops + _bsc_gap(tree, a_region, b_region)
 
 
 def sample_next_cell(tree: NetworkTree, current: CellId, rng: UniformDraws) -> CellId:

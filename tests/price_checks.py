@@ -80,11 +80,11 @@ def assert_cached_prices_fresh(strategy):
     Pessimistic's and proposed's one fragment, which the recovery table's
     key assumes, shares the checkpoint's site and region."""
     cp = strategy.cp
-    assert strategy._write_cost == strategy._ship(strategy._messages(1), 1, cp.c_1, 0)
+    assert strategy._write_cost == strategy._ship(strategy._messages(1), cp.c_1, [(1, 0)])
     site, region = strategy._checkpoint_site()
     hops = hops_between(strategy.tree, bs_site(strategy.current_cell), strategy.current_bsc,
                         site, region)
-    assert strategy._checkpoint_cost == strategy._ship(CostDelta(), 1, cp.c_c, hops)
+    assert strategy._checkpoint_cost == strategy._ship(CostDelta(), cp.c_c, [(1, hops)])
     if strategy.kind is StrategyKind.LAZY:
         assert strategy._pointer_cost == strategy._messages(1)
     if strategy.kind is StrategyKind.PROPOSED:

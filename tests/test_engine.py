@@ -401,7 +401,7 @@ def reference_run(cfg, kind, seed, trace):
         cost[names[ev]] += delta.total
         trace.append((t, names[ev], delta))
         peak = max(peak, strategy.pieces + bool(strategy.cache))
-        for region, n in strategy.region_entries.items():
+        for region, n in rescan_placement(strategy)[1].items():
             bsc_peaks[region] = max(bsc_peaks.get(region, 0), n)
     failures = count["FAILURE"]
     return RunStats(
@@ -613,6 +613,7 @@ narrow = [engine.summarize([1.0]), engine.summarize([2.0, 2.0])]
 before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 ci = engine.summarize([1.0, 2.0])
 print(json.dumps({"codes": codes, "narrow": narrow, "before": before,
+                  "special": "scipy.special" in sys.modules,
                   "stats": "scipy.stats" in sys.modules, "ci": ci}))
 """
 
@@ -620,7 +621,8 @@ print(json.dumps({"codes": codes, "narrow": narrow, "before": before,
 def test_scipy_loads_only_for_a_t_interval():
     """The CLI's analytic and crosscheck, a run and a summary of fewer than 2
     values or zero spread load no scipy module; the first t half-width loads
-    scipy.stats and gives the value it gave when scipy loaded at import."""
+    scipy.special but not scipy.stats, and gives the value it gave when
+    scipy.stats loaded at import."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", DEFERRED_SCIPY, str(src)],
                           capture_output=True, text=True, check=True)
@@ -628,8 +630,21 @@ def test_scipy_loads_only_for_a_t_interval():
     assert out["codes"] == [0, 0]
     assert out["narrow"] == [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]
     assert out["before"] == []
-    assert out["stats"]
+    assert out["special"]
+    assert not out["stats"]
     assert tuple(out["ci"]) == (1.5, -4.853102368087347, 7.853102368087347)
+
+
+def test_stdtrit_is_the_t_quantile_bit_for_bit():
+    """``summarize`` takes its t quantile from ``scipy.special.stdtrit``,
+    which must equal ``scipy.stats.t.ppf`` exactly, so the CSVs keep their
+    bytes: at every replication count up to 501 and a few up to 10**6."""
+    from scipy.special import stdtrit
+    from scipy.stats import t
+
+    q = (1 + 0.95) / 2.0
+    for df in [*range(1, 501), 1_000, 4_999, 10_000, 123_456, 1_000_000]:
+        assert float(stdtrit(df, q)) == float(t.ppf(q, df)), df
 
 
 class TestEstimateTransitionProbs:

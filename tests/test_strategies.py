@@ -182,8 +182,9 @@ class TestOnHandoff:
 
 
 class TestHandoffLookups:
-    """A handoff prices its hops from the host's region and the one BSC
-    lookup it makes, for the destination cell, whatever the strategy holds."""
+    """A handoff reads the destination cell's BSC from the tree's table and
+    prices its hops from the host's regions: no topology function call,
+    whatever the strategy holds."""
 
     @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
     @pytest.mark.parametrize("to_cell", [1, 2], ids=["intra_bsc", "inter_bsc"])
@@ -193,7 +194,8 @@ class TestHandoffLookups:
             strat.on_write()
         calls = count_calls("bsc_of", "classify_move", "hop_distance", "hops_between")
         strat.on_handoff(to_cell)
-        assert calls["bsc_of"] == 1
+        assert strat.current_bsc == strat.tree.cell_bsc[to_cell]
+        assert calls["bsc_of"] == 0
         assert calls["classify_move"] == 0
         assert calls["hop_distance"] == 0
         assert calls["hops_between"] == 0
@@ -231,8 +233,9 @@ class TestCheckpointLookups:
 
 
 class TestRecoverLookups:
-    """A recovery looks up only the restart cell's BSC: the fragments and
-    the checkpoint carry their regions."""
+    """A recovery reads the restart cell's BSC from the tree's table, and
+    the fragments and the checkpoint carry their regions. Lazy prices each
+    fetched piece's hops with one ``hops_between``."""
 
     @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
     def test_one_bsc_lookup(self, count_calls, kind):
@@ -241,11 +244,24 @@ class TestRecoverLookups:
             strat.on_write()
         strat.on_handoff(2)  # into the second region
         strat.on_write()
-        calls = count_calls("bsc_of", "hop_distance")
-        strat.recover(1)  # back in the first region
-        assert calls["bsc_of"] == 1
+        calls = count_calls("bsc_of", "hop_distance", "hops_between")
+        outcome = strat.recover(1)  # back in the first region
+        assert calls["bsc_of"] == 0
         assert calls["hop_distance"] == 0
+        if kind == "lazy":  # two fragments and the checkpoint
+            assert calls["hops_between"] == outcome.fragments_fetched == 3
         assert strat.checkpoint_region == region_of(strat.tree, strat.checkpoint_site) == 0
+
+    @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
+    def test_cells_outside_the_table_raise(self, kind):
+        # A negative index would wrap around the table without the check.
+        strat = setup(kind)
+        for cell in (-1, strat.tree.n_cells):
+            with pytest.raises(ValueError, match=f"unknown cell {cell}"):
+                strat.recover(cell)
+            with pytest.raises(ValueError, match=f"unknown cell {cell}"):
+                strat.on_handoff(cell)
+        assert (strat.current_cell, strat.current_bsc) == (0, 0)
 
 
 class TestRecover:
@@ -440,7 +456,15 @@ class TestExactPricing:
         ("pessimistic", 4): (1, 0.0, [(5, 5)], 5),
         ("proposed", 3): (1, 0.0, [(3, 1)], 1),
         ("proposed", 4): (2, XP.c_m, [(3, 4)], 4),
+        # Restarts at a fragment's own cell: that fragment moves 0 wired hops.
+        ("lazy", 2): (2, 1 * XP.c_m, [(3, 4), (2, 0)], 4),
+        ("pessimistic", 2): (1, 0.0, [(5, 0)], 0),
+        # Fragments under both MSCs (LATER_STEPS), fetched back to BSC 0.
+        ("lazy", 1): (3, 2 * XP.c_m, [(3, 2), (2, 4), (1, 5)], 2),
     }
+    # (kind, restart cell): (handoff cell, writes) steps after the common
+    # walk and before the failure.
+    LATER_STEPS = {("lazy", 1): [(4, 1)]}  # into BSC 2, under the other MSC
 
     @pytest.mark.parametrize("kind, cell", list(RECOVERIES), ids=lambda v: str(v))
     def test_recovery(self, kind, cell):
@@ -448,6 +472,10 @@ class TestExactPricing:
         strat.on_writes(3)  # proposed flushes these to BSC 0
         strat.on_handoff(2)  # into BSC 1
         strat.on_writes(2)
+        for to_cell, k in self.LATER_STEPS.get((kind, cell), ()):
+            strat.on_handoff(to_cell)
+            strat.on_writes(k)
+        home = TWO_MSC.cell_bsc[cell] == strat.current_bsc
         control, wired, fragments, ckpt_hops = self.RECOVERIES[kind, cell]
         wireless, items, time = XP.alpha * XP.c_m, 0, 0.0
         for n, hops in fragments:
@@ -459,7 +487,7 @@ class TestExactPricing:
         wireless += XP.alpha * XP.c_c
         time += 1.0 + XP.r * ckpt_hops
         outcome = strat.recover(cell)
-        assert outcome.recovered_in_home_region == (cell == 3)
+        assert outcome.recovered_in_home_region == home
         assert outcome.cost == CostDelta(wireless, wired, control, items + 1, time)
         assert outcome.retrieval_time == (
             XP.t_load_ckpt + XP.t_load_log * (len(fragments) + 1) + time
