@@ -4,12 +4,13 @@ Format: one ``key = value`` per line, ``#`` comments and blank lines
 ignored. Unknown keys are errors, as are values that fail to parse; missing
 keys take the documented defaults. ``recovery.deadline`` accepts ``auto``
 (the default), which recalibrates the deadline from the current rates, or
-an explicit number, which pins it across sweeps.
+an explicit number, which pins it across sweeps. A value set from code, as
+``Config.with_overrides`` takes it, is parsed as its text would be.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .model import (
@@ -43,71 +44,6 @@ def _parse_deadline(text: str) -> float | str:
     return float(text)
 
 
-# key -> (parser, default)
-CONFIG_KEYS: dict[str, tuple] = {
-    "sim.lambda_f": (float, 0.001),
-    "sim.lambda_w": (float, 0.5),
-    "sim.mu": (float, 0.01),
-    "sim.T_c": (float, 100.0),
-    "sim.cache_capacity": (int, 16),
-    "sim.horizon": (float, 20000.0),
-    "sim.seed": (int, 12345),
-    "sim.replications": (int, 20),
-    "cost.r": (float, 0.1),
-    "cost.C_c": (float, 5.0),
-    "cost.C_1": (float, 1.0),
-    "cost.C_m": (float, 0.5),
-    "cost.alpha": (float, 1.0),
-    "cost.rho": (float, 1.0),
-    "cost.T_load_ckpt": (float, 10.0),
-    "cost.T_load_log": (float, 1.0),
-    "cost.C_p": (float, 3.0),
-    "topology.msc": (int, 1),
-    "topology.bsc_per_msc": (int, 3),
-    "topology.bs_per_bsc": (int, 3),
-    "topology.adjacency": (str, "ring"),
-    "topology.inter_msc_hops": (int, 4),
-    "strategy": (str, "proposed"),
-    "recovery.deadline": (_parse_deadline, "auto"),
-    "recovery.p_same_region": (float, 0.8),
-    "frcr.erratum_bound": (_parse_bool, False),
-}
-
-
-@dataclass(frozen=True)
-class Config:
-    """Fully resolved configuration for the harness."""
-
-    sim: SimParams
-    cost: CostParams
-    tree: NetworkTree
-    strategy: StrategyKind
-    p_same_region: float
-    frcr_erratum_bound: bool
-    raw: tuple[tuple[str, str], ...]  # every effective key=value, sorted
-    warnings: tuple[str, ...]  # model-regime warnings from validate_params
-
-    def build_tree(self) -> NetworkTree:
-        return self.tree
-
-    def with_overrides(self, overrides: dict[str, object]) -> "Config":
-        """New Config with the given keys replaced and everything
-        revalidated; an auto deadline is recalibrated for the new rates."""
-        values = dict(self.raw_values())
-        for key, value in overrides.items():
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"unknown config key: {key!r}")
-            values[key] = value
-        return _build_config(values)
-
-    def raw_values(self) -> dict[str, object]:
-        out: dict[str, object] = {}
-        for key, text in self.raw:
-            parser, _ = CONFIG_KEYS[key]
-            out[key] = parser(text)
-        return out
-
-
 # Each SimParams and CostParams field -> the config key it is read from. A
 # violation validate_params names by field is reported under its key.
 _SIM_KEYS = {
@@ -134,8 +70,74 @@ _COST_KEYS = {
 _KEY_OF_FIELD = {**_SIM_KEYS, **_COST_KEYS, "recovery_deadline": "recovery.deadline"}
 
 
-def _fields(keys: dict[str, str], merged: dict[str, object]) -> dict[str, object]:
-    return {name: CONFIG_KEYS[key][0](merged[key]) for name, key in keys.items()}
+def _field_keys(params: type, keys: dict[str, str]) -> dict[str, tuple]:
+    """The ``CONFIG_KEYS`` entries of ``keys``: each key is parsed as its
+    ``params`` field's type and defaults to that field's default."""
+    types = {"float": float, "int": int}
+    return {keys[f.name]: (types[f.type], f.default) for f in fields(params) if f.name in keys}
+
+
+# key -> (parser, default)
+CONFIG_KEYS: dict[str, tuple] = {
+    **_field_keys(SimParams, _SIM_KEYS),
+    **_field_keys(CostParams, _COST_KEYS),
+    "topology.msc": (int, 1),
+    "topology.bsc_per_msc": (int, 3),
+    "topology.bs_per_bsc": (int, 3),
+    "topology.adjacency": (str, "ring"),
+    "topology.inter_msc_hops": (int, 4),
+    "strategy": (str, "proposed"),
+    "recovery.deadline": (_parse_deadline, "auto"),
+    "recovery.p_same_region": (float, 0.8),
+    "frcr.erratum_bound": (_parse_bool, False),
+}
+
+
+def _format_value(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _parse(key: str, value: object) -> object:
+    """``value`` as ``key``'s type. A value from code is parsed as its text,
+    so an int key rejects ``4.7`` as it rejects ``"4.7"``, and the text
+    ``Config.raw`` records parses back to the value that ran."""
+    text = value if isinstance(value, str) else _format_value(value)
+    try:
+        return CONFIG_KEYS[key][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class Config:
+    """Fully resolved configuration for the harness."""
+
+    sim: SimParams
+    cost: CostParams
+    tree: NetworkTree
+    strategy: StrategyKind
+    p_same_region: float
+    frcr_erratum_bound: bool
+    raw: tuple[tuple[str, str], ...]  # every effective key=value, sorted
+    warnings: tuple[str, ...]  # model-regime warnings from validate_params
+
+    def build_tree(self) -> NetworkTree:
+        return self.tree
+
+    def with_overrides(self, overrides: dict[str, object]) -> "Config":
+        """New Config with the given keys replaced and everything
+        revalidated; an auto deadline is recalibrated for the new rates."""
+        values = self.raw_values()
+        for key, value in overrides.items():
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key: {key!r}")
+            values[key] = _parse(key, value)
+        return _build_config(values)
+
+    def raw_values(self) -> dict[str, object]:
+        return {key: _parse(key, text) for key, text in self.raw}
 
 
 def _keyed(violation: str) -> str:
@@ -158,27 +160,22 @@ def check_count(name: str, value: int, most: int | None = None) -> None:
         raise ValidationError([f"{name} must be <= {most}, got {value}"])
 
 
-def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _build_config(values: dict[str, object]) -> Config:
+    """The Config of ``values``, each already of its key's type."""
     merged = {key: default for key, (_, default) in CONFIG_KEYS.items()}
     merged.update(values)
 
     deadline = merged["recovery.deadline"]
 
     # recovery_deadline is a placeholder until calibrated below.
-    sim = SimParams(recovery_deadline=1.0, **_fields(_SIM_KEYS, merged))
-    cost = CostParams(**_fields(_COST_KEYS, merged))
+    sim = SimParams(
+        recovery_deadline=1.0, **{name: merged[key] for name, key in _SIM_KEYS.items()}
+    )
+    cost = CostParams(**{name: merged[key] for name, key in _COST_KEYS.items()})
     if deadline == "auto":
         sim = replace(sim, recovery_deadline=default_recovery_deadline(sim, cost))
     else:
-        sim = replace(sim, recovery_deadline=float(deadline))
+        sim = replace(sim, recovery_deadline=deadline)
 
     try:
         warnings = tuple(validate_params(sim, cost))
@@ -200,40 +197,36 @@ def _build_config(values: dict[str, object]) -> Config:
         raise ValidationError([_keyed(v) for v in violations]) from None
     check_seed("sim.seed", sim.seed)
 
-    strategy_text = str(merged["strategy"])
     try:
-        strategy = StrategyKind(strategy_text)
+        strategy = StrategyKind(merged["strategy"])
     except ValueError:
         raise ValidationError(
-            [f"strategy must be one of lazy|pessimistic|proposed, got {strategy_text!r}"]
+            [f"strategy must be one of lazy|pessimistic|proposed, got {merged['strategy']!r}"]
         ) from None
 
-    p_same = float(merged["recovery.p_same_region"])
+    p_same = merged["recovery.p_same_region"]
     if not 0.0 <= p_same <= 1.0:
         raise ValidationError(["recovery.p_same_region must be in [0, 1]"])
 
     try:
         tree = build_topology(
-            int(merged["topology.msc"]),
-            int(merged["topology.bsc_per_msc"]),
-            int(merged["topology.bs_per_bsc"]),
-            str(merged["topology.adjacency"]),
-            int(merged["topology.inter_msc_hops"]),
+            merged["topology.msc"],
+            merged["topology.bsc_per_msc"],
+            merged["topology.bs_per_bsc"],
+            merged["topology.adjacency"],
+            merged["topology.inter_msc_hops"],
         )
     except ValueError as exc:
         raise ValidationError([f"topology: {exc}"]) from None
 
-    raw = tuple(
-        sorted((key, _format_value(merged[key])) for key in CONFIG_KEYS)
-    )
     return Config(
         sim=sim,
         cost=cost,
         tree=tree,
         strategy=strategy,
         p_same_region=p_same,
-        frcr_erratum_bound=bool(merged["frcr.erratum_bound"]),
-        raw=raw,
+        frcr_erratum_bound=merged["frcr.erratum_bound"],
+        raw=tuple(sorted((key, _format_value(value)) for key, value in merged.items())),
         warnings=warnings,
     )
 
@@ -256,12 +249,10 @@ def parse_config(path: str | Path) -> Config:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {stripped!r}")
         key, _, value_text = stripped.partition("=")
         key = key.strip()
-        value_text = value_text.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        parser, _ = CONFIG_KEYS[key]
         try:
-            values[key] = parser(value_text)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+            values[key] = _parse(key, value_text.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return _build_config(values)

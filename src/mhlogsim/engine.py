@@ -39,10 +39,13 @@ by kind priority: checkpoint, handoff, write, failure. The trace names the
 kinds "CHECKPOINT", "HANDOFF", "WRITE" and "FAILURE".
 
 The placement peaks ``peak_fragments`` and ``bsc_peak_entries`` are post-event
-maxima. The fold reads only the piece count, after each non-write event and
-after each run of writes, whose ``WriteRun`` reports the peak inside the
-run. ``bsc_peak_entries`` copies the strategy's region peaks, which it
-settles when the log leaves a region or is purged and once more at the end
+maxima. Only a write raises the piece count, the non-empty fragments with the
+host's cache counting as one: a checkpoint purges, a handoff adds a pointer,
+moves the one fragment or flushes the cache into one, and a recovery empties
+the cache. The fold therefore reads ``peak_fragments`` from the runs of
+writes alone, each of whose ``WriteRun`` reports the peak inside the run.
+``bsc_peak_entries`` copies the strategy's region peaks, which it settles
+when the log leaves a region or is purged and once more at the end
 (``settle_peaks``): O(1) placement work per event amortised, however many
 fragments lazy logging leaves.
 
@@ -360,10 +363,6 @@ def _fold(
                 home_recoveries += 1
         if trace is not None:
             trace.append((t, ev, delta))
-        # Post-event only: mid-flush, entries sit in both cache and log.
-        pieces = strategy.pieces + 1 if strategy.cache else strategy.pieces
-        if pieces > peak_fragments:
-            peak_fragments = pieces
 
     total_cost = cost_handoff + cost_recovery + cost_logging + cost_checkpoint
     return RunStats(

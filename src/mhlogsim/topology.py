@@ -133,7 +133,7 @@ def build_topology(
     elif adjacency_kind == "grid":
         adj = _grid_adjacency(n)
     else:
-        raise ValueError(f"unknown adjacency kind: {adjacency_kind!r}")
+        raise ValueError(f"topology.adjacency must be ring or grid, got {adjacency_kind!r}")
     return NetworkTree(
         msc_count=msc_count,
         bscs_per_msc=bscs_per_msc,

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from mhlogsim import cli, topology
-from mhlogsim.config import ConfigError, default_config, parse_config
+from mhlogsim.config import CONFIG_KEYS, ConfigError, default_config, parse_config
 from mhlogsim.model import (
     MAX_EXPECTED_EVENTS,
     ValidationError,
@@ -201,3 +201,92 @@ class TestWithOverrides:
         tree = cfg.build_tree()
         assert tree.n_cells == 9
         assert tree.adjacency[0] == (1, 8)
+
+
+# A valid value from code for every key, none its default.
+VALID = {
+    "sim.lambda_f": 0.002,
+    "sim.lambda_w": 0.25,
+    "sim.mu": 0.02,
+    "sim.T_c": 200,  # an int for a float key
+    "sim.cache_capacity": 4,
+    "sim.horizon": 5000.0,
+    "sim.seed": 2**64 - 1,
+    "sim.replications": 3,
+    "cost.r": 0.2,
+    "cost.C_c": 6.0,
+    "cost.C_1": 2.0,
+    "cost.C_m": 0.0,
+    "cost.alpha": 1.5,
+    "cost.rho": 2.0,
+    "cost.T_load_ckpt": 12.0,
+    "cost.T_load_log": 0.5,
+    "cost.C_p": 4.0,
+    "topology.msc": 2,
+    "topology.bsc_per_msc": 2,
+    "topology.bs_per_bsc": 4,
+    "topology.adjacency": "grid",
+    "topology.inter_msc_hops": 6,
+    "strategy": "lazy",
+    "recovery.deadline": 55.5,
+    "recovery.p_same_region": 0.5,
+    "frcr.erratum_bound": True,
+}
+
+
+def built(make):
+    """``make()``'s Config and no error, or no Config and its error."""
+    try:
+        return make(), None
+    except ValueError as exc:  # ConfigError or ValidationError
+        return None, exc
+
+
+class TestOneParsePath:
+    """A value set from code ends as its text ends in a config file."""
+
+    def test_every_key_has_a_valid_value(self):
+        assert set(VALID) == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_file_text_and_code_value_agree(self, tmp_path, key):
+        valid = VALID[key]
+        cases = [
+            ("true" if valid is True else str(valid), valid),
+            ("2.5", 2.5),
+            ("true", "true"),
+            ("false", False),
+            ("auto", "auto"),
+        ]
+        for text, value in cases:
+            path = write(tmp_path, f"{key} = {text}\n")
+            from_file, file_error = built(lambda: parse_config(path))
+            from_code, code_error = built(lambda: default_config().with_overrides({key: value}))
+            if from_file is None or from_code is None:
+                assert type(file_error) is type(code_error), (text, file_error, code_error)
+                assert str(file_error) in (str(code_error), f"{path}:1: {code_error}")
+                assert key in str(code_error), (text, code_error)
+            else:
+                assert from_file == from_code, text
+                assert from_code.with_overrides({}) == from_code, text
+
+    @pytest.mark.parametrize("key, value", [
+        ("sim.cache_capacity", 4.7),
+        ("topology.msc", 1.9),
+        ("sim.replications", True),
+    ])
+    def test_int_keys_reject_what_their_text_would_not_parse_as(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^bad value for {re.escape(key)}: "):
+            default_config().with_overrides({key: value})
+
+    def test_false_text_turns_a_flag_off(self):
+        on = default_config().with_overrides({"frcr.erratum_bound": True})
+        off = on.with_overrides({"frcr.erratum_bound": "false"})
+        assert on.frcr_erratum_bound is True
+        assert off.frcr_erratum_bound is False
+        assert off.raw_values()["frcr.erratum_bound"] is False
+
+    def test_raw_records_the_value_that_ran(self):
+        cfg = default_config().with_overrides({"sim.T_c": 200})
+        assert dict(cfg.raw)["sim.T_c"] == "200.0"
+        assert cfg.sim.t_c == 200.0

@@ -26,7 +26,7 @@ from mhlogsim.engine import (
     split_seed,
 )
 from mhlogsim.model import CostParams, SimParams
-from mhlogsim.strategies import make_strategy
+from mhlogsim.strategies import LazyStrategy, make_strategy
 from mhlogsim.topology import BS, bs_site, bsc_site
 from mhlogsim import analytic, engine, experiments, topology
 
@@ -530,22 +530,34 @@ class TestTimelineCache:
         assert hashes == []
 
 
-def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls):
+def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls, monkeypatch):
     # Lazy keeps ~mu * T_c fragments between purges: about 3 at T_c=50 and
-    # well over 100 at T_c=4000. Placement work per event must not follow.
-    calls = count_calls("bsc_of")
-    per_event = {}
+    # well over 100 at T_c=4000. Placement work per event must not follow:
+    # the handlers read each cell's BSC from the tree's table, so a run
+    # calls bsc_of once, at birth, and hops_between once at birth and once
+    # per piece a recovery fetches, the checkpoint included. No write,
+    # handoff or checkpoint calls either.
+    fetched = []
+    recover = LazyStrategy.recover
+
+    def counted(self, cell):
+        outcome = recover(self, cell)
+        fetched.append(outcome.fragments_fetched)
+        return outcome
+
+    monkeypatch.setattr(LazyStrategy, "recover", counted)
+    calls = count_calls("bsc_of", "hops_between")
     for t_c in (50.0, 4000.0):
         cfg = sim_config(**{
             "sim.T_c": t_c, "sim.mu": 0.1, "sim.lambda_w": 0.1, "sim.horizon": 20000.0,
         })
         calls.clear()
+        fetched.clear()
         stats = run_simulation(cfg, "lazy", 12345)
-        events = (stats.write_count + stats.handoff_count
-                  + stats.checkpoint_count + stats.failure_count)
-        per_event[t_c] = calls["bsc_of"] / events
+        assert len(fetched) == stats.failure_count > 0, t_c
+        assert calls["bsc_of"] == 1, t_c
+        assert calls["hops_between"] == 1 + sum(fetched), t_c
     assert stats.peak_fragments > 100
-    assert per_event[4000.0] <= 1.5 * per_event[50.0], per_event
 
 
 class TestRecoveryCell:

@@ -303,3 +303,36 @@ def test_replay_loses_only_what_recoveries_report(values):
                 assert lost <= (k if kind == "proposed" else 0), kind
                 del expected[len(expected) - lost:]
             assert strategy.replay_sequence() == expected, (kind, ev)
+
+
+def held_pieces(strategy):
+    """The non-empty fragments, the host's cache counting as one."""
+    return strategy.pieces + bool(strategy.cache)
+
+
+def not_raising_pieces(strategy, kind, name):
+    handler = getattr(strategy, name)
+
+    def wrapped(*args):
+        before = held_pieces(strategy)
+        out = handler(*args)
+        assert held_pieces(strategy) <= before, (kind, name)
+        return out
+
+    setattr(strategy, name, wrapped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.fixed_dictionaries({**VALUES, "sim.cache_capacity": st.integers(1, 8)}))
+def test_only_writes_raise_the_piece_count(values):
+    # The fold reads peak_fragments from the runs of writes alone, so no
+    # checkpoint, handoff or recovery may leave more pieces than it found.
+    # Small caches make proposed flush inside runs of writes as well.
+    assume(multi_cell(values))
+    cfg = accepted(values)
+    timeline = generate_timeline(cfg, cfg.sim.seed)
+    for kind in KINDS:
+        strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
+        for name in ("on_checkpoint", "on_handoff", "recover"):
+            not_raising_pieces(strategy, kind, name)
+        _fold(strategy, timeline, None)

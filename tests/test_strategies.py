@@ -188,7 +188,7 @@ class TestHandoffLookups:
 
     @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
     @pytest.mark.parametrize("to_cell", [1, 2], ids=["intra_bsc", "inter_bsc"])
-    def test_one_bsc_lookup_per_side(self, count_calls, kind, to_cell):
+    def test_no_topology_lookups(self, count_calls, kind, to_cell):
         strat = setup(kind, cache_capacity=4)
         for _ in range(6):  # proposed: one flush to the BSC and two cached
             strat.on_write()
@@ -238,7 +238,7 @@ class TestRecoverLookups:
     fetched piece's hops with one ``hops_between``."""
 
     @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
-    def test_one_bsc_lookup(self, count_calls, kind):
+    def test_no_bsc_lookup(self, count_calls, kind):
         strat = setup(kind, cache_capacity=4)
         for _ in range(6):
             strat.on_write()
