@@ -201,13 +201,8 @@ class AnalyticReport:
     )
 
     def as_csv_row(self) -> str:
-        vals = [
-            self.p01, self.p02, self.k_expected, self.eta, self.c_handoff_avg,
-            self.c01, self.c_r, self.c_t, self.n_ops, self.c_prop, self.c_lazy,
-        ]
-        cells = [f"{v:.6g}" for v in vals]
-        cells.append("undefined" if self.frcr is None else f"{self.frcr:.6g}")
-        return ",".join(cells)
+        values = (getattr(self, name) for name in self.CSV_HEADER.split(","))
+        return ",".join("undefined" if v is None else f"{v:.6g}" for v in values)
 
 
 def build_report(

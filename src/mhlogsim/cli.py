@@ -28,8 +28,8 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_TREND = 3
 
-# The most intervals ``crosscheck`` simulates. Its estimators hold several
-# float arrays of that length, 80 MB each at this bound, so a far larger
+# The most intervals ``crosscheck`` simulates. One draw holds two float arrays, a mask and
+# the priced array of that length, a peak RSS of 265 MiB at this bound, so a far larger
 # count would end in a MemoryError or an out-of-memory kill.
 MAX_INTERVALS = 10_000_000
 

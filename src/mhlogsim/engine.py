@@ -64,7 +64,7 @@ from operator import itemgetter
 import numpy as np
 
 from .config import Config
-from .model import SEED_MASK, CostParams, SimParams, derive_quantities, validate_params
+from .model import SEED_MASK, SimParams, validate_params
 from .strategies import NO_COST, CostDelta, LogStrategy, StrategyKind, make_strategy
 from .topology import NetworkTree, UniformDraws, sample_next_cell
 
@@ -423,24 +423,29 @@ def replicate(
     return runs, summary
 
 
-def estimate_transition_probs(
-    sp: SimParams, seed: int, n_intervals: int
-) -> tuple[float, float]:
-    """Empirical handoff-interval outcome split from competing clocks.
+def failure_first(sp: SimParams, seed: int, n_intervals: int) -> np.ndarray:
+    """For each of ``n_intervals`` handoff intervals, whether a failure fires
+    before the handoff that ends it.
 
-    p02_hat is the fraction of intervals where a failure fires before the
-    handoff ends the interval; p01_hat is its complement.
+    One PCG64 stream of ``seed`` draws every interval's handoff clock, then
+    every interval's failure clock. With no failures no interval is marked.
     """
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed & SEED_MASK))
-    u_handoff = 1.0 - rng.random(n_intervals)
-    d_handoff = -np.log(u_handoff) / sp.mu
     if sp.lambda_f <= 0:
-        return 1.0, 0.0
-    u_fail = 1.0 - rng.random(n_intervals)
-    t_fail = -np.log(u_fail) / sp.lambda_f
-    p02 = float(np.mean(t_fail < d_handoff))
+        return np.zeros(n_intervals, dtype=bool)
+    rng = np.random.Generator(np.random.PCG64(seed & SEED_MASK))
+    d_handoff = -np.log(1.0 - rng.random(n_intervals)) / sp.mu
+    t_fail = -np.log(1.0 - rng.random(n_intervals)) / sp.lambda_f
+    return t_fail < d_handoff
+
+
+def estimate_transition_probs(
+    sp: SimParams, seed: int, n_intervals: int
+) -> tuple[float, float]:
+    """Empirical (p01, p02): the shares of ``failure_first``'s intervals that
+    end in a handoff and in a failure."""
+    p02 = float(np.mean(failure_first(sp, seed, n_intervals)))
     return 1.0 - p02, p02
 
 
@@ -475,29 +480,3 @@ def measure_mean_pending_log(
     nonempty = occupied > 0
     per_interval_mean = sums[nonempty] / occupied[nonempty]
     return float(per_interval_mean.mean())
-
-
-def simulate_interval_costs(
-    sp: SimParams, cp: CostParams, seed: int, n_intervals: int
-) -> float:
-    """Mean per-interval cost with analytic term accounting.
-
-    Each interval is priced with the closed-form handoff cost when it
-    completes without failure and with the closed-form recovery cost when a
-    failure fires first, so comparing the mean against the analytic total
-    cost isolates the stochastic interval mixing.
-    """
-    from . import analytic  # local import to avoid a cycle at module load
-
-    d = derive_quantities(sp)
-    if d.k_expected < 1:
-        raise ValueError("interval cost model needs k_expected >= 1")
-    c01 = analytic.total_handoff_cost(d.k_expected, d.eta, cp)
-    c_r = analytic.recovery_cost(d.eta, cp)
-    rng = np.random.Generator(np.random.PCG64(seed & SEED_MASK))
-    d_handoff = -np.log(1.0 - rng.random(n_intervals)) / sp.mu
-    if sp.lambda_f <= 0:
-        return c01
-    t_fail = -np.log(1.0 - rng.random(n_intervals)) / sp.lambda_f
-    costs = np.where(t_fail < d_handoff, c_r, c01)
-    return float(costs.mean())

@@ -21,7 +21,7 @@ every strategy at a sweep point, so comparisons are paired.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable
@@ -30,8 +30,7 @@ import numpy as np
 
 from . import analytic, engine
 from .config import Config
-from .engine import RunStats, simulate_interval_costs, split_seed, summarize
-from .engine import estimate_transition_probs
+from .engine import RunStats, failure_first, split_seed, summarize
 from .strategies import StrategyKind
 
 ALL_STRATEGIES = (StrategyKind.LAZY, StrategyKind.PESSIMISTIC, StrategyKind.PROPOSED)
@@ -336,10 +335,8 @@ def run_figure(spec: ExperimentSpec, config: Config) -> list[MetricRow]:
     replication starts, so they all fold the one timeline the engine keeps.
     """
     metrics = _figure(spec.figure_id).metrics
-    base = config.with_overrides(spec.overrides)
     rows: list[MetricRow] = []
-    for value in spec.sweep_values:
-        point = base.with_overrides({spec.swept_param: value})
+    for value, point in _points(spec, config)[1]:
         runs: dict[StrategyKind, list[RunStats]] = {s: [] for s in spec.strategies}
         for i in range(spec.reps):
             seed = split_seed(spec.master_seed, i)
@@ -353,6 +350,13 @@ def run_figure(spec: ExperimentSpec, config: Config) -> list[MetricRow]:
         if spec.figure_id == "fig8":
             rows.append(_frcr_row(spec, point, value, runs))
     return rows
+
+
+def _points(spec: ExperimentSpec, config: Config) -> tuple[Config, list[tuple[float, Config]]]:
+    """The sweep's base config, ``config`` under the experiment's overrides,
+    and each sweep value with the config it runs at."""
+    base = config.with_overrides(spec.overrides)
+    return base, [(v, base.with_overrides({spec.swept_param: v})) for v in spec.sweep_values]
 
 
 def _frcr_row(
@@ -391,6 +395,13 @@ def _row(
 CSV_HEADER = "figure,strategy,param,value,metric,mean,ci_low,ci_high,reps,seed"
 
 
+# Each column is the MetricRow field in its place, written and parsed by the
+# field's declared type: a float field goes through _fmt whatever number it
+# holds, any other field through str.
+_TYPES = {"float": float, "int": int, "str": str}
+_COLUMNS = tuple((f.name, _TYPES[f.type]) for f in fields(MetricRow))
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -411,22 +422,9 @@ def emit_csv(
     lines = [f"# {line}" for line in provenance]
     lines.append(CSV_HEADER)
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.figure_id,
-                    r.strategy,
-                    r.param_name,
-                    _fmt(r.param_value),
-                    r.metric_name,
-                    _fmt(r.mean),
-                    _fmt(r.ci95_low),
-                    _fmt(r.ci95_high),
-                    str(r.reps),
-                    str(r.seed),
-                )
-            )
-        )
+        lines.append(",".join(
+            (_fmt if kind is float else str)(getattr(r, name)) for name, kind in _COLUMNS
+        ))
     try:
         out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -442,41 +440,24 @@ def read_csv_rows(path: str | Path) -> list[MetricRow]:
     if not data or data[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing expected header")
     for line in data[1:]:
-        cells = line.split(",")
-        rows.append(
-            MetricRow(
-                figure_id=cells[0],
-                strategy=cells[1],
-                param_name=cells[2],
-                param_value=float(cells[3]),
-                metric_name=cells[4],
-                mean=float(cells[5]),
-                ci95_low=float(cells[6]),
-                ci95_high=float(cells[7]),
-                reps=int(cells[8]),
-                seed=int(cells[9]),
-            )
-        )
+        cells = zip(_COLUMNS, line.split(","), strict=True)
+        rows.append(MetricRow(*(kind(cell) for (_, kind), cell in cells)))
     return rows
 
 
 def provenance_lines(spec: ExperimentSpec, config: Config) -> tuple[str, ...]:
     """Deterministic provenance: effective base config, the experiment's
     overrides, and the recovery deadline at every sweep point."""
-    base = config.with_overrides(spec.overrides)
-    lines = [
+    base, points = _points(spec, config)
+    return (
         f"experiment {spec.figure_id}: sweep {spec.swept_param} over "
         + " ".join(_fmt(v) for v in spec.sweep_values),
         "strategies: " + " ".join(s.value for s in spec.strategies),
         f"reps {spec.reps} master_seed {spec.master_seed}",
         "config: " + " ".join(f"{k}={v}" for k, v in base.raw),
-    ]
-    deadlines = []
-    for value in spec.sweep_values:
-        point = base.with_overrides({spec.swept_param: value})
-        deadlines.append(f"{_fmt(value)}:{_fmt(point.sim.recovery_deadline)}")
-    lines.append("recovery.deadline per sweep point: " + " ".join(deadlines))
-    return tuple(lines)
+        "recovery.deadline per sweep point: "
+        + " ".join(f"{_fmt(value)}:{_fmt(point.sim.recovery_deadline)}" for value, point in points),
+    )
 
 
 def write_figure(
@@ -494,18 +475,17 @@ def write_figure(
     each mapped to the sweep points it holds at.
     """
     spec = figure_spec(figure_id, config, reps=reps, master_seed=master_seed)
-    base = config.with_overrides(spec.overrides)
-    points: dict[str, list[str]] = {}
-    for value in spec.sweep_values:
-        for warning in base.with_overrides({spec.swept_param: value}).warnings:
-            points.setdefault(warning, []).append(_fmt(value))
-    for warning, at in points.items():
+    warned: dict[str, list[str]] = {}
+    for value, point in _points(spec, config)[1]:
+        for warning in point.warnings:
+            warned.setdefault(warning, []).append(_fmt(value))
+    for warning, at in warned.items():
         print(f"warning: {figure_id} at {spec.swept_param}={','.join(at)}: {warning}", file=sys.stderr)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = run_figure(spec, config)
     path = emit_csv(rows, out_dir / f"{figure_id}.csv", provenance=provenance_lines(spec, config))
-    return path, rows, check_trends(figure_id, rows), points
+    return path, rows, check_trends(figure_id, rows), warned
 
 
 # -- analytic vs simulation crosscheck -----------------------------------
@@ -550,15 +530,16 @@ def crosscheck_analytic(
     seed: int | None = None,
     threshold: float = 0.05,
 ) -> CrosscheckReport:
-    """Compare closed-form interval probabilities and total cost against
-    matched-accounting simulation, flagging relative errors above the
-    threshold."""
-    sp, cp = config.sim, config.cost
-    seed = sp.seed if seed is None else seed
-    p01_a, p02_a = analytic.markov_probs(sp.lambda_f, sp.mu)
-    p01_e, p02_e = estimate_transition_probs(sp, seed, n_intervals)
-    report = analytic.build_report(sp, cp, erratum_bound=config.frcr_erratum_bound)
-    c_t_e = simulate_interval_costs(sp, cp, seed, n_intervals)
+    """Compare closed-form interval probabilities and total cost against one
+    draw of ``n_intervals`` competing interval clocks, flagging relative
+    errors above the threshold. A drawn interval is priced at the closed-form
+    handoff cost when it completes and at the closed-form recovery cost when
+    a failure fires first, so the cost row isolates the interval mixing."""
+    seed = config.sim.seed if seed is None else seed
+    report = analytic.build_report(config.sim, config.cost, erratum_bound=config.frcr_erratum_bound)
+    failed = failure_first(config.sim, seed, n_intervals)
+    p02_e = float(np.mean(failed))
+    c_t_e = float(np.where(failed, report.c_r, report.c01).mean())
 
     def rel(a: float, e: float) -> float:
         if a == 0:
@@ -567,8 +548,8 @@ def crosscheck_analytic(
 
     rows = []
     for name, a, e in (
-        ("p01", p01_a, p01_e),
-        ("p02", p02_a, p02_e),
+        ("p01", report.p01, 1.0 - p02_e),
+        ("p02", report.p02, p02_e),
         ("c_t", report.c_t, c_t_e),
     ):
         err = rel(a, e)

@@ -119,15 +119,17 @@ def build_topology(
     A network needs at least two cells: movement is part of every run, and a
     single-cell network has nowhere to hand off to.
     """
-    if msc_count < 1 or bscs_per_msc < 1 or bss_per_bsc < 1:
-        raise ValueError("all topology counts must be >= 1")
+    counts = (("msc", msc_count), ("bsc_per_msc", bscs_per_msc), ("bs_per_bsc", bss_per_bsc))
+    for key, count in counts:
+        if count < 1:
+            raise ValueError(f"topology.{key} must be >= 1, got {count}")
     n = msc_count * bscs_per_msc * bss_per_bsc
     if n < 2:
         raise ValueError("topology must contain at least 2 cells for mobility")
     if n > MAX_CELLS:
         raise ValueError(f"topology has {n} cells, more than MAX_CELLS ({MAX_CELLS})")
     if inter_msc_bsc_hops < 2:
-        raise ValueError(f"inter_msc_bsc_hops must be >= 2, got {inter_msc_bsc_hops}")
+        raise ValueError(f"topology.inter_msc_hops must be >= 2, got {inter_msc_bsc_hops}")
     if adjacency_kind == "ring":
         adj = _ring_adjacency(n)
     elif adjacency_kind == "grid":

@@ -85,16 +85,18 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, "frcr.erratum_bound = true\n"))
         assert cfg.frcr_erratum_bound
 
-    @pytest.mark.parametrize("text", [
-        "topology.inter_msc_hops = 1\n",
-        "topology.adjacency = hex\n",
-        "topology.msc = 0\n",
-        "topology.bsc_per_msc = 1\ntopology.bs_per_bsc = 1\n",
+    @pytest.mark.parametrize("text, message", [
+        ("topology.inter_msc_hops = 1\n", "topology.inter_msc_hops must be >= 2, got 1"),
+        ("topology.adjacency = hex\n", "topology.adjacency must be ring or grid, got 'hex'"),
+        ("topology.msc = 0\n", "topology.msc must be >= 1, got 0"),
+        ("topology.bsc_per_msc = 1\ntopology.bs_per_bsc = 1\n",
+         "topology must contain at least 2 cells for mobility"),
     ], ids=["inter_msc_hops=1", "adjacency=hex", "msc=0", "one_cell"])
-    def test_bad_topology_rejected_at_parse_time(self, tmp_path, text):
+    def test_bad_topology_rejected_at_parse_time(self, tmp_path, text, message):
         path = write(tmp_path, text)
-        with pytest.raises(ValidationError, match="^topology: "):
+        with pytest.raises(ValidationError) as info:
             parse_config(path)
+        assert str(info.value) == f"topology: {message}"
         assert cli.main(["analytic", "--config", str(path)]) == 1
 
 

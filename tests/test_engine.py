@@ -18,17 +18,17 @@ from mhlogsim.engine import (
     PCG64Stream,
     RunStats,
     estimate_transition_probs,
+    failure_first,
     measure_mean_pending_log,
     replicate,
     run_simulation,
     sample_exponential,
-    simulate_interval_costs,
     split_seed,
 )
 from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import LazyStrategy, make_strategy
 from mhlogsim.topology import BS, bs_site, bsc_site
-from mhlogsim import analytic, engine, experiments, topology
+from mhlogsim import engine, experiments, topology
 
 
 class FakeRng:
@@ -684,13 +684,12 @@ def test_mean_pending_log_matches_half_k_minus_one():
 
 
 def test_interval_costs_without_failures_equal_handoff_cost():
+    """With no failures no interval is marked, so crosscheck prices every
+    interval at the handoff cost and p02 reads 0."""
     sp = SimParams(lambda_f=0.0)
-    cp = CostParams()
-    from mhlogsim.model import derive_quantities
-
-    d = derive_quantities(sp)
-    expected = analytic.total_handoff_cost(d.k_expected, d.eta, cp)
-    assert simulate_interval_costs(sp, cp, 4, 1000) == expected
+    failed = failure_first(sp, 4, 1000)
+    assert failed.shape == (1000,) and not failed.any()
+    assert estimate_transition_probs(sp, 4, 1000) == (1.0, 0.0)
 
 
 class TestReplicate:

@@ -2,9 +2,10 @@ import importlib.util
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mhlogsim.config import check_count, default_config
@@ -22,7 +23,7 @@ from mhlogsim.experiments import (
     run_figure,
 )
 from mhlogsim.strategies import StrategyKind
-from mhlogsim import analytic, cli, experiments
+from mhlogsim import analytic, cli, engine, experiments
 
 
 def load_script(name):
@@ -61,6 +62,26 @@ class TestEmitCsv:
         assert back.mean == pytest.approx(rows[0].mean, rel=1e-5)
         assert back.strategy == "lazy"
         assert back.reps == 5
+
+    def test_every_column_round_trips(self, tmp_path):
+        """Each field comes back as written: values exact at 6 significant
+        digits, nan as nan, and a seed of 2**64 - 1. A float field is written
+        by its declared type, so an int held there still reads 1.23457e+06."""
+        nan = float("nan")
+        rows = [
+            MetricRow("fig8", "proposed-vs-lazy", "sim.T_c", 4000.0, "frcr",
+                      -0.0125, nan, 1.5e-07, 1, 2**64 - 1),
+            row(value=0.005, mean=123.456, lo=0.0, hi=1e300),
+        ]
+        path = emit_csv(rows, tmp_path / "rt.csv")
+        for back, expected in zip(read_csv_rows(path), rows, strict=True):
+            for f in fields(MetricRow):
+                got, want = getattr(back, f.name), getattr(expected, f.name)
+                assert type(got) is type(want)
+                assert got == want or (got != got and want != want), f.name
+        held = replace(row(), mean=1234567)
+        cells = emit_csv([held], tmp_path / "int.csv").read_text().splitlines()[1]
+        assert cells.split(",")[5] == "1.23457e+06"
 
     def test_provenance_lines_are_comments(self, tmp_path):
         path = emit_csv([row()], tmp_path / "p.csv", provenance=("alpha", "beta"))
@@ -202,6 +223,24 @@ class TestCrosscheck:
         names = [r.name for r in report.rows]
         assert names == ["p01", "p02", "c_t"]
         assert "ok" in report.as_text()
+
+    def test_reads_one_draw_and_its_own_report(self, monkeypatch):
+        """One call seeds one stream. p01/p02 are the draw's shares, as
+        estimate_transition_probs gives them, and c_t prices that same draw
+        with the report's c_r and c01."""
+        config = default_config()
+        seeded, pcg64 = [], np.random.PCG64
+        monkeypatch.setattr(np.random, "PCG64", lambda seed: seeded.append(seed) or pcg64(seed))
+        cc = crosscheck_analytic(config, n_intervals=5000, seed=11)
+        assert seeded == [11]
+        monkeypatch.undo()
+        report = analytic.build_report(config.sim, config.cost)
+        failed = engine.failure_first(config.sim, 11, 5000)
+        p01, p02 = engine.estimate_transition_probs(config.sim, 11, 5000)
+        c_t = float(np.where(failed, report.c_r, report.c01).mean())
+        assert [(r.analytic, r.empirical) for r in cc.rows] == [
+            (report.p01, p01), (report.p02, p02), (report.c_t, c_t),
+        ]
 
     def test_flag_raised_at_absurd_threshold(self):
         report = crosscheck_analytic(
@@ -533,7 +572,7 @@ def test_run_figures_script_reports_a_bad_config_in_one_line(capsys, tmp_path, m
     ])
     assert module.main() == 1
     assert capsys.readouterr().err == (
-        "error: topology: inter_msc_bsc_hops must be >= 2, got 1\n"
+        "error: topology: topology.inter_msc_hops must be >= 2, got 1\n"
     )
     assert not out.exists()
 
