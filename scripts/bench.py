@@ -21,7 +21,8 @@ another for a core:
    chunk_ms``; ``wall_s`` stays raw;
 3. ``benchmarks/run.py --trace 0`` on every workload ``BENCHMARK.json``
    names, at the run length the benchmark fixes: the result object each
-   run prints last;
+   run prints last (``benchmarks``), then ``--trace 1`` on each, the
+   per-layer record of self time and calls per span (``benchmarks_traced``);
 4. ``cli_analytic_s``: the median wall time of 5 fresh ``mhlogsim analytic``
    processes (``python -m mhlogsim.cli analytic``), raw: the program's
    start-up cost;
@@ -139,13 +140,14 @@ def src_lines(root: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "mhlogsim").glob("*.py"))
 
 
-def benchmark(root: Path, workload: str) -> dict:
+def benchmark(root: Path, workload: str, trace: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", workload, "--trace", "0"],
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--trace", str(trace)],
         cwd=root, capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"benchmarks/run.py --workload {workload} failed:\n{proc.stderr}")
+        raise RuntimeError(
+            f"benchmarks/run.py --workload {workload} --trace {trace} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -187,10 +189,16 @@ def main() -> int:
     record["benchmarks"] = {}
     for workload in workloads:
         print(f"benchmarks/run.py --workload {workload} ...", flush=True)
-        result = benchmark(root, workload)
+        result = benchmark(root, workload, 0)
         record["benchmarks"][workload] = result
         print(f"  correct={result['correct']} wall_s={result['metrics']['wall_s']['value']:.3f}",
               flush=True)
+    record["benchmarks_traced"] = {}
+    for workload in workloads:
+        print(f"benchmarks/run.py --workload {workload} --trace 1 ...", flush=True)
+        result = benchmark(root, workload, 1)
+        record["benchmarks_traced"][workload] = result
+        print(f"  correct={result['correct']}", flush=True)
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"-> {out}")
     return 0

@@ -12,13 +12,14 @@ the event sequence depends on the config and the seed alone.
 
 The kernel is therefore two steps. ``generate_timeline`` runs the event
 clocks once and records the non-write events (time, kind, cell) and the
-number of writes before each. A fold then applies one strategy to that
-record, handing it each run of writes between two other events at once
-(``LogStrategy.on_writes``). ``run_simulation`` keeps the last timeline
-with the ``Config`` object and the seed it was made for, so the strategies
-of one replication share one timeline object: the pairing of common random
-numbers holds by construction, and the clocks run once per replication,
-not once per strategy.
+number of writes before each (a ``Timeline``). A new strategy object then
+folds that record in one loop of its own (``LogStrategy.fold``), taking
+each run of writes between two other events at once, and returns the
+run's ``RunStats``; no handler is called per event. ``run_simulation``
+keeps the last timeline with the ``Config`` object and the seed it was
+made for, so the strategies of one replication share one timeline object:
+the pairing of common random numbers holds by construction, and the clocks
+run once per replication, not once per strategy.
 
 Draw order, fixed for reproducibility:
 
@@ -42,12 +43,12 @@ The placement peaks ``peak_fragments`` and ``bsc_peak_entries`` are post-event
 maxima. Only a write raises the piece count, the non-empty fragments with the
 host's cache counting as one: a checkpoint purges, a handoff adds a pointer,
 moves the one fragment or flushes the cache into one, and a recovery empties
-the cache. The fold therefore reads ``peak_fragments`` from the runs of
+the cache. A fold therefore reads ``peak_fragments`` from the runs of
 writes alone, each of whose ``WriteRun`` reports the peak inside the run.
 ``bsc_peak_entries`` copies the strategy's region peaks, which it settles
-when the log leaves a region or is purged and once more at the end
-(``settle_peaks``): O(1) placement work per event amortised, however many
-fragments lazy logging leaves.
+when the log leaves a region or is purged and once more at the end of
+the fold (``settle_peaks``): O(1) placement work per event amortised,
+however many fragments lazy logging leaves.
 
 Replication i of a master seed uses stream seed
 ``master ^ ((0x9E3779B97F4A7C15 * (i + 1)) mod 2^64)``.
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import chain
 from operator import itemgetter
 
@@ -65,7 +66,7 @@ import numpy as np
 
 from .config import Config
 from .model import SEED_MASK, SimParams, validate_params
-from .strategies import NO_COST, CostDelta, LogStrategy, StrategyKind, make_strategy
+from .strategies import CostDelta, RunStats, StrategyKind, make_strategy
 from .topology import NetworkTree, UniformDraws, sample_next_cell
 
 _SPLIT_MULTIPLIER = 0x9E3779B97F4A7C15  # fixed odd multiplier for stream splits
@@ -133,31 +134,6 @@ class PCG64Stream:
             m = x * n
             if m & 0xFFFFFFFF >= threshold:
                 return m >> 32
-
-
-@dataclass(frozen=True)
-class RunStats:
-    """Accumulated per-run counts, costs, and recovery outcomes."""
-
-    handoff_count: int
-    intra_bsc_count: int
-    inter_bsc_count: int
-    write_count: int
-    checkpoint_count: int
-    failure_count: int
-    recovery_success_count: int
-    total_handoff_cost: float
-    total_recovery_cost: float
-    total_logging_cost: float
-    total_checkpoint_cost: float
-    mean_cost_per_handoff_interval: float
-    recovery_probability: float
-    mean_retrieval_time: float
-    peak_fragments: int
-    lost_entries: int
-    recovery_cost_home_total: float
-    home_recovery_count: int
-    bsc_peak_entries: dict[int, int] = field(default_factory=dict)
 
 
 # Scalar fields eligible for replication summaries.
@@ -304,89 +280,7 @@ def run_simulation(
     """
     validate_params(cfg.sim, cfg.cost)
     timeline = _timeline(cfg, seed, trace is not None)
-    return _fold(make_strategy(kind, cfg.tree, cfg.sim, cfg.cost), timeline, trace)
-
-
-def _fold(
-    strategy: LogStrategy,
-    timeline: Timeline,
-    trace: list[tuple[float, str, CostDelta]] | None,
-) -> RunStats:
-    """Apply a new strategy object to a timeline, a run of writes at a time."""
-    write_times = iter(timeline.write_times or ())
-
-    handoffs = checkpoints = failures = successes = 0
-    cost_handoff = cost_recovery = cost_logging = cost_checkpoint = 0.0
-    retrieval_sum = 0.0
-    lost_total = 0
-    peak_fragments = 0
-    cost_home = 0.0
-    home_recoveries = 0
-    on_writes, on_checkpoint = strategy.on_writes, strategy.on_checkpoint
-    on_handoff, recover = strategy.on_handoff, strategy.recover
-
-    for k, event in zip(timeline.writes, chain(timeline.events, (None,))):
-        if k:
-            run = on_writes(k)
-            # One addition per charged write, in order, as a per-write loop
-            # sums them; an uncharged write adds 0.0, which changes nothing.
-            cost = run.delta.total
-            for _ in run.charged:
-                cost_logging += cost
-            if trace is not None:
-                for i in range(k):
-                    delta = run.delta if i in run.charged else NO_COST
-                    trace.append((next(write_times), "WRITE", delta))
-            if run.peak_pieces > peak_fragments:
-                peak_fragments = run.peak_pieces
-        if event is None:
-            break
-        t, ev, cell = event
-        if ev == "CHECKPOINT":
-            delta = on_checkpoint()
-            checkpoints += 1
-            cost_checkpoint += delta.total
-        elif ev == "HANDOFF":
-            delta = on_handoff(cell)
-            handoffs += 1
-            cost_handoff += delta.total
-        else:  # FAILURE
-            outcome = recover(cell)
-            delta = outcome.cost
-            failures += 1
-            successes += int(outcome.success)
-            cost_recovery += delta.total
-            retrieval_sum += outcome.retrieval_time
-            lost_total += outcome.lost_entries
-            if outcome.recovered_in_home_region:
-                cost_home += delta.total
-                home_recoveries += 1
-        if trace is not None:
-            trace.append((t, ev, delta))
-
-    total_cost = cost_handoff + cost_recovery + cost_logging + cost_checkpoint
-    return RunStats(
-        handoff_count=handoffs,
-        intra_bsc_count=timeline.intra_bsc,
-        inter_bsc_count=timeline.inter_bsc,
-        write_count=sum(timeline.writes),
-        checkpoint_count=checkpoints,
-        failure_count=failures,
-        recovery_success_count=successes,
-        total_handoff_cost=cost_handoff,
-        total_recovery_cost=cost_recovery,
-        total_logging_cost=cost_logging,
-        total_checkpoint_cost=cost_checkpoint,
-        mean_cost_per_handoff_interval=total_cost / max(1, handoffs),
-        # No failures means nothing failed to recover; report 1, not 0/1.
-        recovery_probability=(successes / failures) if failures else 1.0,
-        mean_retrieval_time=retrieval_sum / failures if failures else 0.0,
-        peak_fragments=peak_fragments,
-        lost_entries=lost_total,
-        recovery_cost_home_total=cost_home,
-        home_recovery_count=home_recoveries,
-        bsc_peak_entries=dict(strategy.settle_peaks()),
-    )
+    return make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline, trace)
 
 
 def summarize(values: list[float]) -> tuple[float, float, float]:

@@ -334,9 +334,13 @@ def run_figure(spec: ExperimentSpec, config: Config) -> list[MetricRow]:
     Every strategy runs on a replication's stream before the next
     replication starts, so they all fold the one timeline the engine keeps.
     """
+    return _run_points(spec, _points(spec, config)[1])
+
+
+def _run_points(spec: ExperimentSpec, points: list[tuple[float, Config]]) -> list[MetricRow]:
     metrics = _figure(spec.figure_id).metrics
     rows: list[MetricRow] = []
-    for value, point in _points(spec, config)[1]:
+    for value, point in points:
         runs: dict[StrategyKind, list[RunStats]] = {s: [] for s in spec.strategies}
         for i in range(spec.reps):
             seed = split_seed(spec.master_seed, i)
@@ -448,7 +452,11 @@ def read_csv_rows(path: str | Path) -> list[MetricRow]:
 def provenance_lines(spec: ExperimentSpec, config: Config) -> tuple[str, ...]:
     """Deterministic provenance: effective base config, the experiment's
     overrides, and the recovery deadline at every sweep point."""
-    base, points = _points(spec, config)
+    return _provenance(spec, *_points(spec, config))
+
+
+def _provenance(spec: ExperimentSpec, base: Config,
+                points: list[tuple[float, Config]]) -> tuple[str, ...]:
     return (
         f"experiment {spec.figure_id}: sweep {spec.swept_param} over "
         + " ".join(_fmt(v) for v in spec.sweep_values),
@@ -475,16 +483,17 @@ def write_figure(
     each mapped to the sweep points it holds at.
     """
     spec = figure_spec(figure_id, config, reps=reps, master_seed=master_seed)
+    base, points = _points(spec, config)
     warned: dict[str, list[str]] = {}
-    for value, point in _points(spec, config)[1]:
+    for value, point in points:
         for warning in point.warnings:
             warned.setdefault(warning, []).append(_fmt(value))
     for warning, at in warned.items():
         print(f"warning: {figure_id} at {spec.swept_param}={','.join(at)}: {warning}", file=sys.stderr)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = run_figure(spec, config)
-    path = emit_csv(rows, out_dir / f"{figure_id}.csv", provenance=provenance_lines(spec, config))
+    rows = _run_points(spec, points)
+    path = emit_csv(rows, out_dir / f"{figure_id}.csv", provenance=_provenance(spec, base, points))
     return path, rows, check_trends(figure_id, rows), warned
 
 

@@ -1,8 +1,12 @@
-"""The three log-management strategies behind one event interface.
+"""The three log-management strategies, each a fold of a run's events.
 
 A strategy object is one run: it holds the host's cell, BSC and cache and
-where the checkpoint and log fragments sit, and its handlers apply each
-event to that state. Make a fresh object for every run.
+where the checkpoint and log fragments sit. ``fold`` applies a ``Timeline``
+to that state in one loop, lazy's or the one pessimistic and proposed
+share, which keeps the scalars it changes in locals, works on the
+``fragments`` and ``cache`` lists in place and writes the scalars back at
+the end. Each rule lives in its loop: an event handler checks its input
+and folds that one event. Make a fresh object for every run.
 
 lazy         log fragments stay at the BS where they were written; each
              handoff stores a pointer in the new BS, recovery chases the
@@ -42,20 +46,22 @@ one ``LogStrategy`` method:
   the checkpoint to the restart BS). A run of writes is kept the same
   way in ``_write_runs``: lazy's and pessimistic's under (run length, piece
   count after it), proposed's under (run length, cache fill, piece count
-  before it). A returned CostDelta, a ``RecoveryOutcome.cost`` included,
-  and a returned ``WriteRun`` are therefore shared and read-only.
+  before it). A loop prices a key only on a miss (``_write_run``,
+  ``_move_price``, ``_recovery_price``, which lazy calls every recovery).
+  A returned CostDelta, a ``RecoveryOutcome.cost`` included, and a
+  returned ``WriteRun`` are therefore shared and read-only.
 
-Handlers index the tree's cell -> BSC table behind ``bsc_of``'s range check
-and call ``_bsc_gap`` only across two BSCs. A region's peak entries are
-settled when the log leaves it or is purged, and at the end of a run.
+The loops index the tree's cell -> BSC table, behind the handlers' range
+checks, and call ``_bsc_gap`` only across two BSCs. A region's peak entries
+are settled when the log leaves it or is purged, and at the end of a fold.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, TypeVar
+from itertools import chain
+from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .model import CostParams, SimParams
 from .topology import (
@@ -70,6 +76,9 @@ from .topology import (
     hops_between,
     mh_site,
 )
+
+if TYPE_CHECKING:
+    from .engine import Timeline
 
 
 # The most entries one per-run price table stores; a miss once a table is
@@ -154,9 +163,35 @@ class WriteRun(NamedTuple):
     peak_pieces: int
 
 
+@dataclass(frozen=True)
+class RunStats:
+    """Accumulated per-run counts, costs, and recovery outcomes."""
+
+    handoff_count: int
+    intra_bsc_count: int
+    inter_bsc_count: int
+    write_count: int
+    checkpoint_count: int
+    failure_count: int
+    recovery_success_count: int
+    total_handoff_cost: float
+    total_recovery_cost: float
+    total_logging_cost: float
+    total_checkpoint_cost: float
+    mean_cost_per_handoff_interval: float
+    recovery_probability: float
+    mean_retrieval_time: float
+    peak_fragments: int
+    lost_entries: int
+    recovery_cost_home_total: float
+    home_recovery_count: int
+    bsc_peak_entries: dict[int, int] = field(default_factory=dict)
+
+
 class LogStrategy:
     """One run of one strategy: the mobile host and the durable placement
-    of its checkpoint and log. Subclasses fill in the placement policy."""
+    of its checkpoint and log. Subclasses fill in the placement policy and
+    the loop that folds a timeline (``_fold``)."""
 
     kind: StrategyKind
     checkpoint_site: Site
@@ -172,63 +207,79 @@ class LogStrategy:
         self.current_bsc: BscId = bsc_of(tree, 0)
         self.cache: list[int] = []  # write sequence numbers
         self.next_seq = 1
-        # The log: its fragments, the running tally of non-empty ones, and
-        # the most entries each BSC region held as of the last settle.
-        self.fragments: list[Fragment] = []
-        self.pointer_chain_length = 0  # lazy only
-        self.pieces = 0
-        self.region_peaks: dict[BscId, int] = {}
         # Checkpoint 0 sits at the host's birth site, and in its region, at
         # zero cost: the initial application state is registered where the
         # transaction starts, and no handler clears it, so recovery always
         # has a durable baseline.
-        self.checkpoint_site, self.checkpoint_region = self._checkpoint_site()
-        self._reset_fragments()
+        site, region = self._checkpoint_site(0, self.current_bsc)
+        self.checkpoint_site, self.checkpoint_region = site, region
+        # The log: its fragments, the running tally of non-empty ones, and
+        # the most entries each BSC region held as of the last settle.
+        self.fragments: list[Fragment] = self._empty_log(site, region)
+        self.pointer_chain_length = 0  # lazy only
+        self.pieces = 0
+        self.region_peaks: dict[BscId, int] = {}
         self._write_runs: dict[tuple[int, ...], WriteRun] = {}
         # Prices no event of the run changes. A write is one wireless data
         # item plus the BSC's acknowledgement message. The checkpoint site
         # keeps its place relative to the host's cell, so the hop count at
         # birth holds for every checkpoint of the run.
         self._write_cost = self._ship(self._messages(1), cp.c_1, [(1, 0)])
-        site, region = self.checkpoint_site, self.checkpoint_region
         hops = hops_between(tree, (BS, 0), self.current_bsc, site, region)
         self._checkpoint_cost = self._ship(CostDelta(), cp.c_c, [(1, hops)])
 
     # -- events --------------------------------------------------------
+
+    def fold(self, timeline: Timeline, trace: list | None = None) -> RunStats:
+        """Apply ``timeline`` to this run's state, a run of writes at a time,
+        and return the run's ``RunStats``. ``trace``, when given, receives
+        (time, event kind, cost delta) for every event, one entry per write
+        included, which needs the timeline's ``write_times``.
+
+        The subclass's loop, ``_fold(writes, events, write_times, trace)``,
+        returns its tally (handoffs, checkpoints, failures, successes, lost
+        entries, home-region recoveries, peak pieces, then the handoff,
+        checkpoint, logging, recovery, home-recovery cost sums and the
+        retrieval time sum) and the price of the last event it applied."""
+        (handoffs, checkpoints, failures, successes, lost, home, peak, cost_handoff,
+         cost_checkpoint, cost_logging, cost_recovery, cost_home, retrieval_sum), _ = self._fold(
+            timeline.writes, timeline.events, timeline.write_times, trace)
+        total_cost = cost_handoff + cost_recovery + cost_logging + cost_checkpoint
+        return RunStats(
+            handoff_count=handoffs,
+            intra_bsc_count=timeline.intra_bsc,
+            inter_bsc_count=timeline.inter_bsc,
+            write_count=sum(timeline.writes),
+            checkpoint_count=checkpoints,
+            failure_count=failures,
+            recovery_success_count=successes,
+            total_handoff_cost=cost_handoff,
+            total_recovery_cost=cost_recovery,
+            total_logging_cost=cost_logging,
+            total_checkpoint_cost=cost_checkpoint,
+            mean_cost_per_handoff_interval=total_cost / max(1, handoffs),
+            # No failures means nothing failed to recover; report 1, not 0/1.
+            recovery_probability=(successes / failures) if failures else 1.0,
+            mean_retrieval_time=retrieval_sum / failures if failures else 0.0,
+            peak_fragments=peak,
+            lost_entries=lost,
+            recovery_cost_home_total=cost_home,
+            home_recovery_count=home,
+            bsc_peak_entries=dict(self.settle_peaks()),
+        )
 
     def on_write(self) -> CostDelta:
         return self.on_writes(1).delta
 
     def on_writes(self, k: int) -> WriteRun:
         """Log ``k`` writes issued back to back from the host's cell; the
-        same placement and costs as ``k`` calls of ``on_write``. The default
-        policy sends each entry to the current BS, which acknowledges it.
-        The run depends only on ``k`` and the piece count after it, so it
-        comes from the run's ``_write_runs`` table under ``(k, pieces)``."""
-        first = self.next_seq
-        self.next_seq += k
-        self._append((BS, self.current_cell), self.current_bsc, range(first, first + k))
-        key = (k, self.pieces)
-        run = self._write_runs.get(key)
-        if run is None:
-            run = self._keep(self._write_runs, key, WriteRun(self._write_cost, range(k), self.pieces))
-        return run
+        same placement and costs as ``k`` calls of ``on_write``."""
+        return self._fold((k,), (), None, None)[1]
 
     def on_checkpoint(self) -> CostDelta:
-        """Ship a fresh checkpoint to its durable site and purge the log.
-
-        The checkpoint originates at the host: one wireless hop, then the
-        wired path to the durable site. Every strategy purges fragments
-        older than the new checkpoint, and lazy's pointer chain resets with
-        them since the pointers only locate purged fragments. The durable
-        site is always the same number of hops from the host's cell, so
-        every checkpoint of a run costs the same.
-        """
-        self.checkpoint_site, self.checkpoint_region = self._checkpoint_site()
-        self.cache.clear()
-        self.pointer_chain_length = 0
-        self._reset_fragments()
-        return self._checkpoint_cost
+        """Ship a fresh checkpoint from the host to its durable site and
+        purge the log; every checkpoint of a run costs the same."""
+        return self._fold((0, 0), ((0.0, "CHECKPOINT", self.current_cell),), None, None)[1]
 
     def on_handoff(self, to_cell: CellId) -> CostDelta:
         """Move the host from its cell to ``to_cell``; the move is intra-BSC
@@ -237,10 +288,7 @@ class LogStrategy:
             raise ValueError(f"not a handoff: the host is already in cell {to_cell}")
         if not 0 <= to_cell < self._n_cells:
             raise ValueError(f"unknown cell {to_cell}")
-        from_bsc = self.current_bsc
-        self.current_bsc = self._cell_bsc[to_cell]
-        self.current_cell = to_cell
-        return self._handoff(from_bsc)
+        return self._fold((0, 0), ((0.0, "HANDOFF", to_cell),), None, None)[1]
 
     def recover(self, recovery_cell: CellId) -> RecoveryOutcome:
         """Retrieve the checkpoint and every durable fragment at the cell
@@ -248,33 +296,19 @@ class LogStrategy:
 
         Retrieval time is load time plus transfer time; transfer costs are
         priced per item over the wired path and the final wireless hop
-        (``_recovery_price``). The fetched copies physically arrive at the
-        recovery site, so placement strategies that keep the log near the
-        host adopt them as the new durable copy at no extra transfer cost.
+        (``_recovery_price``). Unflushed cache entries die with the host.
         """
         if not 0 <= recovery_cell < self._n_cells:
             raise ValueError(f"unknown cell {recovery_cell}")
-        recovery_bsc = self._cell_bsc[recovery_cell]
-        in_home_region = recovery_bsc == self.current_bsc
-        cost, fragments_fetched, retrieval_time = self._recovery_price(
-            (BS, recovery_cell), recovery_bsc, in_home_region
-        )
-
-        # Unflushed cache entries die with the host; only durable state
-        # replays.
-        lost = len(self.cache)
-        self.cache.clear()
-
-        self.current_cell = recovery_cell
-        self.current_bsc = recovery_bsc
-        self._after_recovery()
-
+        tally, (cost, fragments_fetched, retrieval_time) = self._fold(
+            (0, 0), ((0.0, "FAILURE", recovery_cell),), None, None)
+        successes, lost, home = tally[3:6]
         return RecoveryOutcome(
-            success=retrieval_time <= self.sp.recovery_deadline,
+            success=successes == 1,
             retrieval_time=retrieval_time,
             cost=cost,
             fragments_fetched=fragments_fetched,
-            recovered_in_home_region=in_home_region,
+            recovered_in_home_region=home == 1,
             lost_entries=lost,
         )
 
@@ -293,23 +327,24 @@ class LogStrategy:
 
     # -- policy hooks ---------------------------------------------------
 
-    def _checkpoint_site(self) -> tuple[Site, BscId]:
-        """Where the host's next checkpoint is kept, and that site's region."""
-        return (BS, self.current_cell), self.current_bsc
+    def _checkpoint_site(self, cell: CellId, bsc: BscId) -> tuple[Site, BscId]:
+        """Where the checkpoint of a host in ``cell`` of region ``bsc`` is
+        kept, and that site's region."""
+        return (BS, cell), bsc
 
-    def _reset_fragments(self) -> None:
-        self._place([])
-
-    def _handoff(self, from_bsc: BscId) -> CostDelta:
-        """Policy for a move out of region ``from_bsc``; the host already
-        stands in its new cell and region. The result may be a shared
-        per-run price: never add to it or ship into it."""
-        raise NotImplementedError
+    def _empty_log(self, site: Site, region: BscId) -> list[Fragment]:
+        """The fragments of a purged log, the checkpoint at ``site``."""
+        return []
 
     def _locate_log(self, in_home_region: bool) -> int:
         """How many wired control messages a recovery sends, after its
         request, to locate the log; by default none."""
         return 0
+
+    def _write_run(self, k: int, pieces: int) -> WriteRun:
+        """A run of ``k`` writes sent to the host's BS, each acknowledged,
+        after which ``pieces`` fragments hold entries."""
+        return WriteRun(self._write_cost, range(k), pieces)
 
     def _recovery_price(
         self, rec_site: Site, recovery_bsc: BscId, in_home_region: bool
@@ -336,17 +371,13 @@ class LogStrategy:
         )
         return delta, fragments_fetched, retrieval_time
 
-    def _after_recovery(self) -> None:
-        """Policy once retrieval delivered the log to the host's restart cell."""
-        raise NotImplementedError
-
     # -- shared pieces ---------------------------------------------------
 
     @staticmethod
     def _keep(table: dict, key: object, price: _Price) -> _Price:
-        """Store ``price``, the price of a ``key`` its handler missed in the
+        """Store ``price``, the price of a ``key`` its loop missed in the
         per-run ``table``, unless the table holds ``_PRICE_TABLE_LIMIT``
-        entries, and return it. Handlers probe the table and build the
+        entries, and return it. The loops probe the table and build the
         price themselves, so a hit costs one probe, and a miss in a full
         table one probe and this call more than pricing afresh."""
         if len(table) < _PRICE_TABLE_LIMIT:
@@ -378,16 +409,6 @@ class LogStrategy:
         delta.elapsed_transfer_time += (n + 1) * cp.r * hops
         return delta
 
-    def _append(self, site: Site, region: BscId, seqs: Sequence[int]) -> None:
-        """Extend the last fragment if it sits at ``site``, else open a new
-        one there, and count it if it was empty; ``seqs`` is non-empty."""
-        if not (self.fragments and self.fragments[-1].site == site):
-            self.fragments.append(Fragment(site, region))
-        frag = self.fragments[-1]
-        if not frag.entries:
-            self.pieces += 1
-        frag.entries.extend(seqs)
-
     def settle_peaks(self) -> dict[BscId, int]:
         """Lift each region's peak to the entries the log holds there now,
         and return the peaks. A region's entries fall only when the log leaves
@@ -402,12 +423,6 @@ class LogStrategy:
                     peaks[region] = n
         return peaks
 
-    def _place(self, fragments: list[Fragment]) -> None:
-        """Purge the log: it then holds ``fragments``, which hold no entries."""
-        self.settle_peaks()
-        self.fragments[:] = fragments
-        self.pieces = 0
-
 
 class LazyStrategy(LogStrategy):
     """Fragments accumulate where written; handoffs only store pointers."""
@@ -418,21 +433,102 @@ class LazyStrategy(LogStrategy):
         super().__init__(tree, sp, cp)
         self._pointer_cost = self._messages(1)
 
-    def _handoff(self, from_bsc) -> CostDelta:
-        # The new BS stores a pointer to the old one; no log data moves.
-        self.pointer_chain_length += 1
-        return self._pointer_cost
-
     def _locate_log(self, in_home_region) -> int:
         # Chase the pointer chain back to the fragments, one message a link.
         return self.pointer_chain_length
 
-    def _after_recovery(self) -> None:
-        # Fragments stay put; the restart BS links into the existing chain
-        # so the next recovery can still find them. Registration signalling
-        # is common to all strategies and not priced.
-        if self.fragments and self.fragments[-1].site != (BS, self.current_cell):
-            self.pointer_chain_length += 1
+    def _fold(self, writes, events, write_times, trace):
+        """Writes extend the last fragment if it sits at the host's BS, else
+        open one there; nothing is cached, so a recovery loses nothing. A
+        handoff stores a pointer in the new BS. A checkpoint purges the log
+        and the pointer chain, which only locates purged fragments. A
+        recovery chases the chain and fetches every fragment where it lies;
+        a restart BS away from the last fragment links into the chain, and
+        its registration, common to all strategies, is not priced."""
+        cell_bsc, fragments, settle = self._cell_bsc, self.fragments, self.settle_peaks
+        cell, bsc, seq, pieces = self.current_cell, self.current_bsc, self.next_seq, self.pieces
+        chain_length, deadline = self.pointer_chain_length, self.sp.recovery_deadline
+        write_runs, keep, write_run = self._write_runs, self._keep, self._write_run
+        recovery_price, site_of = self._recovery_price, self._checkpoint_site
+        checkpoint_cost, pointer_cost = self._checkpoint_cost, self._pointer_cost
+        checkpoint_total, pointer_total = checkpoint_cost.total, pointer_cost.total
+        # The cell whose BS holds the last fragment, and that fragment's entries.
+        last_cell = fragments[-1].site[1] if fragments else None
+        entries = fragments[-1].entries if fragments else None
+        times = iter(write_times or ())
+        last = None
+        handoffs = checkpoints = failures = successes = home = peak = 0
+        cost_handoff = cost_recovery = cost_logging = cost_checkpoint = 0.0
+        retrieval_sum = cost_home = 0.0
+
+        for k, event in zip(writes, chain(events, (None,))):
+            if k:
+                if last_cell != cell:
+                    frag = Fragment((BS, cell), bsc)
+                    fragments.append(frag)
+                    last_cell, entries = cell, frag.entries
+                if not entries:
+                    pieces += 1
+                entries += range(seq, seq + k)
+                seq += k
+                key = (k, pieces)
+                run = last = write_runs.get(key)
+                if run is None:
+                    run = last = keep(write_runs, key, write_run(k, pieces))
+                # One addition per charged write, in order, as a per-write loop
+                # sums them; an uncharged write adds 0.0, which changes nothing.
+                cost = run.delta.total
+                for _ in run.charged:
+                    cost_logging += cost
+                if trace is not None:
+                    for i in range(k):
+                        trace.append((next(times), "WRITE", run.delta if i in run.charged else NO_COST))
+                if run.peak_pieces > peak:
+                    peak = run.peak_pieces
+            if event is None:
+                break
+            t, ev, to = event
+            if ev == "CHECKPOINT":
+                self.checkpoint_site, self.checkpoint_region = site_of(cell, bsc)
+                settle()
+                fragments.clear()
+                pieces = chain_length = 0
+                last_cell = entries = None
+                delta = last = checkpoint_cost
+                checkpoints += 1
+                cost_checkpoint += checkpoint_total
+            elif ev == "HANDOFF":
+                cell, bsc = to, cell_bsc[to]
+                chain_length += 1
+                delta = last = pointer_cost
+                handoffs += 1
+                cost_handoff += pointer_total
+            else:  # FAILURE
+                in_home, bsc = cell_bsc[to] == bsc, cell_bsc[to]
+                cell = to
+                self.pointer_chain_length = chain_length
+                last = recovery_price((BS, to), bsc, in_home)
+                delta, _, retrieval_time = last
+                if last_cell is not None and last_cell != to:
+                    chain_length += 1
+                failures += 1
+                total = delta.total
+                cost_recovery += total
+                if retrieval_time <= deadline:
+                    successes += 1
+                retrieval_sum += retrieval_time
+                if in_home:
+                    cost_home += total
+                    home += 1
+            if trace is not None:
+                trace.append((t, ev, delta))
+
+        self.current_cell, self.current_bsc, self.next_seq = cell, bsc, seq
+        self.pieces, self.pointer_chain_length = pieces, chain_length
+        return (
+            handoffs, checkpoints, failures, successes, 0, home, peak,
+            cost_handoff, cost_checkpoint, cost_logging, cost_recovery, cost_home, retrieval_sum,
+        ), last
 
 
 class _OneFragmentStrategy(LogStrategy):
@@ -440,6 +536,8 @@ class _OneFragmentStrategy(LogStrategy):
     checkpoint's site and region after every event. A handoff moves both to
     the host's checkpoint site and appends the cache there; the subclasses
     price the move (``_move_price``)."""
+
+    _caches = False  # whether writes wait in the host's cache
 
     def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
         super().__init__(tree, sp, cp)
@@ -449,65 +547,141 @@ class _OneFragmentStrategy(LogStrategy):
         # its BSC and, past the gap, down to the new BS.
         self._end_hops = 2 if self.checkpoint_site[0] == BS else 0
 
-    def _handoff(self, from_bsc) -> CostDelta:
-        """The log moves ``hops`` wired hops, and a move of 0 hops carries
-        none, so the price depends only on the log's entry count (0 for such
-        a move), ``hops`` and the cache fill. It comes from the run's
-        ``_move_prices`` table under those, at most ``_PRICE_TABLE_LIMIT``."""
-        to_bsc = self.current_bsc
-        hops = self._end_hops
-        if from_bsc != to_bsc:
-            hops += _bsc_gap(self.tree, from_bsc, to_bsc)
-        cache = self.cache
-        n = len(self.fragments[0].entries) if hops and self.fragments else 0
-        key = (n, hops, len(cache))
-        delta = self._move_prices.get(key)
-        if delta is None:
-            delta = self._keep(self._move_prices, key, self._move_price(n, hops, len(cache)))
-        if hops:
-            self._rehome()
-        if cache:
-            self._append(self.checkpoint_site, self.checkpoint_region, cache)
-            cache.clear()
-        return delta
-
-    def _move_price(self, n: int, hops: int, cached: int) -> CostDelta:
-        """A handoff moving ``n`` log entries ``hops`` hops, flushing ``cached``."""
-        raise NotImplementedError
-
-    def _rehome(self) -> None:
-        """Move the checkpoint and the one fragment, if there is one, to the
-        host's checkpoint site. A move out of the fragment's region settles
+    def _fold(self, writes, events, write_times, trace):
+        """Writes go to the fragment (pessimistic) or to the cache, whose
+        filling write flushes it there (proposed). A handoff moves the log
+        ``hops`` wired hops (none for 0 hops), priced by its entry count,
+        ``hops`` and the cache fill, then re-homes the checkpoint and the
+        fragment at the host's checkpoint site, and the cache joins it. A
+        recovery fetches both over the same ``hops`` to the restart BS, so
+        its price depends on the entry count and ``hops`` alone (proposed
+        restarts at home exactly when ``hops == 1``); the cache dies with
+        the host, and the fetched copies are re-homed as the durable ones
+        at no further cost. Re-homing out of the fragment's region settles
         that region's peak, which the fragment alone fills."""
-        site, region = self._checkpoint_site()
-        if self.fragments:
-            frag = self.fragments[0]
-            if frag.region != region:
-                n, peaks = len(frag.entries), self.region_peaks
-                if n > peaks.get(frag.region, 0):
-                    peaks[frag.region] = n
-            frag.site, frag.region = site, region
+        tree, cell_bsc, cache, fragments = self.tree, self._cell_bsc, self.cache, self.fragments
+        cell, bsc, seq, pieces = self.current_cell, self.current_bsc, self.next_seq, self.pieces
+        site, region, peaks = self.checkpoint_site, self.checkpoint_region, self.region_peaks
+        write_runs, move_prices = self._write_runs, self._move_prices
+        recovery_prices, keep, write_run = self._recovery_prices, self._keep, self._write_run
+        move_price, recovery_price = self._move_price, self._recovery_price
+        site_of, empty_log, settle = self._checkpoint_site, self._empty_log, self.settle_peaks
+        end_hops, caches, deadline = self._end_hops, self._caches, self.sp.recovery_deadline
+        checkpoint_cost = self._checkpoint_cost
+        # The one fragment; a purged proposed log holds it outside
+        # ``fragments`` until it takes its first entry.
+        frag = fragments[0] if fragments else Fragment(site, region)
+        entries = frag.entries
+        times = iter(write_times or ())
+        last = None
+        handoffs = checkpoints = failures = successes = lost = home = peak = 0
+        cost_handoff = cost_recovery = cost_logging = cost_checkpoint = 0.0
+        retrieval_sum = cost_home = 0.0
+
+        for k, event in zip(writes, chain(events, (None,))):
+            if k:
+                first = seq
+                seq += k
+                if caches:
+                    key = (k, len(cache), pieces)
+                    run = last = write_runs.get(key)
+                    if run is None:
+                        run = last = keep(write_runs, key, write_run(*key))
+                    if run.charged:
+                        flushed = first + run.charged[-1] + 1
+                        cache += range(first, flushed)
+                        if not entries:
+                            pieces += 1
+                            fragments[:] = (frag,)
+                        entries += cache
+                        cache[:] = range(flushed, seq)
+                    else:
+                        cache += range(first, seq)
+                else:
+                    if not entries:
+                        pieces += 1
+                    entries += range(first, seq)
+                    key = (k, pieces)
+                    run = last = write_runs.get(key)
+                    if run is None:
+                        run = last = keep(write_runs, key, write_run(k, pieces))
+                # One addition per charged write, in order, as a per-write loop
+                # sums them; an uncharged write adds 0.0, which changes nothing.
+                cost = run.delta.total
+                for _ in run.charged:
+                    cost_logging += cost
+                if trace is not None:
+                    for i in range(k):
+                        trace.append((next(times), "WRITE", run.delta if i in run.charged else NO_COST))
+                if run.peak_pieces > peak:
+                    peak = run.peak_pieces
+            if event is None:
+                break
+            t, ev, to = event
+            if ev == "CHECKPOINT":
+                site, region = site_of(cell, bsc)
+                cache.clear()
+                settle()
+                fragments[:] = empty_log(site, region)
+                pieces = 0
+                frag = fragments[0] if fragments else Fragment(site, region)
+                entries = frag.entries
+                delta = last = checkpoint_cost
+                checkpoints += 1
+                cost_checkpoint += checkpoint_cost.total
+            else:
+                from_bsc, bsc = bsc, cell_bsc[to]
+                cell = to
+                if ev == "HANDOFF":
+                    hops = end_hops if from_bsc == bsc else end_hops + _bsc_gap(tree, from_bsc, bsc)
+                    n = len(entries) if hops else 0
+                    key = (n, hops, len(cache))
+                    delta = last = move_prices.get(key)
+                    if delta is None:
+                        delta = last = keep(move_prices, key, move_price(n, hops, len(cache)))
+                    handoffs += 1
+                    cost_handoff += delta.total
+                else:  # FAILURE
+                    in_home = bsc == from_bsc
+                    hops = hops_between(tree, site, region, (BS, to), bsc)
+                    key = (len(entries), hops)
+                    last = recovery_prices.get(key)
+                    if last is None:
+                        self.checkpoint_site, self.checkpoint_region = site, region
+                        last = keep(recovery_prices, key, recovery_price((BS, to), bsc, in_home))
+                    delta, _, retrieval_time = last
+                    lost += len(cache)
+                    cache.clear()
+                    failures += 1
+                    total = delta.total
+                    cost_recovery += total
+                    if retrieval_time <= deadline:
+                        successes += 1
+                    retrieval_sum += retrieval_time
+                    if in_home:
+                        cost_home += total
+                        home += 1
+                # A recovery of 0 hops restarts at the checkpoint's own site.
+                if hops:
+                    to_site, to_region = site_of(cell, bsc)
+                    if to_region != region and len(entries) > peaks.get(region, 0):
+                        peaks[region] = len(entries)
+                    site, region = frag.site, frag.region = to_site, to_region
+                if cache:
+                    if not entries:
+                        pieces += 1
+                        fragments[:] = (frag,)
+                    entries += cache
+                    cache.clear()
+            if trace is not None:
+                trace.append((t, ev, delta))
+
+        self.current_cell, self.current_bsc, self.next_seq, self.pieces = cell, bsc, seq, pieces
         self.checkpoint_site, self.checkpoint_region = site, region
-
-    _after_recovery = _rehome  # the fetched copies become the durable ones
-
-    def _recovery_price(self, rec_site, recovery_bsc, in_home_region):
-        """The fragment and the checkpoint travel the same ``hops`` to the
-        restart BS, so the price depends only on the fragment's entry count
-        ``n`` and ``hops``; the locate messages follow from ``hops`` too
-        (proposed restarts in its home region exactly when ``hops == 1``).
-        It comes from the run's ``_recovery_prices`` table under
-        ``(n, hops)``, at most ``_PRICE_TABLE_LIMIT`` entries."""
-        n = len(self.fragments[0].entries) if self.fragments else 0
-        hops = hops_between(
-            self.tree, self.checkpoint_site, self.checkpoint_region, rec_site, recovery_bsc
-        )
-        key = (n, hops)
-        price = self._recovery_prices.get(key)
-        if price is None:
-            price = super()._recovery_price(rec_site, recovery_bsc, in_home_region)
-            self._keep(self._recovery_prices, key, price)
-        return price
+        return (
+            handoffs, checkpoints, failures, successes, lost, home, peak,
+            cost_handoff, cost_checkpoint, cost_logging, cost_recovery, cost_home, retrieval_sum,
+        ), last
 
 
 class PessimisticStrategy(_OneFragmentStrategy):
@@ -515,8 +689,8 @@ class PessimisticStrategy(_OneFragmentStrategy):
 
     kind = StrategyKind.PESSIMISTIC
 
-    def _reset_fragments(self) -> None:
-        self._place([Fragment((BS, self.current_cell), self.current_bsc)])
+    def _empty_log(self, site, region) -> list[Fragment]:
+        return [Fragment(site, region)]
 
     def _move_price(self, n, hops, cached) -> CostDelta:
         # One message, then the log and checkpoint carried to the new BS.
@@ -529,42 +703,24 @@ class ProposedStrategy(_OneFragmentStrategy):
     The log is at most one fragment, and it and the checkpoint sit at the
     host's BSC after every event: flushes go there, and the host changes
     BSC only by an inter-BSC handoff or a recovery, each of which moves
-    them along (``_rehome``)."""
+    them along."""
 
     kind = StrategyKind.PROPOSED
+    _caches = True
 
     def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
         super().__init__(tree, sp, cp)
         self._full_flush_cost = self._flush_cost(sp.cache_capacity)
 
-    def _checkpoint_site(self) -> tuple[Site, BscId]:
-        return bsc_site(self.current_bsc), self.current_bsc
-
-    def on_writes(self, k: int) -> WriteRun:
-        """Each write joins the cache, and the write that fills it flushes
-        the cache to the host's BSC. Every flush of the run moves a full
-        cache from the same cell, so they all cost the same. The run
-        depends only on ``k``, the cache fill and the piece count before
-        it, so it comes from the run's ``_write_runs`` table under those."""
-        cache = self.cache
-        first = self.next_seq
-        self.next_seq = first + k
-        key = (k, len(cache), self.pieces)
-        run = self._write_runs.get(key)
-        if run is None:
-            run = self._keep(self._write_runs, key, self._write_run(*key))
-        if not run.charged:
-            cache.extend(range(first, first + k))
-            return run
-        flushed = first + run.charged[-1] + 1
-        cache.extend(range(first, flushed))
-        self._append(self.checkpoint_site, self.checkpoint_region, cache)
-        cache[:] = range(flushed, first + k)
-        return run
+    def _checkpoint_site(self, cell, bsc) -> tuple[Site, BscId]:
+        return bsc_site(bsc), bsc
 
     def _write_run(self, k: int, n: int, before: int) -> WriteRun:
         """A run of ``k`` writes onto a cache of ``n`` entries, with
-        ``before`` non-empty fragments."""
+        ``before`` non-empty fragments. Each write joins the cache, and the
+        write that fills it flushes the cache to the host's BSC. Every flush
+        of the run moves a full cache from the same cell, so they all cost
+        the same."""
         cap = self.sp.cache_capacity
         first = cap - n - 1  # index of the write that fills the cache
         if first >= k:

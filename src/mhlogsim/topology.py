@@ -124,10 +124,10 @@ def build_topology(
         if count < 1:
             raise ValueError(f"topology.{key} must be >= 1, got {count}")
     n = msc_count * bscs_per_msc * bss_per_bsc
-    if n < 2:
-        raise ValueError("topology must contain at least 2 cells for mobility")
-    if n > MAX_CELLS:
-        raise ValueError(f"topology has {n} cells, more than MAX_CELLS ({MAX_CELLS})")
+    if not 2 <= n <= MAX_CELLS:
+        keys = "topology.msc * topology.bsc_per_msc * topology.bs_per_bsc"
+        bound = ">= 2 cells for mobility" if n < 2 else f"<= MAX_CELLS ({MAX_CELLS})"
+        raise ValueError(f"{keys} must be {bound}, got {n}")
     if inter_msc_bsc_hops < 2:
         raise ValueError(f"topology.inter_msc_hops must be >= 2, got {inter_msc_bsc_hops}")
     if adjacency_kind == "ring":

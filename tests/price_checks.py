@@ -81,7 +81,7 @@ def assert_cached_prices_fresh(strategy):
     key assumes, shares the checkpoint's site and region."""
     cp = strategy.cp
     assert strategy._write_cost == strategy._ship(strategy._messages(1), cp.c_1, [(1, 0)])
-    site, region = strategy._checkpoint_site()
+    site, region = strategy._checkpoint_site(strategy.current_cell, strategy.current_bsc)
     hops = hops_between(strategy.tree, bs_site(strategy.current_cell), strategy.current_bsc,
                         site, region)
     assert strategy._checkpoint_cost == strategy._ship(CostDelta(), cp.c_c, [(1, hops)])

@@ -30,6 +30,8 @@ from mhlogsim.strategies import LazyStrategy, make_strategy
 from mhlogsim.topology import BS, bs_site, bsc_site
 from mhlogsim import engine, experiments, topology
 
+from conftest import step
+
 
 class FakeRng:
     """Returns a scripted uniform value and bounded integer so draws can be
@@ -295,7 +297,6 @@ class TestPlacementPeaks:
         })
         peak = [0]
         bsc_peaks: dict[int, int] = {}
-        engine_make_strategy = engine.make_strategy
 
         def rescan(strategy):
             # Pessimistic keeps its one fragment with the checkpoint at the
@@ -315,7 +316,7 @@ class TestPlacementPeaks:
                 bsc_peaks[region] = max(bsc_peaks.get(region, 0), n)
 
         def rescanning(kind, tree, sp, cp):
-            strategy = engine_make_strategy(kind, tree, sp, cp)
+            strategy = make_strategy(kind, tree, sp, cp)
             for hook in ("on_handoff", "on_checkpoint", "recover"):
                 setattr(strategy, hook, after_each(getattr(strategy, hook), strategy))
             strategy.on_writes = write_by_write(type(strategy).on_writes, strategy)
@@ -342,11 +343,11 @@ class TestPlacementPeaks:
                 return out
             return wrapped
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "make_strategy", rescanning)
-            stats = run_simulation(cfg, kind, seed)
+        timeline = engine.generate_timeline(cfg, seed)
+        stats = step(rescanning(kind, cfg.tree, cfg.sim, cfg.cost), timeline)
         assert stats.peak_fragments == peak[0]
         assert stats.bsc_peak_entries == bsc_peaks
+        assert stats == make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline)
 
 
 def reference_run(cfg, kind, seed, trace):
@@ -441,13 +442,19 @@ def reference_run(cfg, kind, seed, trace):
     adjacency=st.sampled_from(["ring", "grid"]),
     p_same_region=st.sampled_from([0.0, 0.8, 1.0]),
     # Unit costs such as 0.1 are inexact in binary, so a run's cost summed
-    # as k * c would differ from k additions in the last bits.
+    # as k * c would differ from k additions in the last bits, and every
+    # CostDelta field's float order shows in the trace.
     c_1=st.sampled_from([1.0, 0.1, 0.7]),
     alpha=st.sampled_from([1.0, 0.3]),
+    rho=st.sampled_from([1.0, 0.1, 1.3]),
+    r=st.sampled_from([0.1, 0.7, 1.3]),
+    c_m=st.sampled_from([0.5, 0.1, 1.3]),
+    c_c=st.sampled_from([5.0, 0.7, 1.3]),
     seed=st.integers(0, 2**64 - 1),
 )
 def test_fold_equals_per_event_reference(
-    kind, t_c, mu, lambda_w, lambda_f, cache, shape, adjacency, p_same_region, c_1, alpha, seed
+    kind, t_c, mu, lambda_w, lambda_f, cache, shape, adjacency, p_same_region, c_1, alpha,
+    rho, r, c_m, c_c, seed,
 ):
     cfg = sim_config(**{
         "sim.T_c": t_c, "sim.mu": mu, "sim.lambda_w": lambda_w,
@@ -455,7 +462,8 @@ def test_fold_equals_per_event_reference(
         "sim.horizon": 1500.0, "topology.msc": shape[0],
         "topology.bsc_per_msc": shape[1], "topology.bs_per_bsc": shape[2],
         "topology.adjacency": adjacency, "recovery.p_same_region": p_same_region,
-        "cost.C_1": c_1, "cost.alpha": alpha,
+        "cost.C_1": c_1, "cost.alpha": alpha, "cost.rho": rho, "cost.r": r,
+        "cost.C_m": c_m, "cost.C_c": c_c,
     })
     expected_trace: list = []
     expected = reference_run(cfg, kind, seed, expected_trace)
@@ -533,10 +541,11 @@ class TestTimelineCache:
 def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls, monkeypatch):
     # Lazy keeps ~mu * T_c fragments between purges: about 3 at T_c=50 and
     # well over 100 at T_c=4000. Placement work per event must not follow:
-    # the handlers read each cell's BSC from the tree's table, so a run
+    # the fold reads each cell's BSC from the tree's table, so a run
     # calls bsc_of once, at birth, and hops_between once at birth and once
     # per piece a recovery fetches, the checkpoint included. No write,
-    # handoff or checkpoint calls either.
+    # handoff or checkpoint calls either. The handlers, stepped one event
+    # at a time, report the pieces fetched; the fold makes the same calls.
     fetched = []
     recover = LazyStrategy.recover
 
@@ -551,12 +560,17 @@ def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls, monkeypatc
         cfg = sim_config(**{
             "sim.T_c": t_c, "sim.mu": 0.1, "sim.lambda_w": 0.1, "sim.horizon": 20000.0,
         })
+        timeline = engine.generate_timeline(cfg, 12345)
         calls.clear()
         fetched.clear()
-        stats = run_simulation(cfg, "lazy", 12345)
+        stats = step(make_strategy("lazy", cfg.tree, cfg.sim, cfg.cost), timeline)
         assert len(fetched) == stats.failure_count > 0, t_c
         assert calls["bsc_of"] == 1, t_c
         assert calls["hops_between"] == 1 + sum(fetched), t_c
+        stepped = dict(calls)
+        calls.clear()
+        assert run_simulation(cfg, "lazy", 12345) == stats, t_c
+        assert calls == stepped, t_c
     assert stats.peak_fragments > 100
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mhlogsim.config import check_count, default_config
+from mhlogsim.config import Config, check_count, default_config
 from mhlogsim.experiments import (
     CSV_HEADER,
     FIGURE_IDS,
@@ -331,6 +331,26 @@ class TestCli:
         spec = figure_spec("fig6", cfg, reps=2)
         lines = provenance_lines(spec, cfg)
         assert any("recovery.deadline per sweep point" in ln for ln in lines)
+
+    def test_write_figure_builds_each_point_once(self, tmp_path, monkeypatch):
+        # One base config under the figure's overrides, then one per sweep
+        # value: the warnings, the run and the provenance share them.
+        made = []
+        original = Config.with_overrides
+
+        def counting(cfg, overrides):
+            made.append(overrides)
+            return original(cfg, overrides)
+
+        cfg = default_config().with_overrides({"sim.horizon": 1000.0})
+        monkeypatch.setattr(Config, "with_overrides", counting)
+        spec = figure_spec("fig3", cfg, reps=1)
+        made.clear()
+        path, rows, _, _ = experiments.write_figure("fig3", cfg, tmp_path, reps=1)
+        assert made == [spec.overrides] + [{spec.swept_param: v} for v in spec.sweep_values]
+        assert rows == run_figure(spec, cfg)
+        assert path.read_text(encoding="utf-8").startswith(
+            "".join(f"# {line}\n" for line in provenance_lines(spec, cfg)))
 
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "file"

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from mhlogsim import engine, strategies
+from mhlogsim import strategies
 from mhlogsim.config import CONFIG_KEYS, default_config
-from mhlogsim.engine import RunStats, _fold, generate_timeline, run_simulation
+from mhlogsim.engine import RunStats, generate_timeline, run_simulation
 from mhlogsim.model import ValidationError
 from mhlogsim.strategies import make_strategy
 
+from conftest import step
 from price_checks import assert_cached_prices_fresh, fresh_write_run
 
 KINDS = ("lazy", "pessimistic", "proposed")
@@ -141,12 +142,12 @@ def test_cached_prices_equal_fresh_prices_after_every_event(values):
     # the trace fold.
     assume(multi_cell(values))
     cfg = accepted(values)
+    timeline = generate_timeline(cfg, cfg.sim.seed, True)
     for kind in KINDS:
         trace: list = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "make_strategy", price_checking)
-            stats = run_simulation(cfg, kind, cfg.sim.seed, trace=trace)
+        stats = step(price_checking(kind, cfg.tree, cfg.sim, cfg.cost), timeline, trace)
         assert_trace_folds_to(stats, trace, kind)
+        assert stats == make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline), kind
 
 
 def run_kinds(cfg):
@@ -180,12 +181,12 @@ def assert_full_table_prices_misses_afresh(overrides, table):
     timeline = generate_timeline(cfg, cfg.sim.seed)
     assert "CHECKPOINT" not in {ev for _, ev, _ in timeline.events}
     strategy = make_strategy("pessimistic", cfg.tree, cfg.sim, cfg.cost)
-    stats = _fold(strategy, timeline, None)
+    stats = strategy.fold(timeline)
     assert len(getattr(strategy, table)) == strategies._PRICE_TABLE_LIMIT
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strategies, "_PRICE_TABLE_LIMIT", 0)
         strategy = make_strategy("pessimistic", cfg.tree, cfg.sim, cfg.cost)
-        assert _fold(strategy, timeline, None) == stats
+        assert strategy.fold(timeline) == stats
         assert not getattr(strategy, table)
 
 
@@ -220,7 +221,8 @@ def test_proposed_write_runs_equal_a_per_write_replay(values):
         return run
 
     strategy.on_writes = replayed
-    _fold(strategy, generate_timeline(cfg, cfg.sim.seed), None)
+    timeline = generate_timeline(cfg, cfg.sim.seed)
+    assert step(strategy, timeline) == make_strategy("proposed", cfg.tree, cfg.sim, cfg.cost).fold(timeline)
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,7 +267,7 @@ def test_replay_without_loss_when_no_failure_occurs(values):
     expected = list(range(total - pending + 1, total + 1))
     for kind in KINDS:
         strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
-        _fold(strategy, timeline, None)
+        strategy.fold(timeline)
         assert strategy.replay_sequence() == expected, kind
 
 
@@ -282,27 +284,39 @@ def test_replay_loses_only_what_recoveries_report(values):
     assume("FAILURE" in {ev for _, ev, _ in timeline.events})
     for kind in KINDS:
         strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
-        written, expected = 0, []
-        # writes[i] precedes events[i]; the last entry follows the last event.
-        for k, event in zip(timeline.writes, [*timeline.events, None]):
-            if k:
-                strategy.on_writes(k)
-                expected.extend(range(written + 1, written + k + 1))
-                written += k
-                assert strategy.replay_sequence() == expected, kind
-            if event is None:
-                break
-            _, ev, cell = event
-            if ev == "CHECKPOINT":
-                strategy.on_checkpoint()
-                expected.clear()
-            elif ev == "HANDOFF":
-                strategy.on_handoff(cell)
-            else:
-                lost = strategy.recover(cell).lost_entries
-                assert lost <= (k if kind == "proposed" else 0), kind
-                del expected[len(expected) - lost:]
+        on_writes, on_checkpoint = strategy.on_writes, strategy.on_checkpoint
+        on_handoff, recover = strategy.on_handoff, strategy.recover
+        # The writes since the last event, and those the log should replay.
+        run, expected = [0], []
+
+        def writes(k):
+            out = on_writes(k)
+            expected.extend(range(strategy.next_seq - k, strategy.next_seq))
+            run[0] = k
+            assert strategy.replay_sequence() == expected, kind
+            return out
+
+        def after(ev, out):
+            run[0] = 0
             assert strategy.replay_sequence() == expected, (kind, ev)
+            return out
+
+        def checkpoint():
+            out = on_checkpoint()
+            expected.clear()
+            return after("CHECKPOINT", out)
+
+        def failure(cell):
+            out = recover(cell)
+            lost = out.lost_entries
+            assert lost <= (run[0] if kind == "proposed" else 0), kind
+            del expected[len(expected) - lost:]
+            return after("FAILURE", out)
+
+        strategy.on_writes, strategy.on_checkpoint = writes, checkpoint
+        strategy.on_handoff = lambda cell: after("HANDOFF", on_handoff(cell))
+        strategy.recover = failure
+        assert step(strategy, timeline) == make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline)
 
 
 def held_pieces(strategy):
@@ -335,4 +349,4 @@ def test_only_writes_raise_the_piece_count(values):
         strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
         for name in ("on_checkpoint", "on_handoff", "recover"):
             not_raising_pieces(strategy, kind, name)
-        _fold(strategy, timeline, None)
+        assert step(strategy, timeline) == make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mhlogsim.engine import Timeline
 from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import CostDelta, make_strategy
 from mhlogsim.topology import bs_site, bsc_site, build_topology, hop_distance, mh_site, region_of
@@ -220,7 +221,7 @@ class TestCheckpointLookups:
         for _ in range(6):
             strat.on_write()
         strat.on_handoff(2)  # into the second region
-        site, region = strat._checkpoint_site()
+        site, region = strat._checkpoint_site(strat.current_cell, strat.current_bsc)
         hops = hop_distance(tree, bs_site(strat.current_cell), site)
         assert region_of(tree, site) == region
         calls = count_calls("bsc_of", "hop_distance")
@@ -492,6 +493,28 @@ class TestExactPricing:
         assert outcome.retrieval_time == (
             XP.t_load_ckpt + XP.t_load_log * (len(fragments) + 1) + time
         )
+
+
+class TestRegionPeaks:
+    """A region whose largest holding is one entry still has a peak. One
+    write in cell 0, then a handoff to cell 3 in the other region: lazy
+    leaves its entry in region 0, pessimistic carries it to region 1, and
+    proposed flushes its cache into region 1."""
+
+    PEAKS = {"lazy": {0: 1}, "pessimistic": {0: 1, 1: 1}, "proposed": {1: 1}}
+
+    @pytest.mark.parametrize("kind", list(PEAKS))
+    def test_one_entry_regions_through_the_handlers(self, kind):
+        strat = setup(kind)
+        strat.on_write()
+        strat.on_handoff(3)
+        assert strat.settle_peaks() == self.PEAKS[kind]
+
+    @pytest.mark.parametrize("kind", list(PEAKS))
+    def test_one_entry_regions_through_the_fold(self, kind):
+        strat = setup(kind)
+        stats = strat.fold(Timeline([(1.0, "HANDOFF", 3)], [1, 0], 0, 1))
+        assert stats.bsc_peak_entries == self.PEAKS[kind]
 
 
 class TestLogLocations:
