@@ -6,19 +6,26 @@ keys take the documented defaults. ``recovery.deadline`` accepts ``auto``
 (the default), which recalibrates the deadline from the current rates, or
 an explicit number, which pins it across sweeps. A value set from code, as
 ``Config.with_overrides`` takes it, is parsed as its text would be.
+
+A parsed config is checked in two stages. First every key on its own, by
+its parameter row or its own bound, with all failures reported together in
+row order. Then, once every key passes, the checks that join keys: the auto
+deadline's calibration, the event budget and the topology.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .model import (
-    SEED_MASK,
+    SEED_RANGE,
     CostParams,
     SimParams,
     ValidationError,
     default_recovery_deadline,
+    row_violations,
     validate_params,
 )
 from .strategies import StrategyKind
@@ -44,49 +51,18 @@ def _parse_deadline(text: str) -> float | str:
     return float(text)
 
 
-# Each SimParams and CostParams field -> the config key it is read from. A
-# violation validate_params names by field is reported under its key.
-_SIM_KEYS = {
-    "lambda_f": "sim.lambda_f",
-    "lambda_w": "sim.lambda_w",
-    "mu": "sim.mu",
-    "t_c": "sim.T_c",
-    "cache_capacity": "sim.cache_capacity",
-    "sim_horizon": "sim.horizon",
-    "seed": "sim.seed",
-    "replications": "sim.replications",
-}
-_COST_KEYS = {
-    "r": "cost.r",
-    "c_c": "cost.C_c",
-    "c_1": "cost.C_1",
-    "c_m": "cost.C_m",
-    "alpha": "cost.alpha",
-    "rho": "cost.rho",
-    "t_load_ckpt": "cost.T_load_ckpt",
-    "t_load_log": "cost.T_load_log",
-    "c_p": "cost.C_p",
-}
-_KEY_OF_FIELD = {**_SIM_KEYS, **_COST_KEYS, "recovery_deadline": "recovery.deadline"}
-
-
-def _field_keys(params: type, keys: dict[str, str]) -> dict[str, tuple]:
-    """The ``CONFIG_KEYS`` entries of ``keys``: each key is parsed as its
-    ``params`` field's type and defaults to that field's default."""
-    types = {"float": float, "int": int}
-    return {keys[f.name]: (types[f.type], f.default) for f in fields(params) if f.name in keys}
-
-
-# key -> (parser, default)
+# key -> (parser, default). Each SimParams and CostParams field is read from
+# the key its row declares, parsed as the type of its default.
 CONFIG_KEYS: dict[str, tuple] = {
-    **_field_keys(SimParams, _SIM_KEYS),
-    **_field_keys(CostParams, _COST_KEYS),
+    **{f.metadata["key"]: (type(f.default), f.default)
+       for f in (*fields(SimParams), *fields(CostParams))},
     "topology.msc": (int, 1),
     "topology.bsc_per_msc": (int, 3),
     "topology.bs_per_bsc": (int, 3),
     "topology.adjacency": (str, "ring"),
     "topology.inter_msc_hops": (int, 4),
     "strategy": (str, "proposed"),
+    # Replaces the recovery_deadline row's entry: the key also takes "auto".
     "recovery.deadline": (_parse_deadline, "auto"),
     "recovery.p_same_region": (float, 0.8),
     "frcr.erratum_bound": (_parse_bool, False),
@@ -140,16 +116,10 @@ class Config:
         return {key: _parse(key, text) for key, text in self.raw}
 
 
-def _keyed(violation: str) -> str:
-    """``violation`` with its leading field name replaced by the config key."""
-    name, sep, rest = violation.partition(" must be ")
-    return f"{_KEY_OF_FIELD[name]}{sep}{rest}" if name in _KEY_OF_FIELD else violation
-
-
 def check_seed(name: str, seed: int) -> None:
     """Reject a seed that is not a 64-bit stream seed, naming its source."""
-    if not 0 <= seed <= SEED_MASK:
-        raise ValidationError([f"{name} must be in [0, 2**64), got {seed}"])
+    if message := SEED_RANGE.violation(name, seed):
+        raise ValidationError([message])
 
 
 def check_count(name: str, value: int, most: int | None = None) -> None:
@@ -162,51 +132,34 @@ def check_count(name: str, value: int, most: int | None = None) -> None:
 
 def _build_config(values: dict[str, object]) -> Config:
     """The Config of ``values``, each already of its key's type."""
-    merged = {key: default for key, (_, default) in CONFIG_KEYS.items()}
-    merged.update(values)
+    merged = {key: default for key, (_, default) in CONFIG_KEYS.items()} | values
+    raw = tuple(sorted((key, _format_value(value)) for key, value in merged.items()))
 
-    deadline = merged["recovery.deadline"]
+    # An auto deadline is a placeholder until every rate it reads is checked.
+    auto = merged["recovery.deadline"] == "auto"
+    numbers = {**merged, "recovery.deadline": 1.0} if auto else merged
+    sim, cost = (cls(**{f.name: numbers[f.metadata["key"]] for f in fields(cls)})
+                 for cls in (SimParams, CostParams))
+    violations = row_violations(sim, by_key=True) + row_violations(cost, by_key=True)
+    if merged["strategy"] not in {kind.value for kind in StrategyKind}:
+        violations.append(
+            f"strategy must be one of lazy|pessimistic|proposed, got {merged['strategy']!r}")
+    if not 0.0 <= merged["recovery.p_same_region"] <= 1.0:
+        violations.append("recovery.p_same_region must be in [0, 1]")
+    if violations:
+        raise ValidationError(violations)
 
-    # recovery_deadline is a placeholder until calibrated below.
-    sim = SimParams(
-        recovery_deadline=1.0, **{name: merged[key] for name, key in _SIM_KEYS.items()}
-    )
-    cost = CostParams(**{name: merged[key] for name, key in _COST_KEYS.items()})
-    if deadline == "auto":
-        sim = replace(sim, recovery_deadline=default_recovery_deadline(sim, cost))
-    else:
+    if auto:
+        deadline = default_recovery_deadline(sim, cost)
+        if deadline == 0 or not math.isfinite(deadline):
+            why = "every load time and transfer cost is 0" if deadline == 0 else "it overflows"
+            raise ValidationError([
+                f"recovery.deadline = auto calibrated to {deadline:g} because {why} "
+                "(cost.T_load_ckpt, cost.T_load_log, cost.C_c, cost.C_m, and cost.C_1 at the "
+                "expected log size); set an explicit recovery.deadline"
+            ])
         sim = replace(sim, recovery_deadline=deadline)
-
-    try:
-        warnings = tuple(validate_params(sim, cost))
-    except ValidationError as exc:
-        violations = exc.violations
-        if deadline == "auto":
-            # With every other parameter valid, an auto deadline is 0 only when
-            # each load time and transfer cost it is calibrated from is 0.
-            if violations == ["recovery_deadline must be > 0"]:
-                raise ValidationError([
-                    "recovery.deadline = auto calibrated to 0 because every load time and "
-                    "transfer cost is 0 (cost.T_load_ckpt, cost.T_load_log, cost.C_c, "
-                    "cost.C_m, and cost.C_1 at the expected log size); set an explicit "
-                    "recovery.deadline"
-                ]) from None
-            # Made from the other keys, the deadline fails only in their wake.
-            others = [v for v in violations if not v.startswith("recovery_deadline ")]
-            violations = others or violations
-        raise ValidationError([_keyed(v) for v in violations]) from None
-    check_seed("sim.seed", sim.seed)
-
-    try:
-        strategy = StrategyKind(merged["strategy"])
-    except ValueError:
-        raise ValidationError(
-            [f"strategy must be one of lazy|pessimistic|proposed, got {merged['strategy']!r}"]
-        ) from None
-
-    p_same = merged["recovery.p_same_region"]
-    if not 0.0 <= p_same <= 1.0:
-        raise ValidationError(["recovery.p_same_region must be in [0, 1]"])
+    warnings = tuple(validate_params(sim, cost))
 
     try:
         tree = build_topology(
@@ -223,10 +176,10 @@ def _build_config(values: dict[str, object]) -> Config:
         sim=sim,
         cost=cost,
         tree=tree,
-        strategy=strategy,
-        p_same_region=p_same,
+        strategy=StrategyKind(merged["strategy"]),
+        p_same_region=merged["recovery.p_same_region"],
         frcr_erratum_bound=merged["frcr.erratum_bound"],
-        raw=tuple(sorted((key, _format_value(value)) for key, value in merged.items())),
+        raw=raw,
         warnings=warnings,
     )
 

@@ -3,12 +3,17 @@
 All rates are per abstract time unit and all costs are in abstract cost
 units; there is no wall-clock binding. A validated configuration bundle is
 immutable and can be shared freely between simulation runs.
+
+Each ``SimParams`` and ``CostParams`` field is a parameter row: its default,
+its config key and its ``Bound``. The config keys, the checks and their
+messages, by field or by key, all read the rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, NamedTuple
 
 
 # Cap on a run's expected event count, horizon * (lambda_w + mu + lambda_f
@@ -33,23 +38,43 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+class Bound(NamedTuple):
+    """The range a parameter must lie in, as its message words it."""
+
+    text: str  # "<name> must be <text>"; a "{!r}" in it shows the value
+    holds: Callable[[Any], bool]
+
+    def violation(self, name: str, value: Any) -> str | None:
+        """The message naming ``name`` if ``value`` is out of range, else None."""
+        return None if self.holds(value) else f"{name} must be {self.text.format(value)}"
+
+
+POSITIVE = Bound("> 0", lambda v: v > 0)
+NON_NEGATIVE = Bound(">= 0", lambda v: v >= 0)
+AT_LEAST_ONE = Bound(">= 1", lambda v: v >= 1)
+SEED_RANGE = Bound("in [0, 2**64), got {!r}", lambda v: 0 <= v <= SEED_MASK)
+
+
+def _row(default: Any, key: str, bound: Bound) -> Any:
+    return field(default=default, metadata={"key": key, "bound": bound})
+
+
 @dataclass(frozen=True)
 class SimParams:
-    """Stochastic rates and run controls for one simulation."""
+    """Stochastic rates and run controls for one simulation. The failure and
+    handoff rates drive exponential clocks, so must be > 0; lambda_w may be 0."""
 
-    lambda_f: float = 0.001  # failure rate (failures per time unit)
-    lambda_w: float = 0.5  # write-event (log) arrival rate
-    mu: float = 0.01  # handoff rate
-    t_c: float = 100.0  # checkpoint interval
-    cache_capacity: int = 16  # max write events buffered on the host
-    recovery_deadline: float = 42.0  # retrieval time budget for a recovery
-    sim_horizon: float = 20000.0  # simulated time per run
-    seed: int = 12345  # 64-bit master seed
-    replications: int = 20
-
-    # The default recovery_deadline equals default_recovery_deadline() for
-    # the default rates; the harness recomputes it when rates change unless
-    # the config pins an explicit value.
+    lambda_f: float = _row(0.001, "sim.lambda_f", POSITIVE)  # failures per time unit
+    lambda_w: float = _row(0.5, "sim.lambda_w", NON_NEGATIVE)  # write-event (log) arrival rate
+    mu: float = _row(0.01, "sim.mu", POSITIVE)  # handoff rate
+    t_c: float = _row(100.0, "sim.T_c", POSITIVE)  # checkpoint interval
+    cache_capacity: int = _row(16, "sim.cache_capacity", AT_LEAST_ONE)  # writes buffered on host
+    # Retrieval time budget for a recovery; default_recovery_deadline() of
+    # the default rates, which a config recalibrates unless it pins a value.
+    recovery_deadline: float = _row(42.0, "recovery.deadline", POSITIVE)
+    sim_horizon: float = _row(20000.0, "sim.horizon", POSITIVE)  # simulated time per run
+    seed: int = _row(12345, "sim.seed", SEED_RANGE)  # 64-bit master seed
+    replications: int = _row(20, "sim.replications", AT_LEAST_ONE)
 
 
 @dataclass(frozen=True)
@@ -61,15 +86,15 @@ class CostParams:
     the final wireless hop takes.
     """
 
-    r: float = 0.1
-    c_c: float = 5.0  # checkpoint transfer cost over one wired hop
-    c_1: float = 1.0  # logged message transfer cost over one wired hop
-    c_m: float = 0.5  # control message transfer cost over one wired hop
-    alpha: float = 1.0  # wireless link cost coefficient
-    rho: float = 1.0  # wired link cost coefficient
-    t_load_ckpt: float = 10.0  # time to load the last checkpoint
-    t_load_log: float = 1.0  # time to load one log batch
-    c_p: float = 3.0  # per-checkpoint investment cost (explicit config knob)
+    r: float = _row(0.1, "cost.r", POSITIVE)
+    c_c: float = _row(5.0, "cost.C_c", NON_NEGATIVE)  # checkpoint cost over one wired hop
+    c_1: float = _row(1.0, "cost.C_1", NON_NEGATIVE)  # logged message cost over one wired hop
+    c_m: float = _row(0.5, "cost.C_m", NON_NEGATIVE)  # control message cost over one wired hop
+    alpha: float = _row(1.0, "cost.alpha", NON_NEGATIVE)  # wireless link cost coefficient
+    rho: float = _row(1.0, "cost.rho", NON_NEGATIVE)  # wired link cost coefficient
+    t_load_ckpt: float = _row(10.0, "cost.T_load_ckpt", NON_NEGATIVE)  # load the last checkpoint
+    t_load_log: float = _row(1.0, "cost.T_load_log", NON_NEGATIVE)  # load one log batch
+    c_p: float = _row(3.0, "cost.C_p", NON_NEGATIVE)  # per-checkpoint investment cost
 
 
 @dataclass(frozen=True)
@@ -80,49 +105,28 @@ class DerivedQuantities:
     eta: float  # average log size, (k - 1) / 2 floored at zero
 
 
+def row_violations(params: SimParams | CostParams, by_key: bool = False) -> list[str]:
+    """One message per field of ``params`` outside its row, in field order,
+    naming the field or, ``by_key``, its config key. A float must be finite:
+    an infinite rate or horizon never ends a run."""
+    found = []
+    for f in fields(params):
+        value = getattr(params, f.name)
+        name = f.metadata["key"] if by_key else f.name
+        if isinstance(value, float) and not math.isfinite(value):
+            found.append(f"{name} must be finite, got {value}")
+        elif message := f.metadata["bound"].violation(name, value):
+            found.append(message)
+    return found
+
+
 def validate_params(sp: SimParams, cp: CostParams) -> list[str]:
-    """Check every model invariant; raise ValidationError naming each one.
-
-    Every float must be finite: an infinite horizon or rate never ends a
-    run, and NaN makes every comparison false, so the ``< 0`` checks below
-    would let it through. lambda_w may be zero (a host that never writes is
-    meaningful); the failure and handoff rates must be strictly positive
-    because they drive exponential clocks. The expected event count must
-    stay within ``MAX_EXPECTED_EVENTS``. Returns the warnings: lambda_f
-    >= mu is allowed but stresses the single-failure-per-interval reading
-    of the model.
+    """Check every parameter row, then the event budget of
+    ``MAX_EXPECTED_EVENTS``; raise ValidationError naming each violation by
+    its field. Returns the warnings: lambda_f >= mu is allowed but stresses
+    the single-failure-per-interval reading of the model.
     """
-    violations = [
-        f"{name} must be finite, got {value}"
-        for name, value in {**vars(cp), **vars(sp)}.items()
-        if isinstance(value, float) and not math.isfinite(value)
-    ]
-    if violations:
-        raise ValidationError(violations)
-
-    if not sp.lambda_f > 0:
-        violations.append("lambda_f must be > 0")
-    if sp.lambda_w < 0:
-        violations.append("lambda_w must be >= 0")
-    if not sp.mu > 0:
-        violations.append("mu must be > 0")
-    if not sp.t_c > 0:
-        violations.append("t_c must be > 0")
-    if sp.cache_capacity < 1:
-        violations.append("cache_capacity must be >= 1")
-    if not sp.recovery_deadline > 0:
-        violations.append("recovery_deadline must be > 0")
-    if not sp.sim_horizon > 0:
-        violations.append("sim_horizon must be > 0")
-    if sp.replications < 1:
-        violations.append("replications must be >= 1")
-
-    if not cp.r > 0:
-        violations.append("r must be > 0")
-    for name in ("c_c", "c_1", "c_m", "alpha", "rho", "t_load_ckpt", "t_load_log", "c_p"):
-        if getattr(cp, name) < 0:
-            violations.append(f"{name} must be >= 0")
-
+    violations = row_violations(sp) + row_violations(cp)
     if not violations:
         expected = sp.sim_horizon * (sp.lambda_w + sp.mu + sp.lambda_f + 1.0 / sp.t_c)
         if expected > MAX_EXPECTED_EVENTS:
@@ -134,13 +138,9 @@ def validate_params(sp: SimParams, cp: CostParams) -> list[str]:
     if violations:
         raise ValidationError(violations)
 
-    warnings = []
     if sp.lambda_f >= sp.mu:
-        warnings.append(
-            "single-failure assumption stressed: "
-            f"lambda_f={sp.lambda_f} >= mu={sp.mu}"
-        )
-    return warnings
+        return [f"single-failure assumption stressed: lambda_f={sp.lambda_f} >= mu={sp.mu}"]
+    return []
 
 
 def derive_quantities(sp: SimParams) -> DerivedQuantities:

@@ -274,6 +274,8 @@ class LogStrategy:
     def on_writes(self, k: int) -> WriteRun:
         """Log ``k`` writes issued back to back from the host's cell; the
         same placement and costs as ``k`` calls of ``on_write``."""
+        if k < 1:
+            raise ValueError(f"not a run of writes: k must be >= 1, got {k}")
         return self._fold((k,), (), None, None)[1]
 
     def on_checkpoint(self) -> CostDelta:

@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -86,18 +87,32 @@ class TestParseConfig:
         assert cfg.frcr_erratum_bound
 
     @pytest.mark.parametrize("text, message", [
-        ("topology.inter_msc_hops = 1\n", "topology.inter_msc_hops must be >= 2, got 1"),
-        ("topology.adjacency = hex\n", "topology.adjacency must be ring or grid, got 'hex'"),
-        ("topology.msc = 0\n", "topology.msc must be >= 1, got 0"),
+        ("topology.inter_msc_hops = 1\n",
+         "topology: topology.inter_msc_hops must be >= 2, got 1"),
+        ("topology.adjacency = hex\n",
+         "topology: topology.adjacency must be ring or grid, got 'hex'"),
+        ("topology.msc = 0\n", "topology: topology.msc must be >= 1, got 0"),
         ("topology.bsc_per_msc = 1\ntopology.bs_per_bsc = 1\n",
-         "topology.msc * topology.bsc_per_msc * topology.bs_per_bsc must be >= 2 cells "
-         "for mobility, got 1"),
-    ], ids=["inter_msc_hops=1", "adjacency=hex", "msc=0", "one_cell"])
+         "topology: topology.msc * topology.bsc_per_msc * topology.bs_per_bsc must be >= 2 "
+         "cells for mobility, got 1"),
+        # Every key is checked on its own first, and all its failures are
+        # reported together in row order: sim keys, cost keys, strategy,
+        # recovery.p_same_region. Checks that join keys, as the event budget
+        # and the topology do, wait until every key passes.
+        ("sim.mu = 0\nsim.seed = -5\nstrategy = eager\ntopology.msc = 0\n",
+         "sim.mu must be > 0; sim.seed must be in [0, 2**64), got -5; "
+         "strategy must be one of lazy|pessimistic|proposed, got 'eager'"),
+        ("sim.horizon = 1e7\nrecovery.p_same_region = 2\n",
+         "recovery.p_same_region must be in [0, 1]"),
+        ("cost.C_m = nan\nsim.mu = inf\n",
+         "sim.mu must be finite, got inf; cost.C_m must be finite, got nan"),
+    ], ids=["inter_msc_hops=1", "adjacency=hex", "msc=0", "one_cell", "mu+seed+strategy",
+            "over_budget+p_same_region", "non_finite_sim_before_cost"])
     def test_bad_topology_rejected_at_parse_time(self, tmp_path, text, message):
         path = write(tmp_path, text)
         with pytest.raises(ValidationError) as info:
             parse_config(path)
-        assert str(info.value) == f"topology: {message}"
+        assert str(info.value) == message
         assert cli.main(["analytic", "--config", str(path)]) == 1
 
 
@@ -296,3 +311,28 @@ class TestOneParsePath:
         cfg = default_config().with_overrides({"sim.T_c": 200})
         assert dict(cfg.raw)["sim.T_c"] == "200.0"
         assert cfg.sim.t_c == 200.0
+
+
+def readme_key_table():
+    """(key, default text) per row of README's Configuration key table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    return [
+        (cells[1].strip().strip("`"), cells[2].strip().strip("`"))
+        for cells in (line.split("|") for line in section.splitlines())
+        if len(cells) > 2 and cells[1].strip().startswith("`")
+    ]
+
+
+class TestReadmeKeyTable:
+    """README's key table lists every config key once, with its default."""
+
+    def test_lists_exactly_the_config_keys(self):
+        keys = [key for key, _ in readme_key_table()]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key, text", readme_key_table())
+    def test_default_cell_parses_to_the_declared_default(self, key, text):
+        parse, default = CONFIG_KEYS[key]
+        assert parse(text) == default

@@ -321,6 +321,19 @@ class TestCli:
         assert "set an explicit recovery.deadline" in err
         assert "recovery_deadline must be > 0" not in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("cost.C_1 = 1e308\n",
+         "recovery.deadline = auto calibrated to inf because it overflows (cost.T_load_ckpt, "
+         "cost.T_load_log, cost.C_c, cost.C_m, and cost.C_1 at the expected log size); set an "
+         "explicit recovery.deadline"),
+        # A violation of a key on its own is reported before the calibration.
+        ("cost.C_1 = 1e308\nsim.mu = 0\n", "sim.mu must be > 0"),
+    ], ids=["alone", "with_zero_mu"])
+    def test_auto_deadline_that_overflows_is_located(self, capsys, tmp_path, text, message):
+        bad = tmp_path / "huge.cfg"
+        bad.write_text(text, encoding="utf-8")
+        self.assert_one_error(capsys, ["simulate", "--config", str(bad)], message)
+
     def test_unknown_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("wat = 1\n", encoding="utf-8")
@@ -409,10 +422,19 @@ class TestCli:
         ("sim.horizon = 0", "sim.horizon must be > 0"),
         ("sim.cache_capacity = 0", "sim.cache_capacity must be >= 1"),
         ("sim.replications = 0", "sim.replications must be >= 1"),
+        ("sim.seed = -5", "sim.seed must be in [0, 2**64), got -5"),
+        ("strategy = eager", "strategy must be one of lazy|pessimistic|proposed, got 'eager'"),
         ("recovery.deadline = 0", "recovery.deadline must be > 0"),
+        ("recovery.p_same_region = 2", "recovery.p_same_region must be in [0, 1]"),
+        ("recovery.p_same_region = nan", "recovery.p_same_region must be in [0, 1]"),
         ("cost.r = 0", "cost.r must be > 0"),
+        ("cost.C_c = -1", "cost.C_c must be >= 0"),
         ("cost.C_1 = -1", "cost.C_1 must be >= 0"),
+        ("cost.C_m = -1", "cost.C_m must be >= 0"),
+        ("cost.alpha = -1", "cost.alpha must be >= 0"),
+        ("cost.rho = -1", "cost.rho must be >= 0"),
         ("cost.T_load_ckpt = -1", "cost.T_load_ckpt must be >= 0"),
+        ("cost.T_load_log = -1", "cost.T_load_log must be >= 0"),
         ("cost.C_p = -1", "cost.C_p must be >= 0"),
         ("cost.alpha = nan", "cost.alpha must be finite, got nan"),
         ("sim.T_c = inf", "sim.T_c must be finite, got inf"),

@@ -592,6 +592,16 @@ class TestOnWrites:
         assert_cached_prices_fresh(strat)
         assert_cached_prices_fresh(one)
 
+    @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_a_run_of_no_writes_raises_and_changes_nothing(self, kind, k):
+        strat = setup(kind, cache_capacity=3)
+        strat.on_write()
+        before = copy.deepcopy(vars(strat))
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}$"):
+            strat.on_writes(k)
+        assert vars(strat) == before
+
 
 class TestReplayCompleteness:
     def test_sequences_replay_in_order_without_cache_loss(self):
