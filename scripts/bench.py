@@ -12,13 +12,7 @@ another for a core:
 1. the tier-1 suite, ``python -m pytest -q --continue-on-collection-errors``
    with ``src`` on ``PYTHONPATH``: its wall time and outcome counts;
 2. ``scripts/run_figures.py --reps 20`` into a temporary directory: its
-   ``manifest.json`` (per-figure ``wall_s`` and ``runs``) and total wall time.
-   Right after each of these two steps, the host-speed reference chunk of
-   ``benchmarks/hostref.py`` (this repository's copy, in this interpreter)
-   runs for a quarter of the step's time. The step's ``host`` object holds
-   the mean chunk time and the step's wall time on the nominal host that
-   ``benchmarks/run.py`` reports at, ``wall_s * NOMINAL_CHUNK_MS /
-   chunk_ms``; ``wall_s`` stays raw;
+   ``manifest.json`` (per-figure ``wall_s`` and ``runs``) and total wall time;
 3. ``benchmarks/run.py --trace 0`` on every workload ``BENCHMARK.json``
    names, at the run length the benchmark fixes: the result object each
    run prints last (``benchmarks``), then ``--trace 1`` on each, the
@@ -30,11 +24,14 @@ another for a core:
    program's size;
 6. the machine: Python, numpy and scipy versions and the core count.
 
-Every step but the reference chunk runs as a subprocess of this
-interpreter. The record names the measured commit; when the checkout has
-uncommitted changes to tracked files it also carries the SHA-256 of
-``git diff HEAD`` without the documents (``*.md``) and the ``BENCH_*.json``
-records, so the measured code can be identified. The file goes to
+Every step runs as a subprocess of this interpreter. Wall times are raw:
+over five records of one tree, scaling the tier-1 and figure times by a
+host-speed reference chunk run after each step widened their spread, so
+compare records by alternating runs, not by scaling them. The record
+names the measured commit; when the checkout has uncommitted changes to
+tracked files it also carries the SHA-256 of ``git diff HEAD`` without the
+documents (``*.md``) and the ``BENCH_*.json`` records, so the measured code
+can be identified. The file goes to
 ``BENCH_<label>.json`` at the root of the repository that holds this
 script; nothing else is written outside a temporary directory, apart from
 the caches pytest and hypothesis keep in the checkout.
@@ -59,19 +56,6 @@ import scipy
 REPO = Path(__file__).resolve().parents[1]
 FIGURE_REPS = 20
 CLI_RUNS = 5
-
-sys.path.insert(0, str(REPO / "benchmarks"))
-
-import hostref
-
-
-def host_speed(wall_s: float) -> dict:
-    """Run the reference chunk after a step of ``wall_s`` seconds, and
-    return the mean chunk time and the step's time on the nominal host."""
-    ref = hostref.HostRef()
-    ref.follow(wall_s)
-    return {"chunk_ms": ref.chunk_ms, "chunks": ref.chunks,
-            "normalised_wall_s": wall_s * ref.scale}
 
 
 def timed(cmd: list[str], cwd: Path, env: dict | None = None) -> tuple[float, subprocess.CompletedProcess]:
@@ -105,8 +89,7 @@ def tier1(root: Path) -> dict:
     )
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", summary)}
-    return {"wall_s": wall_s, "host": host_speed(wall_s), "exit_code": proc.returncode,
-            "summary": summary, **counts}
+    return {"wall_s": wall_s, "exit_code": proc.returncode, "summary": summary, **counts}
 
 
 def figures(root: Path) -> dict:
@@ -121,8 +104,7 @@ def figures(root: Path) -> dict:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     # Exit code 1 with a manifest means trend violations, which tier-1's
     # criterion checks report; the timings stand.
-    return {"wall_s": wall_s, "host": host_speed(wall_s), "exit_code": proc.returncode,
-            "manifest": manifest}
+    return {"wall_s": wall_s, "exit_code": proc.returncode, "manifest": manifest}
 
 
 def cli_analytic(root: Path) -> float:
@@ -177,12 +159,10 @@ def main() -> int:
     print(f"src/mhlogsim: {record['src_lines']} lines", flush=True)
     print("tier-1 ...", flush=True)
     record["tier1"] = tier1(root)
-    print(f"  {record['tier1']['summary']}; "
-          f"{record['tier1']['host']['normalised_wall_s']:.1f} s normalised", flush=True)
+    print(f"  {record['tier1']['summary']}", flush=True)
     print(f"run_figures.py --reps {FIGURE_REPS} ...", flush=True)
     record["figures"] = figures(root)
-    print(f"  {record['figures']['wall_s']:.1f} s, "
-          f"{record['figures']['host']['normalised_wall_s']:.1f} s normalised", flush=True)
+    print(f"  {record['figures']['wall_s']:.1f} s", flush=True)
     print(f"mhlogsim analytic x{CLI_RUNS} ...", flush=True)
     record["cli_analytic_s"] = cli_analytic(root)
     print(f"  median {record['cli_analytic_s']:.3f} s", flush=True)

@@ -14,7 +14,8 @@ figure's wall time, run count, replications and model-regime warnings
 scipy versions and core count of the machine. A config file that does
 not parse or validate, or a ``--reps`` below 1, ends the script before
 anything runs, with one ``error:`` line and exit code 1 as ``mhlogsim``
-reports it; an unreadable config file ends it with exit code 2.
+reports it. An unreadable config file, or an output directory that cannot
+be made or written, ends it with one ``i/o error:`` line and exit code 2.
 """
 
 import argparse
@@ -80,27 +81,31 @@ def main() -> int:
         "figures": {},
     }
     any_violations = False
-    for figure_id in figure_ids:
-        t0 = time.perf_counter()
-        path, rows, violations, warnings = write_figure(
-            figure_id, config, args.out, reps=args.reps, master_seed=args.seed
-        )
-        wall_s = time.perf_counter() - t0
-        spec = specs[figure_id]
-        manifest["figures"][figure_id] = {
-            "wall_s": wall_s,
-            "runs": len(spec.sweep_values) * len(spec.strategies) * spec.reps,
-            "reps": spec.reps,
-            "warnings": warnings,
-        }
-        status = "ok" if not violations else f"{len(violations)} trend violation(s)"
-        print(f"{figure_id}: {len(rows)} rows -> {path}  [{wall_s:.1f}s, {status}]")
-        for v in violations:
-            print(f"  - {v}")
-        any_violations = any_violations or bool(violations)
-    manifest_path = Path(args.out) / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    print(f"manifest -> {manifest_path}")
+    try:
+        for figure_id in figure_ids:
+            t0 = time.perf_counter()
+            path, rows, violations, warnings = write_figure(
+                figure_id, config, args.out, reps=args.reps, master_seed=args.seed
+            )
+            wall_s = time.perf_counter() - t0
+            spec = specs[figure_id]
+            manifest["figures"][figure_id] = {
+                "wall_s": wall_s,
+                "runs": len(spec.sweep_values) * len(spec.strategies) * spec.reps,
+                "reps": spec.reps,
+                "warnings": warnings,
+            }
+            status = "ok" if not violations else f"{len(violations)} trend violation(s)"
+            print(f"{figure_id}: {len(rows)} rows -> {path}  [{wall_s:.1f}s, {status}]")
+            for v in violations:
+                print(f"  - {v}")
+            any_violations = any_violations or bool(violations)
+        manifest_path = Path(args.out) / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        print(f"manifest -> {manifest_path}")
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
     return 1 if any_violations else 0
 
 

@@ -127,6 +127,7 @@ def frcr(p_prop: float, p_lazy: float, cost_prop: float, cost_lazy: float) -> fl
 # Unlike the paper's forms above, these follow from the simulator's pricing
 # rules (README, "Cost accounting") and stationarity. They check the
 # simulator against itself, so they are kept apart from the paper's model.
+# Only tests read them, as oracles that expectations for more metrics extend.
 
 
 def expected_lazy_handoff_cost(cfg: Config) -> float:

@@ -40,6 +40,14 @@ def _load_config(path: str | None) -> Config:
     return parse_config(path)
 
 
+def _warned_config(path: str | None) -> Config:
+    """The config, with each of its model-regime warnings printed to stderr."""
+    config = _load_config(path)
+    for warning in config.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return config
+
+
 def _seed_flag(args: argparse.Namespace) -> int | None:
     if args.seed is not None:
         check_seed("--seed", args.seed)
@@ -48,9 +56,7 @@ def _seed_flag(args: argparse.Namespace) -> int | None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _seed_flag(args)
-    config = _load_config(args.config)
-    for warning in config.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    config = _warned_config(args.config)
     strategy = StrategyKind(args.strategy) if args.strategy else config.strategy
     seed = config.sim.seed if seed is None else seed
     runs, summary = replicate(config, strategy, seed, config.sim.replications)
@@ -66,7 +72,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         # The negated range test also rejects nan.
         if p is not None and not 0.0 <= p <= 1.0:
             raise ValidationError([f"{flag} must be a probability in [0, 1], got {p}"])
-    config = _load_config(args.config)
+    config = _warned_config(args.config)
     report = analytic.build_report(
         config.sim,
         config.cost,
@@ -102,7 +108,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     seed = _seed_flag(args)
     check_count("--intervals", args.intervals, MAX_INTERVALS)
-    config = _load_config(args.config)
+    config = _warned_config(args.config)
     report = crosscheck_analytic(config, n_intervals=args.intervals, seed=seed)
     print(report.as_text())
     return EXIT_OK

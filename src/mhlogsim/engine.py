@@ -1,4 +1,4 @@
-"""Seeded discrete-event kernel and statistical estimators.
+"""Seeded discrete-event kernel, replications and their summaries.
 
 Every stochastic choice in a run comes from one PCG64 stream seeded with a
 64-bit integer, so identical (config, strategy, seed) triples reproduce
@@ -333,44 +333,3 @@ def failure_first(sp: SimParams, seed: int, n_intervals: int) -> np.ndarray:
     t_fail = -np.log(1.0 - rng.random(n_intervals)) / sp.lambda_f
     return t_fail < d_handoff
 
-
-def estimate_transition_probs(
-    sp: SimParams, seed: int, n_intervals: int
-) -> tuple[float, float]:
-    """Empirical (p01, p02): the shares of ``failure_first``'s intervals that
-    end in a handoff and in a failure."""
-    p02 = float(np.mean(failure_first(sp, seed, n_intervals)))
-    return 1.0 - p02, p02
-
-
-def measure_mean_pending_log(
-    lambda_w: float, t_c: float, n_intervals: int, seed: int
-) -> float:
-    """Mean pending-log size observed by arriving writes.
-
-    Writes arrive as a Poisson process and the log purges on the t_c grid.
-    Each write observes the number of entries already pending in its
-    interval; intervals contribute the mean of their writes' observations
-    (write-free intervals contribute nothing), and those per-interval means
-    are averaged. The arrival epochs of a Poisson process are uniform order
-    statistics within each interval, so these are uniformly-timed probes of
-    the pending log as the sequence of writes sees it.
-    """
-    if lambda_w <= 0 or t_c <= 0 or n_intervals < 1:
-        raise ValueError("lambda_w, t_c must be > 0 and n_intervals >= 1")
-    rng = np.random.Generator(np.random.PCG64(seed & SEED_MASK))
-    horizon = n_intervals * t_c
-    n_events = rng.poisson(lambda_w * horizon)
-    times = np.sort(rng.random(n_events) * horizon)
-    interval = np.floor(times / t_c).astype(np.int64)
-    # Pending-before count: the write's rank within its interval.
-    idx, counts = np.unique(interval, return_counts=True)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rank = np.arange(n_events) - np.repeat(starts, counts)
-    sums = np.zeros(n_intervals)
-    np.add.at(sums, interval, rank)
-    occupied = np.zeros(n_intervals, dtype=np.int64)
-    occupied[idx] = counts
-    nonempty = occupied > 0
-    per_interval_mean = sums[nonempty] / occupied[nonempty]
-    return float(per_interval_mean.mean())

@@ -399,15 +399,14 @@ def _row(
 CSV_HEADER = "figure,strategy,param,value,metric,mean,ci_low,ci_high,reps,seed"
 
 
-# Each column is the MetricRow field in its place, written and parsed by the
-# field's declared type: a float field goes through _fmt whatever number it
-# holds, any other field through str.
-_TYPES = {"float": float, "int": int, "str": str}
-_COLUMNS = tuple((f.name, _TYPES[f.type]) for f in fields(MetricRow))
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+# Each column is the MetricRow field in its place, written by the field's
+# declared type: a float field goes through _fmt whatever number it holds,
+# any other field through str.
+_COLUMNS = tuple((f.name, _fmt if f.type == "float" else str) for f in fields(MetricRow))
 
 
 def emit_csv(
@@ -426,27 +425,12 @@ def emit_csv(
     lines = [f"# {line}" for line in provenance]
     lines.append(CSV_HEADER)
     for r in rows:
-        lines.append(",".join(
-            (_fmt if kind is float else str)(getattr(r, name)) for name, kind in _COLUMNS
-        ))
+        lines.append(",".join(write(getattr(r, name)) for name, write in _COLUMNS))
     try:
         out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(f"cannot write {out_path}: {exc}") from exc
     return out_path
-
-
-def read_csv_rows(path: str | Path) -> list[MetricRow]:
-    """Parse a CSV produced by emit_csv (provenance comments are skipped)."""
-    rows = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not data or data[0] != CSV_HEADER:
-        raise ValueError(f"{path}: missing expected header")
-    for line in data[1:]:
-        cells = zip(_COLUMNS, line.split(","), strict=True)
-        rows.append(MetricRow(*(kind(cell) for (_, kind), cell in cells)))
-    return rows
 
 
 def provenance_lines(spec: ExperimentSpec, config: Config) -> tuple[str, ...]:

@@ -74,7 +74,6 @@ from .topology import (
     bsc_of,
     bsc_site,
     hops_between,
-    mh_site,
 )
 
 if TYPE_CHECKING:
@@ -314,13 +313,7 @@ class LogStrategy:
             lost_entries=lost,
         )
 
-    def log_locations(self) -> list[tuple[Site, int]]:
-        """Current fragment placement snapshot, in replay order."""
-        out = [(f.site, len(f.entries)) for f in self.fragments]
-        if self.cache:
-            out.append((mh_site(0), len(self.cache)))
-        return out
-
+    # Only tests read this: it is the replay order acceptance criterion 9 asserts.
     def replay_sequence(self) -> list[int]:
         """Entry seqs recoverable in order: durable fragments then cache."""
         seqs = [seq for f in self.fragments for seq in f.entries]

@@ -30,7 +30,6 @@ BscId = int
 # Site kinds used across the strategy layer.
 BS = "bs"
 BSC = "bsc"
-MH = "mh"
 
 Site = tuple[str, int]
 
@@ -45,16 +44,8 @@ class UniformDraws(Protocol):
     def integers(self, n: int) -> int: ...
 
 
-def bs_site(cell: CellId) -> Site:
-    return (BS, cell)
-
-
 def bsc_site(bsc: BscId) -> Site:
     return (BSC, bsc)
-
-
-def mh_site(host_id: int) -> Site:
-    return (MH, host_id)
 
 
 class MoveKind(Enum):

@@ -2,10 +2,12 @@ import sys
 from collections import Counter
 from itertools import chain
 
+import numpy as np
 import pytest
 
 from mhlogsim import topology
 from mhlogsim.config import default_config
+from mhlogsim.engine import generate_timeline
 from mhlogsim.experiments import figure_spec, run_figure
 from mhlogsim.strategies import NO_COST, RunStats
 
@@ -46,6 +48,27 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def mean_pending_log(seed):
+    """The mean pending-log size that writes walk in on, read from
+    ``generate_timeline``'s run at lambda_w = 0.2, T_c = 100 and a horizon of
+    10**6: k_expected = 20 writes a checkpoint interval, over 10,000 closed
+    intervals. Each write sees the writes since the last ``CHECKPOINT``, so
+    an interval of n > 0 writes averages (n - 1) / 2; the result is the mean
+    of that over the closed intervals, the writes after the last checkpoint
+    left out."""
+    cfg = default_config().with_overrides(
+        {"sim.lambda_w": 0.2, "sim.T_c": 100.0, "sim.horizon": 1e6})
+    timeline = generate_timeline(cfg, seed)
+    means, n = [], 0
+    for k, (_, kind, _) in zip(timeline.writes, timeline.events):
+        n += k
+        if kind == "CHECKPOINT":
+            if n:
+                means.append((n - 1) / 2)
+            n = 0
+    return float(np.mean(means))
 
 
 def step(strategy, timeline, trace=None):

@@ -4,7 +4,7 @@ them over every table entry. Shared by the property and strategy tests."""
 
 from mhlogsim import strategies
 from mhlogsim.strategies import NO_COST, CostDelta, Fragment, LogStrategy, StrategyKind, WriteRun
-from mhlogsim.topology import bs_site, hops_between
+from mhlogsim.topology import BS, hops_between
 
 
 def fresh_move_price(strategy, key):
@@ -32,13 +32,13 @@ def fresh_recovery_price(strategy, key):
     tree = strategy.tree
     site, region = strategy.checkpoint_site, strategy.checkpoint_region
     cell = next(c for c in range(tree.n_cells)
-                if hops_between(tree, site, region, bs_site(c), tree.cell_bsc[c]) == hops)
+                if hops_between(tree, site, region, (BS, c), tree.cell_bsc[c]) == hops)
     bsc = tree.cell_bsc[cell]
     fragments = strategy.fragments
     strategy.fragments = [Fragment(site, region, [0] * n)]
     try:
         return LogStrategy._recovery_price(
-            strategy, bs_site(cell), bsc, bsc == strategy.current_bsc)
+            strategy, (BS, cell), bsc, bsc == strategy.current_bsc)
     finally:
         strategy.fragments = fragments
 
@@ -82,7 +82,7 @@ def assert_cached_prices_fresh(strategy):
     cp = strategy.cp
     assert strategy._write_cost == strategy._ship(strategy._messages(1), cp.c_1, [(1, 0)])
     site, region = strategy._checkpoint_site(strategy.current_cell, strategy.current_bsc)
-    hops = hops_between(strategy.tree, bs_site(strategy.current_cell), strategy.current_bsc,
+    hops = hops_between(strategy.tree, (BS, strategy.current_cell), strategy.current_bsc,
                         site, region)
     assert strategy._checkpoint_cost == strategy._ship(CostDelta(), cp.c_c, [(1, hops)])
     if strategy.kind is StrategyKind.LAZY:

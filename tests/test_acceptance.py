@@ -17,14 +17,13 @@ import numpy as np
 
 from mhlogsim import analytic, cli
 from mhlogsim.config import default_config
-from mhlogsim.engine import (
-    estimate_transition_probs,
-    measure_mean_pending_log,
-)
+from mhlogsim.engine import failure_first
 from mhlogsim.experiments import check_trends, crosscheck_analytic
 from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import make_strategy
 from mhlogsim.topology import bsc_of, bsc_site, build_topology
+
+from conftest import mean_pending_log
 
 
 def report(criterion: int, description: str, violations: list[str]) -> None:
@@ -79,7 +78,7 @@ def test_criterion_01_closed_form_exactness():
 
 def test_criterion_02_markov_oracle():
     sp = SimParams(lambda_f=0.001, mu=0.01)
-    _, p02_hat = estimate_transition_probs(sp, seed=20240, n_intervals=100_000)
+    p02_hat = float(np.mean(failure_first(sp, 20240, 100_000)))
     expected = 0.001 / 0.011
     err = abs(p02_hat - expected)
     violations = []
@@ -89,7 +88,7 @@ def test_criterion_02_markov_oracle():
 
 
 def test_criterion_03_mean_log_size_oracle():
-    emp = measure_mean_pending_log(0.2, 100.0, 10_000, seed=31)
+    emp = mean_pending_log(seed=31)
     target = 9.5  # (k - 1) / 2 at k_expected = 20
     rel = abs(emp - target) / target
     violations = []
@@ -179,8 +178,8 @@ def test_criterion_09_protocol_invariants():
                     if kind == "lazy" and delta.data_items_moved != 0:
                         violations.append(f"lazy: handoff moved data (seq {i})")
                     if kind == "pessimistic":
-                        locs = strat.log_locations()
-                        if len(locs) != 1 or locs[0][0] != ("bs", to):
+                        sites = [f.site for f in strat.fragments]
+                        if strat.cache or sites != [("bs", to)]:
                             violations.append(
                                 f"pessimistic: fragment not solo at host BS (seq {i})"
                             )

@@ -163,11 +163,12 @@ class TestFrcr:
 
 
 def test_estimated_interval_probs_converge_to_closed_form():
-    from mhlogsim.engine import estimate_transition_probs
+    from mhlogsim.engine import failure_first
 
     sp = SimParams(lambda_f=0.004, mu=0.02)
     p01_a, p02_a = markov_probs(sp.lambda_f, sp.mu)
-    p01_e, p02_e = estimate_transition_probs(sp, seed=6, n_intervals=100_000)
+    p02_e = float(np.mean(failure_first(sp, 6, 100_000)))
+    p01_e = 1.0 - p02_e
     assert abs(p01_e - p01_a) < 0.02
     assert abs(p02_e - p02_a) < 0.02
 

@@ -17,9 +17,7 @@ from mhlogsim.config import Config, default_config
 from mhlogsim.engine import (
     PCG64Stream,
     RunStats,
-    estimate_transition_probs,
     failure_first,
-    measure_mean_pending_log,
     replicate,
     run_simulation,
     sample_exponential,
@@ -27,10 +25,10 @@ from mhlogsim.engine import (
 )
 from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import LazyStrategy, make_strategy
-from mhlogsim.topology import BS, bs_site, bsc_site
+from mhlogsim.topology import BS, bsc_site
 from mhlogsim import engine, experiments, topology
 
-from conftest import step
+from conftest import mean_pending_log, step
 
 
 class FakeRng:
@@ -303,7 +301,7 @@ class TestPlacementPeaks:
             # host's BS; proposed holds at most one, with the checkpoint at
             # the host's BSC.
             if kind == "pessimistic":
-                site = bs_site(strategy.current_cell)
+                site = (BS, strategy.current_cell)
                 assert [f.site for f in strategy.fragments] == [site]
                 assert strategy.checkpoint_site == site
             elif kind == "proposed":
@@ -673,27 +671,31 @@ def test_stdtrit_is_the_t_quantile_bit_for_bit():
         assert float(stdtrit(df, q)) == float(t.ppf(q, df)), df
 
 
-class TestEstimateTransitionProbs:
+class TestFailureFirstShares:
+    """The share of ``failure_first``'s intervals that end in a failure is
+    the empirical p02, as crosscheck reads it, and p01 is the rest."""
+
     def test_symmetric_competing_clocks(self):
         sp = SimParams(lambda_f=0.01, mu=0.01)
-        p01, p02 = estimate_transition_probs(sp, 1, 100_000)
+        p02 = float(np.mean(failure_first(sp, 1, 100_000)))
+        p01 = 1.0 - p02
         assert abs(p02 - 0.5) < 0.01
         assert p01 + p02 == pytest.approx(1.0)
 
     def test_one_to_three_rate_ratio(self):
         sp = SimParams(lambda_f=1.0, mu=3.0)
-        _, p02 = estimate_transition_probs(sp, 2, 100_000)
+        p02 = float(np.mean(failure_first(sp, 2, 100_000)))
         assert abs(p02 - 0.25) < 0.01
 
     def test_rare_failures_limit(self):
         sp = SimParams(lambda_f=1e-7, mu=0.01)
-        p01, _ = estimate_transition_probs(sp, 3, 100_000)
+        p01 = 1.0 - float(np.mean(failure_first(sp, 3, 100_000)))
         assert p01 > 0.999
 
 
 def test_mean_pending_log_matches_half_k_minus_one():
     # k_expected = 20 -> the log a write walks in on averages 9.5 entries
-    emp = measure_mean_pending_log(0.2, 100.0, 10_000, seed=8)
+    emp = mean_pending_log(seed=8)
     assert abs(emp - 9.5) / 9.5 < 0.05
 
 
@@ -703,7 +705,8 @@ def test_interval_costs_without_failures_equal_handoff_cost():
     sp = SimParams(lambda_f=0.0)
     failed = failure_first(sp, 4, 1000)
     assert failed.shape == (1000,) and not failed.any()
-    assert estimate_transition_probs(sp, 4, 1000) == (1.0, 0.0)
+    p02 = float(np.mean(failed))
+    assert (1.0 - p02, p02) == (1.0, 0.0)
 
 
 class TestReplicate:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mhlogsim.engine import Timeline
 from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import CostDelta, make_strategy
-from mhlogsim.topology import bs_site, bsc_site, build_topology, hop_distance, mh_site, region_of
+from mhlogsim.topology import BS, bsc_site, build_topology, hop_distance, region_of
 from price_checks import assert_cached_prices_fresh
 
 CP = CostParams()  # r=0.1, C_c=5, C_1=1, C_m=0.5, alpha=rho=1
@@ -46,7 +46,7 @@ class TestOnWrite:
     def test_lazy_write_appends_at_current_bs(self):
         strat = setup("lazy")
         delta = strat.on_write()
-        assert [(f.site, len(f.entries)) for f in strat.fragments] == [(bs_site(0), 1)]
+        assert [(f.site, len(f.entries)) for f in strat.fragments] == [((BS, 0), 1)]
         assert delta.wireless_cost == pytest.approx(CP.alpha * CP.c_1)
         assert delta.wired_cost == pytest.approx(CP.c_m)
         assert delta.total == pytest.approx(1.5)
@@ -78,7 +78,7 @@ class TestOnCheckpoint:
         for _ in range(5):
             strat.on_write()
         strat.on_checkpoint()
-        assert [(f.site, len(f.entries)) for f in strat.fragments] == [(bs_site(0), 0)]
+        assert [(f.site, len(f.entries)) for f in strat.fragments] == [((BS, 0), 0)]
 
     def test_proposed_checkpoint_clears_cache(self):
         strat = setup("proposed")
@@ -134,7 +134,7 @@ class TestOnHandoff:
         assert delta.data_items_moved == 0
         assert delta.control_msgs == 1
         assert strat.pointer_chain_length == 1
-        assert strat.fragments[0].site == bs_site(0)  # fragment stays put
+        assert strat.fragments[0].site == (BS, 0)  # fragment stays put
 
     def test_pessimistic_handoff_moves_log_and_checkpoint(self):
         strat = setup("pessimistic")
@@ -143,8 +143,8 @@ class TestOnHandoff:
         delta = strat.on_handoff(1)  # sibling cells, 2 hops
         assert delta.wired_cost == pytest.approx((3 * CP.c_1 + CP.c_c) * CP.rho * 2 + CP.c_m)
         assert delta.data_items_moved == 4
-        assert strat.fragments[0].site == bs_site(1)
-        assert strat.checkpoint_site == bs_site(1)
+        assert strat.fragments[0].site == (BS, 1)
+        assert strat.checkpoint_site == (BS, 1)
 
     def test_pessimistic_handoff_cost_strictly_increases_with_pending(self):
         totals = []
@@ -222,7 +222,7 @@ class TestCheckpointLookups:
             strat.on_write()
         strat.on_handoff(2)  # into the second region
         site, region = strat._checkpoint_site(strat.current_cell, strat.current_bsc)
-        hops = hop_distance(tree, bs_site(strat.current_cell), site)
+        hops = hop_distance(tree, (BS, strat.current_cell), site)
         assert region_of(tree, site) == region
         calls = count_calls("bsc_of", "hop_distance")
         delta = strat.on_checkpoint()
@@ -331,8 +331,8 @@ class TestRecover:
         strat = setup("pessimistic")
         strat.on_write()
         strat.recover(1)
-        assert strat.fragments[0].site == bs_site(1)
-        assert strat.checkpoint_site == bs_site(1)
+        assert strat.fragments[0].site == (BS, 1)
+        assert strat.checkpoint_site == (BS, 1)
         assert strat.current_cell == 1
 
     @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
@@ -344,8 +344,8 @@ class TestRecover:
             strat = setup(kind, tree=tree)
             site, region = strat.checkpoint_site, strat.checkpoint_region
             assert region == region_of(tree, site) == strat.current_bsc
-            hops = hop_distance(tree, site, bs_site(cell))
-            tracking = int(kind == "proposed" and region_of(tree, bs_site(cell)) != region)
+            hops = hop_distance(tree, site, (BS, cell))
+            tracking = int(kind == "proposed" and region_of(tree, (BS, cell)) != region)
             outcome = strat.recover(cell)
             assert outcome.fragments_fetched == 1
             assert outcome.cost == CostDelta(
@@ -522,19 +522,16 @@ class TestLogLocations:
         strat = setup("proposed", cache_capacity=2)
         strat.on_write()
         strat.on_write()
-        assert strat.log_locations() == [(bsc_site(0), 2)]
-
-    def test_proposed_lists_unflushed_cache(self):
-        strat = setup("proposed", cache_capacity=8)
-        strat.on_write()
-        assert strat.log_locations() == [(mh_site(0), 1)]
+        assert [(f.site, len(f.entries)) for f in strat.fragments] == [(bsc_site(0), 2)]
+        assert strat.cache == []
 
     def test_pessimistic_exactly_one_fragment(self):
         strat = setup("pessimistic")
         for _ in range(4):
             strat.on_write()
         strat.on_handoff(1)
-        assert strat.log_locations() == [(bs_site(1), 4)]
+        assert [(f.site, len(f.entries)) for f in strat.fragments] == [((BS, 1), 4)]
+        assert strat.cache == []
 
     def test_lazy_m_handoffs_with_writes_gives_m_plus_1_fragments(self):
         tree = build_topology(1, 3, 3, "ring")
@@ -544,9 +541,9 @@ class TestLogLocations:
         for i in range(m):
             strat.on_handoff(i + 1)
             strat.on_write()
-        locs = strat.log_locations()
-        assert len(locs) == m + 1
-        assert [site for site, _ in locs] == [bs_site(c) for c in range(m + 1)]
+        assert strat.cache == []
+        assert len(strat.fragments) == m + 1
+        assert [f.site for f in strat.fragments] == [(BS, c) for c in range(m + 1)]
 
 
 class TestOnWrites:

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhlogsim.topology import (
+    BS,
     MoveKind,
-    bs_site,
     bsc_of,
     bsc_site,
     build_topology,
     classify_move,
     hop_distance,
-    mh_site,
     region_of,
     sample_next_cell,
 )
@@ -75,7 +74,7 @@ class TestHopDistance:
         self.tree = build_topology(2, 2, 2, "ring")
 
     def test_parent_link(self):
-        assert hop_distance(self.tree, bs_site(0), bsc_site(0)) == 1
+        assert hop_distance(self.tree, (BS, 0), bsc_site(0)) == 1
 
     def test_identity(self):
         assert hop_distance(self.tree, bsc_site(0), bsc_site(0)) == 0
@@ -87,23 +86,23 @@ class TestHopDistance:
         assert hop_distance(self.tree, bsc_site(0), bsc_site(2)) == 4
 
     def test_sibling_cells(self):
-        assert hop_distance(self.tree, bs_site(0), bs_site(1)) == 2
+        assert hop_distance(self.tree, (BS, 0), (BS, 1)) == 2
 
     def test_cells_across_regions(self):
-        assert hop_distance(self.tree, bs_site(0), bs_site(2)) == 4
-        assert hop_distance(self.tree, bs_site(0), bs_site(7)) == 6
+        assert hop_distance(self.tree, (BS, 0), (BS, 2)) == 4
+        assert hop_distance(self.tree, (BS, 0), (BS, 7)) == 6
 
     def test_region_of_decodes_bs_and_bsc_sites_only(self):
-        assert region_of(self.tree, bs_site(5)) == 2
+        assert region_of(self.tree, (BS, 5)) == 2
         assert region_of(self.tree, bsc_site(3)) == 3
         with pytest.raises(ValueError, match="not a BS or BSC site"):
-            region_of(self.tree, mh_site(0))
+            region_of(self.tree, ("mh", 0))
         with pytest.raises(ValueError, match="not a BS or BSC site"):
-            hop_distance(self.tree, bs_site(0), mh_site(0))
+            hop_distance(self.tree, (BS, 0), ("mh", 0))
 
     def test_unknown_bsc(self):
         with pytest.raises(ValueError, match="unknown BSC 99"):
-            hop_distance(self.tree, bsc_site(99), bs_site(0))
+            hop_distance(self.tree, bsc_site(99), (BS, 0))
         with pytest.raises(ValueError, match="unknown BSC -1"):
             region_of(self.tree, bsc_site(-1))
 
@@ -116,7 +115,7 @@ class TestHopDistance:
         if msc * bsc * bs < 2:
             bs = 2
         tree = build_topology(msc, bsc, bs, "ring")
-        sites = [bs_site(c) for c in range(tree.n_cells)]
+        sites = [(BS, c) for c in range(tree.n_cells)]
         sites += [bsc_site(b) for b in range(tree.n_bscs)]
         a = data.draw(st.sampled_from(sites))
         b = data.draw(st.sampled_from(sites))
