@@ -19,7 +19,6 @@ be made or written, ends it with one ``i/o error:`` line and exit code 2.
 """
 
 import argparse
-import importlib
 import json
 import os
 import platform
@@ -28,11 +27,7 @@ import time
 from pathlib import Path
 
 import numpy
-# Every figure at 2 or more reps summarises, and summarize loads scipy.special
-# on first use; loading it here keeps that load out of the first figure's
-# wall_s. Only fig6's trend check loads scipy.stats, so main() loads it up
-# front only when fig6 runs.
-import scipy.special
+import scipy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -69,9 +64,6 @@ def main() -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-
-    if "fig6" in figure_ids:
-        importlib.import_module("scipy.stats")  # fig6's Spearman check
 
     manifest = {
         "python": platform.python_version(),

@@ -159,7 +159,7 @@ def _build_config(values: dict[str, object]) -> Config:
                 "expected log size); set an explicit recovery.deadline"
             ])
         sim = replace(sim, recovery_deadline=deadline)
-    warnings = tuple(validate_params(sim, cost))
+    warnings = tuple(validate_params(sim, cost, by_key=True))
 
     try:
         tree = build_topology(

@@ -173,15 +173,23 @@ def _check_fig5(rows: list[MetricRow]) -> list[str]:
     return violations
 
 
-def _check_fig6(rows: list[MetricRow]) -> list[str]:
-    from scipy import stats as sstats  # deferred: importing it is most of start-up
+def _spearman(x: list[float], y: list[float]) -> float:
+    """Spearman's rho as scipy.stats.spearmanr gives it: the Pearson correlation
+    of the ranks, ties given their mean rank; NaN for a constant series or one
+    holding a NaN."""
+    ranks = []
+    for a in (np.asarray(x, dtype=float), np.asarray(y, dtype=float)):
+        rank = (a[:, None] > a).sum(1) + ((a[:, None] == a).sum(1) + 1) / 2
+        ranks.append(np.where(np.isnan(a), np.nan, rank))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.corrcoef(ranks)[0, 1])
 
+
+def _check_fig6(rows: list[MetricRow]) -> list[str]:
     violations: list[str] = []
     series = _three(rows, "recovery_probability")
     for strategy, ser in zip(ALL_STRATEGIES, series):
-        x = [r.param_value for r in ser]
-        y = [r.mean for r in ser]
-        rho = float(sstats.spearmanr(x, y).statistic)
+        rho = _spearman([r.param_value for r in ser], [r.mean for r in ser])
         if not rho <= -0.9:
             violations.append(
                 f"fig6: {strategy.value} recovery probability not monotone decreasing "

@@ -12,7 +12,7 @@ messages, by field or by key, all read the rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 from typing import Any, Callable, NamedTuple
 
 
@@ -105,6 +105,11 @@ class DerivedQuantities:
     eta: float  # average log size, (k - 1) / 2 floored at zero
 
 
+def _name(row: Field, by_key: bool) -> str:
+    """A parameter row's name in a message: its field's or its config key."""
+    return row.metadata["key"] if by_key else row.name
+
+
 def row_violations(params: SimParams | CostParams, by_key: bool = False) -> list[str]:
     """One message per field of ``params`` outside its row, in field order,
     naming the field or, ``by_key``, its config key. A float must be finite:
@@ -112,7 +117,7 @@ def row_violations(params: SimParams | CostParams, by_key: bool = False) -> list
     found = []
     for f in fields(params):
         value = getattr(params, f.name)
-        name = f.metadata["key"] if by_key else f.name
+        name = _name(f, by_key)
         if isinstance(value, float) and not math.isfinite(value):
             found.append(f"{name} must be finite, got {value}")
         elif message := f.metadata["bound"].violation(name, value):
@@ -120,18 +125,20 @@ def row_violations(params: SimParams | CostParams, by_key: bool = False) -> list
     return found
 
 
-def validate_params(sp: SimParams, cp: CostParams) -> list[str]:
+def validate_params(sp: SimParams, cp: CostParams, by_key: bool = False) -> list[str]:
     """Check every parameter row, then the event budget of
     ``MAX_EXPECTED_EVENTS``; raise ValidationError naming each violation by
-    its field. Returns the warnings: lambda_f >= mu is allowed but stresses
-    the single-failure-per-interval reading of the model.
+    its field or, ``by_key``, its config key. Returns the warnings: lambda_f
+    >= mu is allowed but stresses the single-failure-per-interval reading of
+    the model.
     """
-    violations = row_violations(sp) + row_violations(cp)
+    violations = row_violations(sp, by_key) + row_violations(cp, by_key)
     if not violations:
         expected = sp.sim_horizon * (sp.lambda_w + sp.mu + sp.lambda_f + 1.0 / sp.t_c)
         if expected > MAX_EXPECTED_EVENTS:
+            horizon = _name(SimParams.__dataclass_fields__["sim_horizon"], by_key)
             violations.append(
-                f"sim.horizon: {sp.sim_horizon:g} time units expect {expected:.4g} events, "
+                f"{horizon}: {sp.sim_horizon:g} time units expect {expected:.4g} events, "
                 f"over the budget of {MAX_EXPECTED_EVENTS}; shorten the horizon"
             )
 

@@ -624,51 +624,63 @@ class TestEmptySamples:
 
 
 # Runs in a fresh interpreter, whose sys.modules shows what the program
-# itself loaded; argv[1] is the src directory.
+# itself loaded; argv[1] is the src directory, argv[2] an output directory.
 DEFERRED_SCIPY = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from mhlogsim import cli, engine
 from mhlogsim.config import default_config
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["analytic"]), cli.main(["crosscheck", "--intervals", "1000"])]
+    codes = [cli.main(["analytic"]), cli.main(["crosscheck", "--intervals", "1000"]),
+             cli.main(["figure", "fig6", "--reps", "2", "--out", sys.argv[2],
+                       "--assert-trends"])]
 engine.run_simulation(default_config().with_overrides({"sim.horizon": 500.0}), "proposed", 1)
 narrow = [engine.summarize([1.0]), engine.summarize([2.0, 2.0])]
-before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 ci = engine.summarize([1.0, 2.0])
-print(json.dumps({"codes": codes, "narrow": narrow, "before": before,
-                  "special": "scipy.special" in sys.modules,
-                  "stats": "scipy.stats" in sys.modules, "ci": ci}))
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "narrow": narrow, "loaded": loaded, "ci": ci}))
 """
 
 
-def test_scipy_loads_only_for_a_t_interval():
-    """The CLI's analytic and crosscheck, a run and a summary of fewer than 2
-    values or zero spread load no scipy module; the first t half-width loads
-    scipy.special but not scipy.stats, and gives the value it gave when
-    scipy.stats loaded at import."""
+def test_scipy_loads_only_for_a_t_interval(tmp_path):
+    """Only a t interval of more than 101 values loads scipy. The CLI's
+    analytic and crosscheck, fig6 at 2 replications with its trend check, a
+    run and summaries of up to 2 values load no scipy module, and the t
+    half-width from the table is the value scipy.stats' t.ppf gave."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", DEFERRED_SCIPY, str(src)],
+    proc = subprocess.run([sys.executable, "-c", DEFERRED_SCIPY, str(src), str(tmp_path)],
                           capture_output=True, text=True, check=True)
     out = json.loads(proc.stdout)
-    assert out["codes"] == [0, 0]
+    assert out["codes"] == [0, 0, 0]
     assert out["narrow"] == [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]
-    assert out["before"] == []
-    assert out["special"]
-    assert not out["stats"]
+    assert out["loaded"] == []
     assert tuple(out["ci"]) == (1.5, -4.853102368087347, 7.853102368087347)
 
 
 def test_stdtrit_is_the_t_quantile_bit_for_bit():
-    """``summarize`` takes its t quantile from ``scipy.special.stdtrit``,
-    which must equal ``scipy.stats.t.ppf`` exactly, so the CSVs keep their
+    """``summarize`` takes its t quantile from ``engine._T975`` up to df 100
+    and from ``scipy.special.stdtrit`` beyond. Each table entry, and stdtrit
+    itself, must equal ``scipy.stats.t.ppf`` exactly, so the CSVs keep their
     bytes: at every replication count up to 501 and a few up to 10**6."""
     from scipy.special import stdtrit
     from scipy.stats import t
 
     q = (1 + 0.95) / 2.0
+    assert len(engine._T975) == 100
+    for df, quantile in enumerate(engine._T975, start=1):
+        assert quantile == float(stdtrit(df, q)) == float(t.ppf(q, df)), df
     for df in [*range(1, 501), 1_000, 4_999, 10_000, 123_456, 1_000_000]:
         assert float(stdtrit(df, q)) == float(t.ppf(q, df)), df
+
+
+def test_df_101_takes_the_stdtrit_miss_path():
+    """102 values are one past the table: the half-width is stdtrit's."""
+    from scipy.special import stdtrit
+
+    arr = np.arange(102.0) % 7
+    mean = float(arr.mean())
+    half = float(arr.std(ddof=1) / math.sqrt(arr.size)) * float(stdtrit(101, 0.975))
+    assert engine.summarize(list(arr)) == (mean, mean - half, mean + half)
 
 
 class TestFailureFirstShares:

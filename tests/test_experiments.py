@@ -1,12 +1,16 @@
 import importlib.util
 import json
+import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhlogsim.config import Config, check_count, default_config
 from mhlogsim.experiments import (
@@ -210,6 +214,46 @@ class TestCheckTrends:
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError):
             check_trends("fig99", [])
+
+    @staticmethod
+    def assert_spearman_is_scipys(x, y):
+        from scipy.stats import spearmanr
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on a constant series
+            want = float(spearmanr(x, y).statistic)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = experiments._spearman(x, y)
+        if math.isnan(want):
+            assert math.isnan(rho)
+        else:
+            assert abs(rho - want) <= 1e-12
+            assert (rho <= -0.9) == (want <= -0.9)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_spearman_is_scipys(self, data):
+        """fig6's rho equals scipy.stats.spearmanr's, ties included."""
+        n = data.draw(st.integers(2, 8))
+        values = st.one_of(st.integers(0, 3).map(float), st.floats(-1e6, 1e6))
+        x, y = (data.draw(st.lists(values, min_size=n, max_size=n)) for _ in "xy")
+        self.assert_spearman_is_scipys(x, y)
+
+    @pytest.mark.parametrize("y", [[5.0, 5.0, 5.0, 5.0], [4.0, 2.0, 2.0, 1.0],
+                                   [1.0, 1.0, 3.0, 3.0], [1.0, math.nan, 0.0, 2.0]])
+    def test_spearman_is_scipys_on_constant_tied_and_nan_series(self, y):
+        self.assert_spearman_is_scipys([0.1, 0.3, 0.5, 0.7], y)
+        self.assert_spearman_is_scipys(y, y)
+
+    def test_fig6_check_reads_as_with_scipys_rho(self, figure_rows, monkeypatch):
+        from scipy.stats import spearmanr
+
+        rows = figure_rows("fig6")
+        ours = check_trends("fig6", rows)
+        monkeypatch.setattr(experiments, "_spearman",
+                            lambda x, y: float(spearmanr(x, y).statistic))
+        assert check_trends("fig6", rows) == ours == []
 
 
 class TestCrosscheck:

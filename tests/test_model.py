@@ -32,6 +32,10 @@ class TestValidateParams:
         with pytest.raises(ValidationError, match="cache_capacity"):
             validate_params(SimParams(cache_capacity=0), CostParams())
 
+    def test_over_the_event_budget_names_the_field(self):
+        with pytest.raises(ValidationError, match=r"^sim_horizon: .* over the budget"):
+            validate_params(SimParams(sim_horizon=1e9), CostParams())
+
     def test_all_violations_reported_together(self):
         with pytest.raises(ValidationError) as exc:
             validate_params(SimParams(mu=-1.0, t_c=0.0), CostParams(r=0.0))
