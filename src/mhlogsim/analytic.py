@@ -85,15 +85,10 @@ def log_transfer_ops(
     return (mu / lambda_f) * n * (n + 1) / 2.0
 
 
-def c_prop(
-    t_c: float,
-    lambda_f: float,
-    mu: float,
-    cp: CostParams,
-    erratum_bound: bool = False,
-) -> float:
-    """Investment cost of the consolidating strategy per failure interval."""
-    ops = log_transfer_ops(t_c, lambda_f, mu, erratum_bound=erratum_bound)
+def c_prop(t_c: float, lambda_f: float, mu: float, cp: CostParams) -> float:
+    """Investment cost of the consolidating strategy per failure interval,
+    counting log transfers by ``cp.erratum_bound``'s reading."""
+    ops = log_transfer_ops(t_c, lambda_f, mu, erratum_bound=cp.erratum_bound)
     return (1.0 / (lambda_f * t_c)) * (
         cp.r * cp.t_load_ckpt * t_c * lambda_f + cp.r * cp.t_load_log * ops
     )
@@ -209,7 +204,6 @@ class AnalyticReport:
 def build_report(
     sp: SimParams,
     cp: CostParams,
-    erratum_bound: bool = False,
     p_prop: float | None = None,
     p_lazy: float | None = None,
 ) -> AnalyticReport:
@@ -228,8 +222,8 @@ def build_report(
     p01, p02 = markov_probs(sp.lambda_f, sp.mu)
     c01 = total_handoff_cost(d.k_expected, d.eta, cp)
     c_r = recovery_cost(d.eta, cp)
-    ops = log_transfer_ops(sp.t_c, sp.lambda_f, sp.mu, erratum_bound=erratum_bound)
-    cost_prop = c_prop(sp.t_c, sp.lambda_f, sp.mu, cp, erratum_bound=erratum_bound)
+    ops = log_transfer_ops(sp.t_c, sp.lambda_f, sp.mu, erratum_bound=cp.erratum_bound)
+    cost_prop = c_prop(sp.t_c, sp.lambda_f, sp.mu, cp)
     cost_lazy = c_lazy(sp.t_c, sp.lambda_f, cp)
     ratio = None
     if p_prop is not None and p_lazy is not None:

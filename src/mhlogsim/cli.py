@@ -57,7 +57,7 @@ def _seed_flag(args: argparse.Namespace) -> int | None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _seed_flag(args)
     config = _warned_config(args.config)
-    strategy = StrategyKind(args.strategy) if args.strategy else config.strategy
+    strategy = StrategyKind(args.strategy or config.sim.strategy)
     seed = config.sim.seed if seed is None else seed
     runs, summary = replicate(config, strategy, seed, config.sim.replications)
     print(f"strategy {strategy.value}, seed {seed}, replications {len(runs)}")
@@ -73,13 +73,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         if p is not None and not 0.0 <= p <= 1.0:
             raise ValidationError([f"{flag} must be a probability in [0, 1], got {p}"])
     config = _warned_config(args.config)
-    report = analytic.build_report(
-        config.sim,
-        config.cost,
-        erratum_bound=config.frcr_erratum_bound,
-        p_prop=args.p_prop,
-        p_lazy=args.p_lazy,
-    )
+    report = analytic.build_report(config.sim, config.cost, p_prop=args.p_prop, p_lazy=args.p_lazy)
     print(report.as_text())
     print()
     print(report.CSV_HEADER)

@@ -2,15 +2,17 @@
 
 Format: one ``key = value`` per line, ``#`` comments and blank lines
 ignored. Unknown keys are errors, as are values that fail to parse; missing
-keys take the documented defaults. ``recovery.deadline`` accepts ``auto``
-(the default), which recalibrates the deadline from the current rates, or
-an explicit number, which pins it across sweeps. A value set from code, as
-``Config.with_overrides`` takes it, is parsed as its text would be.
+keys take the documented defaults. Each key is a parameter row of
+``SimParams``, ``CostParams`` or ``NetworkTree`` (see ``model.param``).
+``recovery.deadline`` accepts ``auto`` (the default), which recalibrates
+the deadline from the current rates, or an explicit number, which pins it
+across sweeps. A value set from code, as ``Config.with_overrides`` takes
+it, is parsed as its text would be.
 
 A parsed config is checked in two stages. First every key on its own, by
-its parameter row or its own bound, with all failures reported together in
-row order. Then, once every key passes, the checks that join keys: the auto
-deadline's calibration, the event budget and the topology.
+its row, with all failures reported together in row order. Then, once every
+key passes, the checks that join keys: the auto deadline's calibration, the
+event budget and the cell count.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .model import (
+    COUNT,
     SEED_RANGE,
     CostParams,
     SimParams,
     ValidationError,
     default_recovery_deadline,
-    row_violations,
     validate_params,
+    violation,
 )
-from .strategies import StrategyKind
 from .topology import NetworkTree, build_topology
 
 
@@ -36,37 +38,15 @@ class ConfigError(ValueError):
     """A config file failed to parse; the message carries the location."""
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+_ROWS = tuple(f for cls in (SimParams, CostParams, NetworkTree) for f in fields(cls)
+              if "key" in f.metadata)
 
-
-def _parse_deadline(text: str) -> float | str:
-    if text.lower() == "auto":
-        return "auto"
-    return float(text)
-
-
-# key -> (parser, default). Each SimParams and CostParams field is read from
-# the key its row declares, parsed as the type of its default.
-CONFIG_KEYS: dict[str, tuple] = {
-    **{f.metadata["key"]: (type(f.default), f.default)
-       for f in (*fields(SimParams), *fields(CostParams))},
-    "topology.msc": (int, 1),
-    "topology.bsc_per_msc": (int, 3),
-    "topology.bs_per_bsc": (int, 3),
-    "topology.adjacency": (str, "ring"),
-    "topology.inter_msc_hops": (int, 4),
-    "strategy": (str, "proposed"),
-    # Replaces the recovery_deadline row's entry: the key also takes "auto".
-    "recovery.deadline": (_parse_deadline, "auto"),
-    "recovery.p_same_region": (float, 0.8),
-    "frcr.erratum_bound": (_parse_bool, False),
-}
+# key -> (parser, default), in row order, the order failures are reported in.
+CONFIG_KEYS: dict[str, tuple] = {f.metadata["key"]: (f.metadata["parse"], f.default)
+                                 for f in _ROWS}
+# The key's default recalibrates the deadline from the rates; the row's
+# default is that calibration at the default rates.
+CONFIG_KEYS["recovery.deadline"] = (CONFIG_KEYS["recovery.deadline"][0], "auto")
 
 
 def _format_value(value: object) -> str:
@@ -93,9 +73,6 @@ class Config:
     sim: SimParams
     cost: CostParams
     tree: NetworkTree
-    strategy: StrategyKind
-    p_same_region: float
-    frcr_erratum_bound: bool
     raw: tuple[tuple[str, str], ...]  # every effective key=value, sorted
     warnings: tuple[str, ...]  # model-regime warnings from validate_params
 
@@ -124,10 +101,15 @@ def check_seed(name: str, seed: int) -> None:
 
 def check_count(name: str, value: int, most: int | None = None) -> None:
     """Reject a count below 1, or above ``most`` when given, naming its source."""
-    if value < 1:
-        raise ValidationError([f"{name} must be >= 1, got {value}"])
+    if message := COUNT.violation(name, value):
+        raise ValidationError([message])
     if most is not None and value > most:
         raise ValidationError([f"{name} must be <= {most}, got {value}"])
+
+
+def _row_values(cls: type, values: dict[str, object]) -> dict[str, object]:
+    """The keyword arguments of ``cls``'s rows, read from ``values`` by key."""
+    return {f.name: values[f.metadata["key"]] for f in fields(cls) if "key" in f.metadata}
 
 
 def _build_config(values: dict[str, object]) -> Config:
@@ -138,17 +120,12 @@ def _build_config(values: dict[str, object]) -> Config:
     # An auto deadline is a placeholder until every rate it reads is checked.
     auto = merged["recovery.deadline"] == "auto"
     numbers = {**merged, "recovery.deadline": 1.0} if auto else merged
-    sim, cost = (cls(**{f.name: numbers[f.metadata["key"]] for f in fields(cls)})
-                 for cls in (SimParams, CostParams))
-    violations = row_violations(sim, by_key=True) + row_violations(cost, by_key=True)
-    if merged["strategy"] not in {kind.value for kind in StrategyKind}:
-        violations.append(
-            f"strategy must be one of lazy|pessimistic|proposed, got {merged['strategy']!r}")
-    if not 0.0 <= merged["recovery.p_same_region"] <= 1.0:
-        violations.append("recovery.p_same_region must be in [0, 1]")
+    violations = [message for f in _ROWS if (message := violation(
+        f, f.metadata["key"], numbers[f.metadata["key"]]))]
     if violations:
         raise ValidationError(violations)
 
+    sim, cost = (cls(**_row_values(cls, numbers)) for cls in (SimParams, CostParams))
     if auto:
         deadline = default_recovery_deadline(sim, cost)
         if deadline == 0 or not math.isfinite(deadline):
@@ -160,28 +137,8 @@ def _build_config(values: dict[str, object]) -> Config:
             ])
         sim = replace(sim, recovery_deadline=deadline)
     warnings = tuple(validate_params(sim, cost, by_key=True))
-
-    try:
-        tree = build_topology(
-            merged["topology.msc"],
-            merged["topology.bsc_per_msc"],
-            merged["topology.bs_per_bsc"],
-            merged["topology.adjacency"],
-            merged["topology.inter_msc_hops"],
-        )
-    except ValueError as exc:
-        raise ValidationError([f"topology: {exc}"]) from None
-
-    return Config(
-        sim=sim,
-        cost=cost,
-        tree=tree,
-        strategy=StrategyKind(merged["strategy"]),
-        p_same_region=merged["recovery.p_same_region"],
-        frcr_erratum_bound=merged["frcr.erratum_bound"],
-        raw=raw,
-        warnings=warnings,
-    )
+    tree = build_topology(**_row_values(NetworkTree, merged))
+    return Config(sim=sim, cost=cost, tree=tree, raw=raw, warnings=warnings)
 
 
 def default_config() -> Config:

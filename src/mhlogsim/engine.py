@@ -187,7 +187,7 @@ def generate_timeline(cfg: Config, seed: int, keep_write_times: bool = False) ->
     cell -> BSC table is read without a range check.
     """
     sp, tree = cfg.sim, cfg.tree
-    cell_bsc, p_same_region = tree.cell_bsc, cfg.p_same_region
+    cell_bsc, p_same_region = tree.cell_bsc, sp.p_same_region
     horizon, t_c, lambda_w, mu, lambda_f = sp.sim_horizon, sp.t_c, sp.lambda_w, sp.mu, sp.lambda_f
     rng = PCG64Stream(seed & SEED_MASK)
     random, log, nextafter, inf = rng.random, math.log, math.nextafter, math.inf

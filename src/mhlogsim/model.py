@@ -4,15 +4,19 @@ All rates are per abstract time unit and all costs are in abstract cost
 units; there is no wall-clock binding. A validated configuration bundle is
 immutable and can be shared freely between simulation runs.
 
-Each ``SimParams`` and ``CostParams`` field is a parameter row: its default,
-its config key and its ``Bound``. The config keys, the checks and their
-messages, by field or by key, all read the rows.
+Every config key is one parameter row (``param``), a field of the
+dataclass that holds its value: ``SimParams``, ``CostParams`` or
+``topology.NetworkTree``. A row holds its default, its config key, its
+``Bound`` and, where the default's type does not parse its text, its
+parser. The config keys, the checks and their messages, by field or by key,
+all read the rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import Field, dataclass, field, fields
+from enum import Enum
 from typing import Any, Callable, NamedTuple
 
 
@@ -52,11 +56,37 @@ class Bound(NamedTuple):
 POSITIVE = Bound("> 0", lambda v: v > 0)
 NON_NEGATIVE = Bound(">= 0", lambda v: v >= 0)
 AT_LEAST_ONE = Bound(">= 1", lambda v: v >= 1)
+COUNT = Bound(">= 1, got {!r}", lambda v: v >= 1)
 SEED_RANGE = Bound("in [0, 2**64), got {!r}", lambda v: 0 <= v <= SEED_MASK)
 
 
-def _row(default: Any, key: str, bound: Bound) -> Any:
-    return field(default=default, metadata={"key": key, "bound": bound})
+class StrategyKind(Enum):
+    LAZY = "lazy"
+    PESSIMISTIC = "pessimistic"
+    PROPOSED = "proposed"
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_deadline(text: str) -> float | str:
+    if text.lower() == "auto":
+        return "auto"
+    return float(text)
+
+
+def param(default: Any, key: str, bound: Bound | None = None,
+          parse: Callable[[str], Any] | None = None) -> Any:
+    """A parameter row: a field with its default, config key, bound and the
+    parser of its text, the default's type unless given."""
+    metadata = {"key": key, "bound": bound, "parse": parse or type(default)}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -64,17 +94,25 @@ class SimParams:
     """Stochastic rates and run controls for one simulation. The failure and
     handoff rates drive exponential clocks, so must be > 0; lambda_w may be 0."""
 
-    lambda_f: float = _row(0.001, "sim.lambda_f", POSITIVE)  # failures per time unit
-    lambda_w: float = _row(0.5, "sim.lambda_w", NON_NEGATIVE)  # write-event (log) arrival rate
-    mu: float = _row(0.01, "sim.mu", POSITIVE)  # handoff rate
-    t_c: float = _row(100.0, "sim.T_c", POSITIVE)  # checkpoint interval
-    cache_capacity: int = _row(16, "sim.cache_capacity", AT_LEAST_ONE)  # writes buffered on host
+    lambda_f: float = param(0.001, "sim.lambda_f", POSITIVE)  # failures per time unit
+    lambda_w: float = param(0.5, "sim.lambda_w", NON_NEGATIVE)  # write-event (log) arrival rate
+    mu: float = param(0.01, "sim.mu", POSITIVE)  # handoff rate
+    t_c: float = param(100.0, "sim.T_c", POSITIVE)  # checkpoint interval
+    cache_capacity: int = param(16, "sim.cache_capacity", AT_LEAST_ONE)  # writes buffered on host
+    sim_horizon: float = param(20000.0, "sim.horizon", POSITIVE)  # simulated time per run
+    seed: int = param(12345, "sim.seed", SEED_RANGE)  # 64-bit master seed
+    replications: int = param(20, "sim.replications", AT_LEAST_ONE)
+    # The strategy ``mhlogsim simulate`` runs unless its flag names one.
+    strategy: str = param("proposed", "strategy", Bound(
+        "one of lazy|pessimistic|proposed, got {!r}",
+        lambda v: v in {kind.value for kind in StrategyKind}))
     # Retrieval time budget for a recovery; default_recovery_deadline() of
-    # the default rates, which a config recalibrates unless it pins a value.
-    recovery_deadline: float = _row(42.0, "recovery.deadline", POSITIVE)
-    sim_horizon: float = _row(20000.0, "sim.horizon", POSITIVE)  # simulated time per run
-    seed: int = _row(12345, "sim.seed", SEED_RANGE)  # 64-bit master seed
-    replications: int = _row(20, "sim.replications", AT_LEAST_ONE)
+    # the default rates. The config key defaults to "auto", which
+    # recalibrates it from the rates, unless a config pins a value.
+    recovery_deadline: float = param(42.0, "recovery.deadline", POSITIVE, _parse_deadline)
+    # Chance a failed host restarts in its failure-time region.
+    p_same_region: float = param(0.8, "recovery.p_same_region",
+                                 Bound("in [0, 1]", lambda v: 0 <= v <= 1))
 
 
 @dataclass(frozen=True)
@@ -86,15 +124,17 @@ class CostParams:
     the final wireless hop takes.
     """
 
-    r: float = _row(0.1, "cost.r", POSITIVE)
-    c_c: float = _row(5.0, "cost.C_c", NON_NEGATIVE)  # checkpoint cost over one wired hop
-    c_1: float = _row(1.0, "cost.C_1", NON_NEGATIVE)  # logged message cost over one wired hop
-    c_m: float = _row(0.5, "cost.C_m", NON_NEGATIVE)  # control message cost over one wired hop
-    alpha: float = _row(1.0, "cost.alpha", NON_NEGATIVE)  # wireless link cost coefficient
-    rho: float = _row(1.0, "cost.rho", NON_NEGATIVE)  # wired link cost coefficient
-    t_load_ckpt: float = _row(10.0, "cost.T_load_ckpt", NON_NEGATIVE)  # load the last checkpoint
-    t_load_log: float = _row(1.0, "cost.T_load_log", NON_NEGATIVE)  # load one log batch
-    c_p: float = _row(3.0, "cost.C_p", NON_NEGATIVE)  # per-checkpoint investment cost
+    r: float = param(0.1, "cost.r", POSITIVE)
+    c_c: float = param(5.0, "cost.C_c", NON_NEGATIVE)  # checkpoint cost over one wired hop
+    c_1: float = param(1.0, "cost.C_1", NON_NEGATIVE)  # logged message cost over one wired hop
+    c_m: float = param(0.5, "cost.C_m", NON_NEGATIVE)  # control message cost over one wired hop
+    alpha: float = param(1.0, "cost.alpha", NON_NEGATIVE)  # wireless link cost coefficient
+    rho: float = param(1.0, "cost.rho", NON_NEGATIVE)  # wired link cost coefficient
+    t_load_ckpt: float = param(10.0, "cost.T_load_ckpt", NON_NEGATIVE)  # load the last checkpoint
+    t_load_log: float = param(1.0, "cost.T_load_log", NON_NEGATIVE)  # load one log batch
+    c_p: float = param(3.0, "cost.C_p", NON_NEGATIVE)  # per-checkpoint investment cost
+    # FRCR's log-transfer bound: floor(t_c * mu), not the literal floor(t_c * lambda_f).
+    erratum_bound: bool = param(False, "frcr.erratum_bound", parse=_parse_bool)
 
 
 @dataclass(frozen=True)
@@ -110,29 +150,26 @@ def _name(row: Field, by_key: bool) -> str:
     return row.metadata["key"] if by_key else row.name
 
 
-def row_violations(params: SimParams | CostParams, by_key: bool = False) -> list[str]:
-    """One message per field of ``params`` outside its row, in field order,
-    naming the field or, ``by_key``, its config key. A float must be finite:
-    an infinite rate or horizon never ends a run."""
-    found = []
-    for f in fields(params):
-        value = getattr(params, f.name)
-        name = _name(f, by_key)
-        if isinstance(value, float) and not math.isfinite(value):
-            found.append(f"{name} must be finite, got {value}")
-        elif message := f.metadata["bound"].violation(name, value):
-            found.append(message)
-    return found
+def violation(row: Field, name: str, value: Any) -> str | None:
+    """The message naming ``name`` if ``value`` is outside ``row``, else None.
+    A float must be finite: an infinite rate or horizon never ends a run."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{name} must be finite, got {value}"
+    bound = row.metadata["bound"]
+    return bound and bound.violation(name, value)
 
 
 def validate_params(sp: SimParams, cp: CostParams, by_key: bool = False) -> list[str]:
-    """Check every parameter row, then the event budget of
+    """Check every row of ``sp`` and ``cp``, then the event budget of
     ``MAX_EXPECTED_EVENTS``; raise ValidationError naming each violation by
     its field or, ``by_key``, its config key. Returns the warnings: lambda_f
     >= mu is allowed but stresses the single-failure-per-interval reading of
     the model.
     """
-    violations = row_violations(sp, by_key) + row_violations(cp, by_key)
+    violations = [
+        message for params in (sp, cp) for f in fields(params)
+        if (message := violation(f, _name(f, by_key), getattr(params, f.name)))
+    ]
     if not violations:
         expected = sp.sim_horizon * (sp.lambda_w + sp.mu + sp.lambda_f + 1.0 / sp.t_c)
         if expected > MAX_EXPECTED_EVENTS:

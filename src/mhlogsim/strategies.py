@@ -59,11 +59,10 @@ are settled when the log leaves it or is purged, and at the end of a fold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
-from .model import CostParams, SimParams
+from .model import CostParams, SimParams, StrategyKind
 from .topology import (
     BS,
     BscId,
@@ -88,12 +87,6 @@ if TYPE_CHECKING:
 _PRICE_TABLE_LIMIT = 4096
 
 _Price = TypeVar("_Price")
-
-
-class StrategyKind(Enum):
-    LAZY = "lazy"
-    PESSIMISTIC = "pessimistic"
-    PROPOSED = "proposed"
 
 
 @dataclass(slots=True)

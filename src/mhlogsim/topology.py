@@ -12,9 +12,9 @@ fixed by the tree shape:
                               convention for an MSC backbone of diameter 2)
 
 Sites are (kind, index) pairs so log fragments can name their holder.
-A network may hold at most ``MAX_CELLS`` cells, so that building one (in
-time and memory linear in its cells) stays bounded for every accepted
-config.
+The tree's shape fields are the ``topology.*`` parameter rows. A network
+may hold at most ``MAX_CELLS`` cells, so that building one (in time and
+memory linear in its cells) stays bounded for every accepted config.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
+
+from .model import COUNT, Bound, ValidationError, param
 
 CellId = int
 BscId = int
@@ -57,12 +59,15 @@ class MoveKind(Enum):
 class NetworkTree:
     """Immutable topology with precomputed cell adjacency and cell -> BSC table."""
 
-    msc_count: int
-    bscs_per_msc: int
-    bss_per_bsc: int
     adjacency: tuple[tuple[CellId, ...], ...]
     cell_bsc: tuple[BscId, ...]
-    inter_msc_bsc_hops: int = 4
+    msc_count: int = param(1, "topology.msc", COUNT)
+    bscs_per_msc: int = param(3, "topology.bsc_per_msc", COUNT)
+    bss_per_bsc: int = param(3, "topology.bs_per_bsc", COUNT)
+    adjacency_kind: str = param("ring", "topology.adjacency",
+                                Bound("ring or grid, got {!r}", lambda v: v in ("ring", "grid")))
+    inter_msc_bsc_hops: int = param(4, "topology.inter_msc_hops",
+                                    Bound(">= 2, got {!r}", lambda v: v >= 2))
 
     @property
     def n_bscs(self) -> int:
@@ -105,34 +110,26 @@ def build_topology(
     adjacency_kind: str = "ring",
     inter_msc_bsc_hops: int = 4,
 ) -> NetworkTree:
-    """Construct the tree and the cell adjacency over the global cell order.
+    """Construct the tree and the cell adjacency over the global cell order
+    from shape values that each lie within their row.
 
     A network needs at least two cells: movement is part of every run, and a
-    single-cell network has nowhere to hand off to.
+    single-cell network has nowhere to hand off to. The cell count joins
+    three rows, so it is checked here, before any of the network is built.
     """
-    counts = (("msc", msc_count), ("bsc_per_msc", bscs_per_msc), ("bs_per_bsc", bss_per_bsc))
-    for key, count in counts:
-        if count < 1:
-            raise ValueError(f"topology.{key} must be >= 1, got {count}")
     n = msc_count * bscs_per_msc * bss_per_bsc
     if not 2 <= n <= MAX_CELLS:
         keys = "topology.msc * topology.bsc_per_msc * topology.bs_per_bsc"
         bound = ">= 2 cells for mobility" if n < 2 else f"<= MAX_CELLS ({MAX_CELLS})"
-        raise ValueError(f"{keys} must be {bound}, got {n}")
-    if inter_msc_bsc_hops < 2:
-        raise ValueError(f"topology.inter_msc_hops must be >= 2, got {inter_msc_bsc_hops}")
-    if adjacency_kind == "ring":
-        adj = _ring_adjacency(n)
-    elif adjacency_kind == "grid":
-        adj = _grid_adjacency(n)
-    else:
-        raise ValueError(f"topology.adjacency must be ring or grid, got {adjacency_kind!r}")
+        raise ValidationError([f"{keys} must be {bound}, got {n}"])
+    adjacency = _grid_adjacency if adjacency_kind == "grid" else _ring_adjacency
     return NetworkTree(
+        adjacency=adjacency(n),
+        cell_bsc=tuple(c // bss_per_bsc for c in range(n)),
         msc_count=msc_count,
         bscs_per_msc=bscs_per_msc,
         bss_per_bsc=bss_per_bsc,
-        adjacency=adj,
-        cell_bsc=tuple(c // bss_per_bsc for c in range(n)),
+        adjacency_kind=adjacency_kind,
         inter_msc_bsc_hops=inter_msc_bsc_hops,
     )
 

@@ -26,7 +26,7 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, ""))
         assert cfg == default_config()
         assert cfg.sim.lambda_f == 0.001
-        assert cfg.strategy is StrategyKind.PROPOSED
+        assert StrategyKind(cfg.sim.strategy) is StrategyKind.PROPOSED
         assert cfg.raw_values()["recovery.deadline"] == "auto"
 
     def test_comments_and_blanks_ignored(self, tmp_path):
@@ -35,7 +35,7 @@ class TestParseConfig:
 
     def test_overrides_apply_rest_default(self, tmp_path):
         cfg = parse_config(write(tmp_path, "strategy = proposed\nsim.mu = 0.05\n"))
-        assert cfg.strategy is StrategyKind.PROPOSED
+        assert StrategyKind(cfg.sim.strategy) is StrategyKind.PROPOSED
         assert cfg.sim.mu == 0.05
         assert cfg.sim.lambda_w == 0.5
 
@@ -84,24 +84,25 @@ class TestParseConfig:
 
     def test_erratum_flag_parses(self, tmp_path):
         cfg = parse_config(write(tmp_path, "frcr.erratum_bound = true\n"))
-        assert cfg.frcr_erratum_bound
+        assert cfg.cost.erratum_bound
 
     @pytest.mark.parametrize("text, message", [
         ("topology.inter_msc_hops = 1\n",
-         "topology: topology.inter_msc_hops must be >= 2, got 1"),
+         "topology.inter_msc_hops must be >= 2, got 1"),
         ("topology.adjacency = hex\n",
-         "topology: topology.adjacency must be ring or grid, got 'hex'"),
-        ("topology.msc = 0\n", "topology: topology.msc must be >= 1, got 0"),
+         "topology.adjacency must be ring or grid, got 'hex'"),
+        ("topology.msc = 0\n", "topology.msc must be >= 1, got 0"),
         ("topology.bsc_per_msc = 1\ntopology.bs_per_bsc = 1\n",
-         "topology: topology.msc * topology.bsc_per_msc * topology.bs_per_bsc must be >= 2 "
+         "topology.msc * topology.bsc_per_msc * topology.bs_per_bsc must be >= 2 "
          "cells for mobility, got 1"),
         # Every key is checked on its own first, and all its failures are
-        # reported together in row order: sim keys, cost keys, strategy,
-        # recovery.p_same_region. Checks that join keys, as the event budget
-        # and the topology do, wait until every key passes.
+        # reported together in row order: sim keys, cost keys, topology keys.
+        # Checks that join keys, as the event budget and the cell count do,
+        # wait until every key passes.
         ("sim.mu = 0\nsim.seed = -5\nstrategy = eager\ntopology.msc = 0\n",
          "sim.mu must be > 0; sim.seed must be in [0, 2**64), got -5; "
-         "strategy must be one of lazy|pessimistic|proposed, got 'eager'"),
+         "strategy must be one of lazy|pessimistic|proposed, got 'eager'; "
+         "topology.msc must be >= 1, got 0"),
         ("sim.horizon = 1e7\nrecovery.p_same_region = 2\n",
          "recovery.p_same_region must be in [0, 1]"),
         ("cost.C_m = nan\nsim.mu = inf\n",
@@ -178,7 +179,7 @@ class TestTopologySizeBudget:
         with pytest.raises(ValidationError) as info:
             parse_config(path)
         assert str(info.value) == (
-            "topology: topology.msc * topology.bsc_per_msc * topology.bs_per_bsc "
+            "topology.msc * topology.bsc_per_msc * topology.bs_per_bsc "
             f"must be <= MAX_CELLS (1000000), got {cells}"
         )
         assert cli.main(["analytic", "--config", str(path)]) == 1
@@ -303,8 +304,8 @@ class TestOneParsePath:
     def test_false_text_turns_a_flag_off(self):
         on = default_config().with_overrides({"frcr.erratum_bound": True})
         off = on.with_overrides({"frcr.erratum_bound": "false"})
-        assert on.frcr_erratum_bound is True
-        assert off.frcr_erratum_bound is False
+        assert on.cost.erratum_bound is True
+        assert off.cost.erratum_bound is False
         assert off.raw_values()["frcr.erratum_bound"] is False
 
     def test_raw_records_the_value_that_ran(self):
@@ -325,12 +326,12 @@ def readme_key_table():
 
 
 class TestReadmeKeyTable:
-    """README's key table lists every config key once, with its default."""
+    """README's key table lists every config key once, with its default, in
+    row order, the order failures are reported in."""
 
     def test_lists_exactly_the_config_keys(self):
         keys = [key for key, _ in readme_key_table()]
-        assert len(keys) == len(set(keys))
-        assert set(keys) == set(CONFIG_KEYS)
+        assert keys == list(CONFIG_KEYS)
 
     @pytest.mark.parametrize("key, text", readme_key_table())
     def test_default_cell_parses_to_the_declared_default(self, key, text):

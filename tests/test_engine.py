@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from mhlogsim.engine import (
     sample_exponential,
     split_seed,
 )
-from mhlogsim.model import CostParams, SimParams
+from mhlogsim.model import CostParams, SimParams, ValidationError
 from mhlogsim.strategies import LazyStrategy, make_strategy
 from mhlogsim.topology import BS, bsc_site
 from mhlogsim import engine, experiments, topology
@@ -249,6 +249,26 @@ class TestRunSimulation:
         assert all(v > 0 for v in stats.bsc_peak_entries.values())
 
 
+# Each bounded SimParams and CostParams row, with a value outside its bound.
+OUT_OF_RANGE = [
+    (f, "eager" if isinstance(f.default, str) else type(f.default)(-1))
+    for cls in (SimParams, CostParams) for f in fields(cls) if f.metadata["bound"]
+] + [(SimParams.__dataclass_fields__["p_same_region"], 1.5)]
+
+
+@pytest.mark.parametrize("row, value", OUT_OF_RANGE,
+                         ids=[f"{f.name}={v}" for f, v in OUT_OF_RANGE])
+def test_run_guard_checks_every_row(row, value):
+    """A Config made outside parsing, by ``dataclasses.replace``, is checked
+    by ``run_simulation`` against the same rows, naming the field."""
+    cfg = default_config()
+    part = "sim" if row.name in SimParams.__dataclass_fields__ else "cost"
+    bad = replace(cfg, **{part: replace(getattr(cfg, part), **{row.name: value})})
+    with pytest.raises(ValidationError) as info:
+        run_simulation(bad, "proposed", 1)
+    assert info.value.violations == [row.metadata["bound"].violation(row.name, value)]
+
+
 def rescan_placement(strategy) -> tuple[int, dict[int, int]]:
     """Brute-force placement of a strategy's log: non-empty pieces (the cache
     counts as one) and entries per BSC region, from the fragments themselves.
@@ -383,7 +403,7 @@ def reference_run(cfg, kind, seed, trace):
             clocks[2] = t + sample_exponential(sp.lambda_w, rng)
         else:
             region = topology.cells_of_bsc(tree, strategy.current_bsc)
-            if rng.random() < cfg.p_same_region or tree.n_bscs == 1:
+            if rng.random() < cfg.sim.p_same_region or tree.n_bscs == 1:
                 cells = region
             else:
                 cells = [c for c in range(tree.n_cells) if c not in region]

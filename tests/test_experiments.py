@@ -4,7 +4,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhlogsim.config import Config, check_count, default_config
+from mhlogsim.config import CONFIG_KEYS, Config, check_count, default_config
 from mhlogsim.experiments import (
     CSV_HEADER,
     FIGURE_IDS,
@@ -25,7 +25,9 @@ from mhlogsim.experiments import (
     provenance_lines,
     run_figure,
 )
+from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import StrategyKind
+from mhlogsim.topology import NetworkTree
 from mhlogsim import analytic, cli, engine, experiments
 
 
@@ -246,6 +248,23 @@ class TestCheckTrends:
         self.assert_spearman_is_scipys([0.1, 0.3, 0.5, 0.7], y)
         self.assert_spearman_is_scipys(y, y)
 
+    @staticmethod
+    def fig6_rows(y):
+        return [row(x, m, kind.value, "recovery_probability", figure="fig6")
+                for kind in StrategyKind for x, m in zip(range(1, 6), y)]
+
+    def test_fig6_rho_of_exactly_minus_0_9_passes(self):
+        y = [5.0, 4.0, 2.0, 3.0, 1.0]  # sum of squared rank differences 38
+        assert experiments._spearman(range(1, 6), y) != -0.9
+        assert check_trends("fig6", self.fig6_rows(y)) == []
+
+    def test_fig6_rho_of_minus_0_8_is_flagged(self):
+        violations = check_trends("fig6", self.fig6_rows([4.0, 5.0, 3.0, 1.0, 2.0]))
+        assert violations == [
+            f"fig6: {kind.value} recovery probability not monotone decreasing (spearman -0.800)"
+            for kind in StrategyKind
+        ]
+
     def test_fig6_check_reads_as_with_scipys_rho(self, figure_rows, monkeypatch):
         from scipy.stats import spearmanr
 
@@ -288,6 +307,40 @@ class TestCrosscheck:
             default_config(), n_intervals=1000, seed=5, threshold=1e-9
         )
         assert report.flagged
+
+
+# One failing config line per bounded parameter row, and the CLI's message.
+CONFIG_ERRORS = [
+    ("sim.lambda_f = 0", "sim.lambda_f must be > 0"),
+    ("sim.lambda_w = -1", "sim.lambda_w must be >= 0"),
+    ("sim.mu = 0", "sim.mu must be > 0"),
+    ("sim.T_c = 0", "sim.T_c must be > 0"),
+    ("sim.horizon = 0", "sim.horizon must be > 0"),
+    ("sim.cache_capacity = 0", "sim.cache_capacity must be >= 1"),
+    ("sim.replications = 0", "sim.replications must be >= 1"),
+    ("sim.seed = -5", "sim.seed must be in [0, 2**64), got -5"),
+    ("strategy = eager", "strategy must be one of lazy|pessimistic|proposed, got 'eager'"),
+    ("recovery.deadline = 0", "recovery.deadline must be > 0"),
+    ("recovery.p_same_region = 2", "recovery.p_same_region must be in [0, 1]"),
+    ("recovery.p_same_region = nan", "recovery.p_same_region must be finite, got nan"),
+    ("cost.r = 0", "cost.r must be > 0"),
+    ("cost.C_c = -1", "cost.C_c must be >= 0"),
+    ("cost.C_1 = -1", "cost.C_1 must be >= 0"),
+    ("cost.C_m = -1", "cost.C_m must be >= 0"),
+    ("cost.alpha = -1", "cost.alpha must be >= 0"),
+    ("cost.rho = -1", "cost.rho must be >= 0"),
+    ("cost.T_load_ckpt = -1", "cost.T_load_ckpt must be >= 0"),
+    ("cost.T_load_log = -1", "cost.T_load_log must be >= 0"),
+    ("cost.C_p = -1", "cost.C_p must be >= 0"),
+    ("cost.alpha = nan", "cost.alpha must be finite, got nan"),
+    ("sim.T_c = inf", "sim.T_c must be finite, got inf"),
+    ("cost.C_m = inf", "cost.C_m must be finite, got inf"),
+    ("topology.msc = 0", "topology.msc must be >= 1, got 0"),
+    ("topology.bsc_per_msc = 0", "topology.bsc_per_msc must be >= 1, got 0"),
+    ("topology.bs_per_bsc = -2", "topology.bs_per_bsc must be >= 1, got -2"),
+    ("topology.adjacency = hex", "topology.adjacency must be ring or grid, got 'hex'"),
+    ("topology.inter_msc_hops = 1", "topology.inter_msc_hops must be >= 2, got 1"),
+]
 
 
 class TestCli:
@@ -455,36 +508,18 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(cfg_file)]) == 0
         assert "write_count" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("text, message", [
-        ("sim.lambda_f = 0", "sim.lambda_f must be > 0"),
-        ("sim.lambda_w = -1", "sim.lambda_w must be >= 0"),
-        ("sim.mu = 0", "sim.mu must be > 0"),
-        ("sim.T_c = 0", "sim.T_c must be > 0"),
-        ("sim.horizon = 0", "sim.horizon must be > 0"),
-        ("sim.cache_capacity = 0", "sim.cache_capacity must be >= 1"),
-        ("sim.replications = 0", "sim.replications must be >= 1"),
-        ("sim.seed = -5", "sim.seed must be in [0, 2**64), got -5"),
-        ("strategy = eager", "strategy must be one of lazy|pessimistic|proposed, got 'eager'"),
-        ("recovery.deadline = 0", "recovery.deadline must be > 0"),
-        ("recovery.p_same_region = 2", "recovery.p_same_region must be in [0, 1]"),
-        ("recovery.p_same_region = nan", "recovery.p_same_region must be in [0, 1]"),
-        ("cost.r = 0", "cost.r must be > 0"),
-        ("cost.C_c = -1", "cost.C_c must be >= 0"),
-        ("cost.C_1 = -1", "cost.C_1 must be >= 0"),
-        ("cost.C_m = -1", "cost.C_m must be >= 0"),
-        ("cost.alpha = -1", "cost.alpha must be >= 0"),
-        ("cost.rho = -1", "cost.rho must be >= 0"),
-        ("cost.T_load_ckpt = -1", "cost.T_load_ckpt must be >= 0"),
-        ("cost.T_load_log = -1", "cost.T_load_log must be >= 0"),
-        ("cost.C_p = -1", "cost.C_p must be >= 0"),
-        ("cost.alpha = nan", "cost.alpha must be finite, got nan"),
-        ("sim.T_c = inf", "sim.T_c must be finite, got inf"),
-        ("cost.C_m = inf", "cost.C_m must be finite, got inf"),
-    ])
+    @pytest.mark.parametrize("text, message", CONFIG_ERRORS)
     def test_config_errors_name_the_key(self, capsys, tmp_path, text, message):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text(text + "\n", encoding="utf-8")
         self.assert_one_error(capsys, ["simulate", "--config", str(cfg_file)], message)
+
+    def test_every_bounded_row_has_an_error_case(self):
+        rows = [f for cls in (SimParams, CostParams, NetworkTree) for f in fields(cls)
+                if f.metadata]
+        assert [f.metadata["key"] for f in rows] == list(CONFIG_KEYS)
+        cased = {text.partition(" = ")[0] for text, _ in CONFIG_ERRORS}
+        assert {f.metadata["key"] for f in rows if f.metadata["bound"]} <= cased
 
     @pytest.mark.parametrize("seed", ["-5", str(2**64)])
     def test_config_seed_outside_64_bits_is_rejected(self, capsys, tmp_path, seed):
@@ -664,7 +699,7 @@ def test_run_figures_script_reports_a_bad_config_in_one_line(capsys, tmp_path, m
     ])
     assert module.main() == 1
     assert capsys.readouterr().err == (
-        "error: topology: topology.inter_msc_hops must be >= 2, got 1\n"
+        "error: topology.inter_msc_hops must be >= 2, got 1\n"
     )
     assert not out.exists()
 
