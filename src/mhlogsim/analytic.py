@@ -211,7 +211,7 @@ def build_report(
 
     eta and k come from derive_quantities so every consumer shares the same
     source. FRCR needs measured recovery probabilities; without them the
-    ratio is reported as undefined.
+    ratio is reported as undefined. A quantity that overflows is an error.
     """
     d = derive_quantities(sp)
     if d.k_expected < 1:
@@ -228,7 +228,7 @@ def build_report(
     ratio = None
     if p_prop is not None and p_lazy is not None:
         ratio = frcr(p_prop, p_lazy, cost_prop, cost_lazy)
-    return AnalyticReport(
+    report = AnalyticReport(
         p01=p01,
         p02=p02,
         c_handoff_avg=avg_handoff_cost(d.eta, cp),
@@ -242,3 +242,17 @@ def build_report(
         k_expected=d.k_expected,
         eta=d.eta,
     )
+    # Each quantity, with the config keys and flags its formula reads.
+    k, p = "sim.lambda_w, sim.T_c", "sim.lambda_f, sim.mu"
+    avg, ops = f"{k}, cost.C_1, cost.C_c, cost.C_m", f"sim.T_c, {p}, frcr.erratum_bound"
+    c01 = f"{avg}, cost.r, cost.alpha, cost.rho"
+    invest = f"{ops}, cost.r, cost.T_load_ckpt, cost.T_load_log"
+    reads = dict(p01=p, p02=p, k_expected=k, eta=k, c_handoff_avg=avg, c01=c01,
+                 c_r=f"{avg}, cost.r", c_t=f"{c01}, {p}", n_ops=ops, c_prop=invest,
+                 c_lazy="sim.lambda_f, sim.T_c, cost.C_p",
+                 frcr=f"{invest}, cost.C_p, --p-prop, --p-lazy")
+    bad = [f"{name} = {v} is not finite: it reads {keys}" for name, keys in reads.items()
+           if (v := getattr(report, name)) is not None and not math.isfinite(v)]
+    if bad:
+        raise ValidationError(bad)
+    return report

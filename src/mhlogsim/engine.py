@@ -11,15 +11,16 @@ host's cell follows the same handoffs and restarts under each of them, so
 the event sequence depends on the config and the seed alone.
 
 The kernel is therefore two steps. ``generate_timeline`` runs the event
-clocks once and records the non-write events (time, kind, cell) and the
-number of writes before each (a ``Timeline``). A new strategy object then
-folds that record in one loop of its own (``LogStrategy.fold``), taking
-each run of writes between two other events at once, and returns the
-run's ``RunStats``; no handler is called per event. ``run_simulation``
-keeps the last timeline with the ``Config`` object and the seed it was
-made for, so the strategies of one replication share one timeline object:
-the pairing of common random numbers holds by construction, and the clocks
-run once per replication, not once per strategy.
+clocks once and records the non-write events (time, kind, cell), the
+number of writes before each and the count of each kind (a ``Timeline``).
+A new strategy object then folds that record in one loop of its own
+(``LogStrategy.fold``), taking each run of writes between two other events
+at once, and returns the run's ``RunStats``; no handler is called per
+event. ``run_simulation`` keeps the last timeline with the ``Config``
+object and the seed it was made for, so the strategies of one replication
+share one timeline object: the pairing of common random numbers holds by
+construction, and the clocks run once per replication, not once per
+strategy.
 
 Draw order, fixed for reproducibility:
 
@@ -167,14 +168,17 @@ class Timeline:
     cell), the kind named as in the trace: a handoff's destination cell, a
     failure's restart cell, the host's cell for a checkpoint. ``writes[i]``
     counts the writes dispatched just before ``events[i]``, and its one
-    extra last entry the writes after the last event. ``write_times``, kept
-    only when asked for, holds every write's time in order.
+    extra last entry the writes after the last event; the four counts are
+    the events of each kind. ``write_times``, kept only when asked for,
+    holds every write's time in order.
     """
 
     events: list[tuple[float, str, int]]
     writes: list[int]
     intra_bsc: int
     inter_bsc: int
+    checkpoints: int
+    failures: int
     write_times: list[float] | None = None
 
 
@@ -207,7 +211,7 @@ def generate_timeline(cfg: Config, seed: int, keep_write_times: bool = False) ->
     writes: list[int] = []
     write_times = [] if keep_write_times else None
     cell = 0
-    k = intra = inter = 0
+    k = intra = inter = checkpoints = failures = 0
     while True:
         # Writes fire until a checkpoint or handoff is due at or before the
         # next one, or a failure strictly before it.
@@ -228,6 +232,7 @@ def generate_timeline(cfg: Config, seed: int, keep_write_times: bool = False) ->
         if checkpoint_at == t:
             events.append((t, "CHECKPOINT", cell))
             checkpoint_at = t + t_c
+            checkpoints += 1
         elif handoff_at == t:
             to_cell = sample_next_cell(tree, cell, rng)
             if cell_bsc[cell] == cell_bsc[to_cell]:
@@ -240,10 +245,11 @@ def generate_timeline(cfg: Config, seed: int, keep_write_times: bool = False) ->
         else:
             cell = _sample_recovery_cell(tree, cell_bsc[cell], p_same_region, rng)
             events.append((t, "FAILURE", cell))
+            failures += 1
             failure_at = t + -log(1.0 - random()) / lambda_f
             last = nextafter(failure_at if failure_at < horizon else horizon, inf)
     writes.append(k)
-    return Timeline(events, writes, intra, inter, write_times)
+    return Timeline(events, writes, intra, inter, checkpoints, failures, write_times)
 
 
 # The last timeline made, with the Config object and seed it was made for: a

@@ -1,12 +1,13 @@
 """The three log-management strategies, each a fold of a run's events.
 
 A strategy object is one run: it holds the host's cell, BSC and cache and
-where the checkpoint and log fragments sit. ``fold`` applies a ``Timeline``
-to that state in one loop, lazy's or the one pessimistic and proposed
-share, which keeps the scalars it changes in locals, works on the
-``fragments`` and ``cache`` lists in place and writes the scalars back at
-the end. Each rule lives in its loop: an event handler checks its input
-and folds that one event. Make a fresh object for every run.
+where the checkpoint and log fragments sit. ``fold`` applies a ``Timeline``,
+which counts the events, to that state in one loop, lazy's or the one
+pessimistic and proposed share. A loop keeps the placement, the prices that
+vary per event and the recovery accounting, with its scalars in locals and
+the ``fragments`` and ``cache`` lists changed in place. Each rule lives in
+its loop: an event handler checks its input and folds that one event. Make
+a fresh object for every run.
 
 lazy         log fragments stay at the BS where they were written; each
              handoff stores a pointer in the new BS, recovery chases the
@@ -33,23 +34,23 @@ one ``LogStrategy`` method:
   ``r`` per item per wired hop; control messages take no time.
 * Handoff channel signalling common to every strategy is not priced; only
   strategy-differential costs appear in a CostDelta.
-* Prices fixed for a whole run (a BS-logged write, a checkpoint, lazy's
-  pointer message, proposed's full-cache flush) are computed once in
-  ``__init__`` by the same rules, and every event that pays one returns
-  that same object. Handoff and recovery prices that depend only on a few
-  small integers (a log size, a hop count, a cache fill) are priced by the
-  same rules on first use and kept in a per-run table under those integers
-  (``_keep``), up to ``_PRICE_TABLE_LIMIT`` entries a table. Pessimistic's
-  and proposed's handoffs are kept in ``_move_prices`` under (log size,
-  hops the log moves, cache fill), the log size 0 for a move of 0 hops,
-  and their recoveries in ``_recovery_prices`` under (log size, hops from
-  the checkpoint to the restart BS). A run of writes is kept the same
-  way in ``_write_runs``: lazy's and pessimistic's under (run length, piece
-  count after it), proposed's under (run length, cache fill, piece count
-  before it). A loop prices a key only on a miss (``_write_run``,
-  ``_move_price``, ``_recovery_price``, which lazy calls every recovery).
-  A returned CostDelta, a ``RecoveryOutcome.cost`` included, and a
-  returned ``WriteRun`` are therefore shared and read-only.
+* Prices fixed for a whole run (one charged write, which for proposed is
+  the full-cache flush, a checkpoint, lazy's pointer message) are computed
+  once in ``__init__`` by the same rules, and every event that pays one
+  returns that same object. Handoff and recovery prices that depend only
+  on a few small integers (a log size, a hop count, a cache fill) are
+  priced by the same rules on first use and kept in a per-run table under
+  those integers (``_keep``), up to ``_PRICE_TABLE_LIMIT`` entries a
+  table. Pessimistic's and proposed's handoffs are kept in ``_move_prices``
+  under (log size, hops the log moves, cache fill), the log size 0 for a
+  move of 0 hops, and their recoveries in ``_recovery_prices`` under (log
+  size, hops from the checkpoint to the restart BS). A run of writes is
+  kept the same way in ``_write_runs``: lazy's and pessimistic's under (run
+  length, piece count after it), proposed's under (run length, cache fill,
+  piece count before it). A loop prices a key only on a miss
+  (``_write_run``, ``_move_price``, ``_recovery_price``, which lazy calls
+  every recovery). A returned CostDelta, a ``RecoveryOutcome.cost``
+  included, and a returned ``WriteRun`` are therefore shared and read-only.
 
 The loops index the tree's cell -> BSC table, behind the handlers' range
 checks, and call ``_bsc_gap`` only across two BSCs. A region's peak entries
@@ -59,7 +60,9 @@ are settled when the log leaves it or is purged, and at the end of a fold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import reduce
+from itertools import chain, repeat
+from operator import add
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .model import CostParams, SimParams, StrategyKind
@@ -207,16 +210,15 @@ class LogStrategy:
         self.checkpoint_site, self.checkpoint_region = site, region
         # The log: its fragments, the running tally of non-empty ones, and
         # the most entries each BSC region held as of the last settle.
-        self.fragments: list[Fragment] = self._empty_log(site, region)
+        self.fragments: list[Fragment] = []
         self.pointer_chain_length = 0  # lazy only
         self.pieces = 0
         self.region_peaks: dict[BscId, int] = {}
         self._write_runs: dict[tuple[int, ...], WriteRun] = {}
-        # Prices no event of the run changes. A write is one wireless data
-        # item plus the BSC's acknowledgement message. The checkpoint site
-        # keeps its place relative to the host's cell, so the hop count at
-        # birth holds for every checkpoint of the run.
-        self._write_cost = self._ship(self._messages(1), cp.c_1, [(1, 0)])
+        # Prices no event of the run changes: one charged write, and a
+        # checkpoint. The checkpoint site keeps its place relative to the
+        # host's cell, so the hop count at birth holds for every checkpoint.
+        self._write_cost = self._write_price()
         hops = hops_between(tree, (BS, 0), self.current_bsc, site, region)
         self._checkpoint_cost = self._ship(CostDelta(), cp.c_c, [(1, hops)])
 
@@ -228,21 +230,25 @@ class LogStrategy:
         (time, event kind, cost delta) for every event, one entry per write
         included, which needs the timeline's ``write_times``.
 
-        The subclass's loop, ``_fold(writes, events, write_times, trace)``,
-        returns its tally (handoffs, checkpoints, failures, successes, lost
-        entries, home-region recoveries, peak pieces, then the handoff,
-        checkpoint, logging, recovery, home-recovery cost sums and the
-        retrieval time sum) and the price of the last event it applied."""
-        (handoffs, checkpoints, failures, successes, lost, home, peak, cost_handoff,
-         cost_checkpoint, cost_logging, cost_recovery, cost_home, retrieval_sum), _ = self._fold(
-            timeline.writes, timeline.events, timeline.write_times, trace)
+        The timeline counts the events. The subclass's loop, ``_fold(writes,
+        events, write_times, trace)``, returns its tally (successes, lost
+        entries, home-region recoveries, peak pieces, charged writes, then the
+        handoff, recovery and home-recovery cost and retrieval time sums) and
+        the price of the last event it applied. A checkpoint and a charged
+        write cost the same all run: each sum adds its price once per event."""
+        (successes, lost, home, peak, charged, cost_handoff, cost_recovery, cost_home,
+         retrieval_sum), _ = self._fold(timeline.writes, timeline.events, timeline.write_times, trace)
+        handoffs, failures = timeline.intra_bsc + timeline.inter_bsc, timeline.failures
+        # n additions from 0.0, the floats of a per-event loop; n * price rounds differently.
+        cost_checkpoint = reduce(add, repeat(self._checkpoint_cost.total, timeline.checkpoints), 0.0)
+        cost_logging = reduce(add, repeat(self._write_cost.total, charged), 0.0)
         total_cost = cost_handoff + cost_recovery + cost_logging + cost_checkpoint
         return RunStats(
             handoff_count=handoffs,
             intra_bsc_count=timeline.intra_bsc,
             inter_bsc_count=timeline.inter_bsc,
             write_count=sum(timeline.writes),
-            checkpoint_count=checkpoints,
+            checkpoint_count=timeline.checkpoints,
             failure_count=failures,
             recovery_success_count=successes,
             total_handoff_cost=cost_handoff,
@@ -296,7 +302,7 @@ class LogStrategy:
             raise ValueError(f"unknown cell {recovery_cell}")
         tally, (cost, fragments_fetched, retrieval_time) = self._fold(
             (0, 0), ((0.0, "FAILURE", recovery_cell),), None, None)
-        successes, lost, home = tally[3:6]
+        successes, lost, home = tally[:3]
         return RecoveryOutcome(
             success=successes == 1,
             retrieval_time=retrieval_time,
@@ -320,9 +326,9 @@ class LogStrategy:
         kept, and that site's region."""
         return (BS, cell), bsc
 
-    def _empty_log(self, site: Site, region: BscId) -> list[Fragment]:
-        """The fragments of a purged log, the checkpoint at ``site``."""
-        return []
+    def _write_price(self) -> CostDelta:
+        """One charged write: a wireless data item and the BSC's acknowledgement."""
+        return self._ship(self._messages(1), self.cp.c_1, [(1, 0)])
 
     def _locate_log(self, in_home_region: bool) -> int:
         """How many wired control messages a recovery sends, after its
@@ -439,15 +445,14 @@ class LazyStrategy(LogStrategy):
         write_runs, keep, write_run = self._write_runs, self._keep, self._write_run
         recovery_price, site_of = self._recovery_price, self._checkpoint_site
         checkpoint_cost, pointer_cost = self._checkpoint_cost, self._pointer_cost
-        checkpoint_total, pointer_total = checkpoint_cost.total, pointer_cost.total
+        pointer_total = pointer_cost.total
         # The cell whose BS holds the last fragment, and that fragment's entries.
         last_cell = fragments[-1].site[1] if fragments else None
         entries = fragments[-1].entries if fragments else None
         times = iter(write_times or ())
         last = None
-        handoffs = checkpoints = failures = successes = home = peak = 0
-        cost_handoff = cost_recovery = cost_logging = cost_checkpoint = 0.0
-        retrieval_sum = cost_home = 0.0
+        successes = home = peak = charged = 0
+        cost_handoff = cost_recovery = retrieval_sum = cost_home = 0.0
 
         for k, event in zip(writes, chain(events, (None,))):
             if k:
@@ -463,11 +468,7 @@ class LazyStrategy(LogStrategy):
                 run = last = write_runs.get(key)
                 if run is None:
                     run = last = keep(write_runs, key, write_run(k, pieces))
-                # One addition per charged write, in order, as a per-write loop
-                # sums them; an uncharged write adds 0.0, which changes nothing.
-                cost = run.delta.total
-                for _ in run.charged:
-                    cost_logging += cost
+                charged += len(run.charged)
                 if trace is not None:
                     for i in range(k):
                         trace.append((next(times), "WRITE", run.delta if i in run.charged else NO_COST))
@@ -483,13 +484,10 @@ class LazyStrategy(LogStrategy):
                 pieces = chain_length = 0
                 last_cell = entries = None
                 delta = last = checkpoint_cost
-                checkpoints += 1
-                cost_checkpoint += checkpoint_total
             elif ev == "HANDOFF":
                 cell, bsc = to, cell_bsc[to]
                 chain_length += 1
                 delta = last = pointer_cost
-                handoffs += 1
                 cost_handoff += pointer_total
             else:  # FAILURE
                 in_home, bsc = cell_bsc[to] == bsc, cell_bsc[to]
@@ -499,7 +497,6 @@ class LazyStrategy(LogStrategy):
                 delta, _, retrieval_time = last
                 if last_cell is not None and last_cell != to:
                     chain_length += 1
-                failures += 1
                 total = delta.total
                 cost_recovery += total
                 if retrieval_time <= deadline:
@@ -514,21 +511,21 @@ class LazyStrategy(LogStrategy):
         self.current_cell, self.current_bsc, self.next_seq = cell, bsc, seq
         self.pieces, self.pointer_chain_length = pieces, chain_length
         return (
-            handoffs, checkpoints, failures, successes, 0, home, peak,
-            cost_handoff, cost_checkpoint, cost_logging, cost_recovery, cost_home, retrieval_sum,
+            successes, 0, home, peak, charged, cost_handoff, cost_recovery, cost_home, retrieval_sum,
         ), last
 
 
 class _OneFragmentStrategy(LogStrategy):
-    """Pessimistic and proposed: at most one fragment, which shares the
-    checkpoint's site and region after every event. A handoff moves both to
-    the host's checkpoint site and appends the cache there; the subclasses
-    price the move (``_move_price``)."""
+    """Pessimistic and proposed: exactly one fragment, empty after a purge,
+    which shares the checkpoint's site and region after every event. A
+    handoff moves both to the host's checkpoint site and appends the cache
+    there; the subclasses price the move (``_move_price``)."""
 
     _caches = False  # whether writes wait in the host's cache
 
     def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
         super().__init__(tree, sp, cp)
+        self.fragments.append(Fragment(self.checkpoint_site, self.checkpoint_region))
         self._move_prices: dict[tuple[int, int, int], CostDelta] = {}
         self._recovery_prices: dict[tuple[int, int], tuple[CostDelta, int, float]] = {}
         # Hops a handoff adds to the BSC gap: a log kept at a BS goes up to
@@ -553,18 +550,15 @@ class _OneFragmentStrategy(LogStrategy):
         write_runs, move_prices = self._write_runs, self._move_prices
         recovery_prices, keep, write_run = self._recovery_prices, self._keep, self._write_run
         move_price, recovery_price = self._move_price, self._recovery_price
-        site_of, empty_log, settle = self._checkpoint_site, self._empty_log, self.settle_peaks
+        site_of, settle = self._checkpoint_site, self.settle_peaks
         end_hops, caches, deadline = self._end_hops, self._caches, self.sp.recovery_deadline
         checkpoint_cost = self._checkpoint_cost
-        # The one fragment; a purged proposed log holds it outside
-        # ``fragments`` until it takes its first entry.
-        frag = fragments[0] if fragments else Fragment(site, region)
+        frag = fragments[0]
         entries = frag.entries
         times = iter(write_times or ())
         last = None
-        handoffs = checkpoints = failures = successes = lost = home = peak = 0
-        cost_handoff = cost_recovery = cost_logging = cost_checkpoint = 0.0
-        retrieval_sum = cost_home = 0.0
+        successes = lost = home = peak = charged = 0
+        cost_handoff = cost_recovery = retrieval_sum = cost_home = 0.0
 
         for k, event in zip(writes, chain(events, (None,))):
             if k:
@@ -580,7 +574,6 @@ class _OneFragmentStrategy(LogStrategy):
                         cache += range(first, flushed)
                         if not entries:
                             pieces += 1
-                            fragments[:] = (frag,)
                         entries += cache
                         cache[:] = range(flushed, seq)
                     else:
@@ -593,11 +586,7 @@ class _OneFragmentStrategy(LogStrategy):
                     run = last = write_runs.get(key)
                     if run is None:
                         run = last = keep(write_runs, key, write_run(k, pieces))
-                # One addition per charged write, in order, as a per-write loop
-                # sums them; an uncharged write adds 0.0, which changes nothing.
-                cost = run.delta.total
-                for _ in run.charged:
-                    cost_logging += cost
+                charged += len(run.charged)
                 if trace is not None:
                     for i in range(k):
                         trace.append((next(times), "WRITE", run.delta if i in run.charged else NO_COST))
@@ -610,13 +599,9 @@ class _OneFragmentStrategy(LogStrategy):
                 site, region = site_of(cell, bsc)
                 cache.clear()
                 settle()
-                fragments[:] = empty_log(site, region)
-                pieces = 0
-                frag = fragments[0] if fragments else Fragment(site, region)
-                entries = frag.entries
+                fragments[0] = frag = Fragment(site, region)
+                entries, pieces = frag.entries, 0
                 delta = last = checkpoint_cost
-                checkpoints += 1
-                cost_checkpoint += checkpoint_cost.total
             else:
                 from_bsc, bsc = bsc, cell_bsc[to]
                 cell = to
@@ -627,7 +612,6 @@ class _OneFragmentStrategy(LogStrategy):
                     delta = last = move_prices.get(key)
                     if delta is None:
                         delta = last = keep(move_prices, key, move_price(n, hops, len(cache)))
-                    handoffs += 1
                     cost_handoff += delta.total
                 else:  # FAILURE
                     in_home = bsc == from_bsc
@@ -640,7 +624,6 @@ class _OneFragmentStrategy(LogStrategy):
                     delta, _, retrieval_time = last
                     lost += len(cache)
                     cache.clear()
-                    failures += 1
                     total = delta.total
                     cost_recovery += total
                     if retrieval_time <= deadline:
@@ -658,7 +641,6 @@ class _OneFragmentStrategy(LogStrategy):
                 if cache:
                     if not entries:
                         pieces += 1
-                        fragments[:] = (frag,)
                     entries += cache
                     cache.clear()
             if trace is not None:
@@ -667,8 +649,8 @@ class _OneFragmentStrategy(LogStrategy):
         self.current_cell, self.current_bsc, self.next_seq, self.pieces = cell, bsc, seq, pieces
         self.checkpoint_site, self.checkpoint_region = site, region
         return (
-            handoffs, checkpoints, failures, successes, lost, home, peak,
-            cost_handoff, cost_checkpoint, cost_logging, cost_recovery, cost_home, retrieval_sum,
+            successes, lost, home, peak, charged, cost_handoff, cost_recovery, cost_home,
+            retrieval_sum,
         ), last
 
 
@@ -676,9 +658,6 @@ class PessimisticStrategy(_OneFragmentStrategy):
     """One fragment, kept with the checkpoint at the host's BS at all times."""
 
     kind = StrategyKind.PESSIMISTIC
-
-    def _empty_log(self, site, region) -> list[Fragment]:
-        return [Fragment(site, region)]
 
     def _move_price(self, n, hops, cached) -> CostDelta:
         # One message, then the log and checkpoint carried to the new BS.
@@ -695,10 +674,6 @@ class ProposedStrategy(_OneFragmentStrategy):
 
     kind = StrategyKind.PROPOSED
     _caches = True
-
-    def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
-        super().__init__(tree, sp, cp)
-        self._full_flush_cost = self._flush_cost(sp.cache_capacity)
 
     def _checkpoint_site(self, cell, bsc) -> tuple[Site, BscId]:
         return bsc_site(bsc), bsc
@@ -717,8 +692,12 @@ class ProposedStrategy(_OneFragmentStrategy):
         # empty, and the one fragment then holds entries.
         after = 1 + (cap > 1 and first + 1 < k)
         return WriteRun(
-            self._full_flush_cost, range(first, k, cap), max(before + 1, after) if first else after
+            self._write_cost, range(first, k, cap), max(before + 1, after) if first else after
         )
+
+    def _write_price(self) -> CostDelta:
+        # Only the write that fills the cache is charged: it flushes it.
+        return self._flush_cost(self.sp.cache_capacity)
 
     def _flush_cost(self, n: int) -> CostDelta:
         """Cost of moving ``n`` cached entries up one hop to the host's BSC."""

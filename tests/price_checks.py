@@ -62,7 +62,7 @@ def fresh_write_run(strategy, key):
         peak = max(peak, pieces + bool(n))
     if not charged:
         return WriteRun(NO_COST, range(0), peak)
-    return WriteRun(strategy._full_flush_cost, range(k)[charged[0]::cap], peak)
+    return WriteRun(strategy._write_cost, range(k)[charged[0]::cap], peak)
 
 
 PRICE_TABLES = {  # per-run price table -> its key's price made afresh
@@ -77,20 +77,22 @@ def assert_cached_prices_fresh(strategy):
     price tables, equal the same prices made afresh by the same rules: the
     fixed ones from the state it stands in now, each table entry from its
     key. No table holds more than ``_PRICE_TABLE_LIMIT`` entries.
-    Pessimistic's and proposed's one fragment, which the recovery table's
-    key assumes, shares the checkpoint's site and region."""
+    Pessimistic and proposed hold exactly one fragment, empty after a purge,
+    and it shares the checkpoint's site and region, as the recovery table's
+    key assumes."""
     cp = strategy.cp
-    assert strategy._write_cost == strategy._ship(strategy._messages(1), cp.c_1, [(1, 0)])
+    if strategy.kind is StrategyKind.PROPOSED:
+        assert strategy._write_cost == strategy._flush_cost(strategy.sp.cache_capacity)
+    else:
+        assert strategy._write_cost == strategy._ship(strategy._messages(1), cp.c_1, [(1, 0)])
     site, region = strategy._checkpoint_site(strategy.current_cell, strategy.current_bsc)
     hops = hops_between(strategy.tree, (BS, strategy.current_cell), strategy.current_bsc,
                         site, region)
     assert strategy._checkpoint_cost == strategy._ship(CostDelta(), cp.c_c, [(1, hops)])
     if strategy.kind is StrategyKind.LAZY:
         assert strategy._pointer_cost == strategy._messages(1)
-    if strategy.kind is StrategyKind.PROPOSED:
-        assert strategy._full_flush_cost == strategy._flush_cost(strategy.sp.cache_capacity)
     if strategy.kind is not StrategyKind.LAZY:
-        assert len(strategy.fragments) <= 1
+        assert len(strategy.fragments) == 1
         for frag in strategy.fragments:
             assert (frag.site, frag.region) == (strategy.checkpoint_site, strategy.checkpoint_region)
     for name, price in PRICE_TABLES.items():

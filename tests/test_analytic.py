@@ -18,6 +18,7 @@ from mhlogsim.analytic import (
     total_handoff_cost,
 )
 from mhlogsim.config import default_config
+from mhlogsim.engine import run_simulation, split_seed, summarize
 from mhlogsim.experiments import figure_spec
 from mhlogsim.model import CostParams, SimParams
 
@@ -241,3 +242,18 @@ class TestSimulatorExpectations:
             point = cfg.with_overrides({**spec.overrides, spec.swept_param: row.param_value})
             expected = expected_pessimistic_handoff_cost(point)
             assert row.ci95_low <= expected <= row.ci95_high, (row.param_value, expected)
+
+    def test_replication_intervals_cover_at_their_stated_rate(self):
+        # 200 batches of 10 replications, batch b from master seed 1000 + b.
+        # If each 95% interval covers the expectation independently, the
+        # covering count is Binomial(200, 0.95); [179, 198] is its two-sided
+        # 99.9% range, each tail below 0.0005, fixed before any run.
+        cfg = default_config().with_overrides({"sim.horizon": 2000.0})
+        expected = expected_pessimistic_handoff_cost(cfg)
+        covered = 0
+        for batch in range(200):
+            runs = [run_simulation(cfg, "pessimistic", split_seed(1000 + batch, i))
+                    for i in range(10)]
+            _, low, high = summarize([r.total_handoff_cost / max(1, r.handoff_count) for r in runs])
+            covered += low <= expected <= high
+        assert 179 <= covered <= 198, covered

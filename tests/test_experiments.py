@@ -387,6 +387,26 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command, text, quantities", [
+        (["analytic"], "cost.C_m = 1e308\n", ["c01", "c_t"]),
+        (["analytic"], "sim.lambda_f = 5e-324\n", ["c_prop", "c_lazy"]),
+        (["analytic"], "cost.r = 1e308\nrecovery.deadline = 50\n", ["c01", "c_r", "c_t", "c_prop"]),
+        (["crosscheck", "--intervals", "1000"], "cost.C_m = 1e308\n", ["c01", "c_t"]),
+    ], ids=["analytic-C_m", "analytic-lambda_f", "analytic-r", "crosscheck-C_m"])
+    def test_a_closed_form_overflow_is_rejected(self, tmp_path, capsys, command, text, quantities):
+        # Validation accepts each config, and its closed form overflows.
+        path = tmp_path / "big.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main([*command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        messages = line.removeprefix("error: ").split("; ")
+        assert [m.split(" = ")[0] for m in messages] == quantities
+        key = text.split(" = ")[0]
+        assert all(key in m.split(" is not finite: it reads ")[1] for m in messages)
+
     def test_analytic_prints_the_ratio_of_probabilities(self, capsys):
         assert cli.main(["analytic", "--p-prop", "0.9", "--p-lazy", "0.5"]) == 0
         frcr = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("frcr ")]

@@ -226,6 +226,36 @@ def test_proposed_write_runs_equal_a_per_write_replay(values):
 
 
 @settings(max_examples=60, deadline=None)
+@given(values=st.fixed_dictionaries(VALUES), short=st.booleans(), no_failure=st.booleans())
+def test_timeline_counts_each_kind_of_event(values, short, no_failure):
+    # ``short`` ends the run before the first checkpoint, which fires at T_c.
+    # ``no_failure`` makes the first failure gap, -log(1 - u) / 1e-300,
+    # outlast any drawn horizon unless u is exactly 0.
+    assume(multi_cell(values))
+    if short:
+        values = {**values, "sim.horizon": values["sim.T_c"] / 2}
+    if no_failure:
+        values = {**values, "sim.lambda_f": 1e-300}
+    cfg = accepted(values)
+    timeline = generate_timeline(cfg, cfg.sim.seed)
+    kinds = [ev for _, ev, _ in timeline.events]
+    assert timeline.checkpoints == kinds.count("CHECKPOINT")
+    assert timeline.failures == kinds.count("FAILURE")
+    assert timeline.intra_bsc + timeline.inter_bsc == kinds.count("HANDOFF")
+    cell_bsc, cell, intra = cfg.tree.cell_bsc, 0, 0
+    for _, ev, to in timeline.events:
+        if ev == "HANDOFF":
+            intra += cell_bsc[cell] == cell_bsc[to]
+        if ev != "CHECKPOINT":
+            cell = to
+    assert timeline.intra_bsc == intra
+    if short:
+        assert timeline.checkpoints == 0
+    if no_failure:
+        assert timeline.failures == 0
+
+
+@settings(max_examples=60, deadline=None)
 @given(values=st.fixed_dictionaries(VALUES))
 def test_write_times_leave_the_timeline_unchanged(values):
     # writes[i] fire between events[i - 1] and events[i]. On a tie a

@@ -513,7 +513,7 @@ class TestRegionPeaks:
     @pytest.mark.parametrize("kind", list(PEAKS))
     def test_one_entry_regions_through_the_fold(self, kind):
         strat = setup(kind)
-        stats = strat.fold(Timeline([(1.0, "HANDOFF", 3)], [1, 0], 0, 1))
+        stats = strat.fold(Timeline([(1.0, "HANDOFF", 3)], [1, 0], 0, 1, 0, 0))
         assert stats.bsc_peak_entries == self.PEAKS[kind]
 
 
