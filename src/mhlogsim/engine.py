@@ -20,7 +20,11 @@ event. ``run_simulation`` keeps the last timeline with the ``Config``
 object and the seed it was made for, so the strategies of one replication
 share one timeline object: the pairing of common random numbers holds by
 construction, and the clocks run once per replication, not once per
-strategy.
+strategy. The strategy object is new for every run, but its price tables
+are shared by every run of its kind with the same price inputs
+(``strategies``). No price reads a rate, so the runs of a figure, over all
+its reps and sweep points, price each handoff, run of writes or recovery
+key once, up to the tables' cap.
 
 Draw order, fixed for reproducibility:
 
@@ -323,14 +327,16 @@ _T975 = (
 
 def summarize(values: list[float]) -> tuple[float, float, float]:
     """Mean with a 95% Student-t confidence interval; width 0 for one value, and
-    ``(nan, nan, nan)`` with no warning for an empty sample."""
+    ``(nan, nan, nan)`` with no warning for an empty sample. Values too large
+    to sum or square give an inf or nan bound, also with no warning."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return math.nan, math.nan, math.nan
-    mean = float(arr.mean())
-    if arr.size < 2:
-        return mean, mean, mean
-    sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(arr.mean())
+        if arr.size < 2:
+            return mean, mean, mean
+        sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
     if sem == 0.0:
         return mean, mean, mean
     df = arr.size - 1

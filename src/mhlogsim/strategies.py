@@ -39,9 +39,9 @@ one ``LogStrategy`` method:
   once in ``__init__`` by the same rules, and every event that pays one
   returns that same object. Handoff and recovery prices that depend only
   on a few small integers (a log size, a hop count, a cache fill) are
-  priced by the same rules on first use and kept in a per-run table under
-  those integers (``_keep``), up to ``_PRICE_TABLE_LIMIT`` entries a
-  table. Pessimistic's and proposed's handoffs are kept in ``_move_prices``
+  priced by the same rules on first use and kept in a table under those
+  integers (``_keep``), up to ``_PRICE_TABLE_LIMIT`` entries a table.
+  Pessimistic's and proposed's handoffs are kept in ``_move_prices``
   under (log size, hops the log moves, cache fill), the log size 0 for a
   move of 0 hops, and their recoveries in ``_recovery_prices`` under (log
   size, hops from the checkpoint to the restart BS). A run of writes is
@@ -49,8 +49,18 @@ one ``LogStrategy`` method:
   length, piece count after it), proposed's under (run length, cache fill,
   piece count before it). A loop prices a key only on a miss
   (``_write_run``, ``_move_price``, ``_recovery_price``, which lazy calls
-  every recovery). A returned CostDelta, a ``RecoveryOutcome.cost``
-  included, and a returned ``WriteRun`` are therefore shared and read-only.
+  every recovery).
+* The tables are process-wide: every run of a kind with the same price
+  inputs, the eight ``CostParams`` fields a price reads and, for proposed,
+  the cache capacity, shares them (``_price_tables``). Floats key by their
+  bits, so ``C_m = 0.0`` and ``-0.0`` get different tables, and the network
+  is never hashed. The tree need not be in the key: a move's or recovery's
+  hops are in its own, and as two BSCs lie at least 2 hops apart, proposed
+  restarts in its home region exactly when ``hops == 1`` on every tree. A
+  figure sweeps only rates that no price reads, so its reps and points
+  share one set of tables. A returned CostDelta, a ``RecoveryOutcome.cost``
+  included, and a returned ``WriteRun`` are therefore shared across runs
+  and read-only.
 
 The loops index the tree's cell -> BSC table, behind the handlers' range
 checks, and call ``_bsc_gap`` only across two BSCs. A region's peak entries
@@ -82,12 +92,19 @@ if TYPE_CHECKING:
     from .engine import Timeline
 
 
-# The most entries one per-run price table stores; a miss once a table is
+# The most entries one shared price table stores; a miss once a table is
 # full is priced afresh. Without a cap a table grows with the distinct log
-# sizes a run reaches, which a long checkpoint interval and a high write
+# sizes its runs reach, which a long checkpoint interval and a high write
 # rate make a quarter of a million, costing memory and time for keys that
-# rarely repeat. The default figures reach a few hundred keys a run.
+# rarely repeat. The six default figures at 20 replications fill proposed's
+# handoff table, the largest, to 3,968 entries.
 _PRICE_TABLE_LIMIT = 4096
+
+# Each kind's price tables (write runs, handoffs, recoveries) with the price
+# inputs they were made for. One slot a kind, replaced when a run's inputs
+# differ, so the store holds at most three sets of capped tables whatever
+# configs a process runs.
+_price_tables: dict[StrategyKind, tuple[tuple, tuple[dict, dict, dict]]] = {}
 
 _Price = TypeVar("_Price")
 
@@ -125,7 +142,8 @@ NO_COST = CostDelta()
 class RecoveryOutcome:
     """Result of one recovery attempt. ``cost`` prices the request, any
     log-locating messages, then every fetched piece, the checkpoint last;
-    it may be a shared per-run price: read it, never change it."""
+    it may be a price shared with other events and runs: read it, never
+    change it."""
 
     success: bool
     retrieval_time: float
@@ -147,11 +165,11 @@ class Fragment:
 class WriteRun(NamedTuple):
     """What a run of writes cost, all issued from one cell with no other
     event between them: ``delta`` on each write whose index within the run
-    is in ``charged``, nothing on the others. ``delta`` is the strategy's
-    shared per-run price of one such write. ``peak_pieces`` is the largest
+    is in ``charged``, nothing on the others. ``delta`` is the price of one
+    such write, shared with other runs. ``peak_pieces`` is the largest
     non-empty fragment count, the cache counting as one, after any write of
-    the run. A strategy hands one ``WriteRun`` to every run of the same
-    shape: read it, never change it."""
+    the run. One ``WriteRun`` goes to every run of writes of the same shape
+    and price inputs: read it, never change it."""
 
     delta: CostDelta
     charged: range
@@ -189,6 +207,7 @@ class LogStrategy:
     the loop that folds a timeline (``_fold``)."""
 
     kind: StrategyKind
+    _caches = False  # whether writes wait in the host's cache
     checkpoint_site: Site
     checkpoint_region: BscId
 
@@ -214,7 +233,15 @@ class LogStrategy:
         self.pointer_chain_length = 0  # lazy only
         self.pieces = 0
         self.region_peaks: dict[BscId, int] = {}
-        self._write_runs: dict[tuple[int, ...], WriteRun] = {}
+        # This kind's shared price tables for the inputs its prices read;
+        # lazy fills only the first. Floats key by their bits: 0.0 != -0.0.
+        key = tuple(v.hex() if isinstance(v, float) else v for v in (
+            sp.cache_capacity if self._caches else None, cp.r, cp.c_c, cp.c_1, cp.c_m,
+            cp.alpha, cp.rho, cp.t_load_ckpt, cp.t_load_log))
+        slot = _price_tables.get(self.kind)
+        if slot is None or slot[0] != key:
+            slot = _price_tables[self.kind] = key, ({}, {}, {})
+        self._write_runs, self._move_prices, self._recovery_prices = slot[1]
         # Prices no event of the run changes: one charged write, and a
         # checkpoint. The checkpoint site keeps its place relative to the
         # host's cell, so the hop count at birth holds for every checkpoint.
@@ -370,7 +397,7 @@ class LogStrategy:
     @staticmethod
     def _keep(table: dict, key: object, price: _Price) -> _Price:
         """Store ``price``, the price of a ``key`` its loop missed in the
-        per-run ``table``, unless the table holds ``_PRICE_TABLE_LIMIT``
+        shared ``table``, unless the table holds ``_PRICE_TABLE_LIMIT``
         entries, and return it. The loops probe the table and build the
         price themselves, so a hit costs one probe, and a miss in a full
         table one probe and this call more than pricing afresh."""
@@ -521,13 +548,9 @@ class _OneFragmentStrategy(LogStrategy):
     handoff moves both to the host's checkpoint site and appends the cache
     there; the subclasses price the move (``_move_price``)."""
 
-    _caches = False  # whether writes wait in the host's cache
-
     def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
         super().__init__(tree, sp, cp)
         self.fragments.append(Fragment(self.checkpoint_site, self.checkpoint_region))
-        self._move_prices: dict[tuple[int, int, int], CostDelta] = {}
-        self._recovery_prices: dict[tuple[int, int], tuple[CostDelta, int, float]] = {}
         # Hops a handoff adds to the BSC gap: a log kept at a BS goes up to
         # its BSC and, past the gap, down to the new BS.
         self._end_hops = 2 if self.checkpoint_site[0] == BS else 0

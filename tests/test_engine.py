@@ -1,4 +1,3 @@
-import copy
 import json
 import math
 import subprocess
@@ -29,6 +28,7 @@ from mhlogsim.topology import BS, bsc_site
 from mhlogsim import engine, experiments, topology
 
 from conftest import mean_pending_log, step
+from price_checks import copy_sharing_tables
 
 
 class FakeRng:
@@ -352,7 +352,7 @@ class TestPlacementPeaks:
             # run one write at a time on a copy and rescan after every
             # write, then let the real strategy take the run at once.
             def wrapped(k):
-                shadow = copy.deepcopy(strategy)
+                shadow = copy_sharing_tables(strategy)
                 for _ in range(k):
                     on_writes(shadow, 1)
                     rescan(shadow)

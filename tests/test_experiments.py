@@ -407,6 +407,29 @@ class TestCli:
         key = text.split(" = ")[0]
         assert all(key in m.split(" is not finite: it reads ")[1] for m in messages)
 
+    @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
+    @pytest.mark.parametrize("text, statistics", [
+        ("cost.C_m = 1e308\n", ["total_handoff_cost", "total_recovery_cost", "total_logging_cost",
+                                "mean_cost_per_handoff_interval", "recovery_cost_home_total"]),
+        ("cost.r = 1e308\nrecovery.deadline = 50\n", ["mean_retrieval_time"]),
+    ], ids=["C_m", "r"])
+    def test_a_simulated_overflow_is_rejected(self, tmp_path, capsys, kind, text, statistics):
+        # Validation accepts each config, and its prices overflow: a sum
+        # reads inf, or its interval's spread overflows to inf or nan.
+        path = tmp_path / "big.cfg"
+        path.write_text(text + "sim.horizon = 2000\nsim.replications = 2\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--strategy", kind, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        messages = line.removeprefix("error: ").split("; ")
+        assert [m.split(" mean ")[0] for m in messages] == statistics
+        key = text.split(" = ")[0]
+        assert all(key in m.split(" is not finite: it is priced by ")[1] for m in messages)
+
     def test_analytic_prints_the_ratio_of_probabilities(self, capsys):
         assert cli.main(["analytic", "--p-prop", "0.9", "--p-lazy", "0.5"]) == 0
         frcr = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("frcr ")]

@@ -1,6 +1,7 @@
 """Properties every config that validation accepts must have, drawn over
 every ``config.CONFIG_KEYS`` entry within its bounds at a short horizon."""
 
+import dataclasses
 import math
 from dataclasses import fields
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from mhlogsim import strategies
 from mhlogsim.config import CONFIG_KEYS, default_config
 from mhlogsim.engine import RunStats, generate_timeline, run_simulation
-from mhlogsim.model import ValidationError
+from mhlogsim.experiments import FIGURE_IDS, figure_spec, run_figure
+from mhlogsim.model import CostParams, ValidationError
 from mhlogsim.strategies import make_strategy
 
 from conftest import step
@@ -142,6 +144,9 @@ def test_cached_prices_equal_fresh_prices_after_every_event(values):
     # the trace fold.
     assume(multi_cell(values))
     cfg = accepted(values)
+    # An empty store keeps the check after each event to this run's own
+    # entries; test_inherited_prices_equal_fresh_prices checks inherited ones.
+    strategies._price_tables.clear()
     timeline = generate_timeline(cfg, cfg.sim.seed, True)
     for kind in KINDS:
         trace: list = []
@@ -168,6 +173,7 @@ def test_runs_are_unchanged_when_no_price_is_stored(values):
     stored = run_kinds(cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strategies, "_PRICE_TABLE_LIMIT", 0)
+        strategies._price_tables.clear()  # no table inherited from earlier runs
         assert run_kinds(cfg) == stored
 
 
@@ -185,6 +191,7 @@ def assert_full_table_prices_misses_afresh(overrides, table):
     assert len(getattr(strategy, table)) == strategies._PRICE_TABLE_LIMIT
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(strategies, "_PRICE_TABLE_LIMIT", 0)
+        strategies._price_tables.clear()  # no table inherited from earlier runs
         strategy = make_strategy("pessimistic", cfg.tree, cfg.sim, cfg.cost)
         assert strategy.fold(timeline) == stats
         assert not getattr(strategy, table)
@@ -198,6 +205,89 @@ def test_a_full_price_table_prices_its_misses_afresh():
 def test_a_full_recovery_table_prices_its_misses_afresh():
     # ~10,000 failures, a write rate as high, and three hop counts.
     assert_full_table_prices_misses_afresh({"sim.lambda_f": 20.0}, "_recovery_prices")
+
+
+def test_inherited_prices_equal_fresh_prices():
+    # A grid of 16 cells under two MSCs 6 hops apart, then a ring of 9 cells
+    # under one MSC, each at three handoff rates: every run of a kind shares
+    # one set of tables, as no price reads the tree or the rates. The ring's
+    # runs inherit the grid's cross-MSC recoveries, 8 hops for pessimistic
+    # and 7 for proposed, which no BS of the ring lies at.
+    strategies._price_tables.clear()
+    grid = {"topology.adjacency": "grid", "topology.msc": 2, "topology.bsc_per_msc": 2,
+            "topology.bs_per_bsc": 4, "topology.inter_msc_hops": 6}
+    tables = {}
+    for shape in (grid, {}):
+        for mu in (0.02, 0.2, 2.0):
+            cfg = default_config().with_overrides({
+                **shape, "sim.mu": mu, "sim.lambda_f": 0.05, "sim.T_c": 300.0,
+                "sim.horizon": 3000.0})
+            timeline = generate_timeline(cfg, 11)
+            for kind in KINDS:
+                strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
+                strategy.fold(timeline)
+                assert_cached_prices_fresh(strategy)
+                table = tables.setdefault(kind, strategy._recovery_prices)
+                assert strategy._recovery_prices is table, kind
+    assert {hops for _, hops in tables["pessimistic"]} >= {0, 2, 4, 8}
+    assert {hops for _, hops in tables["proposed"]} >= {1, 3, 7}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_signed_zero_cost_gets_its_own_tables(kind):
+    cfg = default_config().with_overrides({"cost.C_m": 0.0})
+    timeline = generate_timeline(cfg, 5)
+    runs = []
+    for c_m in (0.0, -0.0, 0.0):
+        cp = dataclasses.replace(cfg.cost, c_m=c_m)
+        runs.append(make_strategy(kind, cfg.tree, cfg.sim, cp))
+        runs[-1].fold(timeline)
+        assert_cached_prices_fresh(runs[-1])
+    zero, negative, zero_again = (run._write_runs for run in runs)
+    assert zero and negative and zero_again
+    assert negative is not zero
+    # One slot a kind: the -0.0 tables replaced the 0.0 ones, which a
+    # later 0.0 run builds afresh, so the store never grows past three sets.
+    assert zero_again is not zero
+    assert len(strategies._price_tables) <= len(KINDS)
+
+
+@pytest.mark.parametrize("key", [*(f.metadata["key"] for f in fields(CostParams)),
+                                 "sim.cache_capacity"])
+def test_the_tables_key_on_every_price_input(key):
+    # A run whose config changes only ``key`` gets new tables when a price
+    # of its kind could read it, and otherwise shares the last run's. Had
+    # the key left out an input its prices read, the changed run would
+    # inherit prices made at the old value, and the fresh check would fail.
+    base = default_config()
+    value = base.raw_values()[key]
+    changed = base.with_overrides({key: not value if isinstance(value, bool) else value * 2 + 1})
+    unread = {"cost.C_p", "frcr.erratum_bound"}
+    for kind in KINDS:
+        runs = []
+        for cfg in (base, changed):
+            runs.append(make_strategy(kind, cfg.tree, cfg.sim, cfg.cost))
+            runs[-1].fold(generate_timeline(cfg, 9))
+        assert_cached_prices_fresh(runs[1])
+        read = key not in unread and (kind == "proposed" or key != "sim.cache_capacity")
+        assert (runs[1]._write_runs is not runs[0]._write_runs) == read, kind
+
+
+def test_tables_shared_by_every_figure_leave_a_run_unchanged(monkeypatch):
+    # Six figures in one process fill the tables a default run then
+    # inherits: 3 reps a point keeps it short. A shared CostDelta or
+    # WriteRun that any run changed would make the inherited run differ
+    # from one priced from an empty store.
+    cfg = default_config()
+    for figure_id in FIGURE_IDS:
+        run_figure(figure_spec(figure_id, cfg, reps=3), cfg)
+    shared = run_kinds(cfg)
+    for kind in KINDS:
+        strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
+        assert strategy._write_runs, kind
+        assert_cached_prices_fresh(strategy)
+    monkeypatch.setattr(strategies, "_price_tables", {})
+    assert run_kinds(cfg) == shared
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from mhlogsim.engine import Timeline
 from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import CostDelta, make_strategy
 from mhlogsim.topology import BS, bsc_site, build_topology, hop_distance, region_of
-from price_checks import assert_cached_prices_fresh
+from price_checks import assert_cached_prices_fresh, copy_sharing_tables
 
 CP = CostParams()  # r=0.1, C_c=5, C_1=1, C_m=0.5, alpha=rho=1
 
@@ -574,7 +574,7 @@ class TestOnWrites:
                 strat.on_checkpoint()
             else:
                 strat.recover(n)
-        one = copy.deepcopy(strat)
+        one = copy_sharing_tables(strat)
         deltas, peak = [], 0
         for _ in range(k):
             deltas.append(one.on_write())
