@@ -14,13 +14,12 @@ Exit codes: 0 success, 1 validation or config error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import analytic
 from .config import Config, ConfigError, check_count, check_seed, default_config, parse_config
 from .engine import replicate
-from .experiments import FIGURE_IDS, crosscheck_analytic, write_figure
+from .experiments import FIGURE_IDS, PRICED_BY, check_finite, crosscheck_analytic, write_figure
 from .model import ValidationError
 from .strategies import StrategyKind
 
@@ -55,33 +54,13 @@ def _seed_flag(args: argparse.Namespace) -> int | None:
     return args.seed
 
 
-# Each summary statistic a price can overflow, with the config keys that price it.
-_COSTS = "cost.C_c, cost.C_1, cost.C_m, cost.alpha, cost.rho"
-_PRICED_BY = {
-    "total_handoff_cost": _COSTS,
-    "total_recovery_cost": _COSTS,
-    "total_logging_cost": "cost.C_1, cost.C_m, cost.alpha, cost.rho",
-    "total_checkpoint_cost": "cost.C_c, cost.alpha, cost.rho",
-    "mean_cost_per_handoff_interval": _COSTS,
-    "mean_retrieval_time": "cost.r, cost.T_load_ckpt, cost.T_load_log",
-    "recovery_cost_home_total": _COSTS,
-}
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _seed_flag(args)
     config = _warned_config(args.config)
     strategy = StrategyKind(args.strategy or config.sim.strategy)
     seed = config.sim.seed if seed is None else seed
     runs, summary = replicate(config, strategy, seed, config.sim.replications)
-    bad = []
-    for name, keys in _PRICED_BY.items():
-        mean, lo, hi = summary[name]
-        if not all(map(math.isfinite, (mean, lo, hi))):
-            bad.append(f"{name} mean {mean:.6g} ci95 [{lo:.6g}, {hi:.6g}] is not finite: "
-                       f"it is priced by {keys}")
-    if bad:
-        raise ValidationError(bad)
+    check_finite([(name, name, stats) for name, stats in summary.items() if name in PRICED_BY])
     print(f"strategy {strategy.value}, seed {seed}, replications {len(runs)}")
     width = max(len(name) for name in summary)
     for name, (mean, lo, hi) in summary.items():

@@ -20,6 +20,7 @@ every strategy at a sweep point, so comparisons are paired.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -31,6 +32,7 @@ import numpy as np
 from . import analytic, engine
 from .config import Config
 from .engine import RunStats, failure_first, split_seed, summarize
+from .model import ValidationError
 from .strategies import StrategyKind
 
 ALL_STRATEGIES = (StrategyKind.LAZY, StrategyKind.PESSIMISTIC, StrategyKind.PROPOSED)
@@ -347,21 +349,30 @@ def run_figure(spec: ExperimentSpec, config: Config) -> list[MetricRow]:
 
 
 def _run_points(spec: ExperimentSpec, points: list[tuple[float, Config]]) -> list[MetricRow]:
+    """The rows of every sweep point. A sample with no values, such as
+    fig8's FRCR when the investment costs tie, reports nan; every other row
+    must be finite (``check_finite``)."""
     metrics = _figure(spec.figure_id).metrics
     rows: list[MetricRow] = []
+    summaries = []
     for value, point in points:
         runs: dict[StrategyKind, list[RunStats]] = {s: [] for s in spec.strategies}
         for i in range(spec.reps):
             seed = split_seed(spec.master_seed, i)
             for strategy in spec.strategies:
                 runs[strategy].append(engine.run_simulation(point, strategy, seed))
-        for strategy in spec.strategies:
-            for metric, extract in metrics.items():
-                values = [v for v in map(extract, runs[strategy]) if v is not None]
-                rows.append(_row(spec, strategy.value, value, metric, summarize(values)))
-
+        samples = [(strategy.value, metric, [v for v in map(extract, runs[strategy]) if v is not None])
+                   for strategy in spec.strategies for metric, extract in metrics.items()]
         if spec.figure_id == "fig8":
-            rows.append(_frcr_row(spec, point, value, runs))
+            samples.append(("proposed-vs-lazy", "frcr", _frcr_sample(point, runs)))
+        for strategy, metric, values in samples:
+            stats = summarize(values)
+            rows.append(MetricRow(spec.figure_id, strategy, spec.swept_param, float(value), metric,
+                                  *stats, spec.reps, spec.master_seed))
+            if values:
+                label = f"{spec.figure_id} {strategy} {metric} at {spec.swept_param}={_fmt(value)}"
+                summaries.append((label, metric, stats))
+    check_finite(summaries)
     return rows
 
 
@@ -372,13 +383,8 @@ def _points(spec: ExperimentSpec, config: Config) -> tuple[Config, list[tuple[fl
     return base, [(v, base.with_overrides({spec.swept_param: v})) for v in spec.sweep_values]
 
 
-def _frcr_row(
-    spec: ExperimentSpec,
-    point: Config,
-    value: float,
-    runs: dict[StrategyKind, list[RunStats]],
-) -> MetricRow:
-    """FRCR at one sweep point, with a CI from the paired replications."""
+def _frcr_sample(point: Config, runs: dict[StrategyKind, list[RunStats]]) -> list[float]:
+    """FRCR at one sweep point, one value per pair of replications."""
     cost_prop = analytic.c_prop(point.sim.t_c, point.sim.lambda_f, point.sim.mu, point.cost)
     cost_lazy = analytic.c_lazy(point.sim.t_c, point.sim.lambda_f, point.cost)
     paired = [
@@ -387,19 +393,35 @@ def _frcr_row(
     ]
     # Equal investment costs leave the ratio undefined: an empty sample,
     # which summarizes to NaN.
-    defined = [v for v in paired if v is not None]
-    return _row(spec, "proposed-vs-lazy", value, "frcr", summarize(defined))
+    return [v for v in paired if v is not None]
 
 
-def _row(
-    spec: ExperimentSpec, strategy: str, value: float, metric: str,
-    stats: tuple[float, float, float],
-) -> MetricRow:
-    """One CSV row from a (mean, ci95_low, ci95_high) summary."""
-    return MetricRow(
-        spec.figure_id, strategy, spec.swept_param, float(value), metric, *stats,
-        spec.reps, spec.master_seed,
-    )
+# Each summary statistic or figure metric a price can overflow -> the keys that price it.
+_COSTS = "cost.C_c, cost.C_1, cost.C_m, cost.alpha, cost.rho"
+_LOAD = "cost.r, cost.T_load_ckpt, cost.T_load_log"
+PRICED_BY = {
+    "total_handoff_cost": _COSTS,
+    "total_recovery_cost": _COSTS,
+    "total_logging_cost": "cost.C_1, cost.C_m, cost.alpha, cost.rho",
+    "total_checkpoint_cost": "cost.C_c, cost.alpha, cost.rho",
+    "mean_cost_per_handoff_interval": _COSTS,
+    "mean_retrieval_time": _LOAD,
+    "recovery_cost_home_total": _COSTS,
+    **dict.fromkeys(("handoff_cost_per_handoff", "recovery_cost_per_failure",
+                     "recovery_cost_per_failure_home", "total_cost_per_handoff_interval"), _COSTS),
+    "frcr": f"{_LOAD}, cost.C_p",
+}
+
+
+def check_finite(summaries: list[tuple[str, str, tuple[float, float, float]]]) -> None:
+    """Raise a ``ValidationError`` naming each ``(label, metric, (mean,
+    low, high))`` whose mean or interval is not finite, and the config keys
+    that price its metric."""
+    bad = [f"{label} mean {mean:.6g} ci95 [{lo:.6g}, {hi:.6g}] is not finite: "
+           f"it is priced by {PRICED_BY[metric]}"
+           for label, metric, (mean, lo, hi) in summaries if not all(map(math.isfinite, (mean, lo, hi)))]
+    if bad:
+        raise ValidationError(bad)
 
 
 CSV_HEADER = "figure,strategy,param,value,metric,mean,ci_low,ci_high,reps,seed"

@@ -3,11 +3,12 @@
 A strategy object is one run: it holds the host's cell, BSC and cache and
 where the checkpoint and log fragments sit. ``fold`` applies a ``Timeline``,
 which counts the events, to that state in one loop, lazy's or the one
-pessimistic and proposed share. A loop keeps the placement, the prices that
-vary per event and the recovery accounting, with its scalars in locals and
-the ``fragments`` and ``cache`` lists changed in place. Each rule lives in
-its loop: an event handler checks its input and folds that one event. Make
-a fresh object for every run.
+pessimistic and proposed share. Lazy's loop changes its ``fragments`` in
+place. The one-fragment loop carries only integers (the entries in the
+fragment and the cache, the host's cell, BSC and sequence number) and
+rebuilds the fragment and the cache once, at its end, exact by the three
+invariants ``_OneFragmentStrategy`` states. An event handler checks its
+input and folds that one event. Make a fresh object for every run.
 
 lazy         log fragments stay at the BS where they were written; each
              handoff stores a pointer in the new BS, recovery chases the
@@ -36,31 +37,28 @@ one ``LogStrategy`` method:
   strategy-differential costs appear in a CostDelta.
 * Prices fixed for a whole run (one charged write, which for proposed is
   the full-cache flush, a checkpoint, lazy's pointer message) are computed
-  once in ``__init__`` by the same rules, and every event that pays one
-  returns that same object. Handoff and recovery prices that depend only
-  on a few small integers (a log size, a hop count, a cache fill) are
-  priced by the same rules on first use and kept in a table under those
-  integers (``_keep``), up to ``_PRICE_TABLE_LIMIT`` entries a table.
-  Pessimistic's and proposed's handoffs are kept in ``_move_prices``
-  under (log size, hops the log moves, cache fill), the log size 0 for a
-  move of 0 hops, and their recoveries in ``_recovery_prices`` under (log
-  size, hops from the checkpoint to the restart BS). A run of writes is
-  kept the same way in ``_write_runs``: lazy's and pessimistic's under (run
-  length, piece count after it), proposed's under (run length, cache fill,
-  piece count before it). A loop prices a key only on a miss
-  (``_write_run``, ``_move_price``, ``_recovery_price``, which lazy calls
-  every recovery).
-* The tables are process-wide: every run of a kind with the same price
-  inputs, the eight ``CostParams`` fields a price reads and, for proposed,
-  the cache capacity, shares them (``_price_tables``). Floats key by their
-  bits, so ``C_m = 0.0`` and ``-0.0`` get different tables, and the network
-  is never hashed. The tree need not be in the key: a move's or recovery's
-  hops are in its own, and as two BSCs lie at least 2 hops apart, proposed
-  restarts in its home region exactly when ``hops == 1`` on every tree. A
-  figure sweeps only rates that no price reads, so its reps and points
-  share one set of tables. A returned CostDelta, a ``RecoveryOutcome.cost``
-  included, and a returned ``WriteRun`` are therefore shared across runs
-  and read-only.
+  once in ``__init__``, and every event that pays one returns that object.
+  Prices of a few small integers are made by the same rules on a loop's
+  miss and kept in a table under them (``_keep``), up to
+  ``_PRICE_TABLE_LIMIT`` entries: one-fragment handoffs in ``_move_prices``
+  under (log size, hops the log moves, cache fill), the log size 0 for 0
+  hops; their recoveries in ``_recovery_prices`` under (log size, hops from
+  the checkpoint to the restart BS); runs of writes in ``_write_runs``,
+  lazy's and pessimistic's under (run length, piece count after it),
+  proposed's under (run length, cache fill, piece count before it). A
+  recovery is priced from each fetched fragment's ``(entries, hops)`` and
+  the checkpoint's hops (``_recovery_price``), so one rule serves the table
+  and lazy, which prices every recovery afresh.
+* The tables are process-wide (``_price_tables``), shared by every run of
+  a kind with the same price inputs: the eight ``CostParams`` fields a
+  price reads and, for proposed, the cache capacity, floats by their bits
+  (``C_m = 0.0`` and ``-0.0`` differ); the network is never hashed. Hops
+  are in the move and recovery keys, and as two BSCs lie at least 2 hops
+  apart, proposed restarts at home exactly when ``hops == 1`` on every
+  tree, so the tree stays out of the key and a figure's reps and points,
+  which sweep only rates, share one set. A returned CostDelta,
+  ``RecoveryOutcome.cost`` included, or ``WriteRun`` is therefore shared
+  across runs: read it, never change it.
 
 The loops index the tree's cell -> BSC table, behind the handlers' range
 checks, and call ``_bsc_gap`` only across two BSCs. A region's peak entries
@@ -93,10 +91,9 @@ if TYPE_CHECKING:
 
 
 # The most entries one shared price table stores; a miss once a table is
-# full is priced afresh. Without a cap a table grows with the distinct log
-# sizes its runs reach, which a long checkpoint interval and a high write
-# rate make a quarter of a million, costing memory and time for keys that
-# rarely repeat. The six default figures at 20 replications fill proposed's
+# full is priced afresh. Uncapped, a long checkpoint interval and a high
+# write rate grow a table to a quarter of a million log sizes that rarely
+# repeat. The six default figures at 20 replications fill proposed's
 # handoff table, the largest, to 3,968 entries.
 _PRICE_TABLE_LIMIT = 4096
 
@@ -257,12 +254,11 @@ class LogStrategy:
         (time, event kind, cost delta) for every event, one entry per write
         included, which needs the timeline's ``write_times``.
 
-        The timeline counts the events. The subclass's loop, ``_fold(writes,
-        events, write_times, trace)``, returns its tally (successes, lost
-        entries, home-region recoveries, peak pieces, charged writes, then the
-        handoff, recovery and home-recovery cost and retrieval time sums) and
-        the price of the last event it applied. A checkpoint and a charged
-        write cost the same all run: each sum adds its price once per event."""
+        The subclass's loop, ``_fold(writes, events, write_times, trace)``,
+        returns its tally (successes, lost entries, home-region recoveries,
+        peak pieces, charged writes, then the handoff, recovery and
+        home-recovery cost and retrieval time sums) and the price of the
+        last event it applied; the timeline counts the events."""
         (successes, lost, home, peak, charged, cost_handoff, cost_recovery, cost_home,
          retrieval_sum), _ = self._fold(timeline.writes, timeline.events, timeline.write_times, trace)
         handoffs, failures = timeline.intra_bsc + timeline.inter_bsc, timeline.failures
@@ -319,12 +315,9 @@ class LogStrategy:
 
     def recover(self, recovery_cell: CellId) -> RecoveryOutcome:
         """Retrieve the checkpoint and every durable fragment at the cell
-        where the host restarts, replay, and re-home the fetched copies.
-
-        Retrieval time is load time plus transfer time; transfer costs are
-        priced per item over the wired path and the final wireless hop
-        (``_recovery_price``). Unflushed cache entries die with the host.
-        """
+        where the host restarts, replay, and re-home the fetched copies,
+        priced by ``_recovery_price``. Unflushed cache entries die with the
+        host."""
         if not 0 <= recovery_cell < self._n_cells:
             raise ValueError(f"unknown cell {recovery_cell}")
         tally, (cost, fragments_fetched, retrieval_time) = self._fold(
@@ -357,9 +350,10 @@ class LogStrategy:
         """One charged write: a wireless data item and the BSC's acknowledgement."""
         return self._ship(self._messages(1), self.cp.c_1, [(1, 0)])
 
-    def _locate_log(self, in_home_region: bool) -> int:
-        """How many wired control messages a recovery sends, after its
-        request, to locate the log; by default none."""
+    def _locate_log(self, hops: int) -> int:
+        """How many wired control messages a recovery whose checkpoint lies
+        ``hops`` from the restart BS sends, after its request, to locate the
+        log; by default none."""
         return 0
 
     def _write_run(self, k: int, pieces: int) -> WriteRun:
@@ -367,40 +361,27 @@ class LogStrategy:
         after which ``pieces`` fragments hold entries."""
         return WriteRun(self._write_cost, range(k), pieces)
 
-    def _recovery_price(
-        self, rec_site: Site, recovery_bsc: BscId, in_home_region: bool
-    ) -> tuple[CostDelta, int, float]:
-        """What fetching the log and checkpoint to ``rec_site`` costs, as
+    def _recovery_price(self, loads: list[tuple[int, int]], hops: int) -> tuple[CostDelta, int, float]:
+        """What fetching the log's non-empty fragments, ``(entries, hops)``
+        each in ``loads``, and the checkpoint from ``hops`` away costs, as
         (cost, fragments fetched, retrieval time). The wireless recovery
         request, then the wired messages that locate the log, then every
-        non-empty fragment, then the checkpoint. Reads the placement and
-        changes nothing."""
-        cp, tree = self.cp, self.tree
-        k = self._locate_log(in_home_region)
+        fragment, then the checkpoint."""
+        cp = self.cp
+        k = self._locate_log(hops)
         delta = CostDelta(cp.alpha * cp.c_m, k * cp.c_m, 1 + k)
-        loads = [
-            (len(frag.entries), hops_between(tree, frag.site, frag.region, rec_site, recovery_bsc))
-            for frag in self.fragments
-            if frag.entries
-        ]
         self._ship(delta, cp.c_1, loads)
-        hops = hops_between(tree, self.checkpoint_site, self.checkpoint_region, rec_site, recovery_bsc)
         self._ship(delta, cp.c_c, [(1, hops)])
-        fragments_fetched = len(loads) + 1
-        retrieval_time = cp.t_load_ckpt + (
-            cp.t_load_log * fragments_fetched + delta.elapsed_transfer_time
-        )
-        return delta, fragments_fetched, retrieval_time
+        fetched = len(loads) + 1
+        return delta, fetched, cp.t_load_ckpt + (cp.t_load_log * fetched + delta.elapsed_transfer_time)
 
     # -- shared pieces ---------------------------------------------------
 
     @staticmethod
     def _keep(table: dict, key: object, price: _Price) -> _Price:
-        """Store ``price``, the price of a ``key`` its loop missed in the
-        shared ``table``, unless the table holds ``_PRICE_TABLE_LIMIT``
-        entries, and return it. The loops probe the table and build the
-        price themselves, so a hit costs one probe, and a miss in a full
-        table one probe and this call more than pricing afresh."""
+        """Store ``price``, the price of a ``key`` a loop missed in the
+        shared ``table``, unless the table is full, and return it; a hit
+        costs the loop one probe."""
         if len(table) < _PRICE_TABLE_LIMIT:
             table[key] = price
         return price
@@ -454,7 +435,7 @@ class LazyStrategy(LogStrategy):
         super().__init__(tree, sp, cp)
         self._pointer_cost = self._messages(1)
 
-    def _locate_log(self, in_home_region) -> int:
+    def _locate_log(self, hops) -> int:
         # Chase the pointer chain back to the fragments, one message a link.
         return self.pointer_chain_length
 
@@ -466,7 +447,7 @@ class LazyStrategy(LogStrategy):
         recovery chases the chain and fetches every fragment where it lies;
         a restart BS away from the last fragment links into the chain, and
         its registration, common to all strategies, is not priced."""
-        cell_bsc, fragments, settle = self._cell_bsc, self.fragments, self.settle_peaks
+        tree, cell_bsc, fragments, settle = self.tree, self._cell_bsc, self.fragments, self.settle_peaks
         cell, bsc, seq, pieces = self.current_cell, self.current_bsc, self.next_seq, self.pieces
         chain_length, deadline = self.pointer_chain_length, self.sp.recovery_deadline
         write_runs, keep, write_run = self._write_runs, self._keep, self._write_run
@@ -520,7 +501,11 @@ class LazyStrategy(LogStrategy):
                 in_home, bsc = cell_bsc[to] == bsc, cell_bsc[to]
                 cell = to
                 self.pointer_chain_length = chain_length
-                last = recovery_price((BS, to), bsc, in_home)
+                site = (BS, to)
+                loads = [(len(frag.entries), hops_between(tree, frag.site, frag.region, site, bsc))
+                         for frag in fragments if frag.entries]
+                last = recovery_price(loads, hops_between(
+                    tree, self.checkpoint_site, self.checkpoint_region, site, bsc))
                 delta, _, retrieval_time = last
                 if last_cell is not None and last_cell != to:
                     chain_length += 1
@@ -543,41 +528,55 @@ class LazyStrategy(LogStrategy):
 
 
 class _OneFragmentStrategy(LogStrategy):
-    """Pessimistic and proposed: exactly one fragment, empty after a purge,
-    which shares the checkpoint's site and region after every event. A
-    handoff moves both to the host's checkpoint site and appends the cache
-    there; the subclasses price the move (``_move_price``)."""
+    """Pessimistic and proposed: exactly one fragment, empty after a purge.
+    A handoff moves it and the checkpoint to the host's checkpoint site and
+    appends the cache there; the subclasses price the move (``_move_price``).
+
+    The loop carries only integers, ``n`` entries in the fragment, ``c`` in
+    the cache and the host's cell, BSC and next sequence number, and
+    rebuilds the fragment and the cache once, at its end. Three invariants
+    make that exact:
+
+    1. After every event the fragment and the checkpoint sit at
+       ``_checkpoint_site(cell, bsc)``, in the host's BSC region, so a
+       region's peak settles exactly when the BSC changes, and at a
+       checkpoint.
+    2. The cache holds the newest ``c`` writes: every other event empties
+       it (a checkpoint purges it, a handoff joins it to the log, a failure
+       loses it).
+    3. Every write since the last purge is in the fragment, in the cache,
+       or in a range a recovery lost."""
 
     def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
         super().__init__(tree, sp, cp)
         self.fragments.append(Fragment(self.checkpoint_site, self.checkpoint_region))
-        # Hops a handoff adds to the BSC gap: a log kept at a BS goes up to
-        # its BSC and, past the gap, down to the new BS.
-        self._end_hops = 2 if self.checkpoint_site[0] == BS else 0
+        # Wired hops from the checkpoint's site up to its BSC: 1 from a BS,
+        # none from the BSC itself.
+        self._up = int(self.checkpoint_site[0] == BS)
 
     def _fold(self, writes, events, write_times, trace):
         """Writes go to the fragment (pessimistic) or to the cache, whose
         filling write flushes it there (proposed). A handoff moves the log
-        ``hops`` wired hops (none for 0 hops), priced by its entry count,
-        ``hops`` and the cache fill, then re-homes the checkpoint and the
-        fragment at the host's checkpoint site, and the cache joins it. A
-        recovery fetches both over the same ``hops`` to the restart BS, so
-        its price depends on the entry count and ``hops`` alone (proposed
-        restarts at home exactly when ``hops == 1``); the cache dies with
-        the host, and the fetched copies are re-homed as the durable ones
-        at no further cost. Re-homing out of the fragment's region settles
-        that region's peak, which the fragment alone fills."""
-        tree, cell_bsc, cache, fragments = self.tree, self._cell_bsc, self.cache, self.fragments
-        cell, bsc, seq, pieces = self.current_cell, self.current_bsc, self.next_seq, self.pieces
-        site, region, peaks = self.checkpoint_site, self.checkpoint_region, self.region_peaks
+        ``hops`` wired hops, priced by its entry count (0 for 0 hops),
+        ``hops`` and the cache fill; the cache then joins it at the host's
+        checkpoint site. A recovery fetches both over ``hops`` to the
+        restart BS, priced by the entry count and ``hops`` alone, loses the
+        cache, the range ``(seq - c, seq)``, and re-homes the fetched copies
+        at no cost. The log is rebuilt from what it held when the loop
+        began, or nothing after a checkpoint, then the writes since, less
+        the lost ranges."""
+        tree, cell_bsc, peaks = self.tree, self._cell_bsc, self.region_peaks
+        cell, bsc, seq = self.current_cell, self.current_bsc, self.next_seq
+        n, c = len(self.fragments[0].entries), len(self.cache)
         write_runs, move_prices = self._write_runs, self._move_prices
         recovery_prices, keep, write_run = self._recovery_prices, self._keep, self._write_run
         move_price, recovery_price = self._move_price, self._recovery_price
-        site_of, settle = self._checkpoint_site, self.settle_peaks
-        end_hops, caches, deadline = self._end_hops, self._caches, self.sp.recovery_deadline
+        up, caches, deadline = self._up, self._caches, self.sp.recovery_deadline
+        cap = self.sp.cache_capacity if caches else 1
         checkpoint_cost = self._checkpoint_cost
-        frag = fragments[0]
-        entries = frag.entries
+        # The first write this loop left in the log, whether a checkpoint
+        # purged what came before it, and the ranges recoveries lost since.
+        start, purged, lost_ranges = seq, False, []
         times = iter(write_times or ())
         last = None
         successes = lost = home = peak = charged = 0
@@ -585,31 +584,16 @@ class _OneFragmentStrategy(LogStrategy):
 
         for k, event in zip(writes, chain(events, (None,))):
             if k:
-                first = seq
                 seq += k
-                if caches:
-                    key = (k, len(cache), pieces)
-                    run = last = write_runs.get(key)
-                    if run is None:
-                        run = last = keep(write_runs, key, write_run(*key))
-                    if run.charged:
-                        flushed = first + run.charged[-1] + 1
-                        cache += range(first, flushed)
-                        if not entries:
-                            pieces += 1
-                        entries += cache
-                        cache[:] = range(flushed, seq)
-                    else:
-                        cache += range(first, seq)
-                else:
-                    if not entries:
-                        pieces += 1
-                    entries += range(first, seq)
-                    key = (k, pieces)
-                    run = last = write_runs.get(key)
-                    if run is None:
-                        run = last = keep(write_runs, key, write_run(k, pieces))
-                charged += len(run.charged)
+                key = (k, c, n > 0) if caches else (k, 1)
+                run = last = write_runs.get(key)
+                if run is None:
+                    run = last = keep(write_runs, key, write_run(*key))
+                # Each charged write flushes a full cache (pessimistic: itself).
+                flushed = len(run.charged)
+                charged += flushed
+                n += flushed * cap
+                c += k - flushed * cap
                 if trace is not None:
                     for i in range(k):
                         trace.append((next(times), "WRITE", run.delta if i in run.charged else NO_COST))
@@ -619,61 +603,74 @@ class _OneFragmentStrategy(LogStrategy):
                 break
             t, ev, to = event
             if ev == "CHECKPOINT":
-                site, region = site_of(cell, bsc)
-                cache.clear()
-                settle()
-                fragments[0] = frag = Fragment(site, region)
-                entries, pieces = frag.entries, 0
+                if n > peaks.get(bsc, 0):
+                    peaks[bsc] = n
+                n = c = 0
+                start, purged = seq, True
+                lost_ranges.clear()
                 delta = last = checkpoint_cost
             else:
                 from_bsc, bsc = bsc, cell_bsc[to]
-                cell = to
+                gap = 0 if from_bsc == bsc else _bsc_gap(tree, from_bsc, bsc)
+                # The log leaves its region, which it alone fills.
+                if gap and n > peaks.get(from_bsc, 0):
+                    peaks[from_bsc] = n
                 if ev == "HANDOFF":
-                    hops = end_hops if from_bsc == bsc else end_hops + _bsc_gap(tree, from_bsc, bsc)
-                    n = len(entries) if hops else 0
-                    key = (n, hops, len(cache))
+                    # Up from the old site, across the gap, down to the new one.
+                    hops = 2 * up + gap
+                    key = (n if hops else 0, hops, c)
                     delta = last = move_prices.get(key)
                     if delta is None:
-                        delta = last = keep(move_prices, key, move_price(n, hops, len(cache)))
+                        delta = last = keep(move_prices, key, move_price(*key))
                     cost_handoff += delta.total
+                    n += c
                 else:  # FAILURE
-                    in_home = bsc == from_bsc
-                    hops = hops_between(tree, site, region, (BS, to), bsc)
-                    key = (len(entries), hops)
+                    # Up from the checkpoint, across the gap, down to the
+                    # restart BS: none when that is the checkpoint's own BS.
+                    hops = up + 1 + gap if to != cell or not up else 0
+                    key = (n, hops)
                     last = recovery_prices.get(key)
                     if last is None:
-                        self.checkpoint_site, self.checkpoint_region = site, region
-                        last = keep(recovery_prices, key, recovery_price((BS, to), bsc, in_home))
+                        last = keep(recovery_prices, key, recovery_price([(n, hops)] if n else [], hops))
                     delta, _, retrieval_time = last
-                    lost += len(cache)
-                    cache.clear()
+                    if c:
+                        lost_ranges.append((seq - c, seq))
+                        lost += c
                     total = delta.total
                     cost_recovery += total
                     if retrieval_time <= deadline:
                         successes += 1
                     retrieval_sum += retrieval_time
-                    if in_home:
+                    if not gap:
                         cost_home += total
                         home += 1
-                # A recovery of 0 hops restarts at the checkpoint's own site.
-                if hops:
-                    to_site, to_region = site_of(cell, bsc)
-                    if to_region != region and len(entries) > peaks.get(region, 0):
-                        peaks[region] = len(entries)
-                    site, region = frag.site, frag.region = to_site, to_region
-                if cache:
-                    if not entries:
-                        pieces += 1
-                    entries += cache
-                    cache.clear()
+                c = 0
+                cell = to
             if trace is not None:
                 trace.append((t, ev, delta))
 
-        self.current_cell, self.current_bsc, self.next_seq, self.pieces = cell, bsc, seq, pieces
-        self.checkpoint_site, self.checkpoint_region = site, region
+        # The log, rebuilt: what it held before ``start`` unless purged, then
+        # the writes since, less the lost ranges; the newest ``c`` are the cache.
+        cache = self.cache
+        if purged:
+            log = []
+        else:
+            log = self.fragments[0].entries
+            log += cache
+        for lo, hi in lost_ranges:
+            if lo < start:  # the loss reaches into the cache the loop began with
+                del log[lo - start:]
+            else:
+                log += range(start, lo)
+            start = hi
+        log += range(start, seq)
+        cache[:] = log[len(log) - c:]
+        del log[len(log) - c:]
+        site, region = self.checkpoint_site, self.checkpoint_region = self._checkpoint_site(cell, bsc)
+        self.fragments[0] = Fragment(site, region, log)
+        self.current_cell, self.current_bsc, self.next_seq, self.pieces = cell, bsc, seq, int(n > 0)
         return (
-            successes, lost, home, peak, charged, cost_handoff, cost_recovery, cost_home,
-            retrieval_sum,
+            successes, lost, home, peak, charged, cost_handoff, cost_recovery, cost_home, retrieval_sum,
         ), last
 
 
@@ -735,10 +732,12 @@ class ProposedStrategy(_OneFragmentStrategy):
         delta = self._carry(self._messages(2), n, hops)
         return delta.add(self._flush_cost(cached)) if cached else delta
 
-    def _locate_log(self, in_home_region) -> int:
+    def _locate_log(self, hops) -> int:
         # Tracking agent asks the HLR/VLR where the log lives when the host
-        # restarts outside the failure region.
-        return 0 if in_home_region else 1
+        # restarts outside the failure region: the BSC holding the checkpoint
+        # is 1 hop from each BS of its region and, as BSCs lie at least 2
+        # apart, at least 3 from any other.
+        return 0 if hops == 1 else 1
 
 
 _STRATEGIES = {

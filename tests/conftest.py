@@ -4,12 +4,19 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mhlogsim import topology
 from mhlogsim.config import default_config
 from mhlogsim.engine import generate_timeline
 from mhlogsim.experiments import figure_spec, run_figure
 from mhlogsim.strategies import NO_COST, RunStats
+
+# Every run draws the same examples, seeded from each test, so the suite's
+# time and coverage do not move from run to run. max_examples and each
+# @example stay as the tests set them.
+settings.register_profile("fixed", derandomize=True)
+settings.load_profile("fixed")
 
 
 @pytest.fixture(scope="session")

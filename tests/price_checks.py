@@ -8,7 +8,7 @@ from itertools import chain
 
 from mhlogsim import strategies
 from mhlogsim.strategies import (
-    NO_COST, CostDelta, Fragment, LogStrategy, StrategyKind, WriteRun, make_strategy,
+    NO_COST, CostDelta, LogStrategy, StrategyKind, WriteRun, make_strategy,
 )
 from mhlogsim.topology import BS, build_topology, hops_between
 
@@ -31,12 +31,11 @@ def fresh_move_price(strategy, key):
 
 def fresh_recovery_price(strategy, key):
     """A recovery of a log of ``n`` entries from ``hops`` away, priced by
-    the base hook with the strategy's one fragment holding ``n`` entries at
-    the checkpoint's site, restarting at the first BS ``hops`` from that
-    site. An entry inherited from a run on another tree may hold hops that
-    no BS of this tree lies at; it is then priced by a new run of the same
-    kind and price inputs on a tree of two regions of two cells, whose BSC
-    gap gives those hops."""
+    the base hook with the one fragment at the checkpoint's site, once a BS
+    ``hops`` from that site is found. An entry inherited from a run on
+    another tree may hold hops that no BS of this tree lies at; the BS is
+    then found on a new run of the same kind and price inputs on a tree of
+    two regions of two cells, whose BSC gap gives those hops."""
     n, hops = key
     others = (make_strategy(strategy.kind, build_topology(2, 1, 2, "ring", gap), strategy.sp,
                             strategy.cp) for gap in (max(2, hops - 2), max(2, hops - 1)))
@@ -47,13 +46,11 @@ def fresh_recovery_price(strategy, key):
         if cell is not None:
             break
     assert cell is not None, key
-    bsc = tree.cell_bsc[cell]
-    fragments = run.fragments
-    run.fragments = [Fragment(site, region, [0] * n)]
-    try:
-        return LogStrategy._recovery_price(run, (BS, cell), bsc, bsc == run.current_bsc)
-    finally:
-        run.fragments = fragments
+    # Proposed locates its log exactly when the restart lies outside the
+    # checkpoint's region, which the price reads from the hops alone.
+    in_home = tree.cell_bsc[cell] == region
+    assert (strategy.kind is not StrategyKind.PROPOSED or (hops == 1) == in_home), key
+    return LogStrategy._recovery_price(run, [(n, hops)] if n else [], hops)
 
 
 def fresh_write_run(strategy, key):

@@ -16,6 +16,8 @@ from mhlogsim.config import CONFIG_KEYS, Config, check_count, default_config
 from mhlogsim.experiments import (
     CSV_HEADER,
     FIGURE_IDS,
+    MU_SWEEP,
+    T_C_SWEEP,
     ExperimentSpec,
     MetricRow,
     check_trends,
@@ -429,6 +431,42 @@ class TestCli:
         assert [m.split(" mean ")[0] for m in messages] == statistics
         key = text.split(" = ")[0]
         assert all(key in m.split(" is not finite: it is priced by ")[1] for m in messages)
+
+    def test_a_figure_overflow_is_rejected_before_its_csv(self, tmp_path, capsys):
+        # Every handoff cost overflows: written out, its rows would read
+        # inf,nan,nan, and fig3's slope fit would warn.
+        path = tmp_path / "big.cfg"
+        path.write_text("cost.C_m = 1e308\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["figure", "fig3", "--reps", "2", "--config", str(path),
+                             "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out" / "fig3.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        messages = line.removeprefix("error: ").split("; ")
+        assert [m.split(" mean ")[0] for m in messages] == [
+            f"fig3 {kind} handoff_cost_per_handoff at sim.mu={mu:g}"
+            for mu in MU_SWEEP for kind in ("lazy", "pessimistic", "proposed")]
+        assert all(m.split(" is not finite: it is priced by ")[1] == experiments.PRICED_BY[
+            "handoff_cost_per_handoff"] and "cost.C_m" in m for m in messages)
+
+    def test_an_undefined_frcr_is_written_as_nan(self, tmp_path, capsys):
+        # Both investment costs are 0, so every FRCR sample is empty: the
+        # documented undefined ratio, not an overflow.
+        path = tmp_path / "tie.cfg"
+        path.write_text("cost.T_load_ckpt = 0\ncost.T_load_log = 0\ncost.C_p = 0\n"
+                        "recovery.deadline = 50\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["figure", "fig8", "--reps", "2", "--config", str(path),
+                             "--out", str(tmp_path)]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "fig8.csv").read_text().splitlines()
+                if ",frcr," in ln]
+        assert len(rows) == len(T_C_SWEEP)
+        assert all(row[5:8] == ["nan", "nan", "nan"] for row in rows)
 
     def test_analytic_prints_the_ratio_of_probabilities(self, capsys):
         assert cli.main(["analytic", "--p-prop", "0.9", "--p-lazy", "0.5"]) == 0

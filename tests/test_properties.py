@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mhlogsim import strategies
 from mhlogsim.config import CONFIG_KEYS, default_config
-from mhlogsim.engine import RunStats, generate_timeline, run_simulation
+from mhlogsim.engine import RunStats, Timeline, generate_timeline, run_simulation
 from mhlogsim.experiments import FIGURE_IDS, figure_spec, run_figure
 from mhlogsim.model import CostParams, ValidationError
 from mhlogsim.strategies import make_strategy
@@ -437,6 +437,42 @@ def test_replay_loses_only_what_recoveries_report(values):
         strategy.on_handoff = lambda cell: after("HANDOFF", on_handoff(cell))
         strategy.recover = failure
         assert step(strategy, timeline) == make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline)
+
+
+def log_state(strategy):
+    """What folding leaves of the host and its log, entries included."""
+    return (
+        strategy.replay_sequence(), list(strategy.cache),
+        [(frag.site, frag.region, list(frag.entries)) for frag in strategy.fragments],
+        strategy.checkpoint_site, strategy.checkpoint_region, strategy.pieces,
+        dict(strategy.region_peaks), strategy.current_cell, strategy.current_bsc,
+        strategy.next_seq,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.fixed_dictionaries({
+    **VALUES, "sim.cache_capacity": st.integers(2, 8), "sim.lambda_f": floats(0.01, 1.0),
+}), cuts=st.lists(st.integers(0, 2**32), max_size=4))
+def test_folding_whole_leaves_the_log_that_stepping_leaves(values, cuts):
+    # Writes, handoffs and failures between purges leave entries in the
+    # fragments and in the cache, and recoveries lose cached ones. Folding
+    # the timeline whole, in pieces cut at drawn events, or one event at a
+    # time through the handlers must leave the same log, though a fold of
+    # many events rebuilds it once, at its end.
+    assume(multi_cell(values))
+    cfg = accepted(values)
+    timeline = generate_timeline(cfg, cfg.sim.seed)
+    n = len(timeline.events)
+    assume("FAILURE" in {ev for _, ev, _ in timeline.events})
+    bounds = sorted({0, n, *(cut % (n + 1) for cut in cuts)})
+    for kind in KINDS:
+        whole, stepped, cut = (make_strategy(kind, cfg.tree, cfg.sim, cfg.cost) for _ in range(3))
+        assert step(stepped, timeline) == whole.fold(timeline), kind
+        for a, b in zip(bounds, bounds[1:]):
+            writes = timeline.writes[a:b] + [timeline.writes[n] if b == n else 0]
+            cut.fold(Timeline(timeline.events[a:b], writes, 0, 0, 0, 0))
+        assert log_state(whole) == log_state(stepped) == log_state(cut), kind
 
 
 def held_pieces(strategy):
