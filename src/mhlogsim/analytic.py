@@ -201,6 +201,17 @@ class AnalyticReport:
         return ",".join("undefined" if v is None else f"{v:.6g}" for v in values)
 
 
+# Each quantity of the report, with the config keys and flags its formula reads.
+_K, _P = "sim.lambda_w, sim.T_c", "sim.lambda_f, sim.mu"
+_AVG, _OPS = f"{_K}, cost.C_1, cost.C_c, cost.C_m", f"sim.T_c, {_P}, frcr.erratum_bound"
+_C01 = f"{_AVG}, cost.r, cost.alpha, cost.rho"
+_INVEST = f"{_OPS}, cost.r, cost.T_load_ckpt, cost.T_load_log"
+READS = dict(p01=_P, p02=_P, k_expected=_K, eta=_K, c_handoff_avg=_AVG, c01=_C01,
+             c_r=f"{_AVG}, cost.r", c_t=f"{_C01}, {_P}", n_ops=_OPS, c_prop=_INVEST,
+             c_lazy="sim.lambda_f, sim.T_c, cost.C_p",
+             frcr=f"{_INVEST}, cost.C_p, --p-prop, --p-lazy")
+
+
 def build_report(
     sp: SimParams,
     cp: CostParams,
@@ -242,16 +253,7 @@ def build_report(
         k_expected=d.k_expected,
         eta=d.eta,
     )
-    # Each quantity, with the config keys and flags its formula reads.
-    k, p = "sim.lambda_w, sim.T_c", "sim.lambda_f, sim.mu"
-    avg, ops = f"{k}, cost.C_1, cost.C_c, cost.C_m", f"sim.T_c, {p}, frcr.erratum_bound"
-    c01 = f"{avg}, cost.r, cost.alpha, cost.rho"
-    invest = f"{ops}, cost.r, cost.T_load_ckpt, cost.T_load_log"
-    reads = dict(p01=p, p02=p, k_expected=k, eta=k, c_handoff_avg=avg, c01=c01,
-                 c_r=f"{avg}, cost.r", c_t=f"{c01}, {p}", n_ops=ops, c_prop=invest,
-                 c_lazy="sim.lambda_f, sim.T_c, cost.C_p",
-                 frcr=f"{invest}, cost.C_p, --p-prop, --p-lazy")
-    bad = [f"{name} = {v} is not finite: it reads {keys}" for name, keys in reads.items()
+    bad = [f"{name} = {v} is not finite: it reads {keys}" for name, keys in READS.items()
            if (v := getattr(report, name)) is not None and not math.isfinite(v)]
     if bad:
         raise ValidationError(bad)

@@ -409,7 +409,9 @@ PRICED_BY = {
     "recovery_cost_home_total": _COSTS,
     **dict.fromkeys(("handoff_cost_per_handoff", "recovery_cost_per_failure",
                      "recovery_cost_per_failure_home", "total_cost_per_handoff_interval"), _COSTS),
-    "frcr": f"{_LOAD}, cost.C_p",
+    # The investment costs read rates and the erratum bound too; a figure
+    # measures the recovery probabilities that the closed form takes as flags.
+    "frcr": ", ".join(k for k in analytic.READS["frcr"].split(", ") if not k.startswith("--")),
 }
 
 

@@ -7,8 +7,10 @@ pessimistic and proposed share. Lazy's loop changes its ``fragments`` in
 place. The one-fragment loop carries only integers (the entries in the
 fragment and the cache, the host's cell, BSC and sequence number) and
 rebuilds the fragment and the cache once, at its end, exact by the three
-invariants ``_OneFragmentStrategy`` states. An event handler checks its
-input and folds that one event. Make a fresh object for every run.
+invariants ``_OneFragmentStrategy`` states. ``fold`` is the one way in:
+the four one-event methods that remain (``on_write``, ``on_handoff``,
+``on_checkpoint``, ``recover``) are spans for the benchmark's tracer, each
+a fold of one event. Make a fresh object for every run.
 
 lazy         log fragments stay at the BS where they were written; each
              handoff stores a pointer in the new BS, recovery chases the
@@ -37,7 +39,7 @@ one ``LogStrategy`` method:
   strategy-differential costs appear in a CostDelta.
 * Prices fixed for a whole run (one charged write, which for proposed is
   the full-cache flush, a checkpoint, lazy's pointer message) are computed
-  once in ``__init__``, and every event that pays one returns that object.
+  once in ``__init__``, and every event that pays one traces that object.
   Prices of a few small integers are made by the same rules on a loop's
   miss and kept in a table under them (``_keep``), up to
   ``_PRICE_TABLE_LIMIT`` entries: one-fragment handoffs in ``_move_prices``
@@ -56,17 +58,18 @@ one ``LogStrategy`` method:
   are in the move and recovery keys, and as two BSCs lie at least 2 hops
   apart, proposed restarts at home exactly when ``hops == 1`` on every
   tree, so the tree stays out of the key and a figure's reps and points,
-  which sweep only rates, share one set. A returned CostDelta,
-  ``RecoveryOutcome.cost`` included, or ``WriteRun`` is therefore shared
-  across runs: read it, never change it.
+  which sweep only rates, share one set. A traced CostDelta or a
+  ``WriteRun`` is therefore shared across runs: read it, never change it.
 
-The loops index the tree's cell -> BSC table, behind the handlers' range
-checks, and call ``_bsc_gap`` only across two BSCs. A region's peak entries
+The loops index the tree's cell -> BSC table unchecked, as every cell of a
+``Timeline`` comes from the tree (``on_handoff`` and ``recover`` check
+theirs), and call ``_bsc_gap`` only across two BSCs. A region's peak entries
 are settled when the log leaves it or is purged, and at the end of a fold.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, repeat
@@ -108,8 +111,8 @@ _Price = TypeVar("_Price")
 
 @dataclass(slots=True)
 class CostDelta:
-    """Cost of one strategy action, split by link type. One a handler
-    returns may be shared with other events: read it, never change it."""
+    """Cost of one strategy action, split by link type. One in a trace may
+    be shared with other events and runs: read it, never change it."""
 
     wireless_cost: float = 0.0  # alpha-weighted
     wired_cost: float = 0.0  # rho-weighted data plus flat control messages
@@ -130,24 +133,9 @@ class CostDelta:
         return self
 
 
-# The price of a write that moves and sends nothing; only write runs and
-# the trace hand it out, never a handler that callers might add to.
+# The price of a write that moves and sends nothing; write runs and the
+# trace hand it out, so never add to it.
 NO_COST = CostDelta()
-
-
-@dataclass(slots=True)
-class RecoveryOutcome:
-    """Result of one recovery attempt. ``cost`` prices the request, any
-    log-locating messages, then every fetched piece, the checkpoint last;
-    it may be a price shared with other events and runs: read it, never
-    change it."""
-
-    success: bool
-    retrieval_time: float
-    cost: CostDelta
-    fragments_fetched: int  # non-empty log fragments plus the checkpoint
-    recovered_in_home_region: bool
-    lost_entries: int = 0  # cached-but-unflushed writes lost with the host
 
 
 @dataclass
@@ -165,8 +153,8 @@ class WriteRun(NamedTuple):
     is in ``charged``, nothing on the others. ``delta`` is the price of one
     such write, shared with other runs. ``peak_pieces`` is the largest
     non-empty fragment count, the cache counting as one, after any write of
-    the run. One ``WriteRun`` goes to every run of writes of the same shape
-    and price inputs: read it, never change it."""
+    the run. A price table keeps one ``WriteRun`` for every run of writes
+    of the same shape and price inputs: read it, never change it."""
 
     delta: CostDelta
     charged: range
@@ -220,8 +208,8 @@ class LogStrategy:
         self.next_seq = 1
         # Checkpoint 0 sits at the host's birth site, and in its region, at
         # zero cost: the initial application state is registered where the
-        # transaction starts, and no handler clears it, so recovery always
-        # has a durable baseline.
+        # transaction starts, and only a checkpoint replaces it, so recovery
+        # always has a durable baseline.
         site, region = self._checkpoint_site(0, self.current_bsc)
         self.checkpoint_site, self.checkpoint_region = site, region
         # The log: its fragments, the running tally of non-empty ones, and
@@ -257,10 +245,10 @@ class LogStrategy:
         The subclass's loop, ``_fold(writes, events, write_times, trace)``,
         returns its tally (successes, lost entries, home-region recoveries,
         peak pieces, charged writes, then the handoff, recovery and
-        home-recovery cost and retrieval time sums) and the price of the
-        last event it applied; the timeline counts the events."""
+        home-recovery cost and retrieval time sums); the timeline counts
+        the events."""
         (successes, lost, home, peak, charged, cost_handoff, cost_recovery, cost_home,
-         retrieval_sum), _ = self._fold(timeline.writes, timeline.events, timeline.write_times, trace)
+         retrieval_sum) = self._fold(timeline.writes, timeline.events, timeline.write_times, trace)
         handoffs, failures = timeline.intra_bsc + timeline.inter_bsc, timeline.failures
         # n additions from 0.0, the floats of a per-event loop; n * price rounds differently.
         cost_checkpoint = reduce(add, repeat(self._checkpoint_cost.total, timeline.checkpoints), 0.0)
@@ -289,48 +277,26 @@ class LogStrategy:
             bsc_peak_entries=dict(self.settle_peaks()),
         )
 
-    def on_write(self) -> CostDelta:
-        return self.on_writes(1).delta
+    # ``benchmarks/tracer.py`` wraps these four by name, which is why they
+    # stay: each folds its one event through ``_fold`` and returns nothing.
+    # The range checks guard the loops' unchecked cell -> BSC index.
+    def on_write(self) -> None:
+        self._fold((1,), (), None, None)
 
-    def on_writes(self, k: int) -> WriteRun:
-        """Log ``k`` writes issued back to back from the host's cell; the
-        same placement and costs as ``k`` calls of ``on_write``."""
-        if k < 1:
-            raise ValueError(f"not a run of writes: k must be >= 1, got {k}")
-        return self._fold((k,), (), None, None)[1]
+    def on_checkpoint(self) -> None:
+        self._fold((0, 0), ((0.0, "CHECKPOINT", self.current_cell),), None, None)
 
-    def on_checkpoint(self) -> CostDelta:
-        """Ship a fresh checkpoint from the host to its durable site and
-        purge the log; every checkpoint of a run costs the same."""
-        return self._fold((0, 0), ((0.0, "CHECKPOINT", self.current_cell),), None, None)[1]
-
-    def on_handoff(self, to_cell: CellId) -> CostDelta:
-        """Move the host from its cell to ``to_cell``; the move is intra-BSC
-        when both cells share a region."""
+    def on_handoff(self, to_cell: CellId) -> None:
         if to_cell == self.current_cell:
             raise ValueError(f"not a handoff: the host is already in cell {to_cell}")
         if not 0 <= to_cell < self._n_cells:
             raise ValueError(f"unknown cell {to_cell}")
-        return self._fold((0, 0), ((0.0, "HANDOFF", to_cell),), None, None)[1]
+        self._fold((0, 0), ((0.0, "HANDOFF", to_cell),), None, None)
 
-    def recover(self, recovery_cell: CellId) -> RecoveryOutcome:
-        """Retrieve the checkpoint and every durable fragment at the cell
-        where the host restarts, replay, and re-home the fetched copies,
-        priced by ``_recovery_price``. Unflushed cache entries die with the
-        host."""
+    def recover(self, recovery_cell: CellId) -> None:
         if not 0 <= recovery_cell < self._n_cells:
             raise ValueError(f"unknown cell {recovery_cell}")
-        tally, (cost, fragments_fetched, retrieval_time) = self._fold(
-            (0, 0), ((0.0, "FAILURE", recovery_cell),), None, None)
-        successes, lost, home = tally[:3]
-        return RecoveryOutcome(
-            success=successes == 1,
-            retrieval_time=retrieval_time,
-            cost=cost,
-            fragments_fetched=fragments_fetched,
-            recovered_in_home_region=home == 1,
-            lost_entries=lost,
-        )
+        self._fold((0, 0), ((0.0, "FAILURE", recovery_cell),), None, None)
 
     # Only tests read this: it is the replay order acceptance criterion 9 asserts.
     def replay_sequence(self) -> list[int]:
@@ -361,19 +327,18 @@ class LogStrategy:
         after which ``pieces`` fragments hold entries."""
         return WriteRun(self._write_cost, range(k), pieces)
 
-    def _recovery_price(self, loads: list[tuple[int, int]], hops: int) -> tuple[CostDelta, int, float]:
+    def _recovery_price(self, loads: list[tuple[int, int]], hops: int) -> tuple[CostDelta, float]:
         """What fetching the log's non-empty fragments, ``(entries, hops)``
         each in ``loads``, and the checkpoint from ``hops`` away costs, as
-        (cost, fragments fetched, retrieval time). The wireless recovery
-        request, then the wired messages that locate the log, then every
-        fragment, then the checkpoint."""
+        (cost, retrieval time). The wireless recovery request, then the
+        wired messages that locate the log, then every fragment, then the
+        checkpoint; the retrieval time loads each of them."""
         cp = self.cp
         k = self._locate_log(hops)
         delta = CostDelta(cp.alpha * cp.c_m, k * cp.c_m, 1 + k)
         self._ship(delta, cp.c_1, loads)
         self._ship(delta, cp.c_c, [(1, hops)])
-        fetched = len(loads) + 1
-        return delta, fetched, cp.t_load_ckpt + (cp.t_load_log * fetched + delta.elapsed_transfer_time)
+        return delta, cp.t_load_ckpt + (cp.t_load_log * (len(loads) + 1) + delta.elapsed_transfer_time)
 
     # -- shared pieces ---------------------------------------------------
 
@@ -415,14 +380,12 @@ class LogStrategy:
         """Lift each region's peak to the entries the log holds there now,
         and return the peaks. A region's entries fall only when the log leaves
         it or is purged, so settling then and at the end gives its maximum."""
-        peaks = self.region_peaks
-        held: dict[BscId, int] = {}
+        peaks, held = self.region_peaks, defaultdict(int)
         for frag in self.fragments:
-            if frag.entries:
-                region = frag.region
-                held[region] = n = held.get(region, 0) + len(frag.entries)
-                if n > peaks.get(region, 0):
-                    peaks[region] = n
+            held[frag.region] += len(frag.entries)
+        for region, n in held.items():
+            if n > peaks.get(region, 0):
+                peaks[region] = n
         return peaks
 
 
@@ -458,7 +421,6 @@ class LazyStrategy(LogStrategy):
         last_cell = fragments[-1].site[1] if fragments else None
         entries = fragments[-1].entries if fragments else None
         times = iter(write_times or ())
-        last = None
         successes = home = peak = charged = 0
         cost_handoff = cost_recovery = retrieval_sum = cost_home = 0.0
 
@@ -473,9 +435,9 @@ class LazyStrategy(LogStrategy):
                 entries += range(seq, seq + k)
                 seq += k
                 key = (k, pieces)
-                run = last = write_runs.get(key)
+                run = write_runs.get(key)
                 if run is None:
-                    run = last = keep(write_runs, key, write_run(k, pieces))
+                    run = keep(write_runs, key, write_run(k, pieces))
                 charged += len(run.charged)
                 if trace is not None:
                     for i in range(k):
@@ -491,11 +453,11 @@ class LazyStrategy(LogStrategy):
                 fragments.clear()
                 pieces = chain_length = 0
                 last_cell = entries = None
-                delta = last = checkpoint_cost
+                delta = checkpoint_cost
             elif ev == "HANDOFF":
                 cell, bsc = to, cell_bsc[to]
                 chain_length += 1
-                delta = last = pointer_cost
+                delta = pointer_cost
                 cost_handoff += pointer_total
             else:  # FAILURE
                 in_home, bsc = cell_bsc[to] == bsc, cell_bsc[to]
@@ -504,9 +466,8 @@ class LazyStrategy(LogStrategy):
                 site = (BS, to)
                 loads = [(len(frag.entries), hops_between(tree, frag.site, frag.region, site, bsc))
                          for frag in fragments if frag.entries]
-                last = recovery_price(loads, hops_between(
+                delta, retrieval_time = recovery_price(loads, hops_between(
                     tree, self.checkpoint_site, self.checkpoint_region, site, bsc))
-                delta, _, retrieval_time = last
                 if last_cell is not None and last_cell != to:
                     chain_length += 1
                 total = delta.total
@@ -522,9 +483,7 @@ class LazyStrategy(LogStrategy):
 
         self.current_cell, self.current_bsc, self.next_seq = cell, bsc, seq
         self.pieces, self.pointer_chain_length = pieces, chain_length
-        return (
-            successes, 0, home, peak, charged, cost_handoff, cost_recovery, cost_home, retrieval_sum,
-        ), last
+        return successes, 0, home, peak, charged, cost_handoff, cost_recovery, cost_home, retrieval_sum
 
 
 class _OneFragmentStrategy(LogStrategy):
@@ -578,7 +537,6 @@ class _OneFragmentStrategy(LogStrategy):
         # purged what came before it, and the ranges recoveries lost since.
         start, purged, lost_ranges = seq, False, []
         times = iter(write_times or ())
-        last = None
         successes = lost = home = peak = charged = 0
         cost_handoff = cost_recovery = retrieval_sum = cost_home = 0.0
 
@@ -586,9 +544,9 @@ class _OneFragmentStrategy(LogStrategy):
             if k:
                 seq += k
                 key = (k, c, n > 0) if caches else (k, 1)
-                run = last = write_runs.get(key)
+                run = write_runs.get(key)
                 if run is None:
-                    run = last = keep(write_runs, key, write_run(*key))
+                    run = keep(write_runs, key, write_run(*key))
                 # Each charged write flushes a full cache (pessimistic: itself).
                 flushed = len(run.charged)
                 charged += flushed
@@ -608,7 +566,7 @@ class _OneFragmentStrategy(LogStrategy):
                 n = c = 0
                 start, purged = seq, True
                 lost_ranges.clear()
-                delta = last = checkpoint_cost
+                delta = checkpoint_cost
             else:
                 from_bsc, bsc = bsc, cell_bsc[to]
                 gap = 0 if from_bsc == bsc else _bsc_gap(tree, from_bsc, bsc)
@@ -619,9 +577,9 @@ class _OneFragmentStrategy(LogStrategy):
                     # Up from the old site, across the gap, down to the new one.
                     hops = 2 * up + gap
                     key = (n if hops else 0, hops, c)
-                    delta = last = move_prices.get(key)
+                    delta = move_prices.get(key)
                     if delta is None:
-                        delta = last = keep(move_prices, key, move_price(*key))
+                        delta = keep(move_prices, key, move_price(*key))
                     cost_handoff += delta.total
                     n += c
                 else:  # FAILURE
@@ -629,10 +587,10 @@ class _OneFragmentStrategy(LogStrategy):
                     # restart BS: none when that is the checkpoint's own BS.
                     hops = up + 1 + gap if to != cell or not up else 0
                     key = (n, hops)
-                    last = recovery_prices.get(key)
-                    if last is None:
-                        last = keep(recovery_prices, key, recovery_price([(n, hops)] if n else [], hops))
-                    delta, _, retrieval_time = last
+                    price = recovery_prices.get(key)
+                    if price is None:
+                        price = keep(recovery_prices, key, recovery_price([(n, hops)] if n else [], hops))
+                    delta, retrieval_time = price
                     if c:
                         lost_ranges.append((seq - c, seq))
                         lost += c
@@ -669,9 +627,7 @@ class _OneFragmentStrategy(LogStrategy):
         site, region = self.checkpoint_site, self.checkpoint_region = self._checkpoint_site(cell, bsc)
         self.fragments[0] = Fragment(site, region, log)
         self.current_cell, self.current_bsc, self.next_seq, self.pieces = cell, bsc, seq, int(n > 0)
-        return (
-            successes, lost, home, peak, charged, cost_handoff, cost_recovery, cost_home, retrieval_sum,
-        ), last
+        return successes, lost, home, peak, charged, cost_handoff, cost_recovery, cost_home, retrieval_sum
 
 
 class PessimisticStrategy(_OneFragmentStrategy):

@@ -8,9 +8,9 @@ from hypothesis import settings
 
 from mhlogsim import topology
 from mhlogsim.config import default_config
-from mhlogsim.engine import generate_timeline
+from mhlogsim.engine import Timeline, generate_timeline
 from mhlogsim.experiments import figure_spec, run_figure
-from mhlogsim.strategies import NO_COST, RunStats
+from mhlogsim.strategies import RunStats
 
 # Every run draws the same examples, seeded from each test, so the suite's
 # time and coverage do not move from run to run. max_examples and each
@@ -78,71 +78,95 @@ def mean_pending_log(seed):
     return float(np.mean(means))
 
 
-def step(strategy, timeline, trace=None):
-    """Feed ``timeline`` to ``strategy``'s event handlers one event at a
-    time, each run of writes through one ``on_writes``, and return the
-    ``RunStats`` summed from what they return, as a per-event kernel would.
-    Tests wrap the handlers of ``strategy`` to check its state after every
-    event, and compare the result with ``strategy.fold``'s on a fresh
-    object. ``trace``, when given, receives (time, kind, delta) for every
-    event and write, as ``run_simulation``'s does."""
-    write_times = iter(timeline.write_times or ())
-    handoffs = checkpoints = failures = successes = lost = home = peak = 0
-    cost_handoff = cost_recovery = cost_logging = cost_checkpoint = 0.0
-    retrieval_sum = cost_home = 0.0
+def held_pieces(strategy):
+    """The non-empty fragments, the host's cache counting as one."""
+    return strategy.pieces + bool(strategy.cache)
+
+
+def event_piece(strategy, event):
+    """One event, ``(time, kind, cell)`` as in ``Timeline.events``, as a
+    ``Timeline`` of its own for ``strategy``'s host where it stands."""
+    _, kind, to = event
+    handoff = kind == "HANDOFF"
+    intra = handoff and strategy.tree.cell_bsc[to] == strategy.current_bsc
+    return Timeline([event], [0, 0], int(intra), int(handoff and not intra),
+                    int(kind == "CHECKPOINT"), int(kind == "FAILURE"), [])
+
+
+def fold_in_pieces(strategy, timeline):
+    """Fold ``timeline`` into ``strategy`` one piece at a time: a piece is
+    one run of writes or one event, a ``Timeline`` of its own with its
+    write times (dated at the event before when ``timeline`` has none).
+    Yield each piece's (``Timeline``, ``RunStats``, trace) once it is
+    folded, so a caller can read the strategy between pieces."""
+    times = iter(timeline.write_times or ())
+    t = 0.0
     for k, event in zip(timeline.writes, chain(timeline.events, (None,))):
         if k:
-            run = strategy.on_writes(k)
-            for i in range(k):
-                delta = run.delta if i in run.charged else NO_COST
-                cost_logging += delta.total
-                if trace is not None:
-                    trace.append((next(write_times), "WRITE", delta))
-            peak = max(peak, run.peak_pieces)
+            piece = Timeline([], [k], 0, 0, 0, 0, [next(times, t) for _ in range(k)])
+            trace: list = []
+            yield piece, strategy.fold(piece, trace), trace
         if event is None:
-            break
-        t, ev, cell = event
-        if ev == "CHECKPOINT":
-            delta = strategy.on_checkpoint()
-            checkpoints += 1
-            cost_checkpoint += delta.total
-        elif ev == "HANDOFF":
-            delta = strategy.on_handoff(cell)
-            handoffs += 1
-            cost_handoff += delta.total
-        else:
-            outcome = strategy.recover(cell)
-            delta = outcome.cost
-            failures += 1
-            successes += outcome.success
-            cost_recovery += delta.total
-            retrieval_sum += outcome.retrieval_time
-            lost += outcome.lost_entries
-            if outcome.recovered_in_home_region:
-                cost_home += delta.total
-                home += 1
-        if trace is not None:
-            trace.append((t, ev, delta))
+            return
+        t = event[0]
+        piece = event_piece(strategy, event)
+        trace = []
+        yield piece, strategy.fold(piece, trace), trace
+
+
+def stats_of(strategy, pieces):
+    """The ``RunStats`` that folding ``pieces`` into ``strategy`` makes of
+    the whole timeline. Counts add up; each cost is summed one trace entry
+    at a time from 0.0, in dispatch order, as a per-event loop sums it,
+    since adding up the pieces' totals would round differently."""
+    pieces = list(pieces)
+    stats = [s for _, s, _ in pieces]
+    count = {f: sum(getattr(s, f) for s in stats) for f in (
+        "intra_bsc_count", "inter_bsc_count", "write_count", "checkpoint_count",
+        "failure_count", "recovery_success_count", "lost_entries", "home_recovery_count")}
+    cost = dict.fromkeys(("WRITE", "HANDOFF", "CHECKPOINT", "FAILURE", "HOME"), 0.0)
+    retrieval_sum = 0.0
+    for _, s, trace in pieces:
+        for _, kind, delta in trace:
+            cost[kind] += delta.total
+        if s.failure_count:
+            retrieval_sum += s.mean_retrieval_time
+        if s.home_recovery_count:
+            cost["HOME"] += trace[0][2].total
+    handoffs = count["intra_bsc_count"] + count["inter_bsc_count"]
+    failures, successes = count["failure_count"], count["recovery_success_count"]
     return RunStats(
         handoff_count=handoffs,
-        intra_bsc_count=timeline.intra_bsc,
-        inter_bsc_count=timeline.inter_bsc,
-        write_count=sum(timeline.writes),
-        checkpoint_count=checkpoints,
-        failure_count=failures,
-        recovery_success_count=successes,
-        total_handoff_cost=cost_handoff,
-        total_recovery_cost=cost_recovery,
-        total_logging_cost=cost_logging,
-        total_checkpoint_cost=cost_checkpoint,
+        **{f: count[f] for f in ("intra_bsc_count", "inter_bsc_count", "write_count",
+                                 "checkpoint_count", "failure_count", "recovery_success_count")},
+        total_handoff_cost=cost["HANDOFF"],
+        total_recovery_cost=cost["FAILURE"],
+        total_logging_cost=cost["WRITE"],
+        total_checkpoint_cost=cost["CHECKPOINT"],
         mean_cost_per_handoff_interval=(
-            cost_handoff + cost_recovery + cost_logging + cost_checkpoint
+            cost["HANDOFF"] + cost["FAILURE"] + cost["WRITE"] + cost["CHECKPOINT"]
         ) / max(1, handoffs),
         recovery_probability=successes / failures if failures else 1.0,
         mean_retrieval_time=retrieval_sum / failures if failures else 0.0,
-        peak_fragments=peak,
-        lost_entries=lost,
-        recovery_cost_home_total=cost_home,
-        home_recovery_count=home,
+        peak_fragments=max((s.peak_fragments for s in stats), default=0),
+        lost_entries=count["lost_entries"],
+        recovery_cost_home_total=cost["HOME"],
+        home_recovery_count=count["home_recovery_count"],
         bsc_peak_entries=dict(strategy.settle_peaks()),
     )
+
+
+def fold_steps(strategy, *steps):
+    """Fold ``steps`` into ``strategy``, each a piece of its own at time 0:
+    an int ``k`` is a run of ``k`` writes, ``"CHECKPOINT"`` a checkpoint,
+    and ``(kind, cell)`` a handoff to, or a failure restarting in, ``cell``.
+    Return the last piece's (``RunStats``, trace)."""
+    for step in steps:
+        if isinstance(step, int):
+            piece = Timeline([], [step], 0, 0, 0, 0, [0.0] * step)
+        else:
+            kind, to = (step, strategy.current_cell) if step == "CHECKPOINT" else step
+            piece = event_piece(strategy, (0.0, kind, to))
+        trace: list = []
+        stats = strategy.fold(piece, trace)
+    return stats, trace

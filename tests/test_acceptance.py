@@ -23,7 +23,7 @@ from mhlogsim.model import CostParams, SimParams
 from mhlogsim.strategies import make_strategy
 from mhlogsim.topology import bsc_of, bsc_site, build_topology
 
-from conftest import mean_pending_log
+from conftest import fold_steps, mean_pending_log
 
 
 def report(criterion: int, description: str, violations: list[str]) -> None:
@@ -145,14 +145,14 @@ def test_criterion_09_protocol_invariants():
                 u = rng.random()
                 if u < 0.6:
                     seq = strat.next_seq
-                    strat.on_write()
+                    fold_steps(strat, 1)
                     expected.append(seq)
                 elif u < 0.9:
                     to = int(rng.integers(tree.n_cells - 1))
                     to = to if to < strat.current_cell else to + 1
-                    strat.on_handoff(to)
+                    fold_steps(strat, ("HANDOFF", to))
                 else:
-                    strat.on_checkpoint()
+                    fold_steps(strat, "CHECKPOINT")
                     expected = []
                 if strat.replay_sequence() != expected:
                     violations.append(f"{kind}: replay completeness broken (seq {i})")
@@ -168,13 +168,13 @@ def test_criterion_09_protocol_invariants():
             for _ in range(30):
                 u = rng.random()
                 if u < 0.5:
-                    strat.on_write()
+                    fold_steps(strat, 1)
                 elif u < 0.8:
                     frm = strat.current_cell
                     to = int(rng.integers(tree.n_cells - 1))
                     to = to if to < frm else to + 1
                     inter = bsc_of(tree, frm) != bsc_of(tree, to)
-                    delta = strat.on_handoff(to)
+                    _, [(_, _, delta)] = fold_steps(strat, ("HANDOFF", to))
                     if kind == "lazy" and delta.data_items_moved != 0:
                         violations.append(f"lazy: handoff moved data (seq {i})")
                     if kind == "pessimistic":
@@ -197,10 +197,10 @@ def test_criterion_09_protocol_invariants():
                                 f"proposed: log not consolidated after inter-BSC (seq {i})"
                             )
                 elif u < 0.9:
-                    strat.on_checkpoint()
+                    fold_steps(strat, "CHECKPOINT")
                 else:
                     cell = int(rng.integers(tree.n_cells))
-                    strat.recover(cell)
+                    fold_steps(strat, ("FAILURE", cell))
                 if violations:
                     break
             if violations:

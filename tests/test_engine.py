@@ -23,12 +23,11 @@ from mhlogsim.engine import (
     split_seed,
 )
 from mhlogsim.model import CostParams, SimParams, ValidationError
-from mhlogsim.strategies import LazyStrategy, make_strategy
+from mhlogsim.strategies import make_strategy
 from mhlogsim.topology import BS, bsc_site
 from mhlogsim import engine, experiments, topology
 
-from conftest import mean_pending_log, step
-from price_checks import copy_sharing_tables
+from conftest import fold_in_pieces, fold_steps, mean_pending_log, stats_of
 
 
 class FakeRng:
@@ -333,45 +332,39 @@ class TestPlacementPeaks:
             for region, n in per_bsc.items():
                 bsc_peaks[region] = max(bsc_peaks.get(region, 0), n)
 
-        def rescanning(kind, tree, sp, cp):
-            strategy = make_strategy(kind, tree, sp, cp)
-            for hook in ("on_handoff", "on_checkpoint", "recover"):
-                setattr(strategy, hook, after_each(getattr(strategy, hook), strategy))
-            strategy.on_writes = write_by_write(type(strategy).on_writes, strategy)
-            return strategy
-
-        def after_each(hook, strategy):
-            def wrapped(*args):
-                out = hook(*args)
-                rescan(strategy)
-                return out
-            return wrapped
-
-        def write_by_write(on_writes, strategy):
-            # The kernel hands a strategy whole runs of writes. Replay each
-            # run one write at a time on a copy and rescan after every
-            # write, then let the real strategy take the run at once.
-            def wrapped(k):
-                shadow = copy_sharing_tables(strategy)
-                for _ in range(k):
-                    on_writes(shadow, 1)
-                    rescan(shadow)
-                out = on_writes(strategy, k)
-                assert rescan_placement(strategy) == rescan_placement(shadow)
-                return out
-            return wrapped
-
         timeline = engine.generate_timeline(cfg, seed)
-        stats = step(rescanning(kind, cfg.tree, cfg.sim, cfg.cost), timeline)
+        strategy, single = (make_strategy(kind, cfg.tree, cfg.sim, cfg.cost) for _ in range(2))
+        pieces = []
+        for timed, stats, trace in fold_in_pieces(strategy, timeline):
+            pieces.append((timed, stats, trace))
+            if timed.events:
+                single.fold(timed)
+                rescan(strategy)
+            else:
+                # The fold takes whole runs of writes. ``single`` takes each
+                # run one write at a time and is rescanned after every write.
+                for _ in range(timed.writes[0]):
+                    fold_steps(single, 1)
+                    rescan(single)
+            assert rescan_placement(strategy) == rescan_placement(single)
+        stats = stats_of(strategy, pieces)
         assert stats.peak_fragments == peak[0]
         assert stats.bsc_peak_entries == bsc_peaks
         assert stats == make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline)
 
 
+def fold_event(strategy, step):
+    """Fold one write or event, a step as ``fold_steps`` reads it, into
+    ``strategy``, and return its ``RunStats`` and its traced price."""
+    stats, [(_, _, delta)] = fold_steps(strategy, step)
+    return stats, delta
+
+
 def reference_run(cfg, kind, seed, trace):
     """The per-event kernel that the timeline fold replaced, kept here as a
-    reference: four clocks, one dispatch per event, one ``on_write`` per
-    write, and placement peaks read after every event."""
+    reference: four clocks, one dispatch per event, each write and event
+    folded as a piece of its own, and placement peaks read after every
+    event."""
     sp, tree = cfg.sim, cfg.tree
     rng = np.random.Generator(np.random.PCG64(seed))
     strategy = make_strategy(kind, tree, sp, cfg.cost)
@@ -390,16 +383,16 @@ def reference_run(cfg, kind, seed, trace):
             break
         ev = clocks.index(t)
         if ev == 0:
-            delta = strategy.on_checkpoint()
+            _, delta = fold_event(strategy, "CHECKPOINT")
             clocks[0] = t + sp.t_c
         elif ev == 1:
             frm = strategy.current_cell
             to = topology.sample_next_cell(tree, frm, rng)
             intra += topology.bsc_of(tree, frm) == topology.bsc_of(tree, to)
-            delta = strategy.on_handoff(to)
+            _, delta = fold_event(strategy, ("HANDOFF", to))
             clocks[1] = t + sample_exponential(sp.mu, rng)
         elif ev == 2:
-            delta = strategy.on_write()
+            _, delta = fold_event(strategy, 1)
             clocks[2] = t + sample_exponential(sp.lambda_w, rng)
         else:
             region = topology.cells_of_bsc(tree, strategy.current_bsc)
@@ -407,12 +400,11 @@ def reference_run(cfg, kind, seed, trace):
                 cells = region
             else:
                 cells = [c for c in range(tree.n_cells) if c not in region]
-            outcome = strategy.recover(cells[int(rng.integers(len(cells)))])
-            delta = outcome.cost
-            successes += outcome.success
-            retrieval += outcome.retrieval_time
-            lost += outcome.lost_entries
-            if outcome.recovered_in_home_region:
+            stats, delta = fold_event(strategy, ("FAILURE", cells[int(rng.integers(len(cells)))]))
+            successes += stats.recovery_success_count
+            retrieval += stats.mean_retrieval_time
+            lost += stats.lost_entries
+            if stats.home_recovery_count:
                 cost_home += delta.total
                 home += 1
             clocks[3] = t + sample_exponential(sp.lambda_f, rng)
@@ -556,23 +548,15 @@ class TestTimelineCache:
         assert hashes == []
 
 
-def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls, monkeypatch):
+def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls):
     # Lazy keeps ~mu * T_c fragments between purges: about 3 at T_c=50 and
     # well over 100 at T_c=4000. Placement work per event must not follow:
     # the fold reads each cell's BSC from the tree's table, so a run
     # calls bsc_of once, at birth, and hops_between once at birth and once
     # per piece a recovery fetches, the checkpoint included. No write,
-    # handoff or checkpoint calls either. The handlers, stepped one event
-    # at a time, report the pieces fetched; the fold makes the same calls.
-    fetched = []
-    recover = LazyStrategy.recover
-
-    def counted(self, cell):
-        outcome = recover(self, cell)
-        fetched.append(outcome.fragments_fetched)
-        return outcome
-
-    monkeypatch.setattr(LazyStrategy, "recover", counted)
+    # handoff or checkpoint calls either. Folded one piece at a time, a
+    # recovery fetches the non-empty fragments held before it and the
+    # checkpoint; the whole fold makes the same calls.
     calls = count_calls("bsc_of", "hops_between")
     for t_c in (50.0, 4000.0):
         cfg = sim_config(**{
@@ -580,8 +564,14 @@ def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls, monkeypatc
         })
         timeline = engine.generate_timeline(cfg, 12345)
         calls.clear()
-        fetched.clear()
-        stats = step(make_strategy("lazy", cfg.tree, cfg.sim, cfg.cost), timeline)
+        strategy = make_strategy("lazy", cfg.tree, cfg.sim, cfg.cost)
+        fetched, pieces, held = [], [], 0
+        for timed, stats, trace in fold_in_pieces(strategy, timeline):
+            if stats.failure_count:
+                fetched.append(held + 1)
+            held = sum(bool(frag.entries) for frag in strategy.fragments)
+            pieces.append((timed, stats, trace))
+        stats = stats_of(strategy, pieces)
         assert len(fetched) == stats.failure_count > 0, t_c
         assert calls["bsc_of"] == 1, t_c
         assert calls["hops_between"] == 1 + sum(fetched), t_c

@@ -468,6 +468,20 @@ class TestCli:
         assert len(rows) == len(T_C_SWEEP)
         assert all(row[5:8] == ["nan", "nan", "nan"] for row in rows)
 
+    def test_an_frcr_overflow_names_the_rates_it_reads(self, tmp_path, capsys):
+        # A subnormal failure rate overflows both investment costs, so every
+        # FRCR row is NaN; its message names the rate with the cost keys.
+        path = tmp_path / "rare.cfg"
+        path.write_text("sim.lambda_f = 5e-324\n", encoding="utf-8")
+        assert cli.main(["figure", "fig8", "--reps", "2", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out" / "fig8.csv").exists()
+        [line] = capsys.readouterr().err.splitlines()
+        messages = line.removeprefix("error: ").split("; ")
+        assert [m.split(" mean ")[0] for m in messages] == [
+            f"fig8 proposed-vs-lazy frcr at sim.T_c={t_c:g}" for t_c in T_C_SWEEP]
+        assert all("sim.lambda_f" in m.split(" is not finite: it is priced by ")[1] for m in messages)
+
     def test_analytic_prints_the_ratio_of_probabilities(self, capsys):
         assert cli.main(["analytic", "--p-prop", "0.9", "--p-lazy", "0.5"]) == 0
         frcr = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("frcr ")]

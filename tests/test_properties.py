@@ -14,9 +14,9 @@ from mhlogsim.config import CONFIG_KEYS, default_config
 from mhlogsim.engine import RunStats, Timeline, generate_timeline, run_simulation
 from mhlogsim.experiments import FIGURE_IDS, figure_spec, run_figure
 from mhlogsim.model import CostParams, ValidationError
-from mhlogsim.strategies import make_strategy
+from mhlogsim.strategies import NO_COST, make_strategy
 
-from conftest import step
+from conftest import fold_in_pieces, held_pieces, stats_of
 from price_checks import assert_cached_prices_fresh, fresh_write_run
 
 KINDS = ("lazy", "pessimistic", "proposed")
@@ -119,29 +119,11 @@ def test_accepted_configs_run_finite_conserved_and_paired(values):
     assert len(counts) == 1
 
 
-def price_checking(kind, tree, sp, cp):
-    """A new strategy that checks its cached prices after every event."""
-    strategy = make_strategy(kind, tree, sp, cp)
-
-    def checked(handler):
-        def wrapped(*args):
-            out = handler(*args)
-            assert_cached_prices_fresh(strategy)
-            return out
-        return wrapped
-
-    for name in ("on_writes", "on_handoff", "on_checkpoint", "recover"):
-        setattr(strategy, name, checked(getattr(strategy, name)))
-    assert_cached_prices_fresh(strategy)
-    return strategy
-
-
 @settings(max_examples=40, deadline=None)
 @given(values=st.fixed_dictionaries(VALUES))
 def test_cached_prices_equal_fresh_prices_after_every_event(values):
-    # Handlers return the cached deltas themselves, and the trace holds
-    # every one it was handed, so a mutated shared delta would also break
-    # the trace fold.
+    # The trace holds the cached deltas themselves, every one a piece was
+    # handed, so a mutated shared delta would also break the trace fold.
     assume(multi_cell(values))
     cfg = accepted(values)
     # An empty store keeps the check after each event to this run's own
@@ -149,9 +131,14 @@ def test_cached_prices_equal_fresh_prices_after_every_event(values):
     strategies._price_tables.clear()
     timeline = generate_timeline(cfg, cfg.sim.seed, True)
     for kind in KINDS:
-        trace: list = []
-        stats = step(price_checking(kind, cfg.tree, cfg.sim, cfg.cost), timeline, trace)
-        assert_trace_folds_to(stats, trace, kind)
+        strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
+        assert_cached_prices_fresh(strategy)
+        pieces = []
+        for piece in fold_in_pieces(strategy, timeline):
+            assert_cached_prices_fresh(strategy)
+            pieces.append(piece)
+        stats = stats_of(strategy, pieces)
+        assert_trace_folds_to(stats, [entry for *_, trace in pieces for entry in trace], kind)
         assert stats == make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline), kind
 
 
@@ -302,17 +289,20 @@ def test_proposed_write_runs_equal_a_per_write_replay(values):
     assume(multi_cell(values))
     cfg = accepted(values)
     strategy = make_strategy("proposed", cfg.tree, cfg.sim, cfg.cost)
-    on_writes = strategy.on_writes
-
-    def replayed(k):
-        key = (k, len(strategy.cache), strategy.pieces)
-        run = on_writes(k)
-        assert run == fresh_write_run(strategy, key), key
-        return run
-
-    strategy.on_writes = replayed
     timeline = generate_timeline(cfg, cfg.sim.seed)
-    assert step(strategy, timeline) == make_strategy("proposed", cfg.tree, cfg.sim, cfg.cost).fold(timeline)
+    pieces, before = [], (len(strategy.cache), strategy.pieces)
+    for timed, stats, trace in fold_in_pieces(strategy, timeline):
+        k = timed.writes[0]
+        if k:
+            key = (k, *before)
+            run = fresh_write_run(strategy, key)
+            assert [delta for *_, delta in trace] == [
+                run.delta if i in run.charged else NO_COST for i in range(k)], key
+            assert stats.peak_fragments == run.peak_pieces, key
+        before = (len(strategy.cache), strategy.pieces)
+        pieces.append((timed, stats, trace))
+    assert stats_of(strategy, pieces) == make_strategy(
+        "proposed", cfg.tree, cfg.sim, cfg.cost).fold(timeline)
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,39 +394,24 @@ def test_replay_loses_only_what_recoveries_report(values):
     assume("FAILURE" in {ev for _, ev, _ in timeline.events})
     for kind in KINDS:
         strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
-        on_writes, on_checkpoint = strategy.on_writes, strategy.on_checkpoint
-        on_handoff, recover = strategy.on_handoff, strategy.recover
         # The writes since the last event, and those the log should replay.
-        run, expected = [0], []
-
-        def writes(k):
-            out = on_writes(k)
-            expected.extend(range(strategy.next_seq - k, strategy.next_seq))
-            run[0] = k
-            assert strategy.replay_sequence() == expected, kind
-            return out
-
-        def after(ev, out):
-            run[0] = 0
+        run, expected, pieces = 0, [], []
+        for timed, stats, trace in fold_in_pieces(strategy, timeline):
+            pieces.append((timed, stats, trace))
+            ev = timed.events[0][1] if timed.events else "WRITE"
+            if ev == "WRITE":
+                run = timed.writes[0]
+                expected.extend(range(strategy.next_seq - run, strategy.next_seq))
+            else:
+                if ev == "CHECKPOINT":
+                    expected.clear()
+                elif ev == "FAILURE":
+                    lost = stats.lost_entries
+                    assert lost <= (run if kind == "proposed" else 0), kind
+                    del expected[len(expected) - lost:]
+                run = 0
             assert strategy.replay_sequence() == expected, (kind, ev)
-            return out
-
-        def checkpoint():
-            out = on_checkpoint()
-            expected.clear()
-            return after("CHECKPOINT", out)
-
-        def failure(cell):
-            out = recover(cell)
-            lost = out.lost_entries
-            assert lost <= (run[0] if kind == "proposed" else 0), kind
-            del expected[len(expected) - lost:]
-            return after("FAILURE", out)
-
-        strategy.on_writes, strategy.on_checkpoint = writes, checkpoint
-        strategy.on_handoff = lambda cell: after("HANDOFF", on_handoff(cell))
-        strategy.recover = failure
-        assert step(strategy, timeline) == make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline)
+        assert stats_of(strategy, pieces) == make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline)
 
 
 def log_state(strategy):
@@ -457,39 +432,28 @@ def log_state(strategy):
 def test_folding_whole_leaves_the_log_that_stepping_leaves(values, cuts):
     # Writes, handoffs and failures between purges leave entries in the
     # fragments and in the cache, and recoveries lose cached ones. Folding
-    # the timeline whole, in pieces cut at drawn events, or one event at a
-    # time through the handlers must leave the same log, though a fold of
-    # many events rebuilds it once, at its end.
+    # the timeline whole, in pieces cut at drawn events, or one run of
+    # writes or one event at a time must leave the same log, though a fold
+    # of many events rebuilds it once, at its end. Folded a run of writes
+    # or an event at a time, the pieces' traces, joined, are the whole
+    # fold's entry by entry, and so are the RunStats joined from them.
     assume(multi_cell(values))
     cfg = accepted(values)
-    timeline = generate_timeline(cfg, cfg.sim.seed)
+    timeline = generate_timeline(cfg, cfg.sim.seed, True)
     n = len(timeline.events)
     assume("FAILURE" in {ev for _, ev, _ in timeline.events})
     bounds = sorted({0, n, *(cut % (n + 1) for cut in cuts)})
     for kind in KINDS:
         whole, stepped, cut = (make_strategy(kind, cfg.tree, cfg.sim, cfg.cost) for _ in range(3))
-        assert step(stepped, timeline) == whole.fold(timeline), kind
+        trace: list = []
+        stats = whole.fold(timeline, trace)
+        pieces = list(fold_in_pieces(stepped, timeline))
+        assert [entry for *_, piece_trace in pieces for entry in piece_trace] == trace, kind
+        assert stats_of(stepped, pieces) == stats, kind
         for a, b in zip(bounds, bounds[1:]):
             writes = timeline.writes[a:b] + [timeline.writes[n] if b == n else 0]
             cut.fold(Timeline(timeline.events[a:b], writes, 0, 0, 0, 0))
         assert log_state(whole) == log_state(stepped) == log_state(cut), kind
-
-
-def held_pieces(strategy):
-    """The non-empty fragments, the host's cache counting as one."""
-    return strategy.pieces + bool(strategy.cache)
-
-
-def not_raising_pieces(strategy, kind, name):
-    handler = getattr(strategy, name)
-
-    def wrapped(*args):
-        before = held_pieces(strategy)
-        out = handler(*args)
-        assert held_pieces(strategy) <= before, (kind, name)
-        return out
-
-    setattr(strategy, name, wrapped)
 
 
 @settings(max_examples=40, deadline=None)
@@ -503,6 +467,11 @@ def test_only_writes_raise_the_piece_count(values):
     timeline = generate_timeline(cfg, cfg.sim.seed)
     for kind in KINDS:
         strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
-        for name in ("on_checkpoint", "on_handoff", "recover"):
-            not_raising_pieces(strategy, kind, name)
-        assert step(strategy, timeline) == make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline)
+        before, pieces = held_pieces(strategy), []
+        for timed, stats, trace in fold_in_pieces(strategy, timeline):
+            if timed.events:
+                assert held_pieces(strategy) <= before, (kind, timed.events[0][1])
+            before = held_pieces(strategy)
+            pieces.append((timed, stats, trace))
+        assert stats_of(strategy, pieces) == make_strategy(kind, cfg.tree, cfg.sim, cfg.cost).fold(timeline)
+
