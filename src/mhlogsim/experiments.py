@@ -530,10 +530,6 @@ class CrosscheckReport:
     seed: int
     threshold: float
 
-    @property
-    def flagged(self) -> bool:
-        return any(r.flagged for r in self.rows)
-
     def as_text(self) -> str:
         lines = [f"{'metric':<12} {'analytic':>12} {'empirical':>12} {'rel_err':>10}  flag"]
         for r in self.rows:

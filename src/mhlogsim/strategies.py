@@ -37,28 +37,29 @@ one ``LogStrategy`` method:
   ``r`` per item per wired hop; control messages take no time.
 * Handoff channel signalling common to every strategy is not priced; only
   strategy-differential costs appear in a CostDelta.
-* Prices fixed for a whole run (one charged write, which for proposed is
-  the full-cache flush, a checkpoint, lazy's pointer message) are computed
-  once in ``__init__``, and every event that pays one traces that object.
+* Prices fixed for a whole run (one charged write, which flushes a full
+  cache, a checkpoint, lazy's pointer message) are computed once in
+  ``__init__``, and every event that pays one traces that object.
   Prices of a few small integers are made by the same rules on a loop's
   miss and kept in a table under them (``_keep``), up to
   ``_PRICE_TABLE_LIMIT`` entries: one-fragment handoffs in ``_move_prices``
   under (log size, hops the log moves, cache fill), the log size 0 for 0
   hops; their recoveries in ``_recovery_prices`` under (log size, hops from
   the checkpoint to the restart BS); runs of writes in ``_write_runs``,
-  lazy's and pessimistic's under (run length, piece count after it),
-  proposed's under (run length, cache fill, piece count before it). A
-  recovery is priced from each fetched fragment's ``(entries, hops)`` and
-  the checkpoint's hops (``_recovery_price``), so one rule serves the table
-  and lazy, which prices every recovery afresh.
+  lazy's under (run length, fragment count after it), pessimistic's and
+  proposed's under (run length, cache fill, whether the log holds
+  entries). A recovery is priced from each fetched fragment's ``(entries,
+  hops)``, the checkpoint's hops and the messages that locate the log
+  (``_recovery_price``), so one rule serves the table and lazy, which
+  prices every recovery afresh.
 * The tables are process-wide (``_price_tables``), shared by every run of
   a kind with the same price inputs: the eight ``CostParams`` fields a
-  price reads and, for proposed, the cache capacity, floats by their bits
-  (``C_m = 0.0`` and ``-0.0`` differ); the network is never hashed. Hops
-  are in the move and recovery keys, and as two BSCs lie at least 2 hops
-  apart, proposed restarts at home exactly when ``hops == 1`` on every
-  tree, so the tree stays out of the key and a figure's reps and points,
-  which sweep only rates, share one set. A traced CostDelta or a
+  price reads and the cache capacity ``_cap`` (1 but for proposed), floats
+  by their bits (``C_m = 0.0`` and ``-0.0`` differ); the network is never
+  hashed. Hops are in the move and recovery keys, and as two BSCs lie at
+  least 2 hops apart, proposed restarts at home exactly when ``hops == 1``
+  on every tree, so the tree stays out of the key and a figure's reps and
+  points, which sweep only rates, share one set. A traced CostDelta or a
   ``WriteRun`` is therefore shared across runs: read it, never change it.
 
 The loops index the tree's cell -> BSC table unchecked, as every cell of a
@@ -192,7 +193,7 @@ class LogStrategy:
     the loop that folds a timeline (``_fold``)."""
 
     kind: StrategyKind
-    _caches = False  # whether writes wait in the host's cache
+    _cap = 1  # writes the host's cache holds; a cache of one flushes each write
     checkpoint_site: Site
     checkpoint_region: BscId
 
@@ -212,27 +213,25 @@ class LogStrategy:
         # always has a durable baseline.
         site, region = self._checkpoint_site(0, self.current_bsc)
         self.checkpoint_site, self.checkpoint_region = site, region
-        # The log: its fragments, the running tally of non-empty ones, and
-        # the most entries each BSC region held as of the last settle.
+        self._up = int(site[0] == BS)  # wired hops from the checkpoint's site up to its BSC
+        # The log: its fragments, and the most entries each BSC region held
+        # as of the last settle.
         self.fragments: list[Fragment] = []
         self.pointer_chain_length = 0  # lazy only
-        self.pieces = 0
         self.region_peaks: dict[BscId, int] = {}
         # This kind's shared price tables for the inputs its prices read;
         # lazy fills only the first. Floats key by their bits: 0.0 != -0.0.
         key = tuple(v.hex() if isinstance(v, float) else v for v in (
-            sp.cache_capacity if self._caches else None, cp.r, cp.c_c, cp.c_1, cp.c_m,
-            cp.alpha, cp.rho, cp.t_load_ckpt, cp.t_load_log))
+            self._cap, cp.r, cp.c_c, cp.c_1, cp.c_m, cp.alpha, cp.rho, cp.t_load_ckpt, cp.t_load_log))
         slot = _price_tables.get(self.kind)
         if slot is None or slot[0] != key:
             slot = _price_tables[self.kind] = key, ({}, {}, {})
         self._write_runs, self._move_prices, self._recovery_prices = slot[1]
-        # Prices no event of the run changes: one charged write, and a
-        # checkpoint. The checkpoint site keeps its place relative to the
-        # host's cell, so the hop count at birth holds for every checkpoint.
-        self._write_cost = self._write_price()
-        hops = hops_between(tree, (BS, 0), self.current_bsc, site, region)
-        self._checkpoint_cost = self._ship(CostDelta(), cp.c_c, [(1, hops)])
+        # Prices no event of the run changes: one charged write, which
+        # flushes a full cache, and a checkpoint, sent from the host's BS
+        # to the checkpoint site, ``1 - _up`` hops away whatever the cell.
+        self._write_cost = self._flush_price(self._cap)
+        self._checkpoint_cost = self._ship(CostDelta(), cp.c_c, [(1, 1 - self._up)])
 
     # -- events --------------------------------------------------------
 
@@ -312,29 +311,23 @@ class LogStrategy:
         kept, and that site's region."""
         return (BS, cell), bsc
 
-    def _write_price(self) -> CostDelta:
-        """One charged write: a wireless data item and the BSC's acknowledgement."""
-        return self._ship(self._messages(1), self.cp.c_1, [(1, 0)])
-
-    def _locate_log(self, hops: int) -> int:
-        """How many wired control messages a recovery whose checkpoint lies
-        ``hops`` from the restart BS sends, after its request, to locate the
-        log; by default none."""
-        return 0
+    def _flush_price(self, n: int) -> CostDelta:
+        """``n`` cached entries sent from the host's BS to the log's site,
+        ``1 - _up`` hops away, and the acknowledgement."""
+        return self._ship(self._messages(1), self.cp.c_1, [(n, 1 - self._up)])
 
     def _write_run(self, k: int, pieces: int) -> WriteRun:
         """A run of ``k`` writes sent to the host's BS, each acknowledged,
         after which ``pieces`` fragments hold entries."""
         return WriteRun(self._write_cost, range(k), pieces)
 
-    def _recovery_price(self, loads: list[tuple[int, int]], hops: int) -> tuple[CostDelta, float]:
+    def _recovery_price(self, loads: list[tuple[int, int]], hops: int, k: int) -> tuple[CostDelta, float]:
         """What fetching the log's non-empty fragments, ``(entries, hops)``
         each in ``loads``, and the checkpoint from ``hops`` away costs, as
-        (cost, retrieval time). The wireless recovery request, then the
+        (cost, retrieval time). The wireless recovery request, then ``k``
         wired messages that locate the log, then every fragment, then the
         checkpoint; the retrieval time loads each of them."""
         cp = self.cp
-        k = self._locate_log(hops)
         delta = CostDelta(cp.alpha * cp.c_m, k * cp.c_m, 1 + k)
         self._ship(delta, cp.c_1, loads)
         self._ship(delta, cp.c_c, [(1, hops)])
@@ -398,10 +391,6 @@ class LazyStrategy(LogStrategy):
         super().__init__(tree, sp, cp)
         self._pointer_cost = self._messages(1)
 
-    def _locate_log(self, hops) -> int:
-        # Chase the pointer chain back to the fragments, one message a link.
-        return self.pointer_chain_length
-
     def _fold(self, writes, events, write_times, trace):
         """Writes extend the last fragment if it sits at the host's BS, else
         open one there; nothing is cached, so a recovery loses nothing. A
@@ -411,7 +400,7 @@ class LazyStrategy(LogStrategy):
         a restart BS away from the last fragment links into the chain, and
         its registration, common to all strategies, is not priced."""
         tree, cell_bsc, fragments, settle = self.tree, self._cell_bsc, self.fragments, self.settle_peaks
-        cell, bsc, seq, pieces = self.current_cell, self.current_bsc, self.next_seq, self.pieces
+        cell, bsc, seq = self.current_cell, self.current_bsc, self.next_seq
         chain_length, deadline = self.pointer_chain_length, self.sp.recovery_deadline
         write_runs, keep, write_run = self._write_runs, self._keep, self._write_run
         recovery_price, site_of = self._recovery_price, self._checkpoint_site
@@ -430,14 +419,13 @@ class LazyStrategy(LogStrategy):
                     frag = Fragment((BS, cell), bsc)
                     fragments.append(frag)
                     last_cell, entries = cell, frag.entries
-                if not entries:
-                    pieces += 1
                 entries += range(seq, seq + k)
                 seq += k
-                key = (k, pieces)
+                # A write opens a fragment and only a purge drops one: none is empty.
+                key = (k, len(fragments))
                 run = write_runs.get(key)
                 if run is None:
-                    run = keep(write_runs, key, write_run(k, pieces))
+                    run = keep(write_runs, key, write_run(*key))
                 charged += len(run.charged)
                 if trace is not None:
                     for i in range(k):
@@ -451,7 +439,7 @@ class LazyStrategy(LogStrategy):
                 self.checkpoint_site, self.checkpoint_region = site_of(cell, bsc)
                 settle()
                 fragments.clear()
-                pieces = chain_length = 0
+                chain_length = 0
                 last_cell = entries = None
                 delta = checkpoint_cost
             elif ev == "HANDOFF":
@@ -462,12 +450,12 @@ class LazyStrategy(LogStrategy):
             else:  # FAILURE
                 in_home, bsc = cell_bsc[to] == bsc, cell_bsc[to]
                 cell = to
-                self.pointer_chain_length = chain_length
                 site = (BS, to)
                 loads = [(len(frag.entries), hops_between(tree, frag.site, frag.region, site, bsc))
-                         for frag in fragments if frag.entries]
+                         for frag in fragments]
+                # Chase the pointer chain back to the fragments, one message a link.
                 delta, retrieval_time = recovery_price(loads, hops_between(
-                    tree, self.checkpoint_site, self.checkpoint_region, site, bsc))
+                    tree, self.checkpoint_site, self.checkpoint_region, site, bsc), chain_length)
                 if last_cell is not None and last_cell != to:
                     chain_length += 1
                 total = delta.total
@@ -482,14 +470,18 @@ class LazyStrategy(LogStrategy):
                 trace.append((t, ev, delta))
 
         self.current_cell, self.current_bsc, self.next_seq = cell, bsc, seq
-        self.pieces, self.pointer_chain_length = pieces, chain_length
+        self.pointer_chain_length = chain_length
         return successes, 0, home, peak, charged, cost_handoff, cost_recovery, cost_home, retrieval_sum
 
 
 class _OneFragmentStrategy(LogStrategy):
-    """Pessimistic and proposed: exactly one fragment, empty after a purge.
-    A handoff moves it and the checkpoint to the host's checkpoint site and
-    appends the cache there; the subclasses price the move (``_move_price``).
+    """Pessimistic and proposed: exactly one fragment, empty after a purge,
+    kept with the checkpoint at the host's checkpoint site, ``_up`` hops
+    below its BSC. Writes wait in a cache of ``_cap`` entries, and the
+    write that fills it flushes it to the fragment. A handoff moves the
+    fragment and the checkpoint to the new site, sending ``_move_messages``
+    control messages, and appends the cache there. A kind states only
+    those three facts and how a recovery locates the log (``_locate_log``).
 
     The loop carries only integers, ``n`` entries in the fragment, ``c`` in
     the cache and the host's cell, BSC and next sequence number, and
@@ -509,13 +501,10 @@ class _OneFragmentStrategy(LogStrategy):
     def __init__(self, tree: NetworkTree, sp: SimParams, cp: CostParams):
         super().__init__(tree, sp, cp)
         self.fragments.append(Fragment(self.checkpoint_site, self.checkpoint_region))
-        # Wired hops from the checkpoint's site up to its BSC: 1 from a BS,
-        # none from the BSC itself.
-        self._up = int(self.checkpoint_site[0] == BS)
 
     def _fold(self, writes, events, write_times, trace):
-        """Writes go to the fragment (pessimistic) or to the cache, whose
-        filling write flushes it there (proposed). A handoff moves the log
+        """Writes go to the cache, whose filling write flushes it to the
+        fragment (at once, for a cache of one). A handoff moves the log
         ``hops`` wired hops, priced by its entry count (0 for 0 hops),
         ``hops`` and the cache fill; the cache then joins it at the host's
         checkpoint site. A recovery fetches both over ``hops`` to the
@@ -530,8 +519,7 @@ class _OneFragmentStrategy(LogStrategy):
         write_runs, move_prices = self._write_runs, self._move_prices
         recovery_prices, keep, write_run = self._recovery_prices, self._keep, self._write_run
         move_price, recovery_price = self._move_price, self._recovery_price
-        up, caches, deadline = self._up, self._caches, self.sp.recovery_deadline
-        cap = self.sp.cache_capacity if caches else 1
+        up, cap, deadline = self._up, self._cap, self.sp.recovery_deadline
         checkpoint_cost = self._checkpoint_cost
         # The first write this loop left in the log, whether a checkpoint
         # purged what came before it, and the ranges recoveries lost since.
@@ -543,11 +531,11 @@ class _OneFragmentStrategy(LogStrategy):
         for k, event in zip(writes, chain(events, (None,))):
             if k:
                 seq += k
-                key = (k, c, n > 0) if caches else (k, 1)
+                key = (k, c, n > 0)
                 run = write_runs.get(key)
                 if run is None:
                     run = keep(write_runs, key, write_run(*key))
-                # Each charged write flushes a full cache (pessimistic: itself).
+                # Each charged write flushes a full cache.
                 flushed = len(run.charged)
                 charged += flushed
                 n += flushed * cap
@@ -589,7 +577,8 @@ class _OneFragmentStrategy(LogStrategy):
                     key = (n, hops)
                     price = recovery_prices.get(key)
                     if price is None:
-                        price = keep(recovery_prices, key, recovery_price([(n, hops)] if n else [], hops))
+                        price = keep(recovery_prices, key, recovery_price(
+                            [(n, hops)] if n else [], hops, self._locate_log(hops)))
                     delta, retrieval_time = price
                     if c:
                         lost_ranges.append((seq - c, seq))
@@ -626,41 +615,21 @@ class _OneFragmentStrategy(LogStrategy):
         del log[len(log) - c:]
         site, region = self.checkpoint_site, self.checkpoint_region = self._checkpoint_site(cell, bsc)
         self.fragments[0] = Fragment(site, region, log)
-        self.current_cell, self.current_bsc, self.next_seq, self.pieces = cell, bsc, seq, int(n > 0)
+        self.current_cell, self.current_bsc, self.next_seq = cell, bsc, seq
         return successes, lost, home, peak, charged, cost_handoff, cost_recovery, cost_home, retrieval_sum
 
-
-class PessimisticStrategy(_OneFragmentStrategy):
-    """One fragment, kept with the checkpoint at the host's BS at all times."""
-
-    kind = StrategyKind.PESSIMISTIC
-
-    def _move_price(self, n, hops, cached) -> CostDelta:
-        # One message, then the log and checkpoint carried to the new BS.
-        return self._carry(self._messages(1), n, hops)
-
-
-class ProposedStrategy(_OneFragmentStrategy):
-    """Cache on the host, consolidate at its BSC.
-
-    The log is at most one fragment, and it and the checkpoint sit at the
-    host's BSC after every event: flushes go there, and the host changes
-    BSC only by an inter-BSC handoff or a recovery, each of which moves
-    them along."""
-
-    kind = StrategyKind.PROPOSED
-    _caches = True
-
-    def _checkpoint_site(self, cell, bsc) -> tuple[Site, BscId]:
-        return bsc_site(bsc), bsc
+    def _locate_log(self, hops: int) -> int:
+        """How many wired messages a recovery from ``hops`` away sends, after
+        its request, to locate the log; by default none."""
+        return 0
 
     def _write_run(self, k: int, n: int, before: int) -> WriteRun:
         """A run of ``k`` writes onto a cache of ``n`` entries, with
         ``before`` non-empty fragments. Each write joins the cache, and the
-        write that fills it flushes the cache to the host's BSC. Every flush
-        of the run moves a full cache from the same cell, so they all cost
-        the same."""
-        cap = self.sp.cache_capacity
+        write that fills it flushes the cache to the log's site (a cache of
+        one, every write). Every flush of the run moves a full cache from the
+        same cell, so they all cost the same."""
+        cap = self._cap
         first = cap - n - 1  # index of the write that fills the cache
         if first >= k:
             return WriteRun(NO_COST, range(0), before + 1)
@@ -671,29 +640,47 @@ class ProposedStrategy(_OneFragmentStrategy):
             self._write_cost, range(first, k, cap), max(before + 1, after) if first else after
         )
 
-    def _write_price(self) -> CostDelta:
-        # Only the write that fills the cache is charged: it flushes it.
-        return self._flush_cost(self.sp.cache_capacity)
-
-    def _flush_cost(self, n: int) -> CostDelta:
-        """Cost of moving ``n`` cached entries up one hop to the host's BSC."""
-        return self._ship(self._messages(1), self.cp.c_1, [(n, 1)])
-
     def _move_price(self, n, hops, cached) -> CostDelta:
-        """An intra-BSC move only flushes the cache. An inter-BSC move first
-        re-registers the host (Connect(MHid, PBSCid) to the new BSC, which
-        tells the old one) and migrates the log plus the checkpoint."""
+        """A move within the region (0 hops) only flushes the cache. One
+        across sites sends ``_move_messages`` messages, carries the log and
+        the checkpoint ``hops`` wired hops, then flushes."""
         if hops == 0:
-            return self._flush_cost(cached) if cached else CostDelta()
-        delta = self._carry(self._messages(2), n, hops)
-        return delta.add(self._flush_cost(cached)) if cached else delta
+            return self._flush_price(cached) if cached else CostDelta()
+        delta = self._carry(self._messages(self._move_messages), n, hops)
+        return delta.add(self._flush_price(cached)) if cached else delta
+
+
+class PessimisticStrategy(_OneFragmentStrategy):
+    """A cache of one, so every write is flushed at once to the one
+    fragment, kept with the checkpoint at the host's BS. A handoff sends
+    one message and carries both to the new BS, at least 2 hops away."""
+
+    kind = StrategyKind.PESSIMISTIC
+    _move_messages = 1
+
+
+class ProposedStrategy(_OneFragmentStrategy):
+    """Cache on the host, consolidate at its BSC.
+
+    The log is at most one fragment, and it and the checkpoint sit at the
+    host's BSC after every event: flushes go there, and the host changes
+    BSC only by an inter-BSC handoff or a recovery, each of which moves
+    them along. An inter-BSC handoff sends two messages: it re-registers
+    the host (Connect(MHid, PBSCid) to the new BSC, which tells the old one)."""
+
+    kind = StrategyKind.PROPOSED
+    _move_messages = 2
+    _cap = property(lambda self: self.sp.cache_capacity)
+
+    def _checkpoint_site(self, cell, bsc) -> tuple[Site, BscId]:
+        return bsc_site(bsc), bsc
 
     def _locate_log(self, hops) -> int:
         # Tracking agent asks the HLR/VLR where the log lives when the host
         # restarts outside the failure region: the BSC holding the checkpoint
         # is 1 hop from each BS of its region and, as BSCs lie at least 2
         # apart, at least 3 from any other.
-        return 0 if hops == 1 else 1
+        return int(hops != 1)
 
 
 _STRATEGIES = {

@@ -78,9 +78,14 @@ def mean_pending_log(seed):
     return float(np.mean(means))
 
 
+def nonempty_fragments(strategy):
+    """How many of the strategy's fragments hold entries."""
+    return sum(1 for frag in strategy.fragments if frag.entries)
+
+
 def held_pieces(strategy):
     """The non-empty fragments, the host's cache counting as one."""
-    return strategy.pieces + bool(strategy.cache)
+    return nonempty_fragments(strategy) + bool(strategy.cache)
 
 
 def event_piece(strategy, event):

@@ -13,6 +13,11 @@ from mhlogsim.strategies import (
 from mhlogsim.topology import BS, build_topology, hops_between
 
 
+def flush(strategy, n):
+    """Proposed's flush of ``n`` cached entries one hop up to the BSC."""
+    return strategy._ship(strategy._messages(1), strategy.cp.c_1, [(n, 1)])
+
+
 def fresh_move_price(strategy, key):
     """A handoff priced afresh. Pessimistic sends one message and
     carries the log and checkpoint. Proposed's intra-BSC move (0 hops, no
@@ -22,11 +27,11 @@ def fresh_move_price(strategy, key):
     if strategy.kind is StrategyKind.PESSIMISTIC:
         assert cached == 0
         return strategy._carry(strategy._messages(1), n, hops)
-    flush = strategy._flush_cost(cached) if cached else CostDelta()
+    flushed = flush(strategy, cached) if cached else CostDelta()
     if hops == 0:
         assert n == 0
-        return flush
-    return strategy._carry(strategy._messages(2), n, hops).add(flush)
+        return flushed
+    return strategy._carry(strategy._messages(2), n, hops).add(flushed)
 
 
 def fresh_recovery_price(strategy, key):
@@ -46,29 +51,35 @@ def fresh_recovery_price(strategy, key):
         if cell is not None:
             break
     assert cell is not None, key
-    # Proposed locates its log exactly when the restart lies outside the
-    # checkpoint's region, which the price reads from the hops alone.
+    # Proposed locates its log, with one message, exactly when the restart
+    # lies outside the checkpoint's region, which the price reads from the
+    # hops alone; pessimistic's log is always where its checkpoint is.
     in_home = tree.cell_bsc[cell] == region
-    assert (strategy.kind is not StrategyKind.PROPOSED or (hops == 1) == in_home), key
-    return LogStrategy._recovery_price(run, [(n, hops)] if n else [], hops)
+    proposed = strategy.kind is StrategyKind.PROPOSED
+    assert not proposed or (hops == 1) == in_home, key
+    return LogStrategy._recovery_price(run, [(n, hops)] if n else [], hops,
+                                       int(proposed and not in_home))
 
 
 def fresh_write_run(strategy, key):
     """A run of writes replayed one write at a time by the policy's rule.
-    Lazy and pessimistic charge every write and end the run with the key's
-    piece count. Proposed charges the write that fills the cache, which
-    then empties into the one fragment."""
-    if strategy.kind is not StrategyKind.PROPOSED:
+    Lazy charges every write and ends the run with the key's piece count.
+    Proposed charges the write that fills the cache, which then empties
+    into the one fragment; pessimistic is a cache of one, so it charges
+    every write and its cache stays empty."""
+    if strategy.kind is StrategyKind.LAZY:
         k, pieces = key
         return WriteRun(strategy._write_cost, range(k), pieces)
     k, n, pieces = key
-    cap = strategy.sp.cache_capacity
+    pessimistic = strategy.kind is StrategyKind.PESSIMISTIC
+    cap = 1 if pessimistic else strategy.sp.cache_capacity
     charged, peak = [], 0
     for i in range(k):
         n += 1
         if n == cap:
             charged.append(i)
             n, pieces = 0, 1
+        assert not (pessimistic and n), key
         peak = max(peak, pieces + bool(n))
     if not charged:
         return WriteRun(NO_COST, range(0), peak)
@@ -90,17 +101,23 @@ PRICE_TABLES = {  # shared price table -> its key's price made afresh
 }
 
 
-def assert_cached_prices_fresh(strategy):
+def assert_cached_prices_fresh(strategy, fresh=None):
     """The prices a strategy made once at birth, and every entry of its
     price tables, equal the same prices made afresh by the same rules: the
     fixed ones from the state it stands in now, each table entry from its
     key, whichever run of the same kind and price inputs stored it. No
     table holds more than ``_PRICE_TABLE_LIMIT`` entries. Pessimistic and
     proposed hold exactly one fragment, empty after a purge, and it shares
-    the checkpoint's site and region, as the recovery table's key assumes."""
+    the checkpoint's site and region, as the recovery table's key assumes.
+
+    ``fresh``, a dict a caller keeps for one strategy across calls, holds
+    each table's entries priced afresh, so an entry compared after every
+    event is priced afresh once. A fresh price reads only the kind, the
+    price inputs and the key, so reusing it skips no comparison."""
     cp = strategy.cp
+    fresh = {} if fresh is None else fresh
     if strategy.kind is StrategyKind.PROPOSED:
-        assert strategy._write_cost == strategy._flush_cost(strategy.sp.cache_capacity)
+        assert strategy._write_cost == flush(strategy, strategy.sp.cache_capacity)
     else:
         assert strategy._write_cost == strategy._ship(strategy._messages(1), cp.c_1, [(1, 0)])
     site, region = strategy._checkpoint_site(strategy.current_cell, strategy.current_bsc)
@@ -116,6 +133,8 @@ def assert_cached_prices_fresh(strategy):
     for name, price in PRICE_TABLES.items():
         table = getattr(strategy, name)
         assert len(table) <= strategies._PRICE_TABLE_LIMIT
-        for key, delta in table.items():
-            assert delta == price(strategy, key), (name, key)
+        made = fresh.setdefault(name, {})
+        for key in table.keys() - made.keys():
+            made[key] = price(strategy, key)
+        assert table == made, next((key for key in table if table[key] != made.get(key)), name)
     assert NO_COST == CostDelta()

@@ -27,7 +27,7 @@ from mhlogsim.strategies import make_strategy
 from mhlogsim.topology import BS, bsc_site
 from mhlogsim import engine, experiments, topology
 
-from conftest import fold_in_pieces, fold_steps, mean_pending_log, stats_of
+from conftest import fold_in_pieces, fold_steps, held_pieces, mean_pending_log, stats_of
 
 
 class FakeRng:
@@ -411,7 +411,7 @@ def reference_run(cfg, kind, seed, trace):
         count[names[ev]] += 1
         cost[names[ev]] += delta.total
         trace.append((t, names[ev], delta))
-        peak = max(peak, strategy.pieces + bool(strategy.cache))
+        peak = max(peak, held_pieces(strategy))
         for region, n in rescan_placement(strategy)[1].items():
             bsc_peaks[region] = max(bsc_peaks.get(region, 0), n)
     failures = count["FAILURE"]
@@ -552,9 +552,9 @@ def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls):
     # Lazy keeps ~mu * T_c fragments between purges: about 3 at T_c=50 and
     # well over 100 at T_c=4000. Placement work per event must not follow:
     # the fold reads each cell's BSC from the tree's table, so a run
-    # calls bsc_of once, at birth, and hops_between once at birth and once
-    # per piece a recovery fetches, the checkpoint included. No write,
-    # handoff or checkpoint calls either. Folded one piece at a time, a
+    # calls bsc_of once, at birth, and hops_between once per piece a
+    # recovery fetches, the checkpoint included. No write, handoff or
+    # checkpoint calls either. Folded one piece at a time, a
     # recovery fetches the non-empty fragments held before it and the
     # checkpoint; the whole fold makes the same calls.
     calls = count_calls("bsc_of", "hops_between")
@@ -574,7 +574,7 @@ def test_bsc_of_calls_per_event_do_not_grow_with_the_log(count_calls):
         stats = stats_of(strategy, pieces)
         assert len(fetched) == stats.failure_count > 0, t_c
         assert calls["bsc_of"] == 1, t_c
-        assert calls["hops_between"] == 1 + sum(fetched), t_c
+        assert calls["hops_between"] == sum(fetched), t_c
         stepped = dict(calls)
         calls.clear()
         assert run_simulation(cfg, "lazy", 12345) == stats, t_c

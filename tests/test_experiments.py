@@ -280,7 +280,7 @@ class TestCheckTrends:
 class TestCrosscheck:
     def test_defaults_agree_within_threshold(self):
         report = crosscheck_analytic(default_config(), n_intervals=100_000, seed=5)
-        assert not report.flagged
+        assert not any(r.flagged for r in report.rows)
         names = [r.name for r in report.rows]
         assert names == ["p01", "p02", "c_t"]
         assert "ok" in report.as_text()
@@ -308,7 +308,7 @@ class TestCrosscheck:
         report = crosscheck_analytic(
             default_config(), n_intervals=1000, seed=5, threshold=1e-9
         )
-        assert report.flagged
+        assert any(r.flagged for r in report.rows)
 
 
 # One failing config line per bounded parameter row, and the CLI's message.

@@ -16,7 +16,7 @@ from mhlogsim.experiments import FIGURE_IDS, figure_spec, run_figure
 from mhlogsim.model import CostParams, ValidationError
 from mhlogsim.strategies import NO_COST, make_strategy
 
-from conftest import fold_in_pieces, held_pieces, stats_of
+from conftest import fold_in_pieces, held_pieces, nonempty_fragments, stats_of
 from price_checks import assert_cached_prices_fresh, fresh_write_run
 
 KINDS = ("lazy", "pessimistic", "proposed")
@@ -131,11 +131,11 @@ def test_cached_prices_equal_fresh_prices_after_every_event(values):
     strategies._price_tables.clear()
     timeline = generate_timeline(cfg, cfg.sim.seed, True)
     for kind in KINDS:
-        strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
-        assert_cached_prices_fresh(strategy)
+        strategy, fresh = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost), {}
+        assert_cached_prices_fresh(strategy, fresh)
         pieces = []
         for piece in fold_in_pieces(strategy, timeline):
-            assert_cached_prices_fresh(strategy)
+            assert_cached_prices_fresh(strategy, fresh)
             pieces.append(piece)
         stats = stats_of(strategy, pieces)
         assert_trace_folds_to(stats, [entry for *_, trace in pieces for entry in trace], kind)
@@ -290,7 +290,7 @@ def test_proposed_write_runs_equal_a_per_write_replay(values):
     cfg = accepted(values)
     strategy = make_strategy("proposed", cfg.tree, cfg.sim, cfg.cost)
     timeline = generate_timeline(cfg, cfg.sim.seed)
-    pieces, before = [], (len(strategy.cache), strategy.pieces)
+    pieces, before = [], (len(strategy.cache), nonempty_fragments(strategy))
     for timed, stats, trace in fold_in_pieces(strategy, timeline):
         k = timed.writes[0]
         if k:
@@ -299,7 +299,7 @@ def test_proposed_write_runs_equal_a_per_write_replay(values):
             assert [delta for *_, delta in trace] == [
                 run.delta if i in run.charged else NO_COST for i in range(k)], key
             assert stats.peak_fragments == run.peak_pieces, key
-        before = (len(strategy.cache), strategy.pieces)
+        before = (len(strategy.cache), nonempty_fragments(strategy))
         pieces.append((timed, stats, trace))
     assert stats_of(strategy, pieces) == make_strategy(
         "proposed", cfg.tree, cfg.sim, cfg.cost).fold(timeline)
@@ -419,7 +419,7 @@ def log_state(strategy):
     return (
         strategy.replay_sequence(), list(strategy.cache),
         [(frag.site, frag.region, list(frag.entries)) for frag in strategy.fragments],
-        strategy.checkpoint_site, strategy.checkpoint_region, strategy.pieces,
+        strategy.checkpoint_site, strategy.checkpoint_region, nonempty_fragments(strategy),
         dict(strategy.region_peaks), strategy.current_cell, strategy.current_bsc,
         strategy.next_seq,
     )
@@ -461,7 +461,9 @@ def test_folding_whole_leaves_the_log_that_stepping_leaves(values, cuts):
 def test_only_writes_raise_the_piece_count(values):
     # The fold reads peak_fragments from the runs of writes alone, so no
     # checkpoint, handoff or recovery may leave more pieces than it found.
-    # Small caches make proposed flush inside runs of writes as well.
+    # Small caches make proposed flush inside runs of writes as well. Lazy
+    # keys its write runs on its fragment count as its piece count, so no
+    # lazy fragment may ever be empty.
     assume(multi_cell(values))
     cfg = accepted(values)
     timeline = generate_timeline(cfg, cfg.sim.seed)
@@ -469,6 +471,7 @@ def test_only_writes_raise_the_piece_count(values):
         strategy = make_strategy(kind, cfg.tree, cfg.sim, cfg.cost)
         before, pieces = held_pieces(strategy), []
         for timed, stats, trace in fold_in_pieces(strategy, timeline):
+            assert kind != "lazy" or all(f.entries for f in strategy.fragments)
             if timed.events:
                 assert held_pieces(strategy) <= before, (kind, timed.events[0][1])
             before = held_pieces(strategy)
