@@ -64,14 +64,15 @@ def timed(cmd: list[str], cwd: Path, env: dict | None = None) -> tuple[float, su
     return time.perf_counter() - t0, proc
 
 
-def git_state(root: Path) -> dict:
-    def git(*args: str) -> bytes:
-        return subprocess.run(["git", "-C", str(root), *args], capture_output=True).stdout
+def git(root: Path, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(root), *args], capture_output=True, check=True).stdout
 
+
+def git_state(root: Path) -> dict:
     # Hashed as git prints it, so piping the same command to sha256sum
     # reproduces the digest.
-    diff = git("diff", "HEAD", "--", ".", ":(exclude)*.md", ":(exclude)BENCH_*.json")
-    state = {"commit": git("rev-parse", "HEAD").decode().strip(), "dirty": bool(diff)}
+    diff = git(root, "diff", "HEAD", "--", ".", ":(exclude)*.md", ":(exclude)BENCH_*.json")
+    state = {"commit": git(root, "rev-parse", "HEAD").decode().strip(), "dirty": bool(diff)}
     if diff:
         state["diff_sha256"] = hashlib.sha256(diff).hexdigest()
     return state
@@ -122,14 +123,15 @@ def src_lines(root: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "mhlogsim").glob("*.py"))
 
 
-def benchmark(root: Path, workload: str, trace: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "benchmarks/run.py", "--workload", workload, "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True,
-    )
+def benchmark(root: Path, workload: str, trace: int, seconds: float | None = None) -> dict:
+    """The result object of one ``benchmarks/run.py`` run in ``root``,
+    ``seconds`` long (by default run.py's own run length)."""
+    args = ["benchmarks/run.py", "--workload", workload, "--trace", str(trace)]
+    if seconds is not None:
+        args += ["--seconds", str(seconds)]
+    proc = subprocess.run([sys.executable, *args], cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(
-            f"benchmarks/run.py --workload {workload} --trace {trace} failed:\n{proc.stderr}")
+        raise RuntimeError(f"{' '.join(args)} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 

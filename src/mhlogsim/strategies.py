@@ -39,7 +39,10 @@ one ``LogStrategy`` method:
   strategy-differential costs appear in a CostDelta.
 * Prices fixed for a whole run (one charged write, which flushes a full
   cache, a checkpoint, lazy's pointer message) are computed once in
-  ``__init__``, and every event that pays one traces that object.
+  ``__init__``, and every event that pays one traces that object. ``fold``
+  totals the charged writes' and the checkpoints' with ``repeated_sum``,
+  the float a per-event loop's additions from 0.0 make, in a few steps a
+  binade the total crosses.
   Prices of a few small integers are made by the same rules on a loop's
   miss and kept in a table under them (``_keep``), up to
   ``_PRICE_TABLE_LIMIT`` entries: one-fragment handoffs in ``_move_prices``
@@ -72,9 +75,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import chain, repeat
-from operator import add
+from itertools import chain
+from math import frexp, inf, ldexp, ulp
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .model import CostParams, SimParams, StrategyKind
@@ -187,6 +189,66 @@ class RunStats:
     bsc_peak_entries: dict[int, int] = field(default_factory=dict)
 
 
+def repeated_sum(x: float, n: int) -> float:
+    """``n`` additions of ``x`` from ``0.0``, each rounded as a per-event
+    loop rounds it: exactly ``functools.reduce(operator.add,
+    itertools.repeat(x, n), 0.0)``, the sign of zero, nan and inf included,
+    in a few float steps a binade the sum crosses rather than ``n``.
+    ``n * x`` rounds once, so it differs.
+
+    Why it is exact (Goldberg 1991; round to nearest, ties to even). Take a
+    finite ``x > 0``; rounding is odd in sign, so a negative ``x`` mirrors
+    it. The floats of the binade ``[h, 2h)`` are the multiples of
+    ``u = ulp(h)``. While the exact sum ``s + x`` of a running sum ``s`` in
+    the binade stays below ``2h``, it rounds to a multiple of ``u``, so the
+    step it takes depends only on ``x`` modulo ``u``, but for a tie (``x / u``
+    ends in .5), which goes to the even multiple and so depends on the
+    parity of ``s / u``. A sum rounded in the binade is even at a tie, so
+    every step from one takes the same ``d``. Once three sums in a row lie
+    in the binade, the last two were both rounded there, and their
+    difference is ``d``, exact by Sterbenz's lemma. The next ``k`` steps are
+    then one exact ``s + k * d``, for the largest ``k`` whose exact sums
+    ``s + j * d + x`` (``j < k``) stay below ``2h``: ``k * d`` is a multiple
+    of ``u`` no larger than ``2h - s``, so it and the sum are floats. Real
+    additions carry the sum on into the next binade. A step of 0 repeats
+    for ever, so the sum stops there. The room left, ``2h - s``, is taken as
+    ``h - (s - h)``, both exact, as the top binade's ``2h = 2**1024`` is no
+    float; an exact sum that rounds to it is ``inf``, as a real addition
+    makes it.
+    """
+    if n == 0 or x == 0.0:
+        return 0.0  # 0.0 + -0.0 is +0.0
+    if x < 0.0:
+        return -repeated_sum(-x, n)
+    if not x < inf:  # inf or nan: every sum is x
+        return x
+    s, n = x, n - 1  # 0.0 + x
+    h, run = ldexp(0.5, frexp(s)[1]), 1  # s's binade [h, 2h) and the sums in a row in it
+    while n:
+        t = s + x
+        n -= 1
+        if t - h >= h:  # t >= 2h, as t - h is exact below 2h
+            if t == inf:
+                return t
+            h, run = ldexp(0.5, frexp(t)[1]), 1
+        else:
+            run += 1
+            if run >= 3:
+                d = t - s
+                if d == 0.0:
+                    return t
+                # The largest k with (k - 1) d + x < 2h - t. In units of u,
+                # where 2h - t and d are whole and x / u is exact, that is
+                # (k - 1) d <= 2h - t - 1 - floor(x).
+                u = ulp(h)
+                k = min(n, (int((h - (t - h)) / u) - 1 - int(x / u)) // int(d / u) + 1)
+                if k > 0:
+                    t += k * d
+                    n -= k
+        s = t
+    return s
+
+
 class LogStrategy:
     """One run of one strategy: the mobile host and the durable placement
     of its checkpoint and log. Subclasses fill in the placement policy and
@@ -249,9 +311,9 @@ class LogStrategy:
         (successes, lost, home, peak, charged, cost_handoff, cost_recovery, cost_home,
          retrieval_sum) = self._fold(timeline.writes, timeline.events, timeline.write_times, trace)
         handoffs, failures = timeline.intra_bsc + timeline.inter_bsc, timeline.failures
-        # n additions from 0.0, the floats of a per-event loop; n * price rounds differently.
-        cost_checkpoint = reduce(add, repeat(self._checkpoint_cost.total, timeline.checkpoints), 0.0)
-        cost_logging = reduce(add, repeat(self._write_cost.total, charged), 0.0)
+        # A per-event loop's n additions from 0.0, in a few exact steps a binade.
+        cost_checkpoint = repeated_sum(self._checkpoint_cost.total, timeline.checkpoints)
+        cost_logging = repeated_sum(self._write_cost.total, charged)
         total_cost = cost_handoff + cost_recovery + cost_logging + cost_checkpoint
         return RunStats(
             handoff_count=handoffs,

@@ -129,6 +129,8 @@ class TestExperimentSpec:
 
 
 THREE = ("lazy", "pessimistic", "proposed")
+SIMULATED_TOTALS = ["total_handoff_cost", "total_recovery_cost", "total_logging_cost",
+                    "mean_cost_per_handoff_interval", "recovery_cost_home_total"]
 FIGURE_METRICS = {
     "fig3": {(s, "handoff_cost_per_handoff") for s in THREE},
     "fig4": {(s, m) for s in THREE
@@ -409,12 +411,17 @@ class TestCli:
         key = text.split(" = ")[0]
         assert all(key in m.split(" is not finite: it reads ")[1] for m in messages)
 
-    @pytest.mark.parametrize("kind", ["lazy", "pessimistic", "proposed"])
-    @pytest.mark.parametrize("text, statistics", [
-        ("cost.C_m = 1e308\n", ["total_handoff_cost", "total_recovery_cost", "total_logging_cost",
-                                "mean_cost_per_handoff_interval", "recovery_cost_home_total"]),
-        ("cost.r = 1e308\nrecovery.deadline = 50\n", ["mean_retrieval_time"]),
-    ], ids=["C_m", "r"])
+    @pytest.mark.parametrize("text, kind, statistics", [
+        *(("cost.C_m = 1e308\n", kind, SIMULATED_TOTALS) for kind in THREE),
+        *(("cost.r = 1e308\nrecovery.deadline = 50\n", kind, ["mean_retrieval_time"])
+          for kind in THREE),
+        # A charged write costs about 2e307, so a logging total reaches
+        # [2**1023, DBL_MAX], which has no float at its top, within about 9
+        # writes. Lazy moves no log at a handoff, so its handoff total holds.
+        ("cost.C_1 = 1e307\nrecovery.deadline = 42\n", "lazy", SIMULATED_TOTALS[1:]),
+        *(("cost.C_1 = 1e307\nrecovery.deadline = 42\n", kind, SIMULATED_TOTALS)
+          for kind in ("pessimistic", "proposed")),
+    ], ids=[f"{key}-{kind}" for key in ("C_m", "r", "C_1") for kind in THREE])
     def test_a_simulated_overflow_is_rejected(self, tmp_path, capsys, kind, text, statistics):
         # Validation accepts each config, and its prices overflow: a sum
         # reads inf, or its interval's spread overflows to inf or nan.
@@ -431,6 +438,28 @@ class TestCli:
         assert [m.split(" mean ")[0] for m in messages] == statistics
         key = text.split(" = ")[0]
         assert all(key in m.split(" is not finite: it is priced by ")[1] for m in messages)
+
+    def test_a_figure_logging_total_in_the_top_binade_is_rejected(self, tmp_path, capsys):
+        # fig5's total cost per interval reads the logging total that
+        # overflows in test_a_simulated_overflow_is_rejected's C_1 case.
+        path = tmp_path / "big.cfg"
+        path.write_text("cost.C_1 = 1e307\nrecovery.deadline = 42\n"
+                        "sim.horizon = 2000\nsim.replications = 2\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["figure", "fig5", "--reps", "1", "--config", str(path),
+                             "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # fig5's lambda_f reaches mu at four points, which warns.
+        [line] = [ln for ln in captured.err.splitlines() if not ln.startswith("warning: ")]
+        assert line.startswith("error: ")
+        messages = line.removeprefix("error: ").split("; ")
+        assert [m.split(" mean ")[0] for m in messages] == [
+            f"fig5 {kind} total_cost_per_handoff_interval at sim.mu={mu:g}"
+            for mu in MU_SWEEP for kind in THREE]
+        assert all(m.split(" is not finite: it is priced by ")[1] == experiments.PRICED_BY[
+            "total_cost_per_handoff_interval"] for m in messages)
 
     def test_a_figure_overflow_is_rejected_before_its_csv(self, tmp_path, capsys):
         # Every handoff cost overflows: written out, its rows would read
@@ -831,3 +860,23 @@ def test_bench_script_counts_source_lines_as_wc_does(tmp_path):
     (pkg / "b.py").write_text("z = 3", encoding="utf-8")  # no final newline: wc counts 0
     (pkg / "notes.txt").write_text("not counted\n", encoding="utf-8")
     assert load_script("bench").src_lines(tmp_path) == 2
+
+
+class TestAbSignTest:
+    """``scripts/ab.py``'s exact two-sided sign test, against scipy's
+    binomial test at p = 1/2 and at the counts a 10-pair run can give."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(wins=st.integers(0, 60), losses=st.integers(0, 60))
+    def test_equals_scipys_binomial_test(self, wins, losses):
+        from scipy.stats import binomtest
+
+        p = load_script("ab").sign_test(wins, losses)
+        expected = binomtest(wins, wins + losses, 0.5).pvalue if wins + losses else 1.0
+        assert p == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("wins, losses, p", [
+        (10, 0, 2 / 1024), (0, 10, 2 / 1024), (9, 1, 22 / 1024), (5, 5, 1.0), (0, 0, 1.0),
+    ])
+    def test_ten_pairs(self, wins, losses, p):
+        assert load_script("ab").sign_test(wins, losses) == p

@@ -1,4 +1,8 @@
 import copy
+import sys
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +10,7 @@ from hypothesis import strategies as st
 
 from mhlogsim.engine import Timeline
 from mhlogsim.model import CostParams, SimParams
-from mhlogsim.strategies import NO_COST, CostDelta, make_strategy
+from mhlogsim.strategies import NO_COST, CostDelta, make_strategy, repeated_sum
 from mhlogsim.topology import BS, bsc_site, build_topology, hop_distance, region_of
 from conftest import fold_steps, held_pieces
 from price_checks import assert_cached_prices_fresh, copy_sharing_tables
@@ -622,3 +626,48 @@ class TestTracedNames:
         strat.settle_peaks()
         fold_steps(piece, step)
         assert vars(strat) == vars(piece)
+
+
+def added(x, n):
+    """The reference: ``n`` additions of ``x`` from 0.0, one at a time."""
+    return reduce(add, repeat(x, n), 0.0)
+
+
+class TestRepeatedSum:
+    """``repeated_sum(x, n)`` is the float that ``n`` additions of ``x``
+    from 0.0 make, bit for bit. ``float.hex`` tells the zeros apart and
+    reads ``nan`` for every nan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(), n=st.integers(0, 60_000))
+    @example(x=5e-324, n=60_000)
+    @example(x=-0.1, n=60_000)
+    def test_equals_one_addition_at_a_time(self, x, n):
+        assert repeated_sum(x, n).hex() == added(x, n).hex()
+
+    # x / ulp ends in .5 in [2**14, 2**15), whose ulp is 2**-38: each step
+    # there is a tie, rounded to even, odd q of x = (q + .5) ulp rounding
+    # up and even q down. A sum that enters the binade on an odd multiple
+    # of its ulp takes one step of another size first.
+    @pytest.mark.parametrize("x", [3 + 2**-39, 3 + 3 * 2**-39], ids=["even", "odd"])
+    @pytest.mark.parametrize("n", [10_000, 20_000])
+    def test_a_tie_in_a_binade_the_sum_crosses(self, x, n):
+        assert repeated_sum(x, n).hex() == added(x, n).hex()
+
+    # The top binade has no float at its top, 2**1024.
+    @pytest.mark.parametrize("x", [2.0**1022, 1.5 * 2**1022, 2.0**1023, sys.float_info.max])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_near_the_largest_float(self, x, n):
+        assert repeated_sum(x, n).hex() == added(x, n).hex()
+
+    def test_an_overflow_is_inf(self):
+        assert repeated_sum(1e307, 100) == added(1e307, 100) == float("inf")
+        assert repeated_sum(-1e307, 100) == -float("inf")
+
+    def test_a_step_that_rounds_to_nothing_ends_the_sum(self):
+        # 2**53 + 1 rounds to 2**53, so every later addition leaves it.
+        assert repeated_sum(1.0, 2**60) == 2.0**53
+
+    @pytest.mark.parametrize("x", [1.0, -1.0, 0.0, -0.0, float("nan"), float("-inf")])
+    def test_no_additions_is_plus_zero(self, x):
+        assert repeated_sum(x, 0).hex() == "0x0.0p+0"
