@@ -4,30 +4,45 @@ alternating pairs, and say per metric whether the working tree wins.
 
 Usage (from the repository root):
 
-    python scripts/ab.py BASE [--pairs 10] [--seconds 25] [--workload NAME ...]
+    python scripts/ab.py BASE [--pairs 10] [--seconds 25] [--seed S]
+                              [--workload NAME ...] [--figures]
 
 BASE is a git revision. Its files (``git archive BASE``) and the working
 tree's (tracked files as they are now, and untracked files that are not
 ignored) are copied into two fresh temporary directories, and
 ``benchmarks/run.py --trace 0`` runs in each, one run at a time, every run
-``--seconds`` long at run.py's default seed, so every run checks its
-output against ``benchmarks/golden.json``. Pair ``i`` runs BASE first when
-``i`` is even and the working tree first when it is odd, so neither side
-always runs second on a host the other has just warmed. ``--workload``
-defaults to every workload in the working tree's ``BENCHMARK.json``.
+``--seconds`` long. Pair ``i`` runs BASE first when ``i`` is even and the
+working tree first when it is odd, so neither side always runs second on a
+host the other has just warmed. ``--workload`` defaults to every workload
+in the working tree's ``BENCHMARK.json``.
+
+``--seed S`` passes ``--seed S`` to run.py, so that a claim can be checked
+on a seed it was not made on. Without it run.py runs at its default seed
+and checks every run's output against ``benchmarks/golden.json``; at any
+other seed it has no golden digests, and checks only that the runs of one
+(point, strategy, seed) agree with each other.
+
+``--figures`` also runs ``scripts/run_figures.py --reps 20`` on each side
+in every pair, after the workloads and in the same order. It compares the
+script's total wall time and each figure's (``total`` and the figure ids).
+A figures run must write a manifest, exit 0 or 1 (1 is a trend
+violation, which criterion 5 gives on every side), and write CSVs whose
+SHA-256 sums equal that side's ``tests/figures.sha256``.
 
 For each workload and each end-to-end metric that ``BENCHMARK.json``
-names, it prints each side's median and interquartile range, the pairs
-the working tree won by the metric's ``better`` direction (equal values
-count for neither side), and the exact two-sided sign-test p-value over
-the pairs that were not ties. The level is Bonferroni-corrected and fixed
-before the run: a p-value is significant below ``ALPHA`` divided by the
-number of (workload, metric) comparisons. The last line of standard output
-is one JSON object that holds all of it, every run's value included.
+names, and each figures wall time, it prints each side's median and
+interquartile range, the pairs the working tree won by the metric's
+``better`` direction (equal values count for neither side; a shorter wall
+time is better), and the exact two-sided sign-test p-value over the pairs
+that were not ties. The level is Bonferroni-corrected and fixed before the
+run: a p-value is significant below ``ALPHA`` divided by the number of
+comparisons. The last line of standard output is one JSON object that
+holds all of it, every run's value included.
 
-A run that exits non-zero, or reports ``correct: false`` or a failed
-operation, stops the comparison with exit code 1. Nothing is written under
-the repository: both copies live in a temporary directory, removed at exit.
+A run that exits non-zero (a figures run: other than 0 or 1), or reports
+``correct: false``, a failed operation or a CSV off its pin, stops the
+comparison with exit code 1. Nothing is written under the repository:
+both copies live in a temporary directory, removed at exit.
 """
 
 import argparse
@@ -42,7 +57,9 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench import REPO, benchmark, git  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from bench import REPO, benchmark, figures, git  # noqa: E402
+from mhlogsim.experiments import FIGURE_IDS  # noqa: E402
 
 ALPHA = 0.05  # family-wise significance level
 
@@ -70,15 +87,33 @@ def export_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name.decode())
 
 
-def run_once(root: Path, workload: str, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seconds: float, seed: int | None) -> dict:
     try:
-        result = benchmark(root, workload, 0, seconds)
+        result = benchmark(root, workload, 0, seconds, seed)
     except RuntimeError as exc:
         raise SystemExit(f"error: in {root.name}, {exc}")
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"error: in {root.name}, benchmarks/run.py --workload {workload} reports "
                          f"correct {result['correct']}, failed {result['failed']}")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def figures_once(root: Path) -> dict:
+    """One ``run_figures.py --reps 20`` run in ``root``: its total wall
+    time and each figure's, once its CSVs are checked against the pins."""
+    try:
+        result = figures(root)
+    except RuntimeError as exc:
+        raise SystemExit(f"error: in {root.name}, {exc}")
+    lines = (root / "tests" / "figures.sha256").read_text(encoding="utf-8").splitlines()
+    pins = {name: digest for digest, name in map(str.split, lines)}
+    if result["exit_code"] not in (0, 1) or result["csv_sha256"] != pins:
+        raise SystemExit(f"error: in {root.name}, run_figures.py exits {result['exit_code']}, "
+                         f"and its CSVs {'match' if result['csv_sha256'] == pins else 'differ from'} "
+                         f"tests/figures.sha256")
+    walls = {"total": result["wall_s"]}
+    walls.update((f, m["wall_s"]) for f, m in result["manifest"]["figures"].items())
+    return walls
 
 
 def spread(values: list[float]) -> dict:
@@ -102,7 +137,11 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None,
                         help="run length of each run (default: BENCHMARK.json's run_seconds)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="master seed passed to run.py (default: run.py's, with its golden check)")
     parser.add_argument("--workload", action="append", help="repeat for several (default: all)")
+    parser.add_argument("--figures", action="store_true",
+                        help="also compare run_figures.py --reps 20 wall times")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -110,10 +149,13 @@ def main() -> int:
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    level = ALPHA / (len(workloads) * len(metrics))
+    walls = ["total", *FIGURE_IDS] if args.figures else []
+    comparisons = len(workloads) * len(metrics) + len(walls)
+    level = ALPHA / comparisons
     base_commit = git(REPO, "rev-parse", "--verify", f"{args.base}^{{commit}}").decode().strip()
 
     values = {side: {w: {m: [] for m in metrics} for w in workloads} for side in ("base", "tree")}
+    wall_values = {side: {w: [] for w in walls} for side in ("base", "tree")}
     with tempfile.TemporaryDirectory(prefix="mhlogsim-ab-") as tmp:
         roots = {"base": Path(tmp) / "base", "tree": Path(tmp) / "tree"}
         export_base(base_commit, roots["base"])
@@ -122,29 +164,36 @@ def main() -> int:
             order = ("base", "tree") if i % 2 == 0 else ("tree", "base")
             for workload in workloads:
                 for side in order:
-                    for name, value in run_once(roots[side], workload, seconds).items():
+                    for name, value in run_once(roots[side], workload, seconds, args.seed).items():
                         if name in metrics:
                             values[side][workload][name].append(value)
+            for side in order if walls else ():
+                run = figures_once(roots[side])
+                for name in walls:
+                    wall_values[side][name].append(run[name])
             print(f"pair {i + 1}/{args.pairs} done ({' first, '.join(order)} second)", flush=True)
 
+    seed = "run.py's default seed" if args.seed is None else f"seed {args.seed}, no golden check"
     print(f"base {args.base} ({base_commit[:12]}) against the working tree: {args.pairs} pairs "
-          f"of {seconds:g} s; significant at p < {ALPHA:g}/"
-          f"{len(workloads) * len(metrics)} = {level:.3g}")
-    results = {}
-    for workload in workloads:
-        results[workload] = {}
-        for name, m in metrics.items():
-            r = compare(values["base"][workload][name], values["tree"][workload][name],
-                        m["better"], level)
-            results[workload][name] = r
-            b, t = r["base"], r["tree"]
-            print(f"{workload:15s} {name:13s} base {b['median']:.6g} (IQR {b['iqr']:.3g}) "
-                  f"tree {t['median']:.6g} (IQR {t['iqr']:.3g}) {m['unit']}, "
-                  f"{m['better']} is better: tree won {r['won']}/{args.pairs} "
-                  f"(ties {r['ties']}), p = {r['p']:.3g}{' *' if r['significant'] else ''}")
+          f"of {seconds:g} s at {seed}; significant at p < {ALPHA:g}/{comparisons} = {level:.3g}")
+
+    def report(label: str, name: str, base: list, tree: list, unit: str, better: str) -> dict:
+        r = compare(base, tree, better, level)
+        b, t = r["base"], r["tree"]
+        print(f"{label:15s} {name:13s} base {b['median']:.6g} (IQR {b['iqr']:.3g}) "
+              f"tree {t['median']:.6g} (IQR {t['iqr']:.3g}) {unit}, "
+              f"{better} is better: tree won {r['won']}/{args.pairs} "
+              f"(ties {r['ties']}), p = {r['p']:.3g}{' *' if r['significant'] else ''}")
+        return r
+
+    results = {workload: {name: report(workload, name, values["base"][workload][name],
+                                       values["tree"][workload][name], m["unit"], m["better"])
+                          for name, m in metrics.items()} for workload in workloads}
+    figure_results = {name: report("run_figures.py", name, wall_values["base"][name],
+                                   wall_values["tree"][name], "s", "lower") for name in walls}
     print(json.dumps({"base": args.base, "base_commit": base_commit, "pairs": args.pairs,
-                      "seconds": seconds, "alpha": ALPHA,
-                      "level": level, "results": results}))
+                      "seconds": seconds, "seed": args.seed, "alpha": ALPHA, "level": level,
+                      "results": results, "figures": figure_results or None}))
     return 0
 
 

@@ -12,7 +12,8 @@ another for a core:
 1. the tier-1 suite, ``python -m pytest -q --continue-on-collection-errors``
    with ``src`` on ``PYTHONPATH``: its wall time and outcome counts;
 2. ``scripts/run_figures.py --reps 20`` into a temporary directory: its
-   ``manifest.json`` (per-figure ``wall_s`` and ``runs``) and total wall time;
+   ``manifest.json`` (per-figure ``wall_s`` and ``runs``), total wall time
+   and the SHA-256 of each CSV it wrote;
 3. ``benchmarks/run.py --trace 0`` on every workload ``BENCHMARK.json``
    names, at the run length the benchmark fixes: the result object each
    run prints last (``benchmarks``), then ``--trace 1`` on each, the
@@ -103,9 +104,12 @@ def figures(root: Path) -> dict:
         if not manifest_path.exists():
             raise RuntimeError(f"run_figures.py wrote no manifest:\n{proc.stderr}")
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        csv_sha256 = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                      for path in sorted(Path(out).glob("*.csv"))}
     # Exit code 1 with a manifest means trend violations, which tier-1's
     # criterion checks report; the timings stand.
-    return {"wall_s": wall_s, "exit_code": proc.returncode, "manifest": manifest}
+    return {"wall_s": wall_s, "exit_code": proc.returncode, "manifest": manifest,
+            "csv_sha256": csv_sha256}
 
 
 def cli_analytic(root: Path) -> float:
@@ -123,12 +127,16 @@ def src_lines(root: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "mhlogsim").glob("*.py"))
 
 
-def benchmark(root: Path, workload: str, trace: int, seconds: float | None = None) -> dict:
+def benchmark(root: Path, workload: str, trace: int, seconds: float | None = None,
+              seed: int | None = None) -> dict:
     """The result object of one ``benchmarks/run.py`` run in ``root``,
-    ``seconds`` long (by default run.py's own run length)."""
+    ``seconds`` long at master seed ``seed`` (by default run.py's own run
+    length and seed)."""
     args = ["benchmarks/run.py", "--workload", workload, "--trace", str(trace)]
     if seconds is not None:
         args += ["--seconds", str(seconds)]
+    if seed is not None:
+        args += ["--seed", str(seed)]
     proc = subprocess.run([sys.executable, *args], cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(args)} failed:\n{proc.stderr}")

@@ -25,9 +25,9 @@ Cost accounting conventions, applied uniformly; each of the first three is
 one ``LogStrategy`` method:
 
 * ``_ship``: data items (log entries, checkpoints) that cross the wireless
-  hop pay ``alpha * unit`` there and ``rho * unit * hops`` on the wired path;
-  one call ships a list of ``(n, hops)`` loads, so lazy's recovery ships all
-  its fragments at once.
+  hop pay ``alpha * unit`` there and ``rho * unit * hops`` on the wired path,
+  nothing for 0 hops; one call ships a list of ``(n, hops)`` loads, so lazy's
+  recovery ships all its fragments at once.
 * ``_carry``: a log of ``n`` entries plus the checkpoint, moved between
   network sites, pays ``(n * c_1 + c_c) * rho * hops`` on the wired path only.
 * ``_messages``: control messages pay a flat ``c_m`` each, booked as wired
@@ -45,14 +45,18 @@ one ``LogStrategy`` method:
   binade the total crosses.
   Prices of a few small integers are made by the same rules on a loop's
   miss and kept in a table under them (``_keep``), up to
-  ``_PRICE_TABLE_LIMIT`` entries: one-fragment handoffs in ``_move_prices``
-  under (log size, hops the log moves, cache fill), the log size 0 for 0
-  hops; their recoveries in ``_recovery_prices`` under (log size, hops from
-  the checkpoint to the restart BS); runs of writes in ``_write_runs``,
-  lazy's under (run length, fragment count after it), pessimistic's and
-  proposed's under (run length, cache fill, whether the log holds
-  entries). A recovery is priced from each fetched fragment's ``(entries,
-  hops)``, the checkpoint's hops and the messages that locate the log
+  ``_PRICE_TABLE_LIMIT`` entries, each with the numbers the loop reads of
+  it, so a hit is one probe and one tuple unpacking: one-fragment handoffs
+  in ``_move_prices`` as (delta, total) under (log size, hops the log
+  moves, cache fill), the log size 0 for 0 hops; their recoveries in
+  ``_recovery_prices`` as (delta, retrieval time, total) under (log size,
+  hops from the checkpoint to the restart BS); runs of writes in
+  ``_write_runs`` as (charged writes, entries they move into the log, peak
+  pieces, ``WriteRun``) (``_write_entry``), lazy's under (run length,
+  fragment count after it), pessimistic's and proposed's under (run
+  length, cache fill, whether the log holds entries). A recovery is
+  priced from each fetched fragment's ``(entries, hops)``, the
+  checkpoint's hops and the messages that locate the log
   (``_recovery_price``), so one rule serves the table and lazy, which
   prices every recovery afresh.
 * The tables are process-wide (``_price_tables``), shared by every run of
@@ -62,8 +66,9 @@ one ``LogStrategy`` method:
   hashed. Hops are in the move and recovery keys, and as two BSCs lie at
   least 2 hops apart, proposed restarts at home exactly when ``hops == 1``
   on every tree, so the tree stays out of the key and a figure's reps and
-  points, which sweep only rates, share one set. A traced CostDelta or a
-  ``WriteRun`` is therefore shared across runs: read it, never change it.
+  points, which sweep only rates, share one set. A table entry, with the
+  CostDelta a trace holds and the ``WriteRun`` in it, is therefore shared
+  across runs: read it, never change it.
 
 The loops index the tree's cell -> BSC table unchecked, as every cell of a
 ``Timeline`` comes from the tree (``on_handoff`` and ``recover`` check
@@ -76,7 +81,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from math import frexp, inf, ldexp, ulp
+from math import copysign, frexp, inf, ldexp, ulp
 from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from .model import CostParams, SimParams, StrategyKind
@@ -109,7 +114,7 @@ _PRICE_TABLE_LIMIT = 4096
 # configs a process runs.
 _price_tables: dict[StrategyKind, tuple[tuple, tuple[dict, dict, dict]]] = {}
 
-_Price = TypeVar("_Price")
+_Entry = TypeVar("_Entry")
 
 
 @dataclass(slots=True)
@@ -398,13 +403,22 @@ class LogStrategy:
     # -- shared pieces ---------------------------------------------------
 
     @staticmethod
-    def _keep(table: dict, key: object, price: _Price) -> _Price:
-        """Store ``price``, the price of a ``key`` a loop missed in the
-        shared ``table``, unless the table is full, and return it; a hit
-        costs the loop one probe."""
+    def _keep(table: dict, key: object, entry: _Entry) -> _Entry:
+        """Store ``entry``, the price of a ``key`` a loop missed in the
+        shared ``table`` with the numbers the loop reads of it, unless the
+        table is full, and return it; a hit costs the loop one probe and a
+        tuple unpacking."""
         if len(table) < _PRICE_TABLE_LIMIT:
-            table[key] = price
-        return price
+            table[key] = entry
+        return entry
+
+    def _write_entry(self, *key: int) -> tuple[int, int, int, WriteRun]:
+        """The write-run table's entry for ``key``: the run's charged-write
+        count, the entries its flushes move into the log (a full cache
+        each), its peak piece count and the ``WriteRun`` a trace reads."""
+        run = self._write_run(*key)
+        flushed = len(run.charged)
+        return flushed, flushed * self._cap, run.peak_pieces, run
 
     def _messages(self, k: int) -> CostDelta:
         """``k`` wired control messages."""
@@ -417,7 +431,10 @@ class LogStrategy:
         cp = self.cp
         for n, hops in loads:
             delta.wireless_cost += cp.alpha * n * unit
-            delta.wired_cost += cp.rho * n * unit * hops
+            wired = cp.rho * n * unit
+            # 0 hops cost nothing wired, with ``wired * 0``'s sign when
+            # ``wired`` is finite; were it inf, the product would be nan.
+            delta.wired_cost += wired * hops if hops else copysign(0.0, wired)
             delta.data_items_moved += n
             delta.elapsed_transfer_time += n * (1.0 + cp.r * hops)
         return delta
@@ -464,7 +481,7 @@ class LazyStrategy(LogStrategy):
         tree, cell_bsc, fragments, settle = self.tree, self._cell_bsc, self.fragments, self.settle_peaks
         cell, bsc, seq = self.current_cell, self.current_bsc, self.next_seq
         chain_length, deadline = self.pointer_chain_length, self.sp.recovery_deadline
-        write_runs, keep, write_run = self._write_runs, self._keep, self._write_run
+        write_runs, keep, write_entry = self._write_runs, self._keep, self._write_entry
         recovery_price, site_of = self._recovery_price, self._checkpoint_site
         checkpoint_cost, pointer_cost = self._checkpoint_cost, self._pointer_cost
         pointer_total = pointer_cost.total
@@ -485,15 +502,16 @@ class LazyStrategy(LogStrategy):
                 seq += k
                 # A write opens a fragment and only a purge drops one: none is empty.
                 key = (k, len(fragments))
-                run = write_runs.get(key)
-                if run is None:
-                    run = keep(write_runs, key, write_run(*key))
-                charged += len(run.charged)
+                entry = write_runs.get(key)
+                if entry is None:
+                    entry = keep(write_runs, key, write_entry(*key))
+                flushed, _, pieces, run = entry
+                charged += flushed
                 if trace is not None:
                     for i in range(k):
                         trace.append((next(times), "WRITE", run.delta if i in run.charged else NO_COST))
-                if run.peak_pieces > peak:
-                    peak = run.peak_pieces
+                if pieces > peak:
+                    peak = pieces
             if event is None:
                 break
             t, ev, to = event
@@ -579,9 +597,9 @@ class _OneFragmentStrategy(LogStrategy):
         cell, bsc, seq = self.current_cell, self.current_bsc, self.next_seq
         n, c = len(self.fragments[0].entries), len(self.cache)
         write_runs, move_prices = self._write_runs, self._move_prices
-        recovery_prices, keep, write_run = self._recovery_prices, self._keep, self._write_run
+        recovery_prices, keep, write_entry = self._recovery_prices, self._keep, self._write_entry
         move_price, recovery_price = self._move_price, self._recovery_price
-        up, cap, deadline = self._up, self._cap, self.sp.recovery_deadline
+        up, deadline = self._up, self.sp.recovery_deadline
         checkpoint_cost = self._checkpoint_cost
         # The first write this loop left in the log, whether a checkpoint
         # purged what came before it, and the ranges recoveries lost since.
@@ -594,19 +612,19 @@ class _OneFragmentStrategy(LogStrategy):
             if k:
                 seq += k
                 key = (k, c, n > 0)
-                run = write_runs.get(key)
-                if run is None:
-                    run = keep(write_runs, key, write_run(*key))
-                # Each charged write flushes a full cache.
-                flushed = len(run.charged)
+                entry = write_runs.get(key)
+                if entry is None:
+                    entry = keep(write_runs, key, write_entry(*key))
+                # Each charged write flushes a full cache, ``moved`` entries in all.
+                flushed, moved, pieces, run = entry
                 charged += flushed
-                n += flushed * cap
-                c += k - flushed * cap
+                n += moved
+                c += k - moved
                 if trace is not None:
                     for i in range(k):
                         trace.append((next(times), "WRITE", run.delta if i in run.charged else NO_COST))
-                if run.peak_pieces > peak:
-                    peak = run.peak_pieces
+                if pieces > peak:
+                    peak = pieces
             if event is None:
                 break
             t, ev, to = event
@@ -627,25 +645,27 @@ class _OneFragmentStrategy(LogStrategy):
                     # Up from the old site, across the gap, down to the new one.
                     hops = 2 * up + gap
                     key = (n if hops else 0, hops, c)
-                    delta = move_prices.get(key)
-                    if delta is None:
-                        delta = keep(move_prices, key, move_price(*key))
-                    cost_handoff += delta.total
+                    entry = move_prices.get(key)
+                    if entry is None:
+                        delta = move_price(*key)
+                        entry = keep(move_prices, key, (delta, delta.total))
+                    delta, total = entry
+                    cost_handoff += total
                     n += c
                 else:  # FAILURE
                     # Up from the checkpoint, across the gap, down to the
                     # restart BS: none when that is the checkpoint's own BS.
                     hops = up + 1 + gap if to != cell or not up else 0
                     key = (n, hops)
-                    price = recovery_prices.get(key)
-                    if price is None:
-                        price = keep(recovery_prices, key, recovery_price(
-                            [(n, hops)] if n else [], hops, self._locate_log(hops)))
-                    delta, retrieval_time = price
+                    entry = recovery_prices.get(key)
+                    if entry is None:
+                        delta, retrieval_time = recovery_price(
+                            [(n, hops)] if n else [], hops, self._locate_log(hops))
+                        entry = keep(recovery_prices, key, (delta, retrieval_time, delta.total))
+                    delta, retrieval_time, total = entry
                     if c:
                         lost_ranges.append((seq - c, seq))
                         lost += c
-                    total = delta.total
                     cost_recovery += total
                     if retrieval_time <= deadline:
                         successes += 1

@@ -61,6 +61,12 @@ def fresh_recovery_price(strategy, key):
                                        int(proposed and not in_home))
 
 
+def cache_capacity(strategy):
+    """The entries a charged write flushes into the log: a full cache,
+    of one entry but for proposed."""
+    return strategy.sp.cache_capacity if strategy.kind is StrategyKind.PROPOSED else 1
+
+
 def fresh_write_run(strategy, key):
     """A run of writes replayed one write at a time by the policy's rule.
     Lazy charges every write and ends the run with the key's piece count.
@@ -71,8 +77,7 @@ def fresh_write_run(strategy, key):
         k, pieces = key
         return WriteRun(strategy._write_cost, range(k), pieces)
     k, n, pieces = key
-    pessimistic = strategy.kind is StrategyKind.PESSIMISTIC
-    cap = 1 if pessimistic else strategy.sp.cache_capacity
+    pessimistic, cap = strategy.kind is StrategyKind.PESSIMISTIC, cache_capacity(strategy)
     charged, peak = [], 0
     for i in range(k):
         n += 1
@@ -94,10 +99,46 @@ def copy_sharing_tables(strategy):
     return copy.deepcopy(strategy, {id(table): table for table in tables})
 
 
-PRICE_TABLES = {  # shared price table -> its key's price made afresh
-    "_write_runs": fresh_write_run,
-    "_move_prices": fresh_move_price,
-    "_recovery_prices": fresh_recovery_price,
+def fresh_write_entry(strategy, key):
+    """A write-run table entry made afresh: the charged-write count, the
+    entries those writes flush into the log, the peak piece count and the
+    ``WriteRun`` itself."""
+    run = fresh_write_run(strategy, key)
+    return len(run.charged), len(run.charged) * cache_capacity(strategy), run.peak_pieces, run
+
+
+def fresh_move_entry(strategy, key):
+    """A handoff table entry made afresh: the price and its total."""
+    delta = fresh_move_price(strategy, key)
+    return delta, delta.total
+
+
+def fresh_recovery_entry(strategy, key):
+    """A recovery table entry made afresh: the price, its retrieval time
+    and its total."""
+    delta, retrieval_time = fresh_recovery_price(strategy, key)
+    return delta, retrieval_time, delta.total
+
+
+def assert_entry_consistent(strategy, name, key, entry):
+    """The numbers a stored entry holds beside its price are the ones its
+    own price gives: each total equals its delta's ``.total`` bit for bit
+    (by ``.hex()``, so ``-0.0`` differs from ``0.0``), and a write run's
+    charged and moved counts are what its ``charged`` range gives."""
+    if name == "_write_runs":
+        flushed, moved, pieces, run = entry
+        assert flushed == len(run.charged), key
+        assert moved == len(run.charged) * cache_capacity(strategy), key
+        assert pieces == run.peak_pieces, key
+    else:
+        delta, total = entry[0], entry[-1]
+        assert total.hex() == delta.total.hex(), key
+
+
+PRICE_TABLES = {  # shared price table -> its key's entry made afresh
+    "_write_runs": fresh_write_entry,
+    "_move_prices": fresh_move_entry,
+    "_recovery_prices": fresh_recovery_entry,
 }
 
 
@@ -113,7 +154,10 @@ def assert_cached_prices_fresh(strategy, fresh=None):
     ``fresh``, a dict a caller keeps for one strategy across calls, holds
     each table's entries priced afresh, so an entry compared after every
     event is priced afresh once. A fresh price reads only the kind, the
-    price inputs and the key, so reusing it skips no comparison."""
+    price inputs and the key, so reusing it skips no comparison. An
+    entry's own totals and counts are checked against its own price when
+    its key is first seen: the entry is a tuple, and a later change to
+    its price fails the comparison with the fresh entry."""
     cp = strategy.cp
     fresh = {} if fresh is None else fresh
     if strategy.kind is StrategyKind.PROPOSED:
@@ -135,6 +179,7 @@ def assert_cached_prices_fresh(strategy, fresh=None):
         assert len(table) <= strategies._PRICE_TABLE_LIMIT
         made = fresh.setdefault(name, {})
         for key in table.keys() - made.keys():
+            assert_entry_consistent(strategy, name, key, table[key])
             made[key] = price(strategy, key)
         assert table == made, next((key for key in table if table[key] != made.get(key)), name)
     assert NO_COST == CostDelta()

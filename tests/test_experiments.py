@@ -4,7 +4,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhlogsim.config import CONFIG_KEYS, Config, check_count, default_config
+from mhlogsim.config import CONFIG_KEYS, Config, check_count, default_config, parse_config
 from mhlogsim.experiments import (
     CSV_HEADER,
     FIGURE_IDS,
@@ -461,6 +461,28 @@ class TestCli:
         assert all(m.split(" is not finite: it is priced by ")[1] == experiments.PRICED_BY[
             "total_cost_per_handoff_interval"] for m in messages)
 
+    @pytest.mark.parametrize("kind", ["lazy", "pessimistic"])
+    def test_a_zero_hop_load_costs_no_wired_nan(self, tmp_path, capsys, kind):
+        # A fragment fetched from the restart BS itself crosses no wire. At
+        # C_1 = 1e307 its rho * n * C_1 overflows, and inf * 0 hops would
+        # book a nan wired cost, so the recovery totals would read nan.
+        path = tmp_path / "big.cfg"
+        path.write_text("cost.C_1 = 1e307\nrecovery.deadline = 42\n"
+                        "sim.horizon = 2000\nsim.replications = 2\n", encoding="utf-8")
+        cfg = parse_config(str(path))
+        for rep in range(cfg.sim.replications):
+            trace = []
+            engine.run_simulation(cfg, kind, engine.split_seed(cfg.sim.seed, rep), trace=trace)
+            assert not [(t, ev, delta) for t, ev, delta in trace
+                        if any(math.isnan(v) for v in astuple(delta))], rep
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--strategy", kind, "--config", str(path)]) == 1
+        messages = capsys.readouterr().err.removeprefix("error: ").split("; ")
+        assert [m for m in messages if m.startswith("total_recovery_cost ")] == [
+            f"total_recovery_cost mean inf ci95 [nan, nan] is not finite: it is priced by "
+            f"{experiments.PRICED_BY['total_recovery_cost']}"]
+
     def test_a_figure_overflow_is_rejected_before_its_csv(self, tmp_path, capsys):
         # Every handoff cost overflows: written out, its rows would read
         # inf,nan,nan, and fig3's slope fit would warn.
@@ -880,3 +902,41 @@ class TestAbSignTest:
     ])
     def test_ten_pairs(self, wins, losses, p):
         assert load_script("ab").sign_test(wins, losses) == p
+
+
+class TestAbRuns:
+    """What ``scripts/ab.py`` hands each run and what it accepts back,
+    with the subprocesses replaced by records."""
+
+    def test_the_seed_and_run_length_reach_run_py(self, monkeypatch, tmp_path):
+        bench = load_script("bench")
+        calls = []
+
+        def run(cmd, **kwargs):
+            calls.append(cmd[1:])
+            return bench.subprocess.CompletedProcess(cmd, 0, stdout='{"correct": true}\n')
+
+        monkeypatch.setattr(bench.subprocess, "run", run)
+        assert bench.benchmark(tmp_path, "long-log", 0, 2.0, 2024) == {"correct": True}
+        assert bench.benchmark(tmp_path, "long-log", 0) == {"correct": True}
+        assert calls == [
+            ["benchmarks/run.py", "--workload", "long-log", "--trace", "0", "--seconds", "2.0",
+             "--seed", "2024"],
+            ["benchmarks/run.py", "--workload", "long-log", "--trace", "0"]]
+
+    @pytest.mark.parametrize("exit_code, digest, accepted", [
+        (1, "ab", True), (0, "ab", True), (2, "ab", False), (1, "cd", False),
+    ], ids=["trend-violations", "clean", "error", "off-pin"])
+    def test_a_figures_run_is_held_to_its_pins(self, monkeypatch, tmp_path, exit_code, digest,
+                                               accepted):
+        ab = load_script("ab")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "figures.sha256").write_text("ab  fig3.csv\n", encoding="utf-8")
+        monkeypatch.setattr(ab, "figures", lambda root: {
+            "wall_s": 2.5, "exit_code": exit_code, "csv_sha256": {"fig3.csv": digest},
+            "manifest": {"figures": {"fig3": {"wall_s": 0.5}}}})
+        if accepted:
+            assert ab.figures_once(tmp_path) == {"total": 2.5, "fig3": 0.5}
+        else:
+            with pytest.raises(SystemExit, match="^error: in "):
+                ab.figures_once(tmp_path)
